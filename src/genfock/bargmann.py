@@ -33,7 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
-from .coeffspace import TaylorCoeffs, WeightOverflowError, log_weight
+from .coeffspace import (TaylorCoeffs, WeightOverflowError, _fsum_complex,
+                         _require_level, log_weight, squared_norm)
 
 _PI_QUARTER = math.pi ** -0.25
 _MAX_LOG_SCALE = 745.0
@@ -141,8 +142,7 @@ def _scale(n: int, m: int) -> float:
 
 def forward(hermite_coeffs, m: int) -> TaylorCoeffs:
     """Taylor coefficients of the transform of sum c_n eta_n."""
-    if m < 1:
-        raise ValueError("level must be >= 1")
+    _require_level(m)
     return TaylorCoeffs(c * _scale(n, m) if c != 0 else 0
                         for n, c in enumerate(hermite_coeffs))
 
@@ -150,8 +150,7 @@ def forward(hermite_coeffs, m: int) -> TaylorCoeffs:
 def inverse(f: TaylorCoeffs, m: int) -> tuple:
     """Hermite coefficients recovering f; divides by the same stored scale
     used in :func:`forward`, so a round trip is exact up to one rounding."""
-    if m < 1:
-        raise ValueError("level must be >= 1")
+    _require_level(m)
     return tuple(c / _scale(n, m) if c != 0 else 0
                  for n, c in enumerate(f.coeffs))
 
@@ -159,8 +158,6 @@ def inverse(f: TaylorCoeffs, m: int) -> tuple:
 def unitarity_gap(hermite_coeffs, m: int) -> dict:
     """Squared L2 norm of the input, level-m squared norm of the image, and
     their relative gap (0 for an exactly unitary map)."""
-    from .coeffspace import squared_norm
-
     l2 = math.fsum(abs(complex(c)) ** 2 for c in hermite_coeffs)
     img = squared_norm(forward(hermite_coeffs, m), m)
     gap = abs(img - l2) / max(l2, 1e-300)
@@ -177,8 +174,7 @@ def transform_kernel(m: int, z: complex, t, tol: float = 1e-14):
     (pointwise values can pass through zero; the batch maximum cannot
     collapse).
     """
-    if m < 1:
-        raise ValueError("level must be >= 1")
+    _require_level(m)
     if tol <= 0:
         raise ValueError("tol must be positive")
     z = complex(z)
@@ -215,8 +211,7 @@ def transform_via_quadrature(hermite_coeffs, m: int, z: complex,
     the truncation degrees.  Independent of the coefficient route up to
     quadrature error; used as a cross-check.
     """
-    if m < 1:
-        raise ValueError("level must be >= 1")
+    _require_level(m)
     nodes, weights = hermgauss(order)
     coeffs = list(hermite_coeffs)
     etas = hermite_eta_all(max(len(coeffs) - 1, 0), nodes)
@@ -224,8 +219,7 @@ def transform_via_quadrature(hermite_coeffs, m: int, z: complex,
     for n, c in enumerate(coeffs):
         phi += complex(c) * etas[n]
     hz = transform_kernel(m, z, nodes)
-    vals = _lifted_weights(nodes, weights) * hz * phi
-    return complex(math.fsum(vals.real), math.fsum(vals.imag))
+    return _fsum_complex(_lifted_weights(nodes, weights) * hz * phi)
 
 
 def classic_kernel_values(z: complex, t: float) -> dict:

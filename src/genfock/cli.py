@@ -2,8 +2,10 @@
 
 One executable, thirteen subcommands, no state: tabular output (stirling,
 kernel-table, moments) defaults to CSV, everything else to JSON with complex
-numbers as [re, im] pairs.  Exit codes: 0 success, 1 a check failed, 2 bad
-usage or unreadable input.
+numbers as [re, im] pairs.  Each subcommand accepts only the flags it reads.
+Exit codes: 0 success, 1 a check failed, 2 bad usage or unreadable input,
+3 a typed numerical error (weight overflow, stalled quadrature, operator
+routes disagreeing), reported as one line on stderr.
 """
 
 from __future__ import annotations
@@ -14,17 +16,18 @@ import io
 import json
 import math
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
 from . import bargmann, coeffspace, dualalgebra, operators, radialkernel
 from . import stirling as stirling_mod
-from .coeffspace import TaylorCoeffs
+from .coeffspace import TaylorCoeffs, WeightOverflowError
 from .dualalgebra import DualSequence
-from .suites import SUITE_NAMES, RunConfig, run_suite
-
-_TABULAR_DEFAULT = "csv"
-
+from .operators import OperatorConsistencyError
+from .radialkernel import QuadratureConvergenceError
+from .suites import (SUITE_NAMES, RunConfig, _operator_checks,
+                     _product_inequality, _rand_coeffs, run_suite)
 
 def _complex_arg(text: str) -> complex:
     """Accept '1.5+2j' (Python literal) or '1.5,2' (re,im)."""
@@ -73,15 +76,18 @@ def _csv_rows(rows) -> str:
     return buf.getvalue()
 
 
-def _common_flags(sub: argparse.ArgumentParser, fmt_default: str = "json"
-                  ) -> None:
-    sub.add_argument("--seed", type=int, default=2026,
-                     help="seed for any randomized content")
-    sub.add_argument("--tol", type=float, default=None,
-                     help="tolerance override where one applies")
-    sub.add_argument("--degree", type=int, default=64,
-                     help="truncation degree for generated elements")
-    sub.add_argument("--format", choices=("json", "csv"), default=fmt_default)
+def _shared_flags(sub: argparse.ArgumentParser, *, seed: bool = False,
+                  tol: float | None = None, fmt: str | None = None) -> None:
+    """--out, plus whichever of --seed, --tol, --format the handler reads;
+    ``tol`` and ``fmt`` are the defaults."""
+    if seed:
+        sub.add_argument("--seed", type=int, default=2026,
+                         help="seed for the randomized content")
+    if tol is not None:
+        sub.add_argument("--tol", type=float, default=tol,
+                         help="tolerance (default %(default)g)")
+    if fmt:
+        sub.add_argument("--format", choices=("json", "csv"), default=fmt)
     sub.add_argument("--out", default=None, help="write output to this file")
 
 
@@ -95,31 +101,31 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("stirling", help="partition-count triangle")
     p.add_argument("--max-k", type=int, default=10)
-    _common_flags(p, _TABULAR_DEFAULT)
+    _shared_flags(p, fmt="csv")
 
     p = subs.add_parser("kernel-table", help="radial weight table")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--xmin", type=float, default=1e-3)
     p.add_argument("--xmax", type=float, default=10.0)
     p.add_argument("--points", type=int, default=41)
-    _common_flags(p, _TABULAR_DEFAULT)
+    _shared_flags(p, fmt="csv")
 
     p = subs.add_parser("moments", help="radial moments vs factorial powers")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--nmax", type=int, default=8)
-    _common_flags(p, _TABULAR_DEFAULT)
+    _shared_flags(p, fmt="csv")
 
     p = subs.add_parser("kernel-eval", help="two-point kernel value")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--z", type=_complex_arg, required=True)
     p.add_argument("--w", type=_complex_arg, required=True)
-    _common_flags(p)
+    _shared_flags(p, tol=1e-14)
 
     p = subs.add_parser("inner-product", help="weighted coefficient pairing")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--f", required=True, help="element JSON ('-' for stdin)")
     p.add_argument("--g", required=True, help="element JSON ('-' for stdin)")
-    _common_flags(p)
+    _shared_flags(p)
 
     p = subs.add_parser("reproduce-check",
                         help="evaluation against a kernel section")
@@ -127,7 +133,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--w", type=_complex_arg, required=True)
     p.add_argument("--in", dest="infile", default=None,
                    help="element JSON; omitted = seeded random element")
-    _common_flags(p)
+    p.add_argument("--degree", type=int, default=30,
+                   help="degree of the random element (at most 30)")
+    _shared_flags(p, seed=True, tol=1e-12)
 
     p = subs.add_parser("op-apply", help="apply an operator word")
     p.add_argument("--word", required=True,
@@ -136,36 +144,36 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--in", dest="infile", default=None,
                    help="element JSON; omitted = the monomial z")
-    _common_flags(p)
+    _shared_flags(p)
 
     p = subs.add_parser("verify-operators",
                         help="operator identity report at one level")
     p.add_argument("--m", type=int, default=2)
     p.add_argument("--deg", type=int, default=20)
-    _common_flags(p)
+    _shared_flags(p, seed=True, tol=1e-12)
 
     p = subs.add_parser("bargmann", help="Hermite-side transform")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--direction", choices=("fwd", "inv"), required=True)
     p.add_argument("--in", dest="infile", required=True)
-    _common_flags(p)
+    _shared_flags(p)
 
     p = subs.add_parser("dual-norm", help="dual-scale norm of a sequence")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--in", dest="infile", required=True)
-    _common_flags(p)
+    _shared_flags(p)
 
     p = subs.add_parser("vage-check",
                         help="randomized product-inequality report")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--trials", type=int, default=1000)
-    _common_flags(p)
+    _shared_flags(p, seed=True)
 
     p = subs.add_parser("integrate", help="trapezoidal path integral")
     p.add_argument("--f", required=True, help="path JSON ('-' for stdin)")
     p.add_argument("--g", required=True, help="path JSON")
-    _common_flags(p)
+    _shared_flags(p)
 
     p = subs.add_parser("verify", help="named invariant suites")
     p.add_argument("suite", nargs="?", default="all",
@@ -174,34 +182,30 @@ def build_parser() -> argparse.ArgumentParser:
                    help="radial chain depth exercised by the kernels suite")
     p.add_argument("--max-refinements", type=int, default=2,
                    help="quadrature refinement budget for the kernels suite")
-    _common_flags(p)
+    _shared_flags(p, seed=True, tol=1e-9, fmt="json")
 
     return parser
 
 
-def _element(obj) -> TaylorCoeffs:
-    return TaylorCoeffs.from_json_obj(obj)
+def _element(path: str) -> TaylorCoeffs:
+    return TaylorCoeffs.from_json_obj(_load_json(path))
 
 
-def _dual(obj) -> DualSequence:
-    return DualSequence.from_json_obj(obj)
+def _path(path: str) -> list:
+    return [(float(row["t"]), DualSequence.from_json_obj(row))
+            for row in _load_json(path)]
 
 
-def _path(objs) -> list:
-    return [(float(row["t"]),
-             DualSequence((complex(re, im) for re, im in row["coeffs"]),
-                          int(row.get("level", 1))))
-            for row in objs]
+def _emit_tabular(args, obj: dict, rows) -> None:
+    """The JSON document or the CSV rows, as --format asks."""
+    _emit(_dump(obj) if args.format == "json" else _csv_rows(rows), args.out)
 
 
 def _cmd_stirling(args) -> int:
     rows = [[k] + [stirling_mod.stirling_s2(k, n) for n in range(k + 1)]
             for k in range(args.max_k + 1)]
-    if args.format == "json":
-        _emit(_dump({"max_k": args.max_k,
-                     "rows": [r[1:] for r in rows]}), args.out)
-    else:
-        _emit(_csv_rows(rows), args.out)
+    _emit_tabular(args, {"max_k": args.max_k, "rows": [r[1:] for r in rows]},
+                  rows)
     return 0
 
 
@@ -210,13 +214,10 @@ def _cmd_kernel_table(args) -> int:
         raise ValueError("need 0 < xmin < xmax and points >= 2")
     xs = np.geomspace(args.xmin, args.xmax, args.points)
     vals = [float(radialkernel.radial_weight(args.m, x)) for x in xs]
-    if args.format == "json":
-        _emit(_dump({"m": args.m, "x": list(map(float, xs)),
-                     "values": vals}), args.out)
-    else:
-        _emit(_csv_rows([["x", "k_m"]] +
-                        [[repr(float(x)), repr(v)]
-                         for x, v in zip(xs, vals)]), args.out)
+    _emit_tabular(args, {"m": args.m, "x": list(map(float, xs)),
+                         "values": vals},
+                  [["x", "k_m"]] + [[repr(float(x)), repr(v)]
+                                    for x, v in zip(xs, vals)])
     return 0
 
 
@@ -227,53 +228,43 @@ def _cmd_moments(args) -> int:
         want = float(math.factorial(n) ** args.m)
         rows.append([n, repr(got), repr(want),
                      repr(abs(got - want) / want)])
-    if args.format == "json":
-        _emit(_dump({"m": args.m,
-                     "rows": [dict(zip(rows[0], r)) for r in rows[1:]]}),
-              args.out)
-    else:
-        _emit(_csv_rows(rows), args.out)
+    _emit_tabular(args, {"m": args.m, "rows": [dict(zip(rows[0], r))
+                                               for r in rows[1:]]}, rows)
     return 0
 
 
 def _cmd_kernel_eval(args) -> int:
-    tol = args.tol if args.tol is not None else 1e-14
-    val = coeffspace.kernel_eval(args.m, args.z, args.w, tol)
+    val = coeffspace.kernel_eval(args.m, args.z, args.w, args.tol)
     _emit(_dump({"m": args.m, "z": _pair(args.z), "w": _pair(args.w),
                  "value": _pair(val)}), args.out)
     return 0
 
 
 def _cmd_inner_product(args) -> int:
-    f = _element(_load_json(args.f))
-    g = _element(_load_json(args.g))
-    val = coeffspace.inner_product(f, g, args.m)
+    val = coeffspace.inner_product(_element(args.f), _element(args.g), args.m)
     _emit(_dump({"m": args.m, "value": _pair(val)}), args.out)
     return 0
 
 
 def _cmd_reproduce_check(args) -> int:
-    tol = args.tol if args.tol is not None else 1e-12
     if args.infile:
-        f = _element(_load_json(args.infile))
+        f = _element(args.infile)
     else:
-        rng = np.random.default_rng(args.seed)
-        deg = min(args.degree, 30)
-        f = TaylorCoeffs(rng.standard_normal(deg + 1)
-                         + 1j * rng.standard_normal(deg + 1))
+        f = _rand_coeffs(np.random.default_rng(args.seed),
+                         min(args.degree, 30))
     section = coeffspace.kernel_section(args.m, args.w, f.degree + 1)
     lhs = coeffspace.inner_product(f, section, args.m)
     rhs = coeffspace.eval_point(f, args.w)
     rel = float(abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300))
-    ok = bool(rel <= tol)
+    ok = bool(rel <= args.tol)
     _emit(_dump({"m": args.m, "w": _pair(args.w), "paired": _pair(lhs),
-                 "evaluated": _pair(rhs), "rel_err": rel, "tol": tol,
+                 "evaluated": _pair(rhs), "rel_err": rel, "tol": args.tol,
                  "ok": ok}), args.out)
     return 0 if ok else 1
 
 
 def _cmd_op_apply(args) -> int:
-    f = (_element(_load_json(args.infile)) if args.infile
+    f = (_element(args.infile) if args.infile
          else TaylorCoeffs.monomial(1))
     result = operators.apply_word(args.word, f, args.m)
     _emit(_dump({"word": args.word, "m": args.m,
@@ -283,57 +274,10 @@ def _cmd_op_apply(args) -> int:
 
 
 def _cmd_verify_operators(args) -> int:
-    m, deg = args.m, args.deg
-    tol = args.tol if args.tol is not None else 1e-12
-    rng = np.random.default_rng(args.seed)
-    checks = []
-
-    def record(name, measured, tolerance, detail=""):
-        checks.append({"name": name, "passed": bool(measured <= tolerance),
-                       "measured": float(measured),
-                       "tolerance": float(tolerance), "detail": detail})
-
-    record("adjoint construction routes agree",
-           0 if operators.adjoint_word_check(m, deg) else 1, 0,
-           f"m={m}, deg<={deg}")
-
-    bad = 0
-    for n in range(deg + 1):
-        mono = TaylorCoeffs.monomial(n)
-        try:
-            got = operators.commutator_apply(mono, m)
-        except operators.OperatorConsistencyError:
-            bad += 1
-            continue
-        bad += got != TaylorCoeffs.monomial(n, (n + 1) ** m - n ** m)
-    record("commutator routes agree on monomials", bad, 0, f"deg<={deg}")
-
-    worst = 0.0
-    for _ in range(200):
-        f = TaylorCoeffs(rng.standard_normal(deg + 1)
-                         + 1j * rng.standard_normal(deg + 1))
-        g = TaylorCoeffs(rng.standard_normal(deg + 1)
-                         + 1j * rng.standard_normal(deg + 1))
-        lhs = coeffspace.inner_product(operators.raising(f), g, m)
-        rhs = coeffspace.inner_product(f, operators.raising_adjoint(g, m), m)
-        worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300))
-    record("adjoint relation on random pairs", worst, tol, "200 draws")
-
-    worst = 0.0
-    for _ in range(100):
-        f = TaylorCoeffs(rng.standard_normal(deg + 1)
-                         + 1j * rng.standard_normal(deg + 1))
-        lhs, terms = operators.norm_identity_report(f, m)
-        rhs = math.fsum(terms)
-        worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300))
-    record("shift norm identity decomposes", worst, tol, "100 draws")
-
-    bad = sum(0 if operators.reordering_identity_check(n, deg) else 1
-              for n in range(1, 9))
-    record("reordering identities hold", bad, 0, "powers <= 8")
-
-    report = {"m": m, "deg": deg, "seed": args.seed, "checks": checks,
-              "passed": all(c["passed"] for c in checks)}
+    checks = [asdict(c) for c in
+              _operator_checks(args.m, args.deg, args.seed, args.tol)]
+    report = {"m": args.m, "deg": args.deg, "seed": args.seed,
+              "checks": checks, "passed": all(c["passed"] for c in checks)}
     _emit(_dump(report), args.out)
     return 0 if report["passed"] else 1
 
@@ -346,15 +290,14 @@ def _cmd_bargmann(args) -> int:
         _emit(_dump({"m": args.m, "direction": "fwd",
                      "coeffs": [_pair(c) for c in image.coeffs]}), args.out)
     else:
-        f = _element(obj)
-        back = bargmann.inverse(f, args.m)
+        back = bargmann.inverse(TaylorCoeffs.from_json_obj(obj), args.m)
         _emit(_dump({"m": args.m, "direction": "inv",
                      "hermite_coeffs": [_pair(c) for c in back]}), args.out)
     return 0
 
 
 def _cmd_dual_norm(args) -> int:
-    b = _dual(_load_json(args.infile))
+    b = DualSequence.from_json_obj(_load_json(args.infile))
     sq, underflowed = dualalgebra.dual_sq_norm_flagged(b, args.m)
     _emit(_dump({"m": args.m, "norm": math.sqrt(sq),
                  "underflowed": underflowed}), args.out)
@@ -364,20 +307,8 @@ def _cmd_dual_norm(args) -> int:
 def _cmd_vage_check(args) -> int:
     if args.q < args.p + 1 or args.p < 1:
         raise ValueError("need q >= p + 1 >= 2")
-    rng = np.random.default_rng(args.seed)
-    worst_ratio = 0.0
-    violations = 0
-    for _ in range(args.trials):
-        na = int(rng.integers(1, 21))
-        nb = int(rng.integers(1, 21))
-        a = DualSequence(rng.standard_normal(na) + 1j * rng.standard_normal(na),
-                         args.p)
-        b = DualSequence(rng.standard_normal(nb) + 1j * rng.standard_normal(nb),
-                         args.q)
-        lhs, bound, holds = dualalgebra.vage_check(a, b, args.p, args.q)
-        violations += 0 if holds else 1
-        if bound > 0:
-            worst_ratio = max(worst_ratio, lhs / bound)
+    violations, worst_ratio = _product_inequality(
+        np.random.default_rng(args.seed), args.trials, args.q - args.p, args.p)
     report = {"p": args.p, "q": args.q, "trials": args.trials,
               "seed": args.seed,
               "constant": dualalgebra.vage_constant(args.q - args.p),
@@ -388,28 +319,21 @@ def _cmd_vage_check(args) -> int:
 
 
 def _cmd_integrate(args) -> int:
-    f_path = _path(_load_json(args.f))
-    g_path = _path(_load_json(args.g))
-    result = dualalgebra.riemann_integral_product(f_path, g_path)
+    result = dualalgebra.riemann_integral_product(_path(args.f),
+                                                  _path(args.g))
     _emit(_dump({"result": result.to_json_obj()}), args.out)
     return 0
 
 
 def _cmd_verify(args) -> int:
-    cfg = RunConfig(truncation_degree=args.degree,
-                    rel_tol=args.tol if args.tol is not None else 1e-9,
-                    seed=args.seed, format=args.format,
-                    kernel_level=args.m,
+    cfg = RunConfig(rel_tol=args.tol, seed=args.seed, kernel_level=args.m,
                     max_refinements=args.max_refinements)
     report = run_suite(cfg, args.suite)
-    if args.format == "csv":
-        rows = [["name", "passed", "measured", "tolerance", "detail"]]
-        rows += [[c["name"], c["passed"], repr(c["measured"]),
-                  repr(c["tolerance"]), c["detail"]]
-                 for c in report["checks"]]
-        _emit(_csv_rows(rows), args.out)
-    else:
-        _emit(_dump(report), args.out)
+    _emit_tabular(args, report,
+                  [["name", "passed", "measured", "tolerance", "detail"]]
+                  + [[c["name"], c["passed"], repr(c["measured"]),
+                      repr(c["tolerance"]), c["detail"]]
+                     for c in report["checks"]])
     return 0 if report["passed"] else 1
 
 
@@ -435,6 +359,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
+    except (WeightOverflowError, QuadratureConvergenceError,
+            OperatorConsistencyError) as exc:
+        print(f"genfock: numerical error: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return 3
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"genfock: error: {exc}", file=sys.stderr)
         return 2

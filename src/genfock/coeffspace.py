@@ -15,7 +15,12 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lgamma
 
+import numpy as np
+
 _TINY = 1e-300
+# log 2 split so that k * _LN2_HI is exact for every |k| < 2**21
+_LN2_HI = 6.93147180369123816490e-01
+_LN2_LO = 1.90821492927058770002e-10
 
 
 class WeightOverflowError(OverflowError):
@@ -28,6 +33,11 @@ class WeightOverflowError(OverflowError):
         )
         self.index = index
         self.m = m
+
+
+def _require_level(m: int) -> None:
+    if not isinstance(m, int) or m < 1:
+        raise ValueError(f"level must be an integer >= 1, got {m!r}")
 
 
 def log_weight(n: int, m: int) -> float:
@@ -65,13 +75,26 @@ def _is_exact(c) -> bool:
     return isinstance(c, (int, Fraction))
 
 
+def _strip(cs: tuple) -> tuple:
+    """cs without its trailing zeros."""
+    end = len(cs)
+    while end > 0 and cs[end - 1] == 0:
+        end -= 1
+    return cs[:end]
+
+
 def _fsum_complex(terms) -> complex:
-    re, im = [], []
-    for t in terms:
-        t = complex(t)
-        re.append(t.real)
-        im.append(t.imag)
-    return complex(math.fsum(re), math.fsum(im))
+    """Correctly rounded sum of complex terms, real and imaginary parts apart.
+
+    A numpy array is split through its real and imaginary views, so it pays
+    no per-element conversion to Python complex.
+    """
+    if isinstance(terms, np.ndarray):
+        return complex(math.fsum(terms.real.tolist()),
+                       math.fsum(terms.imag.tolist()))
+    cs = [complex(t) for t in terms]
+    return complex(math.fsum([c.real for c in cs]),
+                   math.fsum([c.imag for c in cs]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,11 +127,8 @@ class TaylorCoeffs:
         return len(self.normalized().coeffs) - 1
 
     def normalized(self) -> "TaylorCoeffs":
-        cs = self.coeffs
-        end = len(cs)
-        while end > 0 and cs[end - 1] == 0:
-            end -= 1
-        return TaylorCoeffs(cs[:end]) if end != len(cs) else self
+        cs = _strip(self.coeffs)
+        return TaylorCoeffs(cs) if len(cs) != len(self.coeffs) else self
 
     def coeff(self, n: int):
         return self.coeffs[n] if 0 <= n < len(self.coeffs) else 0
@@ -119,7 +139,7 @@ class TaylorCoeffs:
     def __eq__(self, other) -> bool:
         if not isinstance(other, TaylorCoeffs):
             return NotImplemented
-        return self.normalized().coeffs == other.normalized().coeffs
+        return _strip(self.coeffs) == _strip(other.coeffs)
 
     __hash__ = None
 
@@ -208,31 +228,48 @@ def inner_product(f: TaylorCoeffs, g: TaylorCoeffs, m: int) -> complex:
     return _fsum_complex(terms)
 
 
+def _weighted_sq_terms(coeffs, w: int, k: int = 0,
+                       strict: bool = True) -> list[float]:
+    """|c_n|**2 * (n!)**w * n**k for each non-zero c_n (n = 0 skipped if k > 0).
+
+    In range, |c_n|**2 meets the exactly rounded weight directly.  Otherwise
+    the term is combined in the log domain, with log|c_n|**2 taken from the
+    parts after an exact power-of-two rescale: abs() of a complex with
+    subnormal parts rounds onto the subnormal grid and loses bits.  The
+    rescale exponent enters through the split log 2, so it cancels against
+    the log weight without rounding.  A term past double range raises
+    WeightOverflowError, or is inf when not ``strict``.
+    """
+    terms = []
+    for n, c in enumerate(coeffs):
+        if c == 0 or (k and n == 0):
+            continue
+        cc = complex(c)
+        re, im = cc.real, cc.imag
+        mag2 = re * re + im * im
+        lw = log_weight(n, w)
+        if abs(lw) < 700.0 and _TINY < mag2 < math.inf:
+            t = mag2 * weight(n, w) * n ** k
+        else:
+            e = math.frexp(max(abs(re), abs(im)))[1]
+            re, im = math.ldexp(re, -e), math.ldexp(im, -e)
+            lt = ((lw + 2 * e * _LN2_HI) + math.log(re * re + im * im)
+                  + 2 * e * _LN2_LO + k * math.log(max(n, 1)))
+            t = math.inf if lt > 709.0 else math.exp(lt)
+        if strict and not math.isfinite(t):
+            raise WeightOverflowError(n, w)
+        terms.append(t)
+    return terms
+
+
 def squared_norm(f: TaylorCoeffs, m: int) -> float:
     """Sum of |f_n|^2 * (n!)**m.
 
     Per-index hybrid: exact float weights in range, log-domain combination
-    (2*log|f_n| + m*lgamma(n+1)) when either factor alone would leave double
-    range but the term itself may not.
+    when either factor alone would leave double range but the term itself
+    may not.
     """
-    terms = []
-    for n, c in enumerate(f.coeffs):
-        if c == 0:
-            continue
-        cc = complex(c)
-        mag2 = cc.real * cc.real + cc.imag * cc.imag
-        lw = log_weight(n, m)
-        if abs(lw) < 700.0 and mag2 > _TINY:
-            t = mag2 * weight(n, m)
-        else:
-            lt = 2.0 * math.log(abs(cc)) + lw
-            if lt > 709.0:
-                raise WeightOverflowError(n, m)
-            t = math.exp(lt)
-        if not math.isfinite(t):
-            raise WeightOverflowError(n, m)
-        terms.append(t)
-    return math.fsum(terms)
+    return math.fsum(_weighted_sq_terms(f.coeffs, m))
 
 
 def norm(f: TaylorCoeffs, m: int) -> float:
@@ -255,8 +292,7 @@ def kernel_eval(m: int, z: complex, w: complex, tol: float = 1e-14) -> complex:
     tol * |partial sum| (guards small-argument plateaus; terms decrease
     monotonically once the factorial dominates).
     """
-    if m < 1:
-        raise ValueError("kernel series requires level m >= 1")
+    _require_level(m)
     if tol <= 0:
         raise ValueError("tol must be positive")
     u = complex(z) * complex(w).conjugate()
@@ -277,8 +313,7 @@ def kernel_eval(m: int, z: complex, w: complex, tol: float = 1e-14) -> complex:
 
 def kernel_section(m: int, w: complex, degree: int) -> TaylorCoeffs:
     """Coefficient view of the kernel at w: index n holds conj(w)^n/(n!)**m."""
-    if m < 1:
-        raise ValueError("kernel section requires level m >= 1")
+    _require_level(m)
     wbar = complex(w).conjugate()
     cs = []
     p = 1.0 + 0.0j

@@ -25,9 +25,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .coeffspace import TaylorCoeffs, inner_product, log_weight
+from .coeffspace import (TaylorCoeffs, _fsum_complex, _is_exact,
+                         _require_level, _strip, _weighted_sq_terms,
+                         inner_product, log_weight)
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,8 +43,7 @@ class DualSequence:
     level: int = 1
 
     def __init__(self, coeffs=(), level: int = 1):
-        if not isinstance(level, int) or level < 1:
-            raise ValueError(f"level must be an integer >= 1, got {level!r}")
+        _require_level(level)
         object.__setattr__(self, "coeffs", tuple(coeffs))
         object.__setattr__(self, "level", level)
 
@@ -52,8 +52,7 @@ class DualSequence:
         """The n-th coordinate sequence e_n."""
         return cls((0,) * n + (1,), level)
 
-    def coeff(self, n: int):
-        return self.coeffs[n] if 0 <= n < len(self.coeffs) else 0
+    coeff = TaylorCoeffs.coeff
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DualSequence):
@@ -64,44 +63,22 @@ class DualSequence:
     __hash__ = None
 
     def to_json_obj(self) -> dict:
-        return {"coeffs": [[complex(c).real, complex(c).imag]
-                           for c in self.coeffs],
-                "level": self.level}
+        return {**TaylorCoeffs(self.coeffs).to_json_obj(), "level": self.level}
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "DualSequence":
-        return cls((complex(re, im) for re, im in obj["coeffs"]),
+        return cls(TaylorCoeffs.from_json_obj(obj).coeffs,
                    int(obj.get("level", 1)))
 
 
-def _strip(cs: tuple) -> tuple:
-    end = len(cs)
-    while end > 0 and cs[end - 1] == 0:
-        end -= 1
-    return cs[:end]
-
-
-def _is_exact_number(c) -> bool:
-    return isinstance(c, (int, Fraction))
-
-
 def dual_sq_norm_flagged(b: DualSequence, m: int) -> tuple[float, bool]:
-    """(sum |b_n|^2 (n!)**(2-m), underflowed) computed per-term in the log
-    domain.  The flag goes True when some nonzero coefficient contributed
-    exactly 0.0 because its weighted term left double range below."""
-    if not isinstance(m, int) or m < 1:
-        raise ValueError(f"level must be an integer >= 1, got {m!r}")
-    terms = []
-    underflowed = False
-    for n, c in enumerate(b.coeffs):
-        if c == 0:
-            continue
-        lt = 2.0 * math.log(abs(complex(c))) + log_weight(n, 2 - m)
-        t = math.inf if lt > 709.0 else math.exp(lt)
-        if t == 0.0:
-            underflowed = True
-        terms.append(t)
-    return math.fsum(terms), underflowed
+    """(sum |b_n|^2 (n!)**(2-m), underflowed).  A term past double range
+    counts as inf; the flag goes True when some nonzero coefficient
+    contributed exactly 0.0 because its weighted term left double range
+    below."""
+    _require_level(m)
+    terms = _weighted_sq_terms(b.coeffs, 2 - m, strict=False)
+    return math.fsum(terms), 0.0 in terms
 
 
 def dual_norm(b: DualSequence, m: int) -> float:
@@ -140,12 +117,10 @@ def cauchy_product(a: DualSequence, b: DualSequence) -> DualSequence:
     for terms in buckets:
         if not terms:
             out.append(0)
-        elif all(_is_exact_number(t) for t in terms):
+        elif all(_is_exact(t) for t in terms):
             out.append(sum(terms))
         else:
-            cs = [complex(t) for t in terms]
-            out.append(complex(math.fsum(c.real for c in cs),
-                               math.fsum(c.imag for c in cs)))
+            out.append(_fsum_complex(terms))
     return DualSequence(out, max(a.level, b.level))
 
 
@@ -181,9 +156,8 @@ def vage_check(a: DualSequence, b: DualSequence, p: int, q: int
     ``a`` measured at level p instead is not a theorem; see the module
     docstring.)
     """
-    if not (isinstance(p, int) and isinstance(q, int)):
-        raise ValueError("levels must be integers")
-    if p < 1 or q < p + 1:
+    _require_level(p)
+    if not isinstance(q, int) or q < p + 1:
         raise ValueError("need q >= p + 1 >= 2")
     lhs = dual_norm(cauchy_product(a, b), q)
     bound = vage_constant(q - p) * dual_norm(a, p) * dual_norm(b, q)

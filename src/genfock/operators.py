@@ -22,23 +22,16 @@ from .coeffspace import (
     TaylorCoeffs,
     WeightOverflowError,
     _is_exact,
-    log_weight,
+    _require_level,
+    _weighted_sq_terms,
     squared_norm,
     sub,
-    weight,
 )
 from .stirling import normal_order_coeffs, stirling_s2
-
-_TINY = 1e-300
 
 
 class OperatorConsistencyError(RuntimeError):
     """Two supposedly equivalent operator routes disagreed."""
-
-
-def _require_level(m: int) -> None:
-    if not isinstance(m, int) or m < 1:
-        raise ValueError(f"level must be an integer >= 1, got {m!r}")
 
 
 def raising(f: TaylorCoeffs) -> TaylorCoeffs:
@@ -158,7 +151,6 @@ def raising_adjoint_via_stirling(f: TaylorCoeffs, m: int) -> TaylorCoeffs:
 
 def commutator_raising(f: TaylorCoeffs, m: int) -> TaylorCoeffs:
     """[raising_adjoint, raising] f, computed from the coefficient actions."""
-    _require_level(m)
     return sub(raising_adjoint(raising(f), m), raising(raising_adjoint(f, m)))
 
 
@@ -175,15 +167,9 @@ def commutator_expansion_terms(m: int) -> list[tuple[int, int]]:
 
 def commutator_via_expansion(f: TaylorCoeffs, m: int) -> TaylorCoeffs:
     """[raising_adjoint, raising] f through the Stirling expansion route."""
-    _require_level(m)
     total = f
     for n, wgt in commutator_expansion_terms(m):
-        g = f
-        for _ in range(n):
-            g = lowering(g)
-        for _ in range(n):
-            g = raising(g)
-        total = _axpy(wgt, g, total)
+        total = _axpy(wgt, apply_word("A" * n + "B" * n, f), total)
     return total
 
 
@@ -218,24 +204,7 @@ def weighted_moment(f: TaylorCoeffs, m: int, k: int) -> float:
     _require_level(m)
     if k < 0:
         raise ValueError("moment order must be >= 0")
-    terms = []
-    for n, c in enumerate(f.coeffs):
-        if c == 0 or (n == 0 and k > 0):
-            continue
-        cc = complex(c)
-        mag2 = cc.real * cc.real + cc.imag * cc.imag
-        lw = log_weight(n, m)
-        if lw < 700.0 and mag2 > _TINY:
-            t = mag2 * weight(n, m) * float(n**k)
-        else:
-            lt = 2.0 * math.log(abs(cc)) + lw + k * math.log(max(n, 1))
-            if lt > 709.0:
-                raise WeightOverflowError(n, m)
-            t = math.exp(lt)
-        if not math.isfinite(t):
-            raise WeightOverflowError(n, m)
-        terms.append(t)
-    return math.fsum(terms)
+    return math.fsum(_weighted_sq_terms(f.coeffs, m, k))
 
 
 def domain_functional(f: TaylorCoeffs, m: int) -> tuple[float, bool]:
@@ -244,7 +213,6 @@ def domain_functional(f: TaylorCoeffs, m: int) -> tuple[float, bool]:
     Truncated series are always in the operator domain; the bool mirrors the
     definition (and goes False only if the value leaves double range).
     """
-    _require_level(m)
     try:
         val = weighted_moment(f, m, m)
     except WeightOverflowError:
@@ -259,15 +227,11 @@ def shift_norm_decomposition(f: TaylorCoeffs, m: int) -> dict:
     rhs  = ||raising_adjoint f||^2 + ||f||^2
            + sum_{k=1}^{m-1} C(m, k) * weighted_moment(f, m, k)
 
-    Returns the pieces so callers can inspect where a mismatch lives.
+    Returns the pieces of :func:`norm_identity_report`, named so callers
+    can inspect where a mismatch lives.
     """
-    _require_level(m)
-    lhs = squared_norm(raising(f), m)
-    adj = squared_norm(raising_adjoint(f, m), m)
-    base = squared_norm(f, m)
-    extra = math.fsum(
-        math.comb(m, k) * weighted_moment(f, m, k) for k in range(1, m)
-    )
+    lhs, (adj, base, *moments) = norm_identity_report(f, m)
+    extra = math.fsum(moments)
     return {"lhs": lhs, "adjoint": adj, "base": base, "extra": extra,
             "rhs": adj + base + extra}
 

@@ -33,6 +33,8 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.special import gammaincc, k0e
 
+from .coeffspace import _fsum_complex, _require_level
+
 _NEG_INF = float("-inf")
 
 
@@ -275,8 +277,7 @@ def build_table(m: int, cfg: TableConfig = DEFAULT_TABLE_CONFIG) -> KernelTable:
     of a few percent (the parent table ends there too); the public domain
     starts above that zone and is unaffected.
     """
-    if not isinstance(m, int) or m < 1:
-        raise ValueError(f"level must be an integer >= 1, got {m!r}")
+    _require_level(m)
     key = (m, cfg)
     with _TABLE_LOCK:
         hit = _TABLE_CACHE.get(key)
@@ -294,14 +295,27 @@ def build_table(m: int, cfg: TableConfig = DEFAULT_TABLE_CONFIG) -> KernelTable:
         parent = build_table(m - 1, cfg)
         logk = np.empty(npts)
         for i, si in enumerate(s):
-            logk[i] = log_mellin_convolve(
-                _log_k1, parent.log_eval_log_arg, si,
-                window=(si - 8.0, parent.s[-1]), quad=cfg.quad)
+            logk[i] = _log_rung(parent, si, cfg.quad)
 
     table = KernelTable(m, cfg, s, logk)
     with _TABLE_LOCK:
         _TABLE_CACHE.setdefault(key, table)
     return table
+
+
+def _log_rung(parent: KernelTable | None, ln_x: float,
+              quad: QuadConfig) -> float:
+    """log (K_1 * parent)(x) at x = exp(ln_x): one convolution rung.
+
+    A parent of None stands for the exact level-1 weight, so the rung to
+    level 2 involves no table at all.
+    """
+    if parent is None:
+        parent_log, hi = _log_k1, 40.0
+    else:
+        parent_log, hi = parent.log_eval_log_arg, float(parent.s[-1])
+    return log_mellin_convolve(_log_k1, parent_log, ln_x,
+                               window=(ln_x - 8.0, hi), quad=quad)
 
 
 def log_radial_weight(m: int, x, cfg: TableConfig = DEFAULT_TABLE_CONFIG):
@@ -325,14 +339,8 @@ def log_radial_weight_conv(m: int, x: float,
         raise ValueError("pointwise convolution route needs integer m >= 2")
     if x <= 0:
         raise ValueError("x must be positive")
-    ln_x = math.log(x)
-    if m == 2:
-        parent_log, hi = _log_k1, 40.0
-    else:
-        parent = build_table(m - 1, cfg)
-        parent_log, hi = parent.log_eval_log_arg, parent.s[-1]
-    return log_mellin_convolve(_log_k1, parent_log, ln_x,
-                               window=(ln_x - 8.0, hi), quad=cfg.quad)
+    parent = None if m == 2 else build_table(m - 1, cfg)
+    return _log_rung(parent, math.log(x), cfg.quad)
 
 
 def _tensor_grid(m: int, x: float, step: float, tail_cut: float):
@@ -376,8 +384,7 @@ def log_radial_weight_centered(m: int, x: float, step: float = 0.2,
     Tensor trapezoid; cost grows with the (m-1)-th power of the grid size,
     so this is a cross-check tool for m <= 4, not a bulk evaluator.
     """
-    if not isinstance(m, int) or m < 1:
-        raise ValueError(f"level must be an integer >= 1, got {m!r}")
+    _require_level(m)
     if x <= 0:
         raise ValueError("x must be positive")
     if m == 1:
@@ -410,8 +417,7 @@ def log_radial_weight_product(m: int, x: float, step: float = 0.2,
     evaluated in log coordinates u_i = log x_i on a grid centered at
     log(x)/m per axis.  Same scaling caveats as the centered route.
     """
-    if not isinstance(m, int) or m < 1:
-        raise ValueError(f"level must be an integer >= 1, got {m!r}")
+    _require_level(m)
     if x <= 0:
         raise ValueError("x must be positive")
     if m == 1:
@@ -439,26 +445,16 @@ def log_radial_weight_product(m: int, x: float, step: float = 0.2,
     return _tensor_logsum(block, t, dim) + dim * math.log(h)
 
 
-def mellin_step(parent, x: float, quad: QuadConfig = QuadConfig()) -> float:
+def mellin_step(parent: KernelTable, x: float,
+                quad: QuadConfig = QuadConfig()) -> float:
     """(K_1 * parent)(x): one convolution rung, returned as a value.
 
-    ``parent`` is a KernelTable or a plain callable y -> parent(y); this is
-    the recursion that climbs from level m-1 to level m.
+    This is the recursion that climbs from the level of the ``parent``
+    table to the next level.
     """
     if x <= 0:
         raise ValueError("x must be positive")
-    ln_x = math.log(x)
-    if isinstance(parent, KernelTable):
-        parent_log, hi = parent.log_eval_log_arg, float(parent.s[-1])
-    else:
-        def parent_log(w):
-            w = np.asarray(w, float)
-            with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-                vals = np.log(np.asarray(parent(np.exp(w)), float))
-            return _clean(vals)
-        hi = 40.0
-    return math.exp(log_mellin_convolve(_log_k1, parent_log, ln_x,
-                                        window=(ln_x - 8.0, hi), quad=quad))
+    return math.exp(_log_rung(parent, math.log(x), quad))
 
 
 def radial_weight_point(m: int, x: float,
@@ -469,8 +465,7 @@ def radial_weight_point(m: int, x: float,
     representation (1-D / 2-D, no tables involved); m >= 4 through the
     chained tables, where the tensor route would cost too much.
     """
-    if not isinstance(m, int) or m < 1:
-        raise ValueError(f"level must be an integer >= 1, got {m!r}")
+    _require_level(m)
     if m <= 3:
         return math.exp(log_radial_weight_centered(m, x,
                                                    tail_cut=cfg.quad.tail_cut))
@@ -492,25 +487,7 @@ def geometric_inner_product(f, g, m: int,
         if prod == 0:
             continue
         terms.append(complex(prod) * moment(m, n, cfg))
-    return complex(math.fsum(t.real for t in terms),
-                   math.fsum(t.imag for t in terms))
-
-
-def bessel_k0_quadrature(z: float, step: float = 0.05) -> float:
-    """K0(z) from its cosh integral, by trapezoid on the even integrand.
-
-    Single-purpose oracle, independent of every convolution path above and
-    of library Bessel routines.
-    """
-    if z <= 0:
-        raise ValueError("z must be positive")
-    # integrand exp(-z*cosh(u)) on [0, U]; dead once z*cosh(U) ~ z + 50
-    u_max = math.acosh((50.0 / z) + 1.0) + step
-    n = int(math.ceil(u_max / step)) + 1
-    u = np.linspace(0.0, n * step, n + 1)
-    vals = np.exp(-z * np.cosh(u) + z)
-    total = (float(np.sum(vals)) - 0.5 * (float(vals[0]) + float(vals[-1])))
-    return total * step * math.exp(-z)
+    return _fsum_complex(terms)
 
 
 def bessel_reference_log(x: float) -> float:
@@ -538,9 +515,7 @@ def moment(m: int, n: int, cfg: TableConfig = DEFAULT_TABLE_CONFIG) -> float:
 
 def small_x_mass_bound(m: int, x0: float) -> float:
     """Approximate mass of K_m below x0 << 1 from the poly-log growth model."""
-    if not 0.0 < x0 < 1.0:
-        raise ValueError("the small-argument model needs 0 < x0 < 1")
-    return float(gammaincc(m, -math.log(x0)))
+    return small_x_moment_bound(m, 0, x0)
 
 
 def small_x_moment_bound(m: int, n: int, x0: float) -> float:

@@ -25,21 +25,15 @@ SUITE_NAMES = ("stirling", "kernels", "operators", "bargmann", "dual")
 
 @dataclass(frozen=True)
 class RunConfig:
-    truncation_degree: int = 64
     rel_tol: float = 1e-9
     abs_tol: float = 1e-14
     seed: int = 2026
-    format: str = "json"
     kernel_level: int = 4
     max_refinements: int = 2
 
     def __post_init__(self):
-        if self.truncation_degree < 1:
-            raise ValueError("truncation_degree must be >= 1")
         if self.rel_tol <= 0 or self.abs_tol <= 0:
             raise ValueError("tolerances must be positive")
-        if self.format not in ("json", "csv"):
-            raise ValueError("format must be 'json' or 'csv'")
         if self.kernel_level < 1:
             raise ValueError("kernel_level must be >= 1")
         if self.max_refinements < 0:
@@ -81,11 +75,7 @@ def _guard(name: str, tolerance: float, body) -> CheckResult:
                        float(tolerance), detail)
 
 
-def _rel(a: float, b: float) -> float:
-    return abs(a - b) / max(abs(a), abs(b), 1e-300)
-
-
-def _crel(a: complex, b: complex) -> float:
+def _rel(a: complex, b: complex) -> float:
     return abs(a - b) / max(abs(a), abs(b), 1e-300)
 
 
@@ -213,7 +203,6 @@ def suite_kernels(cfg: RunConfig) -> list[CheckResult]:
         return worst, "centered vs product vs table at levels 2 and 3"
 
     def convolution_convergence():
-        lvl = max(cfg.kernel_level, 2)
         quad = radialkernel.QuadConfig(rel_tol=cfg.rel_tol,
                                        abs_tol=cfg.abs_tol,
                                        max_refinements=cfg.max_refinements)
@@ -228,8 +217,8 @@ def suite_kernels(cfg: RunConfig) -> list[CheckResult]:
             f = _rand_coeffs(rng, 30)
             w = complex(*rng.uniform(-1.4, 1.4, 2))
             sec = coeffspace.kernel_section(m, w, 40)
-            worst = max(worst, _crel(coeffspace.inner_product(f, sec, m),
-                                     coeffspace.eval_point(f, w)))
+            worst = max(worst, _rel(coeffspace.inner_product(f, sec, m),
+                                    coeffspace.eval_point(f, w)))
         return worst, "inner product against a kernel section vs evaluation"
 
     def hermitian():
@@ -238,8 +227,8 @@ def suite_kernels(cfg: RunConfig) -> list[CheckResult]:
         for m in range(1, 5):
             z = complex(*rng.uniform(-1.5, 1.5, 2))
             w = complex(*rng.uniform(-1.5, 1.5, 2))
-            worst = max(worst, _crel(coeffspace.kernel_eval(m, z, w),
-                                     coeffspace.kernel_eval(m, w, z).conjugate()))
+            worst = max(worst, _rel(coeffspace.kernel_eval(m, z, w),
+                                    coeffspace.kernel_eval(m, w, z).conjugate()))
         return worst, "k(z, w) vs conj(k(w, z))"
 
     def gram_psd():
@@ -261,7 +250,7 @@ def suite_kernels(cfg: RunConfig) -> list[CheckResult]:
                     for fn in (coeffspace.aggregate_kernels_geometric,
                                coeffspace.aggregate_kernels_exponential):
                         lhs, rhs = fn(eps, z, w)
-                        worst = max(worst, _crel(lhs, rhs))
+                        worst = max(worst, _rel(lhs, rhs))
         return worst, "both weighted-sum identities on the 3x3x3 grid"
 
     def norm_monotone():
@@ -282,8 +271,8 @@ def suite_kernels(cfg: RunConfig) -> list[CheckResult]:
             f = _rand_coeffs(rng, 6)
             g = _rand_coeffs(rng, 6)
             worst = max(worst,
-                        _crel(radialkernel.geometric_inner_product(f, g, m),
-                              coeffspace.inner_product(f, g, m)))
+                        _rel(radialkernel.geometric_inner_product(f, g, m),
+                             coeffspace.inner_product(f, g, m)))
         return worst, "radial-moment route vs coefficient route"
 
     lvl = max(cfg.kernel_level, 2)
@@ -316,50 +305,71 @@ def suite_kernels(cfg: RunConfig) -> list[CheckResult]:
 # --------------------------------------------------------------- operators
 
 
+def _adjoint_relation(rng, m: int | None, degree: int, draws: int) -> float:
+    """Worst gap of <raising f, g> against <f, raising_adjoint g>; a level
+    of None is drawn from 1..5 per pair."""
+    worst = 0.0
+    for _ in range(draws):
+        lvl = int(rng.integers(1, 6)) if m is None else m
+        f, g = _rand_coeffs(rng, degree), _rand_coeffs(rng, degree)
+        lhs = coeffspace.inner_product(operators.raising(f), g, lvl)
+        rhs = coeffspace.inner_product(f, operators.raising_adjoint(g, lvl),
+                                       lvl)
+        worst = max(worst, _rel(lhs, rhs))
+    return worst
+
+
+def _norm_identity(rng, m: int | None, degree: int, draws: int) -> float:
+    """Worst gap of the squared shift norm against its expansion; a level
+    of None is drawn from 1..5 per element."""
+    worst = 0.0
+    for _ in range(draws):
+        lvl = int(rng.integers(1, 6)) if m is None else m
+        lhs, terms = operators.norm_identity_report(_rand_coeffs(rng, degree),
+                                                    lvl)
+        worst = max(worst, _rel(lhs, math.fsum(terms)))
+    return worst
+
+
+def _commutator_failures(levels, degree: int) -> int:
+    """Monomials on which the commutator misses ((n+1)**m - n**m) z**n; a
+    disagreement of its two routes raises and fails the check."""
+    bad = 0
+    for m in levels:
+        for n in range(degree + 1):
+            got = operators.commutator_apply(TaylorCoeffs.monomial(n), m)
+            bad += got != TaylorCoeffs.monomial(n, (n + 1) ** m - n ** m)
+    return bad
+
+
+def _reordering_failures(degree: int) -> int:
+    return sum(0 if operators.reordering_identity_check(n, degree) else 1
+               for n in range(1, 9))
+
+
+def _operator_checks(m: int, degree: int, seed: int,
+                     tol: float) -> list[CheckResult]:
+    """The operator checks at one level, drawing from one generator."""
+    coeffspace._require_level(m)
+    if degree < 1:
+        raise ValueError("degree must be >= 1")
+    rng = np.random.default_rng(seed)
+    return [
+        _guard("adjoint construction routes agree", 0, lambda: (
+            0 if operators.adjoint_word_check(m, degree) else 1,
+            f"m={m}, deg<={degree}")),
+        _guard("commutator routes agree on monomials", 0, lambda: (
+            _commutator_failures((m,), degree), f"deg<={degree}")),
+        _guard("adjoint relation on random pairs", tol, lambda: (
+            _adjoint_relation(rng, m, degree, 200), "200 draws")),
+        _guard("shift norm identity decomposes", tol, lambda: (
+            _norm_identity(rng, m, degree, 100), "100 draws")),
+        _guard("reordering identities hold", 0, lambda: (
+            _reordering_failures(degree), "powers <= 8")),
+    ]
+
+
 def suite_operators(cfg: RunConfig) -> list[CheckResult]:
-    def adjointness():
-        rng = _rng(cfg, 401)
-        worst = 0.0
-        for _ in range(100):
-            m = int(rng.integers(1, 6))
-            f = _rand_coeffs(rng, 40)
-            g = _rand_coeffs(rng, 40)
-            lhs = coeffspace.inner_product(operators.raising(f), g, m)
-            rhs = coeffspace.inner_product(f, operators.raising_adjoint(g, m),
-                                           m)
-            worst = max(worst, _crel(lhs, rhs))
-        return worst, "paired inner products, 100 draws, m <= 5, deg <= 40"
-
-    def adjoint_routes():
-        bad = sum(0 if operators.adjoint_word_check(m, 25) else 1
-                  for m in range(1, 7))
-        return bad, "word route and expansion route, m <= 6"
-
-    def commutator():
-        bad = 0
-        for m in range(1, 7):
-            for n in range(21):
-                mono = TaylorCoeffs.monomial(n)
-                got = operators.commutator_apply(mono, m)
-                want = TaylorCoeffs.monomial(n, (n + 1) ** m - n ** m)
-                bad += got != want
-        return bad, "direct route vs expansion route on monomials, deg <= 20"
-
-    def norm_identity():
-        rng = _rng(cfg, 402)
-        worst = 0.0
-        for _ in range(50):
-            m = int(rng.integers(1, 6))
-            f = _rand_coeffs(rng, 20)
-            lhs, terms = operators.norm_identity_report(f, m)
-            worst = max(worst, _rel(lhs, math.fsum(terms)))
-        return worst, "squared shift norm vs its expansion, 50 draws"
-
-    def reordering():
-        bad = sum(0 if operators.reordering_identity_check(n, 20) else 1
-                  for n in range(1, 9))
-        return bad, "both reordering identities, powers <= 8"
-
     def domain_flags():
         good = TaylorCoeffs([1.0 / math.factorial(n) for n in range(30)])
         _, ok_small = operators.domain_functional(good, 3)
@@ -369,11 +379,22 @@ def suite_operators(cfg: RunConfig) -> list[CheckResult]:
         return bad, "finite case accepted, overflowing case flagged"
 
     return [
-        _guard("raising operator adjoint relation holds", 1e-12, adjointness),
-        _guard("adjoint construction routes agree exactly", 0, adjoint_routes),
-        _guard("commutator routes agree exactly on monomials", 0, commutator),
-        _guard("shift norm identity decomposes exactly", 1e-12, norm_identity),
-        _guard("reordering identities hold in both orders", 0, reordering),
+        _guard("raising operator adjoint relation holds", 1e-12, lambda: (
+            _adjoint_relation(_rng(cfg, 401), None, 40, 100),
+            "paired inner products, 100 draws, m <= 5, deg <= 40")),
+        _guard("adjoint construction routes agree exactly", 0, lambda: (
+            sum(0 if operators.adjoint_word_check(m, 25) else 1
+                for m in range(1, 7)),
+            "word route and expansion route, m <= 6")),
+        _guard("commutator routes agree exactly on monomials", 0, lambda: (
+            _commutator_failures(range(1, 7), 20),
+            "direct route vs expansion route on monomials, deg <= 20")),
+        _guard("shift norm identity decomposes exactly", 1e-12, lambda: (
+            _norm_identity(_rng(cfg, 402), None, 20, 50),
+            "squared shift norm vs its expansion, 50 draws")),
+        _guard("reordering identities hold in both orders", 0, lambda: (
+            _reordering_failures(20),
+            "both reordering identities, powers <= 8")),
         _guard("domain functional flags growth correctly", 0, domain_flags),
     ]
 
@@ -398,7 +419,7 @@ def suite_bargmann(cfg: RunConfig) -> list[CheckResult]:
         for m in range(1, 6):
             c = rng.standard_normal(40) + 1j * rng.standard_normal(40)
             back = bargmann.inverse(bargmann.forward(c, m), m)
-            worst = max(worst, max(_crel(x, y) for x, y in zip(c, back)))
+            worst = max(worst, max(_rel(x, y) for x, y in zip(c, back)))
         return worst, "inverse(forward(c)) against c"
 
     def quadrature_agreement():
@@ -409,7 +430,7 @@ def suite_bargmann(cfg: RunConfig) -> list[CheckResult]:
             for z in (0.5, -1.2 + 0.8j, 1.9j):
                 via_q = bargmann.transform_via_quadrature(c, m, z)
                 direct = coeffspace.eval_point(bargmann.forward(c, m), z)
-                worst = max(worst, _crel(via_q, direct))
+                worst = max(worst, _rel(via_q, direct))
         return worst, "integral route vs coordinate route, |z| <= 2"
 
     def orthonormality():
@@ -426,11 +447,11 @@ def suite_bargmann(cfg: RunConfig) -> list[CheckResult]:
         for z in (0.3, -0.7 + 0.4j, 1.1j):
             for t in (-1.0, 0.2, 2.5):
                 vals = bargmann.classic_kernel_values(z, t)
-                worst = max(worst, _crel(vals["series"],
-                                         vals["generating_form"]))
+                worst = max(worst, _rel(vals["series"],
+                                        vals["generating_form"]))
                 variant_gap = max(variant_gap,
-                                  _crel(vals["series"],
-                                        vals["gaussian_variant"]))
+                                  _rel(vals["series"],
+                                       vals["gaussian_variant"]))
         return worst, (f"generating form matches; plain Gaussian variant "
                        f"differs by up to {variant_gap:.3f}")
 
@@ -451,6 +472,22 @@ def suite_bargmann(cfg: RunConfig) -> list[CheckResult]:
 # -------------------------------------------------------------------- dual
 
 
+def _product_inequality(rng, trials: int, gap: int,
+                        p: int | None = None) -> tuple[int, float]:
+    """(violations, worst lhs/bound) of the product inequality at levels
+    (p, p + gap) on random dual pairs; p None draws it from 1..4 per pair."""
+    violations, worst_ratio = 0, 0.0
+    for _ in range(trials):
+        lvl = int(rng.integers(1, 5)) if p is None else p
+        a = _rand_dual(rng, level=lvl)
+        b = _rand_dual(rng, level=lvl + gap)
+        lhs, bound, holds = dualalgebra.vage_check(a, b, lvl, lvl + gap)
+        violations += 0 if holds else 1
+        if bound > 0:
+            worst_ratio = max(worst_ratio, lhs / bound)
+    return violations, worst_ratio
+
+
 def suite_dual(cfg: RunConfig) -> list[CheckResult]:
     def constant_gap_one():
         return (_rel(dualalgebra.vage_constant(1), math.sqrt(math.e)),
@@ -462,18 +499,10 @@ def suite_dual(cfg: RunConfig) -> list[CheckResult]:
 
     def product_inequality():
         rng = _rng(cfg, 601)
-        violations = 0
-        worst_ratio = 0.0
-        for gap in (1, 2, 3):
-            for _ in range(200):
-                p = int(rng.integers(1, 5))
-                a = _rand_dual(rng, level=p)
-                b = _rand_dual(rng, level=p + gap)
-                lhs, bound, holds = dualalgebra.vage_check(a, b, p, p + gap)
-                violations += 0 if holds else 1
-                if bound > 0:
-                    worst_ratio = max(worst_ratio, lhs / bound)
-        return violations, f"600 draws; worst lhs/bound = {worst_ratio:.6f}"
+        runs = [_product_inequality(rng, 200, gap) for gap in (1, 2, 3)]
+        worst_ratio = max(w for _, w in runs)
+        return (sum(v for v, _ in runs),
+                f"600 draws; worst lhs/bound = {worst_ratio:.6f}")
 
     def algebra_axioms():
         rng = _rng(cfg, 602)

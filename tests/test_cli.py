@@ -10,7 +10,10 @@ import math
 
 import pytest
 
+from genfock import operators, radialkernel
 from genfock.cli import main
+from genfock.operators import OperatorConsistencyError
+from genfock.radialkernel import QuadratureConvergenceError
 
 
 def run(capsys, *argv):
@@ -238,6 +241,47 @@ def test_bad_complex_literal_exits_two(capsys):
 def test_vage_check_rejects_equal_levels(capsys):
     code = main(["vage-check", "--p", "2", "--q", "2"])
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["kernel-eval", "--m", "1", "--z", "1", "--w", "1", "--format", "csv"],
+    ["verify", "stirling", "--degree", "8"],
+    ["integrate", "--f", "-", "--g", "-", "--seed", "1"],
+])
+def test_flags_a_subcommand_does_not_read_exit_two(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+
+
+def numerical_error_line(capsys, name):
+    err = capsys.readouterr().err
+    assert err.startswith("genfock: numerical error: " + name)
+    assert err.count("\n") == 1
+
+
+def test_weight_overflow_exits_three(capsys, tmp_path):
+    f = jfile(tmp_path, "f.json", {"coeffs": [[0, 0], [0, 0], [1e300, 0]]})
+    assert main(["inner-product", "--m", "2", "--f", f, "--g", f]) == 3
+    numerical_error_line(capsys, "WeightOverflowError")
+
+
+def test_stalled_quadrature_exits_three(capsys, monkeypatch):
+    def stall(m, x):
+        raise QuadratureConvergenceError(3.06e-10, 3e-10)
+
+    monkeypatch.setattr(radialkernel, "radial_weight", stall)
+    assert main(["kernel-table", "--m", "6"]) == 3
+    numerical_error_line(capsys, "QuadratureConvergenceError")
+
+
+def test_operator_disagreement_exits_three(capsys, monkeypatch):
+    def disagree(word, f, m):
+        raise OperatorConsistencyError("routes disagree")
+
+    monkeypatch.setattr(operators, "apply_word", disagree)
+    assert main(["op-apply", "--word", "S", "--m", "2"]) == 3
+    numerical_error_line(capsys, "OperatorConsistencyError")
 
 
 # -------------------------------------------------------------- determinism

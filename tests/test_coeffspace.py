@@ -4,6 +4,7 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -166,6 +167,27 @@ def test_subnormal_product_is_not_flushed():
     got = inner_product(f, f, 5)
     want = c * c * math.exp(log_weight(40, 5))
     assert got.real == pytest.approx(want, rel=1e-12)
+
+
+def _exact_sq_norm(cs, m):
+    acc = Fraction(0)
+    for n, c in enumerate(cs):
+        acc += (Fraction(c.real) ** 2 + Fraction(c.imag) ** 2) \
+            * math.factorial(n) ** m
+    return float(acc)
+
+
+@pytest.mark.parametrize("m,deg", [(1, 1000), (2, 200), (5, 200)])
+def test_squared_norm_keeps_subnormal_bits(m, deg):
+    # norm-scaled draws c_n (n!)^(-m/2): every term is O(1), and the high
+    # coefficients are subnormal, so each one must keep all its bits
+    rng = np.random.default_rng(deg + m)
+    scale = np.exp([-0.5 * m * math.lgamma(n + 1) for n in range(deg + 1)])
+    cs = ((rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1))
+          * scale).tolist()
+    assert any(0 < abs(c) < 2.2e-308 for c in cs)
+    want = _exact_sq_norm(cs, m)
+    assert squared_norm(TaylorCoeffs(cs), m) == pytest.approx(want, rel=1e-12)
 
 
 @given(coeffs_list(), coeffs_list(), st.integers(min_value=1, max_value=4))

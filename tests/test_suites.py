@@ -9,19 +9,14 @@ from genfock.suites import SUITE_NAMES, RunConfig, run_suite
 
 def test_default_config_is_valid():
     cfg = RunConfig()
-    assert cfg.truncation_degree >= 1
     assert cfg.seed == 2026
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        RunConfig(truncation_degree=0)
-    with pytest.raises(ValueError):
         RunConfig(rel_tol=-1.0)
     with pytest.raises(ValueError):
         RunConfig(kernel_level=0)
-    with pytest.raises(ValueError):
-        RunConfig(format="xml")
 
 
 def test_unknown_suite_rejected():
