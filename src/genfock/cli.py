@@ -29,6 +29,9 @@ from .radialkernel import QuadratureConvergenceError
 from .suites import (SUITE_NAMES, RunConfig, _operator_checks,
                      _product_inequality, _rand_coeffs, run_suite)
 
+_MAX_RANDOM_DEGREE = 30
+
+
 def _complex_arg(text: str) -> complex:
     """Accept '1.5+2j' (Python literal) or '1.5,2' (re,im)."""
     s = text.strip()
@@ -40,6 +43,17 @@ def _complex_arg(text: str) -> complex:
     if len(parts) == 2:
         return complex(float(parts[0]), float(parts[1]))
     raise argparse.ArgumentTypeError(f"cannot parse complex value {text!r}")
+
+
+def _degree_arg(text: str) -> int:
+    """A random element's degree, capped at _MAX_RANDOM_DEGREE."""
+    degree = int(text)
+    if degree > _MAX_RANDOM_DEGREE:
+        raise argparse.ArgumentTypeError(
+            f"degree {degree} is above {_MAX_RANDOM_DEGREE}: a random element "
+            f"with O(1) coefficients makes the reproducing identity "
+            f"ill-conditioned beyond degree {_MAX_RANDOM_DEGREE}")
+    return degree
 
 
 def _pair(c) -> list[float]:
@@ -133,8 +147,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--w", type=_complex_arg, required=True)
     p.add_argument("--in", dest="infile", default=None,
                    help="element JSON; omitted = seeded random element")
-    p.add_argument("--degree", type=int, default=30,
-                   help="degree of the random element (at most 30)")
+    p.add_argument("--degree", type=_degree_arg, default=_MAX_RANDOM_DEGREE,
+                   help="degree of the random element (at most %(default)s)")
     _shared_flags(p, seed=True, tol=1e-12)
 
     p = subs.add_parser("op-apply", help="apply an operator word")
@@ -250,8 +264,7 @@ def _cmd_reproduce_check(args) -> int:
     if args.infile:
         f = _element(args.infile)
     else:
-        f = _rand_coeffs(np.random.default_rng(args.seed),
-                         min(args.degree, 30))
+        f = _rand_coeffs(np.random.default_rng(args.seed), args.degree)
     section = coeffspace.kernel_section(args.m, args.w, f.degree + 1)
     lhs = coeffspace.inner_product(f, section, args.m)
     rhs = coeffspace.eval_point(f, args.w)

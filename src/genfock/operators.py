@@ -20,7 +20,6 @@ from fractions import Fraction
 
 from .coeffspace import (
     TaylorCoeffs,
-    WeightOverflowError,
     _is_exact,
     _require_level,
     _weighted_sq_terms,
@@ -213,10 +212,8 @@ def domain_functional(f: TaylorCoeffs, m: int) -> tuple[float, bool]:
     Truncated series are always in the operator domain; the bool mirrors the
     definition (and goes False only if the value leaves double range).
     """
-    try:
-        val = weighted_moment(f, m, m)
-    except WeightOverflowError:
-        return math.inf, False
+    _require_level(m)
+    val = math.fsum(_weighted_sq_terms(f.coeffs, m, m, strict=False))
     return val, math.isfinite(val)
 
 

@@ -12,11 +12,12 @@ exponential decay exp(-m x**(1/m)) at infinity).
 
 Evaluation routes, deliberately kept separate:
 
-* a 1-D log-domain trapezoid engine for convolution integrals, with peak
-  location, step control, window auto-expansion and halving refinement
-  (:func:`log_mellin_convolve`);
-* chained tables built from that engine, stored as log-log cubic splines
-  (:func:`build_table`);
+* a log-domain trapezoid engine for convolution integrals, with peak
+  location, step control, window auto-expansion and halving refinement; it
+  runs a vector of points as 2-D numpy passes over blocks of neighbouring
+  points, and :func:`log_mellin_convolve` is its single-point entry;
+* chained tables built from that engine, one batched engine call per level,
+  stored as log-log cubic splines (:func:`build_table`);
 * direct (m-1)-dimensional tensor quadrature of the two integral
   representations (:func:`log_radial_weight_centered`,
   :func:`log_radial_weight_product`), practical for m <= 4, used to
@@ -51,7 +52,7 @@ class QuadratureConvergenceError(ArithmeticError):
 
 @dataclass(frozen=True)
 class QuadConfig:
-    """Knobs for the 1-D log-trapezoid convolution engine.
+    """Knobs for the log-trapezoid convolution engine.
 
     rel_tol          relative agreement demanded between successive halvings
     abs_tol          integrand samples below abs_tol * peak are dead tail
@@ -67,6 +68,11 @@ class QuadConfig:
     spline carries its own node errors (~3e-11 after one generation), which
     no amount of refinement in the child can certify past.  Analytic
     integrands accept on the first halving at ~1e-14.
+
+    The engine applies these per point, also when it runs many points in
+    one batch: every point gets its own window growth, step and halvings,
+    and leaves the refinement loop once its own halving agrees.  With
+    ``max_refinements = 0`` no halving runs, so nothing is accepted.
     """
 
     rel_tol: float = 3e-10
@@ -88,7 +94,10 @@ class TableConfig:
     The public domain is [x_min, x_max].  Tables extend ``low_margin``
     further down in log space because each convolution stage consumes its
     parent a few log-units below the point being built; the extension keeps
-    that truncation error away from the public range.
+    that truncation error away from the public range.  A margin node whose
+    quadrature stops short of ``quad.rel_tol`` keeps its last estimate (the
+    table counts such nodes); a public node that does so raises
+    QuadratureConvergenceError.
     """
 
     x_min: float = 1e-30
@@ -116,7 +125,18 @@ def _log_trapezoid(log_vals: np.ndarray, h: float) -> float:
 def _clean(arr: np.ndarray) -> np.ndarray:
     # +inf or nan in a log-integrand means a pathological callable; treat the
     # sample as dead rather than poisoning the sum.
-    return np.nan_to_num(arr, nan=_NEG_INF, posinf=_NEG_INF, neginf=_NEG_INF)
+    return np.where(arr < np.inf, arr, _NEG_INF)
+
+
+# Neighbouring nodes share one 2-D pass; their grids have similar lengths, so
+# little of each pass is padding.
+_BLOCK = 64
+# peak sharpening: _PASSES scans of 17 samples, each a quarter as wide as the
+# one before; _SHARPEN_SPACING is each pass's sample spacing over the scout's
+_PASSES = 5
+_SHARPEN = np.linspace(-1.0, 1.0, 17)
+_SHARPEN_SPACING = (0.125 * 0.25 ** np.arange(_PASSES))[:, None]
+_PASS_IX = np.arange(_PASSES)[:, None]
 
 
 def log_mellin_convolve(log_f, log_g, ln_x: float,
@@ -134,90 +154,156 @@ def log_mellin_convolve(log_f, log_g, ln_x: float,
     narrow saddles get a proportionally fine step, and the trapezoid value is
     accepted once one halving reproduces it to ``rel_tol``.  If
     ``max_refinements`` halvings never agree, QuadratureConvergenceError
-    reports the last achieved relative change.
+    reports the last achieved relative change.  This is the single-point
+    entry of the batched engine that :func:`build_table` runs on whole
+    levels.
     """
     if window is None:
         window = (ln_x - 10.0, 40.0)
     u_lo, u_hi = float(window[0]), float(window[1])
     if not u_lo < u_hi:
         raise ValueError("window must satisfy lo < hi")
+    val, achieved = _log_conv(log_f, log_g, np.array([float(ln_x)]),
+                              np.array([u_lo]), u_hi, quad)
+    if not achieved[0] <= quad.rel_tol:
+        raise QuadratureConvergenceError(float(achieved[0]), quad.rel_tol)
+    return float(val[0])
 
-    def energy(u):
-        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-            return _clean(np.asarray(log_f(ln_x - u), float)
-                          + np.asarray(log_g(u), float))
 
-    # scouting pass, growing the window until both tails are dead
+def _log_conv(log_f, log_g, ln_x: np.ndarray, u_lo: np.ndarray,
+              u_hi: float, quad: QuadConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The convolution engine over a vector of points, ``_BLOCK`` at a time.
+
+    Row i integrates over the window (u_lo[i], u_hi) with the steps
+    :func:`log_mellin_convolve` describes; rows never mix, so a row's value
+    does not depend on its neighbours.  Returns the last trapezoid value of
+    each row and the relative change its last halving achieved (inf if none
+    ran).  A row whose change exceeds ``rel_tol`` did not converge, and the
+    caller decides whether that is an error.
+    """
+    val = np.empty(len(ln_x))
+    achieved = np.empty(len(ln_x))
+    with np.errstate(all="ignore"):
+        for i in range(0, len(ln_x), _BLOCK):
+            blk = slice(i, i + _BLOCK)
+            val[blk], achieved[blk] = _log_conv_block(
+                log_f, log_g, ln_x[blk], u_lo[blk].copy(), u_hi, quad)
+    return val, achieved
+
+
+def _log_conv_block(log_f, log_g, ln_x, lo, u_hi, quad: QuadConfig):
+    rows = np.arange(len(ln_x))
+
+    def energy(x, u, n=None):
+        """Integrand logs on row grids u; samples at or past a row's
+        length n are padding and count as dead."""
+        e = (np.asarray(log_f((x[:, None] - u).ravel()), float)
+             + np.asarray(log_g(u.ravel()), float)).reshape(u.shape)
+        keep = e < np.inf
+        if n is not None and len(n) > 1:
+            keep &= np.arange(u.shape[1]) < n[:, None]
+        return np.where(keep, e, _NEG_INF)
+
+    def grid(lo, step, n):
+        return lo[:, None] + step[:, None] * np.arange(n.max())
+
+    # scouting pass, growing each row's window until both of its tails die;
+    # a rescan repeats the rows that had already settled, unchanged
+    hi = np.full(len(rows), u_hi)
     for _ in range(quad.max_expand + 1):
-        n = max(int(math.ceil((u_hi - u_lo) / quad.coarse_step)) + 1, 8)
-        u = np.linspace(u_lo, u_hi, n)
-        e = energy(u)
-        peak = float(np.max(e))
-        if peak == _NEG_INF:
-            raise ValueError("integrand is identically dead on the window")
-        grow_left = e[0] > peak - quad.tail_cut
-        grow_right = e[-1] > peak - quad.tail_cut
-        if not (grow_left or grow_right):
+        span = hi - lo
+        n = np.maximum(np.ceil(span / quad.coarse_step).astype(int) + 1, 8)
+        step = span / (n - 1)
+        e = energy(ln_x, grid(lo, step, n), n)
+        floor = e.max(axis=1) - quad.tail_cut
+        grow_left = e[:, 0] > floor
+        grow_right = e[rows, n - 1] > floor
+        if not (grow_left | grow_right).any():
             break
-        if grow_left:
-            u_lo -= 4.0
-        if grow_right:
-            u_hi += 4.0
+        lo -= 4.0 * grow_left
+        hi += 4.0 * grow_right
     else:
         raise RuntimeError("integrand tails refuse to die; bad window or "
                            "non-decaying input")
+    if (floor == _NEG_INF).any():
+        raise ValueError("integrand is identically dead on the window")
 
-    alive = np.nonzero(e >= peak - quad.tail_cut)[0]
-    step = u[1] - u[0]
-    a = u[max(int(alive[0]) - 2, 0)]
-    b = u[min(int(alive[-1]) + 2, len(u) - 1)]
+    alive = e >= floor[:, None]
+    first = alive.argmax(axis=1)
+    last = alive.shape[1] - 1 - alive[:, ::-1].argmax(axis=1)
+    a = lo + step * np.maximum(first - 2, 0)
+    b = lo + step * np.minimum(last + 2, n - 1)
+    c0 = lo + step * e.argmax(axis=1)
 
     # sharpen the peak; a saddle of width sigma needs a step ~ sigma/3, and
-    # the coarse scan cannot see below its own spacing
-    c0 = float(u[int(np.argmax(e))])
+    # the coarse scan cannot see below its own spacing.  A row's curvature
+    # comes from the last of the passes whose maximum was interior.
+    ee = np.empty((_PASSES, len(rows), len(_SHARPEN)))
+    k = np.empty((_PASSES, len(rows)), int)
     w = step
-    curv = 0.0
-    for _ in range(5):
-        uu = np.linspace(c0 - w, c0 + w, 17)
-        ee = energy(uu)
-        k = int(np.argmax(ee))
-        c0 = float(uu[k])
-        if 1 <= k <= 15:
-            d = uu[1] - uu[0]
-            curv = max(-(ee[k - 1] - 2.0 * ee[k] + ee[k + 1]) / (d * d), 0.0)
-        w /= 4.0
-    sigma = (1.0 / math.sqrt(curv)) if curv > 0.0 else math.inf
-    h = max(min(quad.target_step, sigma / 3.0), 1e-5)
-    a = min(a, c0 - 10.0 * min(sigma, 1.0))
-    b = max(b, c0 + 10.0 * min(sigma, 1.0))
+    for p in range(_PASSES):
+        uu = c0[:, None] + w[:, None] * _SHARPEN
+        ee[p] = energy(ln_x, uu)
+        k[p] = ee[p].argmax(axis=1)
+        c0 = uu[rows, k[p]]
+        w = w * 0.25
+    second = ee[..., :-2] - 2.0 * ee[..., 1:-1] + ee[..., 2:]
+    interior = (k >= 1) & (k <= 15)
+    d = step * _SHARPEN_SPACING
+    curv = np.fmax(-second[_PASS_IX, rows, np.clip(k - 1, 0, 14)] / (d * d),
+                   0.0)
+    curv = np.where(interior.any(axis=0),
+                    curv[_PASSES - 1 - interior[::-1].argmax(axis=0), rows],
+                    0.0)
+    sigma = 1.0 / np.sqrt(curv)
+    h = np.maximum(np.minimum(quad.target_step, sigma / 3.0), 1e-5)
+    reach = 10.0 * np.minimum(sigma, 1.0)
+    a = np.minimum(a, c0 - reach)
+    span = np.maximum(b, c0 + reach) - a
 
-    def trap(hh: float) -> float:
-        npts = int(math.ceil((b - a) / hh)) + 1
-        if npts > 500_000:
+    def trap(r, hh):
+        npts = np.ceil(span[r] / hh).astype(int) + 1
+        if npts.max() > 500_000:
             raise RuntimeError("quadrature grid blew past the safety cap")
-        grid = np.linspace(a, b, npts)
-        return _log_trapezoid(energy(grid), grid[1] - grid[0])
+        dh = span[r] / (npts - 1)
+        e = energy(ln_x[r], grid(a[r], dh, npts), npts)
+        top = e.max(axis=1)
+        wts = np.exp(e - top[:, None])
+        s = (wts.sum(axis=1)
+             - 0.5 * (wts[:, 0] + wts[np.arange(len(npts)), npts - 1]))
+        return top + np.log(dh * s)
 
-    val = trap(h)
-    achieved = math.inf
+    val = trap(rows, h)
+    achieved = np.full(len(rows), np.inf)
+    todo = rows
     for _ in range(quad.max_refinements):
-        h /= 2.0
-        finer = trap(h)
-        achieved = abs(math.expm1(min(finer - val, 700.0)))
-        val = finer
-        if achieved <= quad.rel_tol:
-            return val
-    raise QuadratureConvergenceError(achieved, quad.rel_tol)
+        h[todo] /= 2.0
+        finer = trap(todo, h[todo])
+        change = np.abs(np.expm1(np.minimum(finer - val[todo], 700.0)))
+        val[todo] = finer
+        achieved[todo] = change
+        todo = todo[~(change <= quad.rel_tol)]
+        if not todo.size:
+            break
+    return val, achieved
 
 
 def _log_k1(w):
     """log K_1(exp(w)) = -exp(w), vectorized over log-arguments."""
-    with np.errstate(over="ignore"):
-        return -np.exp(np.asarray(w, float))
+    return -np.exp(w)
 
 
 class KernelTable:
-    """Log-log table of one radial weight with spline evaluation."""
+    """Log-log table of one radial weight with spline evaluation.
+
+    ``margin_stalled`` counts the low-margin nodes whose quadrature stopped
+    short of ``rel_tol`` and kept their last estimate, and
+    ``margin_worst_change`` is the largest relative change among their last
+    halvings (both 0 when every node converged).
+    """
+
+    margin_stalled = 0
+    margin_worst_change = 0.0
 
     def __init__(self, m: int, cfg: TableConfig, s: np.ndarray, logk: np.ndarray):
         self.m = m
@@ -271,11 +357,15 @@ _TABLE_LOCK = threading.Lock()
 def build_table(m: int, cfg: TableConfig = DEFAULT_TABLE_CONFIG) -> KernelTable:
     """Build (or fetch from cache) the level-m table by chained convolution.
 
-    Level 1 is exact.  Level m is K_1 * K_(m-1) evaluated with the quadrature
-    engine at every grid point, the parent entering through its spline.  The
-    lowest ``low_margin`` log-units of each table inherit a truncation error
-    of a few percent (the parent table ends there too); the public domain
-    starts above that zone and is unaffected.
+    Level 1 is exact.  Level m is K_1 * K_(m-1), evaluated at every grid
+    point by one batched call of the quadrature engine, the parent entering
+    through its spline.  The lowest ``low_margin`` log-units of each table
+    inherit a truncation error of a few percent (the parent table ends there
+    too); the public domain starts above that zone and is unaffected.  For
+    the same reason margin nodes may stop short of ``rel_tol`` (from level 6
+    on, a few nodes near the bottom of the grid do) and keep their last
+    estimate, recorded in ``margin_stalled`` and ``margin_worst_change``;
+    a public node that stops short raises QuadratureConvergenceError.
     """
     _require_level(m)
     key = (m, cfg)
@@ -290,14 +380,20 @@ def build_table(m: int, cfg: TableConfig = DEFAULT_TABLE_CONFIG) -> KernelTable:
     s = np.linspace(s_lo, s_hi, npts)
 
     if m == 1:
-        logk = -np.exp(s)
+        table = KernelTable(m, cfg, s, -np.exp(s))
     else:
         parent = build_table(m - 1, cfg)
-        logk = np.empty(npts)
-        for i, si in enumerate(s):
-            logk[i] = _log_rung(parent, si, cfg.quad)
-
-    table = KernelTable(m, cfg, s, logk)
+        logk, achieved = _log_conv(_log_k1, parent.log_eval_log_arg, s,
+                                   s - 8.0, float(parent.s[-1]), cfg.quad)
+        stalled = ~(achieved <= cfg.quad.rel_tol)
+        public = s >= math.log(cfg.x_min)
+        if np.any(stalled & public):
+            raise QuadratureConvergenceError(
+                float(np.max(achieved[stalled & public])), cfg.quad.rel_tol)
+        table = KernelTable(m, cfg, s, logk)
+        if np.any(stalled):
+            table.margin_stalled = int(np.count_nonzero(stalled))
+            table.margin_worst_change = float(np.max(achieved[stalled]))
     with _TABLE_LOCK:
         _TABLE_CACHE.setdefault(key, table)
     return table

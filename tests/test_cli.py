@@ -61,6 +61,13 @@ def test_kernel_table(capsys):
     assert obj["values"][1] == pytest.approx(0.2277877454990668, rel=1e-8)
 
 
+def test_kernel_table_level_6(capsys):
+    code, obj = run_json(capsys, "kernel-table", "--m", "6", "--points", "3",
+                         "--format", "json")
+    assert code == 0
+    assert all(v > 0.0 for v in obj["values"])
+
+
 def test_moments_report(capsys):
     code, obj = run_json(capsys, "moments", "--m", "2", "--nmax", "3",
                          "--format", "json")
@@ -112,6 +119,13 @@ def test_reproduce_check_explicit_element(capsys, tmp_path):
                          "--in", f)
     assert code == 0
     assert obj["evaluated"][0] == pytest.approx(2.75, rel=1e-14)
+
+
+def test_reproduce_check_degree_above_cap_exits_two(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["reproduce-check", "--m", "2", "--w", "0.5", "--degree", "31"])
+    assert info.value.code == 2
+    assert "ill-conditioned beyond degree 30" in capsys.readouterr().err
 
 
 def test_op_apply_word(capsys, tmp_path):

@@ -210,6 +210,21 @@ def test_domain_functional_flags_overflow():
     assert not ok and val == math.inf
 
 
+def test_domain_functional_overflow_raises_nothing(monkeypatch):
+    # the overflowing case is an ordinary outcome, not a caught exception
+    import genfock.operators as ops
+
+    def forbidden(*args):
+        raise AssertionError("domain_functional called weighted_moment")
+
+    monkeypatch.setattr(ops, "weighted_moment", forbidden)
+    assert domain_functional(TaylorCoeffs.monomial(200), 6) == (math.inf, False)
+    val, ok = domain_functional(TaylorCoeffs.monomial(4), 3)
+    assert ok and val == (math.factorial(4) ** 3) * 4**3
+    with pytest.raises(ValueError):
+        domain_functional(TaylorCoeffs.monomial(4), 0)
+
+
 # ------------------------------------------------------------- reordering
 
 

@@ -15,6 +15,8 @@ import scipy.special as sp
 
 from genfock.radialkernel import (
     DEFAULT_TABLE_CONFIG,
+    _log_conv,
+    _log_k1,
     KernelTable,
     QuadConfig,
     QuadratureConvergenceError,
@@ -186,6 +188,57 @@ def test_mellin_step_reproduces_level2():
         assert got == pytest.approx(math.exp(bessel_reference_log(x)), rel=1e-9)
 
 
+@pytest.mark.parametrize("m", [6, 7, 8])
+def test_high_levels_build(m):
+    # only low-margin nodes may stop short of rel_tol; they keep their last
+    # estimate and the table says how many there were
+    t = build_table(m)
+    assert np.all(np.isfinite(t.logk))
+    assert np.all(np.diff(t.logk) < 0.0)
+    assert (t.margin_stalled == 0) == (t.margin_worst_change == 0.0)
+
+
+def test_margin_nodes_that_stall_keep_their_estimate(monkeypatch):
+    import genfock.radialkernel as rk
+
+    cfg = TableConfig(x_min=1e-2, x_max=1e2, points_per_decade=5,
+                      low_margin=2.0)
+    engine = rk._log_conv
+
+    def stall_in_margin(log_f, log_g, ln_x, u_lo, u_hi, quad):
+        val, achieved = engine(log_f, log_g, ln_x, u_lo, u_hi, quad)
+        return val, np.where(ln_x < math.log(cfg.x_min), 1e-6, achieved)
+
+    monkeypatch.setattr(rk, "_log_conv", stall_in_margin)
+    t = build_table(2, cfg)
+    assert t.margin_stalled == np.count_nonzero(t.s < math.log(cfg.x_min)) > 0
+    assert t.margin_worst_change == 1e-6
+    assert t.log_eval(1.0) == pytest.approx(bessel_reference_log(1.0),
+                                            abs=1e-3)
+
+
+@pytest.mark.parametrize("m", range(3, 9))
+def test_tables_match_meijer_g(m):
+    # K_m(x) = G^{m,0}_{0,m}(x | 0, ..., 0), an oracle outside the chain
+    mpmath = pytest.importorskip("mpmath")
+    worst = 0.0
+    for k in (-20, -14, -8, -3, 0, 2, 4):
+        x = 10.0 ** k
+        with mpmath.workdps(30):
+            ref = float(mpmath.log(mpmath.meijerg(
+                [[], []], [[0] * m, []], mpmath.mpf(x), maxterms=10 ** 6)))
+        worst = max(worst, abs(math.expm1(float(log_radial_weight(m, x)) - ref)))
+    assert worst <= 1e-8
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_pointwise_rung_reproduces_table_nodes(m):
+    t = build_table(m)
+    for i in range(0, len(t.s), 331):
+        got = log_radial_weight_conv(m, math.exp(float(t.s[i])))
+        assert got == pytest.approx(float(t.logk[i]), abs=1e-11)
+
+
 def test_radial_weight_point_agrees_with_table():
     for m, x in [(2, 0.7), (3, 1.3)]:
         a = radial_weight_point(m, x)
@@ -213,8 +266,16 @@ def test_refinement_exhaustion_raises_with_diagnostics():
     with pytest.raises(QuadratureConvergenceError) as info:
         mellin_step(t1, 1.0, QuadConfig(rel_tol=1e-14, max_refinements=0))
     err = info.value
-    assert err.achieved > 1e-14
+    assert err.achieved == math.inf
     assert "stalled" in str(err)
+
+
+def test_public_node_that_stalls_still_raises():
+    cfg = TableConfig(x_min=1e-2, x_max=1e2, points_per_decade=4,
+                      low_margin=2.0,
+                      quad=QuadConfig(rel_tol=1e-17, max_refinements=1))
+    with pytest.raises(QuadratureConvergenceError):
+        build_table(2, cfg)
 
 
 def test_quadconfig_tail_cut():
@@ -234,3 +295,33 @@ def test_log_mellin_convolve_exponential_pair():
     # fresh engine run on the analytic level-1 pair at one point
     val = log_mellin_convolve(lambda s: -np.exp(s), lambda s: -np.exp(s), 0.0)
     assert val == pytest.approx(bessel_reference_log(1.0), abs=1e-11)
+
+
+# ------------------------------------------------------ the batched engine
+
+
+def test_batched_rows_match_single_point_calls():
+    # 150 level-3 rungs span three blocks; no row may feel its neighbours
+    parent = build_table(2)
+    hi = float(parent.s[-1])
+    s = np.linspace(-60.0, 15.0, 150)
+    val, achieved = _log_conv(_log_k1, parent.log_eval_log_arg, s, s - 8.0,
+                              hi, QuadConfig())
+    assert np.all(achieved <= QuadConfig().rel_tol)
+    single = [log_mellin_convolve(_log_k1, parent.log_eval_log_arg, si,
+                                  window=(si - 8.0, hi)) for si in s]
+    assert np.max(np.abs(val - single)) <= 1e-13
+
+
+def test_batch_grows_only_the_rows_that_need_it():
+    # the middle row's window cuts into the integrand's left tail, so only
+    # that row must grow before its integral comes out right
+    ln_x = np.array([0.0, 0.5, 1.0])
+    lo = ln_x - np.array([10.0, 1.0, 10.0])
+    val, _ = _log_conv(_log_k1, _log_k1, ln_x, lo, 40.0, QuadConfig())
+    for i, x in enumerate(ln_x):
+        assert val[i] == pytest.approx(bessel_reference_log(math.exp(x)),
+                                       abs=1e-11)
+        single = log_mellin_convolve(_log_k1, _log_k1, x,
+                                     window=(lo[i], 40.0))
+        assert abs(val[i] - single) <= 1e-13
