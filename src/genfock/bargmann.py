@@ -34,10 +34,10 @@ import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
 from .coeffspace import (TaylorCoeffs, WeightOverflowError, _fsum_complex,
-                         _require_level, log_weight, squared_norm)
+                         _require_level, _weight_table, log_weight,
+                         squared_norm)
 
 _PI_QUARTER = math.pi ** -0.25
-_MAX_LOG_SCALE = 745.0
 _TINY = 1e-300
 
 # Uniform bound on sup_t |eta_n(t)| over all n, used in truncation estimates.
@@ -131,28 +131,49 @@ class HermiteEvaluation:
         return float(np.abs(g - np.eye(self.max_index + 1)).max())
 
 
-def _scale(n: int, m: int) -> float:
-    """(n!)**(-m/2) as one float; halving the log is exact in binary, so the
-    forward and inverse transforms share the identical scale bit for bit."""
-    half = 0.5 * log_weight(n, m)
-    if half > _MAX_LOG_SCALE:
-        raise WeightOverflowError(n, m)
-    return math.exp(-half)
+def _scales(m: int, size: int) -> list[float]:
+    """(n!)**(-m/2) for n < size, from the weight table of coeffspace.
+
+    With (n!)**m = mant * 2**exp and the odd bit of exp moved into the
+    mantissa, the scale is 2**(-exp/2) / sqrt(mant): one rounding in the
+    square root and one in the reciprocal, so scale**2 * (n!)**m stays
+    within a few ulps of 1.  Forward and inverse transforms read the same
+    list, so they share the identical scale bit for bit.  0.0 marks a scale
+    below double range.
+    """
+    mant, exp = _weight_table(m, size)
+    mant, exp = mant[:size], exp[:size]
+    odd = exp & 1
+    return np.ldexp(1.0 / np.sqrt(np.ldexp(mant, odd)),
+                    (odd - exp) // 2).tolist()
+
+
+def _scaled(coeffs, m: int, divide: bool) -> list:
+    """coeffs times (or divided by) their scales; zeros stay exact zeros and
+    a non-zero coefficient whose scale is below double range raises."""
+    scales = _scales(m, len(coeffs))
+    out = []
+    for n, (c, s) in enumerate(zip(coeffs, scales)):
+        if c == 0:
+            out.append(0)
+        elif s == 0.0:
+            raise WeightOverflowError(n, m)
+        else:
+            out.append(c / s if divide else c * s)
+    return out
 
 
 def forward(hermite_coeffs, m: int) -> TaylorCoeffs:
     """Taylor coefficients of the transform of sum c_n eta_n."""
     _require_level(m)
-    return TaylorCoeffs(c * _scale(n, m) if c != 0 else 0
-                        for n, c in enumerate(hermite_coeffs))
+    return TaylorCoeffs(_scaled(list(hermite_coeffs), m, divide=False))
 
 
 def inverse(f: TaylorCoeffs, m: int) -> tuple:
     """Hermite coefficients recovering f; divides by the same stored scale
     used in :func:`forward`, so a round trip is exact up to one rounding."""
     _require_level(m)
-    return tuple(c / _scale(n, m) if c != 0 else 0
-                 for n, c in enumerate(f.coeffs))
+    return tuple(_scaled(f.coeffs, m, divide=True))
 
 
 def unitarity_gap(hermite_coeffs, m: int) -> dict:
@@ -186,14 +207,19 @@ def transform_kernel(m: int, z: complex, t, tol: float = 1e-14):
     zpow = 1.0 + 0.0j
     term_bound = HERMITE_SUP_BOUND
     ref = max(float(np.abs(total).max()), _TINY)
+    scales = _scales(m, 64)
     below = 0
     n = 0
     while below < 3 and n < 2000:
         n += 1
+        if n == len(scales):
+            scales = _scales(m, 2 * n)
+        if scales[n] == 0.0:
+            raise WeightOverflowError(n, m)
         eta_prev, eta = eta, (-math.sqrt(2.0 / n) * t * eta
                               - math.sqrt((n - 1.0) / n) * eta_prev)
         zpow = zpow * z
-        total = total + zpow * _scale(n, m) * eta
+        total = total + zpow * scales[n] * eta
         ref = max(ref, float(np.abs(total).max()))
         term_bound = term_bound * zabs * math.exp(
             -0.5 * (log_weight(n, m) - log_weight(n - 1, m)))

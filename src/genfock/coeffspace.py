@@ -1,10 +1,15 @@
 """Coefficient-space model of the factorially weighted power-series scale.
 
 An element is a truncated Taylor series, stored as its coefficient vector.
-The level-``m`` inner product weights index ``n`` by ``(n!)**m``.  Weights
-are combined through exact big-int arithmetic while they fit in a double and
-through ``exp(m * lgamma(n+1))`` beyond that, so norms of well-scaled
-elements stay accurate even where the raw weights overflow.
+The level-``m`` inner product weights index ``n`` by ``(n!)**m``.  Each
+level keeps one cached table of those weights as ``(mant, exp)`` arrays,
+``(n!)**m == mant * 2**exp`` with ``mant`` correctly rounded, built from the
+exact big integers.  The float kernels (inner product, weighted squares,
+kernel sections, weights) read their weights from it as arrays and scale
+each coefficient by a power of two first, so a term is formed as in double
+arithmetic while it is in range and stays exact where the weight or the
+coefficient product alone would leave double range.  Exact (int/Fraction)
+input to the inner product is summed exactly and rounded once.
 """
 
 from __future__ import annotations
@@ -12,15 +17,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import lgamma
 
 import numpy as np
 
 _TINY = 1e-300
-# log 2 split so that k * _LN2_HI is exact for every |k| < 2**21
-_LN2_HI = 6.93147180369123816490e-01
-_LN2_LO = 1.90821492927058770002e-10
 
 
 class WeightOverflowError(OverflowError):
@@ -45,30 +46,53 @@ def log_weight(n: int, m: int) -> float:
     return m * lgamma(n + 1)
 
 
-@lru_cache(maxsize=None)
-def weight(n: int, m: int) -> float:
-    """(n!)**m as a float.
+# level m -> (big, mant, exp): big is (k!)**|m| for the last tabulated k
+_TABLES: dict[int, tuple[int, np.ndarray, np.ndarray]] = {}
 
-    Exactly rounded (big-int to float) whenever representable.  For m >= 0 an
-    unrepresentable weight raises :class:`WeightOverflowError`; for m < 0 it
-    underflows gracefully (flushes toward 0.0 through the log domain).
+
+def _weight_table(m: int, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """(mant, exp), at least ``size`` long, with (k!)**m == mant * 2**exp.
+
+    ``mant`` lies in [0.5, 1) and is the correctly rounded mantissa of the
+    exact weight, so ``ldexp(mant, exp)`` is the exactly rounded float
+    wherever that is representable, and the pair stays exact to one
+    rounding far beyond double range.  The table grows incrementally from
+    the big integer (k!)**|m|: one multiplication and one correctly rounded
+    big-int division per entry.
     """
-    if m >= 0:
-        try:
-            return float(math.factorial(n) ** m)
-        except OverflowError as exc:
-            raise WeightOverflowError(n, m) from exc
-    big = math.factorial(n) ** (-m)
-    if big.bit_length() <= 1020:
-        return 1.0 / float(big)
-    return math.exp(log_weight(n, m))
+    tab = _TABLES.get(m)
+    if tab is not None and len(tab[1]) >= size:
+        return tab[1], tab[2]
+    big, mant, exp = tab if tab is not None else (1, np.empty(0),
+                                                  np.empty(0, np.int64))
+    p = abs(m)
+    ms, es = [], []
+    for k in range(len(mant), max(size, 2 * len(mant))):
+        if k:
+            big *= k ** p
+        s = big.bit_length()
+        # int true division rounds correctly, however large its operands
+        q = big / (1 << s) if m >= 0 else (1 << s) / big
+        fm, fe = math.frexp(q)
+        ms.append(fm)
+        es.append(fe + s if m >= 0 else fe - s)
+    mant = np.concatenate([mant, ms])
+    exp = np.concatenate([exp, np.array(es, np.int64)])
+    _TABLES[m] = (big, mant, exp)
+    return mant, exp
 
 
-def _conj(c):
-    conj = getattr(c, "conjugate", None)
-    if conj is not None:
-        return conj()
-    return c  # Fraction and friends are real
+def weight(n: int, m: int) -> float:
+    """(n!)**m as a float, exactly rounded whenever representable.
+
+    For m >= 0 an unrepresentable weight raises :class:`WeightOverflowError`;
+    for m < 0 it underflows gracefully onto the subnormal grid and to 0.0.
+    """
+    mant, exp = _weight_table(m, n + 1)
+    try:
+        return math.ldexp(float(mant[n]), int(exp[n]))
+    except OverflowError as exc:
+        raise WeightOverflowError(n, m) from exc
 
 
 def _is_exact(c) -> bool:
@@ -169,106 +193,108 @@ def scale(c, f: TaylorCoeffs) -> TaylorCoeffs:
     return TaylorCoeffs(tuple(c * x for x in f.coeffs))
 
 
-_NORMAL_FLOOR = 2.3e-308
+def _split(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(re, im, e): the parts of ``c`` times 2**-e, the larger in [0.5, 1).
 
-
-def _frac_parts(c) -> tuple[Fraction, Fraction]:
-    if isinstance(c, complex):
-        return Fraction(c.real), Fraction(c.imag)
-    return Fraction(c), Fraction(0)
-
-
-def _exact_weighted_term(fn, gn, n: int, m: int) -> complex:
-    """fn * conj(gn) * (n!)**m through big rationals, exactly rounded.
-
-    Doubles are rationals, so the product can be formed without any
-    intermediate rounding even when the weight alone (or the coefficient
-    product alone) leaves double range; only the final float() rounds,
-    flushing a genuinely tiny term to zero and raising on a term that is
-    itself too large for a double.
+    One power of two per coefficient, so the scaling is exact (bar a part
+    below 2**-1022 of the other) and products of the scaled parts neither
+    overflow nor lose subnormal bits.
     """
-    wt = Fraction(math.factorial(n)) ** m
-    fr, fi = _frac_parts(fn)
-    gr, gi = _frac_parts(gn)
-    re = fr * gr + fi * gi
-    im = fi * gr - fr * gi
+    re, im = c.real, c.imag
+    e = np.frexp(np.maximum(np.abs(re), np.abs(im)))[1]
+    return np.ldexp(re, -e), np.ldexp(im, -e), e
+
+
+def _exact_inner(fc: tuple, gc: tuple, m: int) -> complex:
+    """Sum of f_n g_n (n!)**m over int/Fraction input, held as one fraction
+    N / D of big integers and rounded once (int true division rounds
+    correctly, however large its operands)."""
+    nums, dens = [], []
+    big = 1
+    for n, (fn, gn) in enumerate(zip(fc, gc)):
+        if n:
+            big *= n ** abs(m)
+        num = fn.numerator * gn.numerator
+        den = fn.denominator * gn.denominator
+        nums.append(num * big if m >= 0 else num)
+        dens.append(den if m >= 0 else den * big)
+    lcm = math.lcm(*dens)
     try:
-        return complex(float(re * wt), float(im * wt))
+        return complex(sum(a * (lcm // d) for a, d in zip(nums, dens)) / lcm)
     except OverflowError as exc:
-        raise WeightOverflowError(n, m) from exc
+        worst = max(range(len(nums)),
+                    key=lambda n: abs(Fraction(nums[n], dens[n])))
+        raise WeightOverflowError(worst, m) from exc
 
 
 def inner_product(f: TaylorCoeffs, g: TaylorCoeffs, m: int) -> complex:
-    """Sum of f_n * conj(g_n) * (n!)**m, compensated.
+    """Sum of f_n * conj(g_n) * (n!)**m; the shorter vector is zero-padded.
 
-    The shorter vector is zero-padded.  Terms whose weight leaves double
-    range, or whose coefficient product drops below the normal-number
-    floor, are formed exactly through rationals instead; a term that is
-    itself too large for a double raises WeightOverflowError.
+    When every paired coefficient is an int or a Fraction the sum is formed
+    exactly and rounded once.  Otherwise every paired coefficient is
+    converted to complex (an exact one outside double range raises
+    OverflowError) and each term is formed in numpy: both coefficients are
+    scaled by a power of two, the parts combined with the operations of a
+    complex multiply, times the weight mantissa, and the summed exponent
+    applied last.  A term in range is bit for bit
+    ``(f_n * conj(g_n)) * weight(n, m)``; one whose weight or coefficient
+    product alone leaves double range stays accurate, and one that is
+    itself too large for a double raises WeightOverflowError.  The terms
+    are summed correctly rounded.
     """
-    terms = []
-    for n in range(min(len(f.coeffs), len(g.coeffs))):
-        fn, gn = f.coeffs[n], g.coeffs[n]
-        if fn == 0 or gn == 0:
-            continue
-        prod = fn * _conj(gn)
-        fast = abs(log_weight(n, m)) < 700.0 and (
-            _is_exact(prod) or abs(complex(prod)) > _NORMAL_FLOOR)
-        if fast:
-            try:
-                tc = complex(prod * weight(n, m))
-            except OverflowError:
-                tc = _exact_weighted_term(fn, gn, n, m)
-            else:
-                if not (math.isfinite(tc.real) and math.isfinite(tc.imag)):
-                    raise WeightOverflowError(n, m)
-        else:
-            tc = _exact_weighted_term(fn, gn, n, m)
-        terms.append(tc)
-    return _fsum_complex(terms)
+    size = min(len(f.coeffs), len(g.coeffs))
+    fc, gc = f.coeffs[:size], g.coeffs[:size]
+    if all(map(_is_exact, fc)) and all(map(_is_exact, gc)):
+        return _exact_inner(fc, gc, m)
+    a = np.array(fc, dtype=complex)
+    b = np.array(gc, dtype=complex)
+    idx = np.flatnonzero((a != 0) & (b != 0))
+    fr, fi, fe = _split(a[idx])
+    gr, gi, ge = _split(b[idx])
+    mant, exp = _weight_table(m, size)
+    mw, e = mant[idx], fe + ge + exp[idx]
+    with np.errstate(over="ignore", invalid="ignore"):
+        re = np.ldexp((fr * gr + fi * gi) * mw, e)
+        im = np.ldexp((fi * gr - fr * gi) * mw, e)
+    bad = ~(np.isfinite(re) & np.isfinite(im))
+    if bad.any():
+        raise WeightOverflowError(int(idx[bad.argmax()]), m)
+    return complex(math.fsum(re.tolist()), math.fsum(im.tolist()))
 
 
 def _weighted_sq_terms(coeffs, w: int, k: int = 0,
                        strict: bool = True) -> list[float]:
     """|c_n|**2 * (n!)**w * n**k for each non-zero c_n (n = 0 skipped if k > 0).
 
-    In range, |c_n|**2 meets the exactly rounded weight directly.  Otherwise
-    the term is combined in the log domain, with log|c_n|**2 taken from the
-    parts after an exact power-of-two rescale: abs() of a complex with
-    subnormal parts rounds onto the subnormal grid and loses bits.  The
-    rescale exponent enters through the split log 2, so it cancels against
-    the log weight without rounding.  A term past double range raises
-    WeightOverflowError, or is inf when not ``strict``.
+    Each coefficient is scaled by 2**-e first (see :func:`_split`), the term
+    formed as (re**2 + im**2) * mant * n**k and scaled by 2**(2e + exp), so
+    in range it is bit for bit the double-precision product, and subnormal
+    coefficients or weights past double range lose nothing.  A term past
+    double range raises WeightOverflowError, or is inf when not
+    ``strict``; a term below it flushes toward 0.0.
     """
-    terms = []
-    for n, c in enumerate(coeffs):
-        if c == 0 or (k and n == 0):
-            continue
-        cc = complex(c)
-        re, im = cc.real, cc.imag
-        mag2 = re * re + im * im
-        lw = log_weight(n, w)
-        if abs(lw) < 700.0 and _TINY < mag2 < math.inf:
-            t = mag2 * weight(n, w) * n ** k
-        else:
-            e = math.frexp(max(abs(re), abs(im)))[1]
-            re, im = math.ldexp(re, -e), math.ldexp(im, -e)
-            lt = ((lw + 2 * e * _LN2_HI) + math.log(re * re + im * im)
-                  + 2 * e * _LN2_LO + k * math.log(max(n, 1)))
-            t = math.inf if lt > 709.0 else math.exp(lt)
-        if strict and not math.isfinite(t):
-            raise WeightOverflowError(n, w)
-        terms.append(t)
-    return terms
+    c = np.array(coeffs, dtype=complex)
+    idx = np.flatnonzero(c)
+    if k:
+        idx = idx[idx > 0]
+    re, im, e = _split(c[idx])
+    mant, exp = _weight_table(w, len(c))
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = (re * re + im * im) * mant[idx]
+        if k:
+            t *= idx.astype(float) ** k
+        t = np.ldexp(t, 2 * e + exp[idx])
+    if strict:
+        bad = ~np.isfinite(t)
+        if bad.any():
+            raise WeightOverflowError(int(idx[bad.argmax()]), w)
+    return t.tolist()
 
 
 def squared_norm(f: TaylorCoeffs, m: int) -> float:
-    """Sum of |f_n|^2 * (n!)**m.
-
-    Per-index hybrid: exact float weights in range, log-domain combination
-    when either factor alone would leave double range but the term itself
-    may not.
-    """
+    """Sum of |f_n|^2 * (n!)**m, correctly rounded over the terms of
+    :func:`_weighted_sq_terms` (exact where a weight or a coefficient alone
+    leaves double range but the term does not)."""
     return math.fsum(_weighted_sq_terms(f.coeffs, m))
 
 
@@ -312,22 +338,28 @@ def kernel_eval(m: int, z: complex, w: complex, tol: float = 1e-14) -> complex:
 
 
 def kernel_section(m: int, w: complex, degree: int) -> TaylorCoeffs:
-    """Coefficient view of the kernel at w: index n holds conj(w)^n/(n!)**m."""
+    """Coefficient view of the kernel at w: index n holds conj(w)^n/(n!)**m.
+
+    Each power is divided by the weight mantissa and the exponent applied
+    last: in range that is bit for bit the division by the exactly rounded
+    weight that :func:`inner_product` multiplies back in, so the
+    reproducing identity cancels to a couple of ulps per term, and beyond
+    double range the coefficient keeps its digits (two roundings).
+    """
     _require_level(m)
     wbar = complex(w).conjugate()
-    cs = []
+    ps = []
     p = 1.0 + 0.0j
-    for n in range(degree + 1):
-        if n > 0:
-            p = p * wbar
-        # Dividing by the exactly rounded weight (instead of multiplying by
-        # exp(-log_weight)) makes the reproducing identity hold to a couple
-        # of ulps per term: inner_product multiplies the same float back in.
-        if log_weight(n, m) < 700.0:
-            cs.append(p / weight(n, m))
-        else:
-            cs.append(p * math.exp(-log_weight(n, m)))
-    return TaylorCoeffs(cs)
+    for _ in range(degree + 1):
+        ps.append(p)
+        p = p * wbar
+    p = np.array(ps, dtype=complex)
+    mant, exp = _weight_table(m, degree + 1)
+    mant, exp = mant[:degree + 1], -exp[:degree + 1]
+    out = np.empty(degree + 1, dtype=complex)
+    out.real = np.ldexp(p.real / mant, exp)
+    out.imag = np.ldexp(p.imag / mant, exp)
+    return TaylorCoeffs(out.tolist())
 
 
 def aggregate_kernels_geometric(eps: float, z: complex, w: complex,

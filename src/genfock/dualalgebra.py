@@ -26,7 +26,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .coeffspace import (TaylorCoeffs, _fsum_complex, _is_exact,
+import numpy as np
+
+from .coeffspace import (TaylorCoeffs, _is_exact,
                          _require_level, _strip, _weighted_sq_terms,
                          inner_product, log_weight)
 
@@ -96,32 +98,77 @@ def pairing(f: TaylorCoeffs, b: DualSequence) -> complex:
     return inner_product(f, TaylorCoeffs(b.coeffs), 1)
 
 
+# index pairs per block of consecutive diagonals in the float Cauchy product
+_BLOCK = 4096
+
+
+def _float_convolution(ca: tuple, cb: tuple) -> list:
+    """Cauchy product of float coefficients, each output correctly rounded.
+
+    The products a_i * b_j are formed with the real operations of a complex
+    multiply, diagonal by diagonal in blocks of about ``_BLOCK`` index
+    pairs, and the live ones (both factors non-zero) of each diagonal
+    i + j are reduced with ``fsum``, which does not depend on the order of
+    its terms.  A diagonal with no live product is the exact 0.
+    """
+    a = np.array(ca, dtype=complex)
+    b = np.array(cb, dtype=complex)
+    live_a, live_b = a != 0, b != 0
+    # diagonal d holds the pairs (first[d] + k, d - first[d] - k), k < pairs[d]
+    diag = np.arange(len(ca) + len(cb) - 1)
+    first = np.maximum(diag - len(cb) + 1, 0)
+    pairs = np.minimum(diag, len(ca) - 1) - first + 1
+    ends = pairs.cumsum()
+    out = []
+    d0 = 0
+    while d0 < len(diag):
+        done = int(ends[d0 - 1]) if d0 else 0
+        d1 = max(int(ends.searchsorted(done + _BLOCK, "right")), d0 + 1)
+        n = pairs[d0:d1]
+        starts = ends[d0:d1] - n - done
+        rows = (first[d0:d1] - starts).repeat(n)
+        rows += np.arange(len(rows))
+        cols = diag[d0:d1].repeat(n) - rows
+        keep = live_a[rows] & live_b[cols]
+        live = np.add.reduceat(keep, starts).tolist()
+        x, y = a[rows[keep]], b[cols[keep]]
+        re = (x.real * y.real - x.imag * y.imag).tolist()
+        im = (x.real * y.imag + x.imag * y.real).tolist()
+        start = 0
+        for cnt in live:
+            if cnt:
+                out.append(complex(math.fsum(re[start:start + cnt]),
+                                   math.fsum(im[start:start + cnt])))
+                start += cnt
+            else:
+                out.append(0)
+        d0 = d1
+    return out
+
+
 def cauchy_product(a: DualSequence, b: DualSequence) -> DualSequence:
     """Coefficient convolution; the result carries the coarser level tag.
 
-    Float coefficient sums go through fsum, so each output coefficient is
-    correctly rounded and the product commutes exactly (a running sum would
-    depend on the traversal order).  All-exact inputs stay exact.
+    All-exact (int/Fraction) inputs stay exact.  Otherwise every coefficient
+    is taken as a complex float and each output coefficient is the
+    correctly rounded sum of its products (see :func:`_float_convolution`),
+    so the product commutes exactly: a running sum would depend on the
+    traversal order.
     """
     ca, cb = a.coeffs, b.coeffs
+    level = max(a.level, b.level)
     if not ca or not cb:
-        return DualSequence((), max(a.level, b.level))
-    buckets: list[list] = [[] for _ in range(len(ca) + len(cb) - 1)]
+        return DualSequence((), level)
+    if not (all(map(_is_exact, ca)) and all(map(_is_exact, cb))):
+        return DualSequence(_float_convolution(ca, cb), level)
+    out = [0] * (len(ca) + len(cb) - 1)
     for i, x in enumerate(ca):
         if x == 0:
             continue
         for j, y in enumerate(cb):
             if y != 0:
-                buckets[i + j].append(x * y)
-    out = []
-    for terms in buckets:
-        if not terms:
-            out.append(0)
-        elif all(_is_exact(t) for t in terms):
-            out.append(sum(terms))
-        else:
-            out.append(_fsum_complex(terms))
-    return DualSequence(out, max(a.level, b.level))
+                out[i + j] += x * y
+    return DualSequence(out, level)
 
 
 def vage_constant(d: int) -> float:

@@ -199,7 +199,8 @@ def commutator_apply(f: TaylorCoeffs, m: int) -> TaylorCoeffs:
 
 
 def weighted_moment(f: TaylorCoeffs, m: int, k: int) -> float:
-    """Sum over n of |f_n|**2 * (n!)**m * n**k (hybrid log/exact per term)."""
+    """Sum over n of |f_n|**2 * (n!)**m * n**k, correctly rounded over the
+    terms of ``_weighted_sq_terms`` (weights from the exact table)."""
     _require_level(m)
     if k < 0:
         raise ValueError("moment order must be >= 0")

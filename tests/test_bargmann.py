@@ -113,9 +113,20 @@ def test_unitarity_random(m):
         assert unitarity_gap(list(c), m)["gap"] < 1e-12
 
 
+@pytest.mark.parametrize("m", [1, 3, 5])
+def test_unitarity_gap_is_a_few_ulps(m):
+    # the scale comes from the exact weight table, so scale**2 * (n!)**m is
+    # 1 to a few ulps; an lgamma-based scale was off by up to ~5e-14
+    rng = np.random.default_rng(70 + m)
+    for _ in range(30):
+        c = rng.standard_normal(61) + 1j * rng.standard_normal(61)
+        assert unitarity_gap(list(c), m)["gap"] <= 1e-15
+
+
 def test_scale_overflow_is_typed():
-    with pytest.raises(WeightOverflowError):
+    with pytest.raises(WeightOverflowError) as info:
         forward([0] * 400 + [1.0], 6)
+    assert (info.value.index, info.value.m) == (400, 6)
 
 
 @given(st.integers(min_value=1, max_value=4))

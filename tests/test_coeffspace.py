@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from genfock.coeffspace import (
     TaylorCoeffs,
     WeightOverflowError,
+    _weight_table,
     add,
     aggregate_kernels_exponential,
     aggregate_kernels_geometric,
@@ -63,6 +64,32 @@ def test_weight_negative_exponent():
     assert weight(0, -7) == 1.0
     # deep negative exponents flush through the log domain without raising
     assert weight(300, -5) >= 0.0
+
+
+def _rounded_mantissa(x: Fraction) -> tuple[float, int]:
+    """(mant, exp) with x ~ mant * 2**exp, mant the correctly rounded
+    mantissa in [0.5, 1) (Fraction.__float__ rounds correctly)."""
+    e = x.numerator.bit_length() - x.denominator.bit_length()
+    if x / Fraction(2) ** e >= 1:
+        e += 1
+    if x / Fraction(2) ** e < Fraction(1, 2):
+        e -= 1
+    mant = float(x / Fraction(2) ** e)
+    return (0.5, e + 1) if mant == 1.0 else (mant, e)
+
+
+@pytest.mark.parametrize("m", range(-4, 7))
+def test_weight_table_is_correctly_rounded(m):
+    mant, exp = _weight_table(m, 301)
+    for n in range(301):
+        exact = Fraction(math.factorial(n)) ** m
+        assert (mant[n], exp[n]) == _rounded_mantissa(exact), n
+        if exact >= 2**1024:
+            continue
+        want = float(exact)  # correctly rounded
+        if want >= 2.2250738585072014e-308:
+            assert math.ldexp(mant[n], int(exp[n])) == want
+            assert weight(n, m) == want
 
 
 def test_log_weight_consistency():
@@ -167,6 +194,101 @@ def test_subnormal_product_is_not_flushed():
     got = inner_product(f, f, 5)
     want = c * c * math.exp(log_weight(40, 5))
     assert got.real == pytest.approx(want, rel=1e-12)
+
+
+def test_exact_input_is_summed_exactly_and_rounded_once():
+    # rounding each term 1/3, 1/3, 2/3, 2 first would give 3.333333333333333
+    f = TaylorCoeffs([Fraction(1, 3)] * 4)
+    assert inner_product(f, TaylorCoeffs([1] * 4), 1) == float(Fraction(10, 3))
+    f = TaylorCoeffs([2**53 + 1] * 3)
+    assert inner_product(f, TaylorCoeffs([1] * 3), 2) == float(6 * (2**53 + 1))
+    # the sum alone leaves double range: the largest term is reported
+    with pytest.raises(WeightOverflowError) as info:
+        inner_product(TaylorCoeffs([1, 10**200]), TaylorCoeffs([1, 10**200]), 1)
+    assert info.value.index == 1
+
+
+def test_mixed_input_takes_the_float_route():
+    # any float coefficient converts every paired coefficient to complex
+    f = TaylorCoeffs([Fraction(1, 3), 0.5])
+    g = TaylorCoeffs([1, 2.0])
+    assert inner_product(f, g, 1) == complex(1 / 3 + 1.0)
+    # coefficients past the shorter vector do not take part
+    assert inner_product(TaylorCoeffs([1, 2, 0.5]), TaylorCoeffs([1, 3]),
+                         1) == 7
+    # an exact coefficient outside double range cannot be converted
+    with pytest.raises(OverflowError):
+        inner_product(TaylorCoeffs([10**400, 1.0]), TaylorCoeffs([1, 1.0]), 1)
+
+
+def test_overflow_reports_the_offending_index():
+    f = TaylorCoeffs([1.0] * 40 + [0.0] * 10 + [1.0])
+    for fn in (lambda: inner_product(f, f, 5), lambda: squared_norm(f, 5)):
+        with pytest.raises(WeightOverflowError) as info:
+            fn()
+        assert (info.value.index, info.value.m) == (50, 5)
+
+
+def _reference_inner(fs, gs, m):
+    """The per-term loop: (f_n * conj(g_n)) * (n!)**m, summed correctly
+    rounded; valid while every weight and term is in double range."""
+    terms = [complex(fn * complex(gn).conjugate() * float(math.factorial(n) ** m))
+             for n, (fn, gn) in enumerate(zip(fs, gs)) if fn != 0 and gn != 0]
+    return complex(math.fsum(t.real for t in terms),
+                   math.fsum(t.imag for t in terms))
+
+
+@pytest.mark.parametrize("m,deg", [(m, 30) for m in range(1, 7)] + [(1, 150)])
+def test_in_range_terms_match_the_reference_loop_bitwise(m, deg):
+    rng = np.random.default_rng(100 * m + deg)
+    for _ in range(20):
+        fs = (rng.standard_normal(deg + 1)
+              + 1j * rng.standard_normal(deg + 1)).tolist()
+        gs = (rng.standard_normal(deg + 1)
+              + 1j * rng.standard_normal(deg + 1)).tolist()
+        fs[3], gs[5] = 0, 2.5  # exact zeros and real coefficients
+        got = inner_product(TaylorCoeffs(fs), TaylorCoeffs(gs), m)
+        assert got == _reference_inner(fs, gs, m)
+    w = complex(rng.standard_normal(), rng.standard_normal())
+    p, want = 1.0 + 0.0j, []
+    for n in range(deg + 1):
+        want.append(p / float(math.factorial(n) ** m))
+        p = p * w.conjugate()
+    assert kernel_section(m, w, deg).coeffs == tuple(want)
+
+
+def _exact_pairing(fs, gs, m):
+    re = im = Fraction(0)
+    for n, (fn, gn) in enumerate(zip(fs, gs)):
+        fr, fi = Fraction(fn.real), Fraction(fn.imag)
+        gr, gi = Fraction(gn.real), Fraction(gn.imag)
+        w = math.factorial(n) ** m
+        re += (fr * gr + fi * gi) * w
+        im += (fi * gr - fr * gi) * w
+    return complex(float(re), float(im))
+
+
+@pytest.mark.parametrize("m", [1, 2, 5])
+@pytest.mark.parametrize("deg", [200, 1000])
+def test_inner_product_on_norm_scaled_draws_is_exact_to_an_ulp(m, deg):
+    rng = np.random.default_rng(7 * m + deg)
+    scale = np.exp([-0.5 * m * math.lgamma(n + 1) for n in range(deg + 1)])
+    fs, gs = (((rng.standard_normal(deg + 1)
+                + 1j * rng.standard_normal(deg + 1)) * scale).tolist()
+              for _ in range(2))
+    want = _exact_pairing(fs, gs, m)
+    got = inner_product(TaylorCoeffs(fs), TaylorCoeffs(gs), m)
+    assert abs(got - want) <= 1e-15 * abs(want)
+
+
+def test_kernel_section_past_double_range_keeps_its_digits():
+    # (n!)**5 leaves double range from n = 40 on; the coefficient does not
+    sec = kernel_section(5, 1000.0, 60)
+    p = 1.0
+    for n in range(61):
+        want = Fraction(p) / math.factorial(n) ** 5
+        assert abs(Fraction(sec.coeffs[n].real) - want) <= 3e-16 * want
+        p *= 1000.0
 
 
 def _exact_sq_norm(cs, m):

@@ -13,12 +13,14 @@ pins that counterexample so nobody "fixes" the orientation back.
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from genfock import dualalgebra
 from genfock.coeffspace import TaylorCoeffs
 from genfock.dualalgebra import (
     DualSequence,
@@ -93,6 +95,55 @@ def test_product_takes_weaker_level():
 @given(seqs(), seqs())
 def test_product_commutes(a, b):
     assert cauchy_product(a, b) == cauchy_product(b, a)
+
+
+def _reference_product(ca, cb):
+    """Per-diagonal fsum of the live products, the empty diagonal as 0."""
+    out = []
+    for d in range(len(ca) + len(cb) - 1):
+        terms = [complex(ca[i] * cb[d - i])
+                 for i in range(max(0, d - len(cb) + 1), min(d, len(ca) - 1) + 1)
+                 if ca[i] != 0 and cb[d - i] != 0]
+        out.append(complex(math.fsum(t.real for t in terms),
+                           math.fsum(t.imag for t in terms)) if terms else 0)
+    return out
+
+
+def _draw(rng, n, zeros):
+    c = (rng.standard_normal(n) + 1j * rng.standard_normal(n)).tolist()
+    for i in zeros:
+        c[i] = 0
+    return c
+
+
+@pytest.mark.parametrize("block", [4096, 5])
+@pytest.mark.parametrize("la,lb,zeros", [
+    (25, 40, ()), (1, 7, ()), (7, 1, ()), (30, 12, (0, 4, 5, 6, 29)),
+    (200, 200, (17, 100, 101)),
+])
+def test_float_product_is_the_reference_bit_for_bit(monkeypatch, block,
+                                                    la, lb, zeros):
+    # block = 5 splits every product into many blocks, and puts single
+    # diagonals longer than a block into blocks of their own
+    monkeypatch.setattr(dualalgebra, "_BLOCK", block)
+    rng = np.random.default_rng(la * lb)
+    ca = _draw(rng, la, [z for z in zeros if z < la])
+    cb = _draw(rng, lb, [z - 1 for z in zeros if 0 < z <= lb])
+    ab = cauchy_product(DualSequence(ca), DualSequence(cb)).coeffs
+    ba = cauchy_product(DualSequence(cb), DualSequence(ca)).coeffs
+    want = _reference_product(ca, cb)
+    for got in (ab, ba):
+        assert [(type(x), repr(x)) for x in got] == [
+            (type(x), repr(x)) for x in want]
+
+
+def test_mixed_product_takes_the_float_route():
+    a = DualSequence([1, Fraction(1, 2)], 1)
+    b = DualSequence([2, 0.25], 1)
+    got = cauchy_product(a, b).coeffs
+    assert got == (2, 1.25, 0.125)
+    assert all(type(c) is complex for c in got)
+    assert cauchy_product(a, a).coeffs == (1, 1, Fraction(1, 4))
 
 
 def test_product_associates_exactly_on_integers():
