@@ -7,17 +7,62 @@ higher-level weights decay and where the interpolation table spends its
 nodes.
 
     python3 scripts/kernel_profiles.py --levels 1 2 3 4 --x-min 1e-6 --x-max 1e4
+
+With --build-stats it first builds levels 1 .. max(levels) in order and
+prints, per level, the build time, how many K_1 samples and parent-table
+points the convolution engine asked for (counted here by wrapping the two
+callables), and the margin nodes that stopped short of the tolerance.
+
+    python3 scripts/kernel_profiles.py --build-stats --levels 5 --points 3
 """
 
 import argparse
 import math
 import sys
+import time
 
 import numpy as np
 
 sys.path.insert(0, "src")
 
+from genfock import radialkernel
 from genfock.radialkernel import build_table, log_radial_weight, moment
+
+
+def build_stats(top):
+    """Build levels 1..top one at a time; one stats row per level."""
+    counts = {"k1": 0, "parent": 0}
+    in_parent = [False]
+    k1, parent_eval = radialkernel._log_k1, radialkernel.KernelTable.log_eval_log_arg
+
+    def counted_k1(w):
+        # the level-1 table evaluates through _log_k1 too; count that as parent
+        if not in_parent[0]:
+            counts["k1"] += np.size(w)
+        return k1(w)
+
+    def counted_parent(self, w):
+        counts["parent"] += np.size(w)
+        in_parent[0] = True
+        try:
+            return parent_eval(self, w)
+        finally:
+            in_parent[0] = False
+
+    radialkernel._log_k1 = counted_k1
+    radialkernel.KernelTable.log_eval_log_arg = counted_parent
+    rows = []
+    try:
+        for m in range(1, top + 1):
+            counts.update(k1=0, parent=0)
+            t0 = time.perf_counter()
+            table = build_table(m)
+            rows.append((m, time.perf_counter() - t0, counts["k1"],
+                         counts["parent"], table.margin_stalled))
+    finally:
+        radialkernel._log_k1 = k1
+        radialkernel.KernelTable.log_eval_log_arg = parent_eval
+    return rows
 
 
 def main(argv=None):
@@ -28,8 +73,16 @@ def main(argv=None):
     ap.add_argument("--points", type=int, default=21)
     ap.add_argument("--moments", type=int, default=0,
                     help="also print the first N moments per level")
+    ap.add_argument("--build-stats", action="store_true",
+                    help="print build time and engine sample counts per level")
     args = ap.parse_args(argv)
 
+    if args.build_stats:
+        print("level".rjust(5) + "build_s".rjust(10) + "k1_samples".rjust(12)
+              + "parent_points".rjust(15) + "margin_stalled".rjust(16))
+        for m, secs, k1, parent, stalled in build_stats(max(args.levels)):
+            print(f"{m:5d}{secs:10.3f}{k1:12d}{parent:15d}{stalled:16d}")
+        print()
     for m in args.levels:
         build_table(m)
 

@@ -15,7 +15,10 @@ Evaluation routes, deliberately kept separate:
 * a log-domain trapezoid engine for convolution integrals, with peak
   location, step control, window auto-expansion and halving refinement; it
   runs a vector of points as 2-D numpy passes over blocks of neighbouring
-  points, and :func:`log_mellin_convolve` is its single-point entry;
+  points, and :func:`log_mellin_convolve` is its single-point entry.  Every
+  grid is a lattice of integer multiples of its step, so the points of a
+  block share the samples of the second factor, and a halving samples only
+  the new midpoints;
 * chained tables built from that engine, one batched engine call per level,
   stored as log-log cubic splines (:func:`build_table`);
 * direct (m-1)-dimensional tensor quadrature of the two integral
@@ -57,8 +60,12 @@ class QuadConfig:
     rel_tol          relative agreement demanded between successive halvings
     abs_tol          integrand samples below abs_tol * peak are dead tail
     max_refinements  halvings attempted before declaring non-convergence
-    coarse_step      spacing of the scouting pass that brackets the support
-    target_step      upper bound on the final trapezoid spacing
+    coarse_step      lattice spacing of the scouting pass that brackets the
+                     support; a window grows by ceil(4 / coarse_step) steps
+    target_step      coarsest trapezoid spacing: a point's first step is
+                     target_step * 2**-k with the smallest k >= 0 that is at
+                     most a third of its peak width (floored at 1e-5), and
+                     each halving raises k by one
     max_expand       window growth attempts when a tail is not dead yet
 
     The defaults are what table chaining supports.  Two effects floor the
@@ -71,8 +78,11 @@ class QuadConfig:
 
     The engine applies these per point, also when it runs many points in
     one batch: every point gets its own window growth, step and halvings,
-    and leaves the refinement loop once its own halving agrees.  With
-    ``max_refinements = 0`` no halving runs, so nothing is accepted.
+    and leaves the refinement loop once its own halving agrees.  Its grids
+    are lattices u = j * step, so points of a batch with equal steps share
+    the second factor's samples, and a halving samples only the odd
+    multiples of the new step.  With ``max_refinements = 0`` no halving
+    runs, so nothing is accepted.
     """
 
     rel_tol: float = 3e-10
@@ -149,10 +159,12 @@ def log_mellin_convolve(log_f, log_g, ln_x: float,
     integral is  int exp( log_f(ln_x - u) + log_g(u) ) du.
 
     The integrand is assumed to decay on both sides (true whenever f and g
-    decay at infinity and are at most poly-log at 0).  A coarse scan brackets
-    the support, a local search sharpens the peak and estimates its width so
-    narrow saddles get a proportionally fine step, and the trapezoid value is
-    accepted once one halving reproduces it to ``rel_tol``.  If
+    decay at infinity and are at most poly-log at 0).  A coarse scan on the
+    lattice u = j * coarse_step brackets the support, a local search sharpens
+    the peak and estimates its width so narrow saddles get a proportionally
+    fine step target_step * 2**-k, and the trapezoid value is accepted once
+    one halving reproduces it to ``rel_tol``; a halving samples only the new
+    midpoints and folds them into the running sum.  If
     ``max_refinements`` halvings never agree, QuadratureConvergenceError
     reports the last achieved relative change.  This is the single-point
     entry of the batched engine that :func:`build_table` runs on whole
@@ -175,11 +187,15 @@ def _log_conv(log_f, log_g, ln_x: np.ndarray, u_lo: np.ndarray,
     """The convolution engine over a vector of points, ``_BLOCK`` at a time.
 
     Row i integrates over the window (u_lo[i], u_hi) with the steps
-    :func:`log_mellin_convolve` describes; rows never mix, so a row's value
-    does not depend on its neighbours.  Returns the last trapezoid value of
-    each row and the relative change its last halving achieved (inf if none
-    ran).  A row whose change exceeds ``rel_tol`` did not converge, and the
-    caller decides whether that is an error.
+    :func:`log_mellin_convolve` describes.  Its grids are lattices of
+    multiples of its own step, which depends on its own peak width only;
+    in each pass ``log_g`` is evaluated once on the block's lattice indices
+    of one step and shared by the rows on that lattice, ``log_f`` once per
+    sample.  Rows never mix, so a row's value does not depend on its
+    neighbours.  Returns the last trapezoid value of each row and the
+    relative change its last halving achieved (inf if none ran).  A row
+    whose change exceeds ``rel_tol`` did not converge, and the caller
+    decides whether that is an error.
     """
     val = np.empty(len(ln_x))
     achieved = np.empty(len(ln_x))
@@ -187,41 +203,47 @@ def _log_conv(log_f, log_g, ln_x: np.ndarray, u_lo: np.ndarray,
         for i in range(0, len(ln_x), _BLOCK):
             blk = slice(i, i + _BLOCK)
             val[blk], achieved[blk] = _log_conv_block(
-                log_f, log_g, ln_x[blk], u_lo[blk].copy(), u_hi, quad)
+                log_f, log_g, ln_x[blk], u_lo[blk], u_hi, quad)
     return val, achieved
 
 
 def _log_conv_block(log_f, log_g, ln_x, lo, u_hi, quad: QuadConfig):
     rows = np.arange(len(ln_x))
 
-    def energy(x, u, n=None):
-        """Integrand logs on row grids u; samples at or past a row's
-        length n are padding and count as dead."""
+    def on_lattice(x, h, j, first, last):
+        """Integrand logs of rows x at u = j*h for one shared index vector
+        j, the parent sampled once for all rows; a sample outside its row's
+        index window [first, last] counts as dead."""
+        u = h * j
         e = (np.asarray(log_f((x[:, None] - u).ravel()), float)
-             + np.asarray(log_g(u.ravel()), float)).reshape(u.shape)
+             .reshape(len(x), len(u)) + np.asarray(log_g(u), float))
         keep = e < np.inf
-        if n is not None and len(n) > 1:
-            keep &= np.arange(u.shape[1]) < n[:, None]
+        if len(x) > 1:
+            keep &= (j >= first[:, None]) & (j <= last[:, None])
         return np.where(keep, e, _NEG_INF)
 
-    def grid(lo, step, n):
-        return lo[:, None] + step[:, None] * np.arange(n.max())
+    def at(u):
+        """Integrand logs of each row at its own points u."""
+        return _clean((np.asarray(log_f((ln_x[:, None] - u).ravel()), float)
+                       + np.asarray(log_g(u.ravel()), float)).reshape(u.shape))
 
-    # scouting pass, growing each row's window until both of its tails die;
-    # a rescan repeats the rows that had already settled, unchanged
-    hi = np.full(len(rows), u_hi)
+    # scouting pass on the lattice u = j * coarse_step, growing each row's
+    # window until both of its tails die; a rescan repeats the rows that had
+    # already settled, unchanged
+    cs = quad.coarse_step
+    grow = math.ceil(4.0 / cs)
+    first = np.floor(lo / cs).astype(np.int64)
+    last = np.maximum(math.ceil(u_hi / cs), first + 7)
     for _ in range(quad.max_expand + 1):
-        span = hi - lo
-        n = np.maximum(np.ceil(span / quad.coarse_step).astype(int) + 1, 8)
-        step = span / (n - 1)
-        e = energy(ln_x, grid(lo, step, n), n)
+        j0 = first.min()
+        e = on_lattice(ln_x, cs, np.arange(j0, last.max() + 1), first, last)
         floor = e.max(axis=1) - quad.tail_cut
-        grow_left = e[:, 0] > floor
-        grow_right = e[rows, n - 1] > floor
+        grow_left = e[rows, first - j0] > floor
+        grow_right = e[rows, last - j0] > floor
         if not (grow_left | grow_right).any():
             break
-        lo -= 4.0 * grow_left
-        hi += 4.0 * grow_right
+        first -= grow * grow_left
+        last += grow * grow_right
     else:
         raise RuntimeError("integrand tails refuse to die; bad window or "
                            "non-decaying input")
@@ -229,62 +251,99 @@ def _log_conv_block(log_f, log_g, ln_x, lo, u_hi, quad: QuadConfig):
         raise ValueError("integrand is identically dead on the window")
 
     alive = e >= floor[:, None]
-    first = alive.argmax(axis=1)
-    last = alive.shape[1] - 1 - alive[:, ::-1].argmax(axis=1)
-    a = lo + step * np.maximum(first - 2, 0)
-    b = lo + step * np.minimum(last + 2, n - 1)
-    c0 = lo + step * e.argmax(axis=1)
+    a = cs * (j0 + np.maximum(alive.argmax(axis=1) - 2, first - j0))
+    b = cs * (j0 + np.minimum(e.shape[1] + 1 - alive[:, ::-1].argmax(axis=1),
+                              last - j0))
+    c0 = cs * (j0 + e.argmax(axis=1))
 
     # sharpen the peak; a saddle of width sigma needs a step ~ sigma/3, and
     # the coarse scan cannot see below its own spacing.  A row's curvature
     # comes from the last of the passes whose maximum was interior.
     ee = np.empty((_PASSES, len(rows), len(_SHARPEN)))
     k = np.empty((_PASSES, len(rows)), int)
-    w = step
     for p in range(_PASSES):
-        uu = c0[:, None] + w[:, None] * _SHARPEN
-        ee[p] = energy(ln_x, uu)
+        uu = c0[:, None] + (cs * 0.25 ** p) * _SHARPEN
+        ee[p] = at(uu)
         k[p] = ee[p].argmax(axis=1)
         c0 = uu[rows, k[p]]
-        w = w * 0.25
     second = ee[..., :-2] - 2.0 * ee[..., 1:-1] + ee[..., 2:]
     interior = (k >= 1) & (k <= 15)
-    d = step * _SHARPEN_SPACING
+    d = cs * _SHARPEN_SPACING
     curv = np.fmax(-second[_PASS_IX, rows, np.clip(k - 1, 0, 14)] / (d * d),
                    0.0)
     curv = np.where(interior.any(axis=0),
                     curv[_PASSES - 1 - interior[::-1].argmax(axis=0), rows],
                     0.0)
     sigma = 1.0 / np.sqrt(curv)
-    h = np.maximum(np.minimum(quad.target_step, sigma / 3.0), 1e-5)
     reach = 10.0 * np.minimum(sigma, 1.0)
     a = np.minimum(a, c0 - reach)
-    span = np.maximum(b, c0 + reach) - a
+    b = np.maximum(b, c0 + reach)
+    # row step target_step * 2**-k with the smallest k >= 0 that puts it at
+    # or below max(min(target_step, sigma/3), 1e-5); rows of one k share a
+    # lattice, and so the parent's samples
+    mant, k = np.frexp(quad.target_step / np.maximum(
+        np.minimum(quad.target_step, sigma / 3.0), 1e-5))
+    k = np.maximum(k - (mant == 0.5), 0)
 
-    def trap(r, hh):
-        npts = np.ceil(span[r] / hh).astype(int) + 1
-        if npts.max() > 500_000:
+    def lattice(first, last, odd):
+        """The block's lattice indices over the rows' windows [first, last]
+        (only the odd ones right after a halving doubled them)."""
+        lo, hi = first.min(), last.max()
+        if hi - lo >= 500_000 and (last - first).max() >= 500_000:
             raise RuntimeError("quadrature grid blew past the safety cap")
-        dh = span[r] / (npts - 1)
-        e = energy(ln_x[r], grid(a[r], dh, npts), npts)
+        return np.arange(lo + odd, hi + 1, 1 + odd)
+
+    def refine(g):
+        """Trapezoid sums of the rows g on their own lattice windows; each
+        halving samples only the new odd lattice points and folds them into
+        a running (max, shifted sum, end weights) per row."""
+        x = ln_x[g]
+        h = math.ldexp(quad.target_step, -int(k[g][0]))
+        first = np.floor(a[g] / h).astype(np.int64)
+        last = np.ceil(b[g] / h).astype(np.int64)
+        j = lattice(first, last, False)
+        e = on_lattice(x, h, j, first, last)
+        live = np.arange(len(x))
         top = e.max(axis=1)
         wts = np.exp(e - top[:, None])
-        s = (wts.sum(axis=1)
-             - 0.5 * (wts[:, 0] + wts[np.arange(len(npts)), npts - 1]))
-        return top + np.log(dh * s)
+        total = wts.sum(axis=1)
+        ends = wts[live, first - j[0]] + wts[live, last - j[0]]
+        val = top + np.log(h * (total - 0.5 * ends))
+        out = np.empty(len(x))
+        achieved = change = np.full(len(x), np.inf)
+        for _ in range(quad.max_refinements):
+            h *= 0.5
+            first *= 2
+            last *= 2
+            e = on_lattice(x, h, lattice(first, last, True), first, last)
+            peak = np.maximum(top, e.max(axis=1))
+            rescale = np.exp(top - peak)
+            total = total * rescale + np.exp(e - peak[:, None]).sum(axis=1)
+            ends *= rescale
+            top = peak
+            finer = top + np.log(h * (total - 0.5 * ends))
+            change = np.abs(np.expm1(np.minimum(finer - val, 700.0)))
+            val = finer
+            done = change <= quad.rel_tol
+            if done.all():
+                out[live], achieved[live] = val, change
+                return out, achieved
+            if done.any():
+                out[live[done]], achieved[live[done]] = val[done], change[done]
+                keep = ~done
+                live, x, first, last = live[keep], x[keep], first[keep], last[keep]
+                top, total, ends = top[keep], total[keep], ends[keep]
+                val, change = val[keep], change[keep]
+        out[live], achieved[live] = val, change
+        return out, achieved
 
-    val = trap(rows, h)
-    achieved = np.full(len(rows), np.inf)
-    todo = rows
-    for _ in range(quad.max_refinements):
-        h[todo] /= 2.0
-        finer = trap(todo, h[todo])
-        change = np.abs(np.expm1(np.minimum(finer - val[todo], 700.0)))
-        val[todo] = finer
-        achieved[todo] = change
-        todo = todo[~(change <= quad.rel_tol)]
-        if not todo.size:
-            break
+    if k.min() == k.max():
+        return refine(slice(None))
+    val = np.empty(len(rows))
+    achieved = np.empty(len(rows))
+    for kk in np.unique(k):
+        g = np.flatnonzero(k == kk)
+        val[g], achieved[g] = refine(g)
     return val, achieved
 
 
@@ -314,25 +373,32 @@ class KernelTable:
         self.s_hi = math.log(cfg.x_max)
         self._spline = CubicSpline(s, logk) if m > 1 else None
         # Below the grid the weight follows its poly-log small-argument
-        # model (m-1) * log(-log x) - log((m-1)!); the shift pins the model
-        # to the bottom node so convolution integrands reaching past the
+        # model (m-1) * log(-log x) - log((m-1)!), above it the stretched
+        # exponential -m x**(1/m) + (1-m)/(2m) * log x; each shift pins its
+        # model to the end node so convolution integrands reaching past the
         # grid stay continuous (a hard cutoff would stall the quadrature).
         self._tail_shift = float(logk[0]) - self._log_small_model(float(s[0]))
+        self._head_shift = float(logk[-1]) - self._log_large_model(float(s[-1]))
 
     def _log_small_model(self, w):
         return (self.m - 1.0) * np.log(-np.asarray(w, float)) - math.lgamma(self.m)
 
+    def _log_large_model(self, w):
+        m = self.m
+        return -m * np.exp(np.asarray(w, float) / m) + (1.0 - m) / (2.0 * m) * w
+
     def log_eval_log_arg(self, w):
-        """log K_m(exp(w)); modeled below the grid, -inf above (dead tail)."""
+        """log K_m(exp(w)); the end models take over below and above the
+        grid."""
         w = np.asarray(w, float)
         if self.m == 1:
             return _log_k1(w)
-        out = np.full(w.shape, _NEG_INF)
-        inside = (w >= self.s[0]) & (w <= self.s[-1])
-        below = w < self.s[0]
-        if np.any(inside):
-            out[inside] = self._spline(w[inside])
-        if np.any(below):
+        out = self._spline(w)
+        if w.max(initial=_NEG_INF) > self.s[-1]:
+            above = w > self.s[-1]
+            out[above] = self._log_large_model(w[above]) + self._head_shift
+        if w.min(initial=np.inf) < self.s[0]:
+            below = w < self.s[0]
             out[below] = self._log_small_model(w[below]) + self._tail_shift
         return out
 
@@ -362,10 +428,11 @@ def build_table(m: int, cfg: TableConfig = DEFAULT_TABLE_CONFIG) -> KernelTable:
     through its spline.  The lowest ``low_margin`` log-units of each table
     inherit a truncation error of a few percent (the parent table ends there
     too); the public domain starts above that zone and is unaffected.  For
-    the same reason margin nodes may stop short of ``rel_tol`` (from level 6
+    the same reason margin nodes may stop short of ``rel_tol`` (from level 9
     on, a few nodes near the bottom of the grid do) and keep their last
     estimate, recorded in ``margin_stalled`` and ``margin_worst_change``;
-    a public node that stops short raises QuadratureConvergenceError.
+    a public node that stops short raises QuadratureConvergenceError (at
+    level 14, three nodes at the top of the grid do).
     """
     _require_level(m)
     key = (m, cfg)
@@ -383,8 +450,8 @@ def build_table(m: int, cfg: TableConfig = DEFAULT_TABLE_CONFIG) -> KernelTable:
         table = KernelTable(m, cfg, s, -np.exp(s))
     else:
         parent = build_table(m - 1, cfg)
-        logk, achieved = _log_conv(_log_k1, parent.log_eval_log_arg, s,
-                                   s - 8.0, float(parent.s[-1]), cfg.quad)
+        log_g, lo, hi = _rung_window(parent, s)
+        logk, achieved = _log_conv(_log_k1, log_g, s, lo, hi, cfg.quad)
         stalled = ~(achieved <= cfg.quad.rel_tol)
         public = s >= math.log(cfg.x_min)
         if np.any(stalled & public):
@@ -399,6 +466,20 @@ def build_table(m: int, cfg: TableConfig = DEFAULT_TABLE_CONFIG) -> KernelTable:
     return table
 
 
+def _rung_window(parent: KernelTable | None, ln_x):
+    """The parent's log-callable and the u-window (lo, hi) of the rung
+    K_1 * parent at ln_x, for a table node and a single point alike.
+
+    K_1(x/t) is dead 8 log-units below ln_x; above the parent's top node its
+    large-argument model takes over, and 4 log-units further up it is dead
+    for every point of a table (the engine grows the window where not).  A
+    parent of None stands for the exact level-1 weight.
+    """
+    if parent is None:
+        return _log_k1, ln_x - 8.0, 40.0
+    return parent.log_eval_log_arg, ln_x - 8.0, float(parent.s[-1]) + 4.0
+
+
 def _log_rung(parent: KernelTable | None, ln_x: float,
               quad: QuadConfig) -> float:
     """log (K_1 * parent)(x) at x = exp(ln_x): one convolution rung.
@@ -406,12 +487,9 @@ def _log_rung(parent: KernelTable | None, ln_x: float,
     A parent of None stands for the exact level-1 weight, so the rung to
     level 2 involves no table at all.
     """
-    if parent is None:
-        parent_log, hi = _log_k1, 40.0
-    else:
-        parent_log, hi = parent.log_eval_log_arg, float(parent.s[-1])
-    return log_mellin_convolve(_log_k1, parent_log, ln_x,
-                               window=(ln_x - 8.0, hi), quad=quad)
+    log_g, lo, hi = _rung_window(parent, ln_x)
+    return log_mellin_convolve(_log_k1, log_g, ln_x, window=(lo, hi),
+                               quad=quad)
 
 
 def log_radial_weight(m: int, x, cfg: TableConfig = DEFAULT_TABLE_CONFIG):

@@ -68,6 +68,13 @@ def test_kernel_table_level_6(capsys):
     assert all(v > 0.0 for v in obj["values"])
 
 
+def test_kernel_table_level_10(capsys):
+    code, obj = run_json(capsys, "kernel-table", "--m", "10", "--points", "3",
+                         "--format", "json")
+    assert code == 0
+    assert all(v > 0.0 for v in obj["values"])
+
+
 def test_moments_report(capsys):
     code, obj = run_json(capsys, "moments", "--m", "2", "--nmax", "3",
                          "--format", "json")

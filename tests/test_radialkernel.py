@@ -175,6 +175,48 @@ def test_small_argument_model_is_continuous():
         assert below == pytest.approx(inside, abs=1e-6)
 
 
+def test_large_argument_model_follows_level2_above_the_grid():
+    # above the grid the stretched exponential takes over, pinned to the top
+    # node; at level 2 it stays on 2*K0(2*sqrt x) to the table's own accuracy
+    t = build_table(2)
+    s1 = float(t.s[-1])
+    for dw in (1e-9, 1.0, 4.0, 8.0):
+        got = float(t.log_eval_log_arg(np.array([s1 + dw]))[0])
+        assert got == pytest.approx(bessel_reference_log(math.exp(s1 + dw)),
+                                    abs=1e-5)
+    for m in (3, 10):
+        t = build_table(m)
+        s1 = float(t.s[-1])
+        inside, above = t.log_eval_log_arg(np.array([s1 - 1e-9, s1 + 1e-9]))
+        assert above == pytest.approx(inside, abs=1e-5)
+
+
+@pytest.mark.parametrize("m", [2, 3, 10])
+def test_parent_evaluation_is_the_masked_reference_bitwise(m):
+    # one spline call on the whole array, the end models written over it,
+    # against evaluating each region on its own points
+    t = build_table(m)
+    s0, s1 = float(t.s[0]), float(t.s[-1])
+    rng = np.random.default_rng(m)
+    w = np.concatenate([t.s[::97], t.s[[0, -1]],
+                        rng.uniform(s0 - 20.0, s1 + 20.0, 400),
+                        [s0 - 1e-9, s0 + 1e-9, s1 - 1e-9, s1 + 1e-9]])
+    rng.shuffle(w)
+    want = np.empty_like(w)
+    inside = (w >= s0) & (w <= s1)
+    below, above = w < s0, w > s1
+    want[inside] = t._spline(w[inside])
+    want[below] = t._log_small_model(w[below]) + t._tail_shift
+    want[above] = t._log_large_model(w[above]) + t._head_shift
+    assert below.any() and above.any()
+    got = t.log_eval_log_arg(w)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    grid = t.log_eval_log_arg(w[:400].reshape(4, 100))
+    assert np.array_equal(grid.ravel().view(np.int64),
+                          want[:400].view(np.int64))
+    assert t.log_eval_log_arg(np.array([])).shape == (0,)
+
+
 def test_small_x_mass_is_negligible_at_grid_bottom():
     # the weight mass lost below the default grid is irrelevant next to
     # every tolerance used in the moment checks
@@ -188,7 +230,7 @@ def test_mellin_step_reproduces_level2():
         assert got == pytest.approx(math.exp(bessel_reference_log(x)), rel=1e-9)
 
 
-@pytest.mark.parametrize("m", [6, 7, 8])
+@pytest.mark.parametrize("m", [6, 7, 8, 10])
 def test_high_levels_build(m):
     # only low-margin nodes may stop short of rel_tol; they keep their last
     # estimate and the table says how many there were
@@ -311,6 +353,47 @@ def test_batched_rows_match_single_point_calls():
     single = [log_mellin_convolve(_log_k1, parent.log_eval_log_arg, si,
                                   window=(si - 8.0, hi)) for si in s]
     assert np.max(np.abs(val - single)) <= 1e-13
+
+
+def test_level_build_samples_the_parent_once_per_lattice_point(monkeypatch):
+    # rows of a block share the parent's lattice samples; per-row private
+    # grids asked the level-3 table for about 6e6 points here
+    import genfock.radialkernel as rk
+
+    parent, want = build_table(3), build_table(4)
+    monkeypatch.setattr(rk, "_TABLE_CACHE",
+                        {(3, DEFAULT_TABLE_CONFIG): parent})
+    evaluate = KernelTable.log_eval_log_arg
+    points = []
+
+    def counted(self, w):
+        points.append(np.size(w))
+        return evaluate(self, w)
+
+    monkeypatch.setattr(KernelTable, "log_eval_log_arg", counted)
+    fresh = build_table(4)
+    assert fresh is not want
+    assert sum(points) <= 1.0e6
+    assert np.array_equal(fresh.logk, want.logk)
+
+
+def test_halvings_sample_only_new_points():
+    # nested refinement: every u of the trapezoid passes is sampled once
+    calls = []
+
+    def log_f(w):
+        calls.append(np.array(w, dtype=float))
+        return -np.exp(w)
+
+    val = log_mellin_convolve(log_f, _log_k1, 0.0)
+    assert val == pytest.approx(bessel_reference_log(1.0), abs=1e-11)
+    # the scout and the five 17-point sharpening passes come first
+    sharpen = [i for i, c in enumerate(calls) if c.size == 17]
+    assert len(sharpen) == 5
+    refinement = calls[sharpen[-1] + 1:]
+    assert len(refinement) >= 2
+    u = np.concatenate(refinement)
+    assert np.unique(u).size == u.size
 
 
 def test_batch_grows_only_the_rows_that_need_it():
