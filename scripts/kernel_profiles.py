@@ -32,25 +32,20 @@ from genfock.radialkernel import build_table, log_radial_weight, moment
 def build_stats(top):
     """Build levels 1..top one at a time; one stats row per level."""
     counts = {"k1": 0, "parent": 0}
-    in_parent = [False]
-    k1, parent_eval = radialkernel._log_k1, radialkernel.KernelTable.log_eval_log_arg
+    engine = radialkernel._log_conv
 
-    def counted_k1(w):
-        # the level-1 table evaluates through _log_k1 too; count that as parent
-        if not in_parent[0]:
+    def counted_engine(log_f, log_g, *rest):
+        def f(w):
             counts["k1"] += np.size(w)
-        return k1(w)
+            return log_f(w)
 
-    def counted_parent(self, w):
-        counts["parent"] += np.size(w)
-        in_parent[0] = True
-        try:
-            return parent_eval(self, w)
-        finally:
-            in_parent[0] = False
+        def g(w):
+            counts["parent"] += np.size(w)
+            return log_g(w)
 
-    radialkernel._log_k1 = counted_k1
-    radialkernel.KernelTable.log_eval_log_arg = counted_parent
+        return engine(f, g, *rest)
+
+    radialkernel._log_conv = counted_engine
     rows = []
     try:
         for m in range(1, top + 1):
@@ -60,8 +55,7 @@ def build_stats(top):
             rows.append((m, time.perf_counter() - t0, counts["k1"],
                          counts["parent"], table.margin_stalled))
     finally:
-        radialkernel._log_k1 = k1
-        radialkernel.KernelTable.log_eval_log_arg = parent_eval
+        radialkernel._log_conv = engine
     return rows
 
 

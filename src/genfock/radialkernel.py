@@ -138,8 +138,8 @@ def _clean(arr: np.ndarray) -> np.ndarray:
     return np.where(arr < np.inf, arr, _NEG_INF)
 
 
-# Neighbouring nodes share one 2-D pass; their grids have similar lengths, so
-# little of each pass is padding.
+# Neighbouring nodes share one 2-D pass over the hull of their lattice
+# windows; the windows mostly overlap, so little of each pass is padding.
 _BLOCK = 64
 # peak sharpening: _PASSES scans of 17 samples, each a quarter as wide as the
 # one before; _SHARPEN_SPACING is each pass's sample spacing over the scout's
@@ -278,12 +278,12 @@ def _log_conv_block(log_f, log_g, ln_x, lo, u_hi, quad: QuadConfig):
     reach = 10.0 * np.minimum(sigma, 1.0)
     a = np.minimum(a, c0 - reach)
     b = np.maximum(b, c0 + reach)
-    # row step target_step * 2**-k with the smallest k >= 0 that puts it at
-    # or below max(min(target_step, sigma/3), 1e-5); rows of one k share a
-    # lattice, and so the parent's samples
-    mant, k = np.frexp(quad.target_step / np.maximum(
+    # row step target_step * 2**-depth with the smallest depth >= 0 that
+    # puts it at or below max(min(target_step, sigma/3), 1e-5); rows of one
+    # depth share a lattice, and so the parent's samples
+    mant, depth = np.frexp(quad.target_step / np.maximum(
         np.minimum(quad.target_step, sigma / 3.0), 1e-5))
-    k = np.maximum(k - (mant == 0.5), 0)
+    depth = np.maximum(depth - (mant == 0.5), 0)
 
     def lattice(first, last, odd):
         """The block's lattice indices over the rows' windows [first, last]
@@ -293,12 +293,12 @@ def _log_conv_block(log_f, log_g, ln_x, lo, u_hi, quad: QuadConfig):
             raise RuntimeError("quadrature grid blew past the safety cap")
         return np.arange(lo + odd, hi + 1, 1 + odd)
 
-    def refine(g):
+    def refine(g, dg):
         """Trapezoid sums of the rows g on their own lattice windows; each
         halving samples only the new odd lattice points and folds them into
         a running (max, shifted sum, end weights) per row."""
         x = ln_x[g]
-        h = math.ldexp(quad.target_step, -int(k[g][0]))
+        h = math.ldexp(quad.target_step, -int(dg))
         first = np.floor(a[g] / h).astype(np.int64)
         last = np.ceil(b[g] / h).astype(np.int64)
         j = lattice(first, last, False)
@@ -337,13 +337,14 @@ def _log_conv_block(log_f, log_g, ln_x, lo, u_hi, quad: QuadConfig):
         out[live], achieved[live] = val, change
         return out, achieved
 
-    if k.min() == k.max():
-        return refine(slice(None))
+    dg = depth.min()
+    if dg == depth.max():
+        return refine(slice(None), dg)
     val = np.empty(len(rows))
     achieved = np.empty(len(rows))
-    for kk in np.unique(k):
-        g = np.flatnonzero(k == kk)
-        val[g], achieved[g] = refine(g)
+    for dg in np.unique(depth):
+        g = np.flatnonzero(depth == dg)
+        val[g], achieved[g] = refine(g, dg)
     return val, achieved
 
 
