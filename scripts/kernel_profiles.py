@@ -9,9 +9,9 @@ nodes.
     python3 scripts/kernel_profiles.py --levels 1 2 3 4 --x-min 1e-6 --x-max 1e4
 
 With --build-stats it first builds levels 1 .. max(levels) in order and
-prints, per level, the build time, how many K_1 samples and parent-table
-points the convolution engine asked for (counted here by wrapping the two
-callables), and the margin nodes that stopped short of the tolerance.
+prints, per level, the build time and how many K_1 samples and
+parent-table points the convolution engine asked for (counted here by
+wrapping the two callables).
 
     python3 scripts/kernel_profiles.py --build-stats --levels 5 --points 3
 """
@@ -51,9 +51,9 @@ def build_stats(top):
         for m in range(1, top + 1):
             counts.update(k1=0, parent=0)
             t0 = time.perf_counter()
-            table = build_table(m)
+            build_table(m)
             rows.append((m, time.perf_counter() - t0, counts["k1"],
-                         counts["parent"], table.margin_stalled))
+                         counts["parent"]))
     finally:
         radialkernel._log_conv = engine
     return rows
@@ -73,9 +73,9 @@ def main(argv=None):
 
     if args.build_stats:
         print("level".rjust(5) + "build_s".rjust(10) + "k1_samples".rjust(12)
-              + "parent_points".rjust(15) + "margin_stalled".rjust(16))
-        for m, secs, k1, parent, stalled in build_stats(max(args.levels)):
-            print(f"{m:5d}{secs:10.3f}{k1:12d}{parent:15d}{stalled:16d}")
+              + "parent_points".rjust(15))
+        for m, secs, k1, parent in build_stats(max(args.levels)):
+            print(f"{m:5d}{secs:10.3f}{k1:12d}{parent:15d}")
         print()
     for m in args.levels:
         build_table(m)

@@ -20,7 +20,8 @@ Evaluation routes, deliberately kept separate:
   block share the samples of the second factor, and a halving samples only
   the new midpoints;
 * chained tables built from that engine, one batched engine call per level,
-  stored as log-log cubic splines (:func:`build_table`);
+  stored as log-log cubic splines with exact end models from the Mellin
+  image (:class:`KernelTable`, :func:`build_table`);
 * direct (m-1)-dimensional tensor quadrature of the two integral
   representations (:func:`log_radial_weight_centered`,
   :func:`log_radial_weight_product`), practical for m <= 4, used to
@@ -29,13 +30,14 @@ Evaluation routes, deliberately kept separate:
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-from scipy.special import gammaincc, k0e
+from scipy.special import gammaincc, k0e, zeta
 
 from .coeffspace import _fsum_complex, _require_level
 
@@ -68,13 +70,9 @@ class QuadConfig:
                      each halving raises k by one
     max_expand       window growth attempts when a tail is not dead yet
 
-    The defaults are what table chaining supports.  Two effects floor the
-    halving agreement well above machine precision: integrands reaching
-    below a parent table pick up a derivative kink where the modeled tail
-    takes over (needs 3-4 halvings to fall under ~2e-11), and a parent
-    spline carries its own node errors (~3e-11 after one generation), which
-    no amount of refinement in the child can certify past.  Analytic
-    integrands accept on the first halving at ~1e-14.
+    The defaults are what table chaining supports: every node of levels
+    2-20 accepts on its first halving, at a change of at most 4e-12 up to
+    level 14 and 4e-11 at level 20 (99% of nodes: under 1e-14, 4e-12).
 
     The engine applies these per point, also when it runs many points in
     one batch: every point gets its own window growth, step and halvings,
@@ -101,35 +99,19 @@ class QuadConfig:
 class TableConfig:
     """Tabulation domain and density for the chained weight tables.
 
-    The public domain is [x_min, x_max].  Tables extend ``low_margin``
-    further down in log space because each convolution stage consumes its
-    parent a few log-units below the point being built; the extension keeps
-    that truncation error away from the public range.  A margin node whose
-    quadrature stops short of ``quad.rel_tol`` keeps its last estimate (the
-    table counts such nodes); a public node that does so raises
-    QuadratureConvergenceError.
+    The public domain is [x_min, x_max].  The grid spans
+    [min(x_min, 1e-16), x_max]; past its ends the end models of
+    :class:`KernelTable` carry the weight, so a convolution stage may read
+    its parent there.  A node short of ``quad.rel_tol`` fails the build.
     """
 
     x_min: float = 1e-30
     x_max: float = 1e9
     points_per_decade: int = 64
-    low_margin: float = 30.0
     quad: QuadConfig = QuadConfig()
 
 
 DEFAULT_TABLE_CONFIG = TableConfig()
-
-
-def _log_trapezoid(log_vals: np.ndarray, h: float) -> float:
-    """log of the trapezoid sum of exp(log_vals) with spacing h."""
-    m = float(np.max(log_vals))
-    if m == _NEG_INF:
-        return _NEG_INF
-    w = np.exp(log_vals - m)
-    s = float(np.sum(w)) - 0.5 * (float(w[0]) + float(w[-1]))
-    if s <= 0.0:
-        return _NEG_INF
-    return m + math.log(h * s)
 
 
 def _clean(arr: np.ndarray) -> np.ndarray:
@@ -348,6 +330,24 @@ def _log_conv_block(log_f, log_g, ln_x, lo, u_hi, quad: QuadConfig):
     return val, achieved
 
 
+# Every grid reaches at least this far down: below it the O(x) error of the
+# residue model that continues a table is under double precision.
+_RESIDUE_EXACT_X = 1e-16
+
+
+@functools.lru_cache(maxsize=None)
+def _residue_coeffs(m: int) -> tuple[float, ...]:
+    """e_j = [s^j] Gamma(1+s)**m for j < m, by exponentiating the series
+    m ln Gamma(1+s) = -m gamma s + m sum_{k>=2} (-1)**k zeta(k) s**k / k
+    (DLMF 5.7.3); ka[k-1] is k times its s**k coefficient."""
+    ka = [-m * np.euler_gamma] + [m * (-1) ** k * float(zeta(k))
+                                  for k in range(2, m)]
+    e = [1.0]
+    for n in range(1, m):
+        e.append(math.fsum(ka[k - 1] * e[n - k] for k in range(1, n + 1)) / n)
+    return tuple(e)
+
+
 def _log_k1(w):
     """log K_1(exp(w)) = -exp(w), vectorized over log-arguments."""
     return -np.exp(w)
@@ -356,37 +356,43 @@ def _log_k1(w):
 class KernelTable:
     """Log-log table of one radial weight with spline evaluation.
 
-    ``margin_stalled`` counts the low-margin nodes whose quadrature stopped
-    short of ``rel_tol`` and kept their last estimate, and
-    ``margin_worst_change`` is the largest relative change among their last
-    halvings (both 0 when every node converged).
+    The spline runs through logk + m*x**(1/m), which tends to a line in
+    log x, and a cubic spline follows a line exactly.  Above the grid the
+    Meijer-G expansion c0 + (1-m)/(2m) log x + c1 x**(-1/m) takes over,
+    matched in value and slope at the top node (J. L. Fields, Math. Comp.
+    26, 1972).  Below it the residue of Gamma(s)**m x**(-s) at s = 0 is
+    exact up to O(x): sum_j e_j (-log x)**(m-1-j)/(m-1-j)!, with
+    e_j = [s^j] Gamma(1+s)**m (Paris & Kaminski, Asymptotics and
+    Mellin-Barnes Integrals, 2001).
     """
-
-    margin_stalled = 0
-    margin_worst_change = 0.0
 
     def __init__(self, m: int, cfg: TableConfig, s: np.ndarray, logk: np.ndarray):
         self.m = m
         self.cfg = cfg
         self.s = s
         self.logk = logk
-        self.s_lo_public = math.log(cfg.x_min)
-        self.s_hi = math.log(cfg.x_max)
-        self._spline = CubicSpline(s, logk) if m > 1 else None
-        # Below the grid the weight follows its poly-log small-argument
-        # model (m-1) * log(-log x) - log((m-1)!), above it the stretched
-        # exponential -m x**(1/m) + (1-m)/(2m) * log x; each shift pins its
-        # model to the end node so convolution integrands reaching past the
-        # grid stay continuous (a hard cutoff would stall the quadrature).
-        self._tail_shift = float(logk[0]) - self._log_small_model(float(s[0]))
-        self._head_shift = float(logk[-1]) - self._log_large_model(float(s[-1]))
+        if m == 1:
+            return
+        self._spline = CubicSpline(s, logk + m * np.exp(s / m))
+        s1, slope = float(s[-1]), (1.0 - m) / (2.0 * m)
+        c1 = -m * math.exp(s1 / m) * (float(self._spline(s1, 1)) - slope)
+        c0 = float(self._spline(s1)) - slope * s1 - c1 * math.exp(-s1 / m)
+        self._top = (c0, slope, c1)
+        self._residue = [e / math.factorial(m - 1 - j)
+                         for j, e in enumerate(_residue_coeffs(m))]
 
-    def _log_small_model(self, w):
-        return (self.m - 1.0) * np.log(-np.asarray(w, float)) - math.lgamma(self.m)
+    def _log_inside(self, w):
+        out = self._spline(w)
+        out -= self.m * np.exp(w / self.m)
+        return out
 
-    def _log_large_model(self, w):
-        m = self.m
-        return -m * np.exp(np.asarray(w, float) / m) + (1.0 - m) / (2.0 * m) * w
+    def _log_above(self, w):
+        c0, slope, c1 = self._top
+        return (c0 + slope * w + c1 * np.exp(-w / self.m)
+                - self.m * np.exp(w / self.m))
+
+    def _log_below(self, w):
+        return np.log(np.polyval(self._residue, -w))
 
     def log_eval_log_arg(self, w):
         """log K_m(exp(w)); the end models take over below and above the
@@ -394,24 +400,25 @@ class KernelTable:
         w = np.asarray(w, float)
         if self.m == 1:
             return _log_k1(w)
-        out = self._spline(w)
+        out = self._log_inside(w)
         if w.max(initial=_NEG_INF) > self.s[-1]:
             above = w > self.s[-1]
-            out[above] = self._log_large_model(w[above]) + self._head_shift
+            out[above] = self._log_above(w[above])
         if w.min(initial=np.inf) < self.s[0]:
             below = w < self.s[0]
-            out[below] = self._log_small_model(w[below]) + self._tail_shift
+            out[below] = self._log_below(w[below])
         return out
 
     def log_eval(self, x):
-        """log K_m(x) on the public domain [x_min, x_max]."""
+        """log K_m(x) on the public domain [x_min, x_max]; NaN passes."""
         x = np.asarray(x, float)
-        if np.any(x < self.cfg.x_min) or np.any(x > self.cfg.x_max):
-            raise ValueError(f"argument outside table domain "
-                             f"[{self.cfg.x_min:g}, {self.cfg.x_max:g}]")
+        lo, hi = self.cfg.x_min, self.cfg.x_max
+        if (np.fmin.reduce(x, axis=None, initial=np.inf) < lo
+                or np.fmax.reduce(x, axis=None, initial=_NEG_INF) > hi):
+            raise ValueError(f"argument outside table domain [{lo:g}, {hi:g}]")
         if self.m == 1:
             return -x
-        return self._spline(np.log(x))
+        return self._log_inside(np.log(x))
 
     def eval(self, x):
         return np.exp(self.log_eval(x))
@@ -426,14 +433,8 @@ def build_table(m: int, cfg: TableConfig = DEFAULT_TABLE_CONFIG) -> KernelTable:
 
     Level 1 is exact.  Level m is K_1 * K_(m-1), evaluated at every grid
     point by one batched call of the quadrature engine, the parent entering
-    through its spline.  The lowest ``low_margin`` log-units of each table
-    inherit a truncation error of a few percent (the parent table ends there
-    too); the public domain starts above that zone and is unaffected.  For
-    the same reason margin nodes may stop short of ``rel_tol`` (from level 9
-    on, a few nodes near the bottom of the grid do) and keep their last
-    estimate, recorded in ``margin_stalled`` and ``margin_worst_change``;
-    a public node that stops short raises QuadratureConvergenceError (at
-    level 14, three nodes at the top of the grid do).
+    through its spline and end models.  A node short of ``rel_tol`` raises
+    QuadratureConvergenceError with the worst change any node reached.
     """
     _require_level(m)
     key = (m, cfg)
@@ -443,7 +444,7 @@ def build_table(m: int, cfg: TableConfig = DEFAULT_TABLE_CONFIG) -> KernelTable:
         return hit
 
     s_hi = math.log(cfg.x_max)
-    s_lo = math.log(cfg.x_min) - cfg.low_margin
+    s_lo = math.log(min(cfg.x_min, _RESIDUE_EXACT_X))
     npts = int(math.ceil((s_hi - s_lo) * cfg.points_per_decade / math.log(10.0))) + 1
     s = np.linspace(s_lo, s_hi, npts)
 
@@ -453,15 +454,10 @@ def build_table(m: int, cfg: TableConfig = DEFAULT_TABLE_CONFIG) -> KernelTable:
         parent = build_table(m - 1, cfg)
         log_g, lo, hi = _rung_window(parent, s)
         logk, achieved = _log_conv(_log_k1, log_g, s, lo, hi, cfg.quad)
-        stalled = ~(achieved <= cfg.quad.rel_tol)
-        public = s >= math.log(cfg.x_min)
-        if np.any(stalled & public):
-            raise QuadratureConvergenceError(
-                float(np.max(achieved[stalled & public])), cfg.quad.rel_tol)
+        if not np.all(achieved <= cfg.quad.rel_tol):
+            raise QuadratureConvergenceError(float(np.max(achieved)),
+                                             cfg.quad.rel_tol)
         table = KernelTable(m, cfg, s, logk)
-        if np.any(stalled):
-            table.margin_stalled = int(np.count_nonzero(stalled))
-            table.margin_worst_change = float(np.max(achieved[stalled]))
     with _TABLE_LOCK:
         _TABLE_CACHE.setdefault(key, table)
     return table
@@ -676,25 +672,27 @@ def bessel_reference_log(x: float) -> float:
 def moment(m: int, n: int, cfg: TableConfig = DEFAULT_TABLE_CONFIG) -> float:
     """int over (0,inf) of x**n K_m(x) dx, numerically; target value (n!)**m.
 
-    Trapezoid over the table grid in log-x plus the analytic small-x
-    remainder below the grid (the weight behaves like
-    (-log x)**(m-1)/(m-1)! there, giving an incomplete-gamma mass).
+    Trapezoid over the table grid in log-x plus the residue model's
+    integral below it (:func:`small_x_moment_bound`); none above ``x_max``.
     """
     if n < 0:
         raise ValueError("moment order must be >= 0")
     table = build_table(m, cfg)
-    s, logk = table.s, table.logk
-    ln_val = _log_trapezoid((n + 1) * s + logk, float(s[1] - s[0]))
-    return math.exp(ln_val) + small_x_moment_bound(m, n, math.exp(float(s[0])))
-
-
-def small_x_mass_bound(m: int, x0: float) -> float:
-    """Approximate mass of K_m below x0 << 1 from the poly-log growth model."""
-    return small_x_moment_bound(m, 0, x0)
+    s = table.s
+    e = (n + 1) * s + table.logk
+    top = float(e.max())
+    w = np.exp(e - top)
+    trap = float(w.sum()) - 0.5 * (float(w[0]) + float(w[-1]))
+    return (math.exp(top + math.log(float(s[1] - s[0]) * trap))
+            + small_x_moment_bound(m, n, math.exp(float(s[0]))))
 
 
 def small_x_moment_bound(m: int, n: int, x0: float) -> float:
-    """Approximate contribution of (0, x0) to the n-th moment, same model."""
+    """Contribution of (0, x0) to the n-th moment: the residue model of
+    :class:`KernelTable` integrated term by term, sum_j e_j
+    Q(m-j, (n+1) L0) / (n+1)**(m-j), L0 = -log x0, Q = ``gammaincc``."""
     if not 0.0 < x0 < 1.0:
         raise ValueError("the small-argument model needs 0 < x0 < 1")
-    return float(gammaincc(m, (n + 1) * (-math.log(x0)))) / (n + 1) ** m
+    k = np.arange(m, 0, -1)
+    z = (n + 1) * -math.log(x0)
+    return float(np.dot(_residue_coeffs(m), gammaincc(k, z) / (n + 1.0) ** k))

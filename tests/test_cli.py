@@ -68,8 +68,8 @@ def test_kernel_table_level_6(capsys):
     assert all(v > 0.0 for v in obj["values"])
 
 
-def test_kernel_table_level_10(capsys):
-    code, obj = run_json(capsys, "kernel-table", "--m", "10", "--points", "3",
+def test_kernel_table_level_20(capsys):
+    code, obj = run_json(capsys, "kernel-table", "--m", "20", "--points", "3",
                          "--format", "json")
     assert code == 0
     assert all(v > 0.0 for v in obj["values"])
