@@ -27,6 +27,7 @@ conventions, which does not match this one.  The series is the ground truth.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -73,6 +74,17 @@ def hermite_eta(n: int, t):
     return hermite_eta_all(n, t)[n]
 
 
+@functools.lru_cache(maxsize=None, typed=True)
+def _gauss_hermite(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """``hermgauss(order)``, computed once per order and shared read-only.
+    The cache is typed, so 96.0 is its own key and raises in ``hermgauss``
+    as before rather than finding the rule of 96."""
+    nodes, weights = hermgauss(order)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
 def _lifted_weights(nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """w_j * exp(x_j**2), formed in the log domain: the product is O(1) for
     every node but the factors overflow separately at high rule orders."""
@@ -116,7 +128,7 @@ class HermiteEvaluation:
         if order < max_index + 1:
             raise ValueError("rule order must exceed max_index for the "
                              "discrete pairing to be exact")
-        nodes, weights = hermgauss(order)
+        nodes, weights = _gauss_hermite(order)
         return cls(max_index, nodes, weights,
                    hermite_eta_all(max_index, nodes))
 
@@ -238,7 +250,7 @@ def transform_via_quadrature(hermite_coeffs, m: int, z: complex,
     quadrature error; used as a cross-check.
     """
     _require_level(m)
-    nodes, weights = hermgauss(order)
+    nodes, weights = _gauss_hermite(order)
     coeffs = list(hermite_coeffs)
     etas = hermite_eta_all(max(len(coeffs) - 1, 0), nodes)
     phi = np.zeros_like(nodes, dtype=complex)

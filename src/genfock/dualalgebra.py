@@ -23,6 +23,7 @@ splitting (k!)^{(2-q)/2} = (k!)^{(2-p)/2} (k!)^{(p-q)/2}, then summing in n.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -179,6 +180,12 @@ def vage_constant(d: int) -> float:
     """
     if not isinstance(d, int) or d < 1:
         raise ValueError("the constant is defined for integer gaps d >= 1")
+    return _vage_constant(d)
+
+
+@functools.lru_cache(maxsize=None)
+def _vage_constant(d: int) -> float:
+    """The series of :func:`vage_constant`, summed once per validated d."""
     terms = []
     n = 0
     while True:

@@ -26,6 +26,12 @@ Evaluation routes, deliberately kept separate:
   representations (:func:`log_radial_weight_centered`,
   :func:`log_radial_weight_product`), practical for m <= 4, used to
   cross-check the chain.
+
+scipy enters only here, and only when first needed: ``CubicSpline`` when a
+table of level >= 2 is built, ``zeta`` for the coefficients of its
+small-argument model, ``gammaincc`` at the first moment, and ``k0e`` in the
+Bessel reference.  Importing this module, and every module that does not
+build a table, needs numpy alone.
 """
 
 from __future__ import annotations
@@ -36,8 +42,6 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.special import gammaincc, k0e, zeta
 
 from .coeffspace import _fsum_complex, _require_level
 
@@ -340,6 +344,7 @@ def _residue_coeffs(m: int) -> tuple[float, ...]:
     """e_j = [s^j] Gamma(1+s)**m for j < m, by exponentiating the series
     m ln Gamma(1+s) = -m gamma s + m sum_{k>=2} (-1)**k zeta(k) s**k / k
     (DLMF 5.7.3); ka[k-1] is k times its s**k coefficient."""
+    from scipy.special import zeta
     ka = [-m * np.euler_gamma] + [m * (-1) ** k * float(zeta(k))
                                   for k in range(2, m)]
     e = [1.0]
@@ -373,6 +378,7 @@ class KernelTable:
         self.logk = logk
         if m == 1:
             return
+        from scipy.interpolate import CubicSpline
         self._spline = CubicSpline(s, logk + m * np.exp(s / m))
         s1, slope = float(s[-1]), (1.0 - m) / (2.0 * m)
         c1 = -m * math.exp(s1 / m) * (float(self._spline(s1, 1)) - slope)
@@ -665,6 +671,7 @@ def bessel_reference_log(x: float) -> float:
     """log of 2*K0(2*sqrt(x)), the closed form the level-2 weight must match."""
     if x <= 0:
         raise ValueError("x must be positive")
+    from scipy.special import k0e
     z = 2.0 * math.sqrt(x)
     return math.log(2.0) + math.log(float(k0e(z))) - z
 
@@ -687,6 +694,15 @@ def moment(m: int, n: int, cfg: TableConfig = DEFAULT_TABLE_CONFIG) -> float:
             + small_x_moment_bound(m, n, math.exp(float(s[0]))))
 
 
+def _gammaincc(a, x):
+    """scipy.special.gammaincc, imported on the first call.  The import
+    rebinds this module-level name to the ufunc itself, so every later call
+    goes straight to scipy and the per-call path holds no import."""
+    global _gammaincc
+    from scipy.special import gammaincc as _gammaincc
+    return _gammaincc(a, x)
+
+
 def small_x_moment_bound(m: int, n: int, x0: float) -> float:
     """Contribution of (0, x0) to the n-th moment: the residue model of
     :class:`KernelTable` integrated term by term, sum_j e_j
@@ -695,4 +711,5 @@ def small_x_moment_bound(m: int, n: int, x0: float) -> float:
         raise ValueError("the small-argument model needs 0 < x0 < 1")
     k = np.arange(m, 0, -1)
     z = (n + 1) * -math.log(x0)
-    return float(np.dot(_residue_coeffs(m), gammaincc(k, z) / (n + 1.0) ** k))
+    return float(np.dot(_residue_coeffs(m),
+                        _gammaincc(k, z) / (n + 1.0) ** k))

@@ -13,7 +13,6 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.special import i0
 
 from . import bargmann, coeffspace, dualalgebra, operators, radialkernel
 from . import stirling as stirling_mod
@@ -494,7 +493,7 @@ def suite_dual(cfg: RunConfig) -> list[CheckResult]:
                 "A(1) vs sqrt(e)")
 
     def constant_gap_two():
-        return (_rel(dualalgebra.vage_constant(2) ** 2, float(i0(2.0))),
+        return (_rel(dualalgebra.vage_constant(2) ** 2, float(np.i0(2.0))),
                 "A(2)^2 vs the modified Bessel value")
 
     def product_inequality():

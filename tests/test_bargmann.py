@@ -7,7 +7,9 @@ import pytest
 import scipy.special as sp
 from hypothesis import given
 from hypothesis import strategies as st
+from numpy.polynomial.hermite import hermgauss
 
+from genfock import bargmann
 from genfock.bargmann import (
     HERMITE_SUP_BOUND,
     HermiteEvaluation,
@@ -90,7 +92,7 @@ def test_forward_scales_monomials():
     for m in (1, 2, 5):
         f = forward([0, 0, 1.0], m)
         assert f.coeff(2) == pytest.approx(
-            math.factorial(2) ** (-m / 2), rel=1e-14
+            math.factorial(2) ** (-m / 2), rel=1e-14, abs=0
         )
         assert f.coeff(0) == 0
 
@@ -161,7 +163,7 @@ def test_kernel_series_matches_direct_sum():
         for n in range(81)
     )
     got = complex(transform_kernel(m, z, t))
-    assert got == pytest.approx(direct, rel=1e-12)
+    assert got == pytest.approx(direct, rel=1e-12, abs=0)
 
 
 def test_kernel_vectorizes_over_t():
@@ -169,7 +171,7 @@ def test_kernel_vectorizes_over_t():
     vals = transform_kernel(2, 0.5 + 0.1j, t)
     assert vals.shape == t.shape
     one = transform_kernel(2, 0.5 + 0.1j, float(t[3]))
-    assert complex(vals[3]) == pytest.approx(complex(one), rel=1e-13)
+    assert complex(vals[3]) == pytest.approx(complex(one), rel=1e-13, abs=0)
 
 
 # ------------------------------------------------------------ cross-check
@@ -185,9 +187,34 @@ def test_quadrature_route_matches_coefficient_route(z):
         assert via_quad == pytest.approx(via_coeffs, rel=1e-9, abs=1e-11)
 
 
+@pytest.mark.parametrize("order", [1, 17, 96])
+def test_cached_rule_is_hermgauss_and_read_only(order):
+    nodes, weights = bargmann._gauss_hermite(order)
+    want_nodes, want_weights = hermgauss(order)
+    assert nodes.tobytes() == want_nodes.tobytes()
+    assert weights.tobytes() == want_weights.tobytes()
+    assert bargmann._gauss_hermite(order)[0] is nodes
+    with pytest.raises(ValueError):
+        nodes[0] = 0.0
+    with pytest.raises(ValueError):
+        weights[0] = 0.0
+
+
+def test_cached_rule_rejects_what_hermgauss_rejects():
+    transform_via_quadrature([1.0], 2, 0.5, order=96)  # 96 is now cached
+    with pytest.raises(TypeError):
+        transform_via_quadrature([1.0], 2, 0.5, order=96.0)
+    with pytest.raises(TypeError):
+        HermiteEvaluation.build(3, order=96.0)
+    with pytest.raises(ValueError):
+        bargmann._gauss_hermite(-1)
+
+
 def test_forward_image_norm_equals_l2():
     # the unitarity identity written out against coefficient-space norms
     c = [1.0, -2.0, 0.5j]
     l2 = sum(abs(x) ** 2 for x in c)
     for m in (1, 2, 3):
-        assert squared_norm(forward(c, m), m) == pytest.approx(l2, rel=1e-14)
+        assert squared_norm(forward(c, m), m) == pytest.approx(
+            l2, rel=1e-14, abs=0
+        )

@@ -7,9 +7,14 @@ print CSV unless asked for JSON.
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import genfock
 from genfock import operators, radialkernel
 from genfock.cli import main
 from genfock.operators import OperatorConsistencyError
@@ -214,6 +219,47 @@ def test_verify_csv_format(capsys):
     assert code == 0
     header = out.splitlines()[0].split(",")
     assert header[:2] == ["name", "passed"]
+
+
+# ------------------------------------------------------------ import path
+
+# Runs in a fresh interpreter: which modules a cold process loads is the
+# point, and this test process has scipy loaded already.
+_ISOLATION_SCRIPT = """
+import contextlib, io, json, sys
+import genfock, genfock.cli
+from genfock.cli import main
+
+def scipy_modules():
+    return sorted(m for m in sys.modules
+                  if m == "scipy" or m.startswith("scipy."))
+
+codes = []
+for suite in ("stirling", "operators", "bargmann", "dual"):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(main(["verify", suite]))
+loaded = scipy_modules()
+with contextlib.redirect_stdout(io.StringIO()):
+    codes.append(main(["kernel-table", "--m", "2", "--points", "3"]))
+print(json.dumps({"codes": codes, "loaded": loaded,
+                  "after_table": bool(scipy_modules())}))
+"""
+
+
+def test_non_radial_entry_points_do_not_load_scipy():
+    src = str(Path(genfock.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", _ISOLATION_SCRIPT],
+                          env=env, capture_output=True, text=True,
+                          timeout=120, check=False)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report["codes"] == [0, 0, 0, 0, 0]
+    assert report["loaded"] == []
+    # the radial table is what brings scipy in, so the probe can see it
+    assert report["after_table"]
 
 
 # --------------------------------------------------------------- exit codes

@@ -167,11 +167,11 @@ def test_basis_shift():
 def test_dual_norm_basis_values():
     # ||e_n|| at level m is (n!)**((2-m)/2)
     assert dual_norm(DualSequence.unit(3), 1) == pytest.approx(
-        math.sqrt(6.0), rel=1e-14
+        math.sqrt(6.0), rel=1e-14, abs=0
     )
     assert dual_norm(DualSequence.unit(3), 2) == 1.0
     assert dual_norm(DualSequence.unit(3), 4) == pytest.approx(
-        1.0 / 6.0, rel=1e-14
+        1.0 / 6.0, rel=1e-14, abs=0
     )
 
 
@@ -199,21 +199,39 @@ def test_pairing_weights_by_factorial():
 
 
 def test_constant_gap_one_is_sqrt_e():
-    assert vage_constant(1) == pytest.approx(math.sqrt(math.e), rel=1e-14)
+    assert vage_constant(1) == pytest.approx(
+        math.sqrt(math.e), rel=1e-14, abs=0
+    )
 
 
 def test_constant_gap_two_squares_to_level2_sum():
-    assert vage_constant(2) ** 2 == pytest.approx(SUM_INV_FACT_SQ, rel=1e-14)
+    assert vage_constant(2) ** 2 == pytest.approx(
+        SUM_INV_FACT_SQ, rel=1e-14, abs=0
+    )
 
 
 def test_constant_large_gap_approaches_sqrt_two():
     # only n = 0, 1 survive: A(d)^2 -> 2 from above
-    assert vage_constant(50) == pytest.approx(math.sqrt(2.0), rel=1e-15)
+    assert vage_constant(50) == pytest.approx(
+        math.sqrt(2.0), rel=1e-15, abs=0
+    )
 
 
 def test_constant_rejects_bad_gap():
     with pytest.raises(ValueError):
         vage_constant(0)
+
+
+def test_cached_constant_still_validates_every_call():
+    vage_constant(1)  # now cached
+    with pytest.raises(ValueError):
+        vage_constant(1.0)
+    with pytest.raises(ValueError):
+        vage_constant(0)
+    # a keyword call keys a cache by value, where 1.0 == 1
+    vage_constant(d=1)
+    with pytest.raises(ValueError):
+        vage_constant(d=1.0)
 
 
 # ------------------------------------------------------ product inequality
@@ -237,7 +255,7 @@ def test_product_inequality_tight_direction_on_basis():
         DualSequence.unit(3), DualSequence.unit(0), 1, 2
     )
     assert ok
-    assert lhs == pytest.approx(1.0, rel=1e-14)
+    assert lhs == pytest.approx(1.0, rel=1e-14, abs=0)
     assert bound == pytest.approx(math.sqrt(math.e * 6.0), rel=1e-12)
 
 
