@@ -27,11 +27,12 @@ Evaluation routes, deliberately kept separate:
   :func:`log_radial_weight_product`), practical for m <= 4, used to
   cross-check the chain.
 
-scipy enters only here, and only when first needed: ``CubicSpline`` when a
-table of level >= 2 is built, ``zeta`` for the coefficients of its
-small-argument model, ``gammaincc`` at the first moment, and ``k0e`` in the
-Bessel reference.  Importing this module, and every module that does not
-build a table, needs numpy alone.
+Building, evaluating and integrating a table needs numpy and the standard
+library alone: the spline is a not-a-knot cubic solved here
+(:func:`_not_a_knot`), zeta(k) at integer k comes from Euler-Maclaurin
+(:func:`_zeta_int`) and the incomplete gamma ratio at integer order from its
+finite sum (:func:`small_x_moment_bound`).  scipy enters only at
+:func:`bessel_reference_log`, a reference route, for ``k0e``.
 """
 
 from __future__ import annotations
@@ -339,13 +340,31 @@ def _log_conv_block(log_f, log_g, ln_x, lo, u_hi, quad: QuadConfig):
 _RESIDUE_EXACT_X = 1e-16
 
 
+# B_2j / (2j)! for j = 1..6, the Euler-Maclaurin weights of _zeta_int
+_EM_WEIGHTS = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160,
+               -691 / 1307674368000)
+
+
+def _zeta_int(k: int) -> float:
+    """zeta(k) for integer k >= 2 by Euler-Maclaurin summation (DLMF 25.2.9):
+    the terms n**-k for n < 16, the integral and half term at 16, and six
+    Bernoulli corrections; the first omitted one is below 1e-18 at k = 2."""
+    terms = [float(n) ** -k for n in range(1, 16)]
+    terms += [16.0 ** (1 - k) / (k - 1), 0.5 * 16.0 ** -k]
+    rising, power = float(k), 16.0 ** (-k - 1)
+    for j, weight in enumerate(_EM_WEIGHTS):
+        terms.append(weight * rising * power)
+        rising *= (k + 2 * j + 1) * (k + 2 * j + 2)
+        power /= 256.0
+    return math.fsum(terms)
+
+
 @functools.lru_cache(maxsize=None)
 def _residue_coeffs(m: int) -> tuple[float, ...]:
     """e_j = [s^j] Gamma(1+s)**m for j < m, by exponentiating the series
     m ln Gamma(1+s) = -m gamma s + m sum_{k>=2} (-1)**k zeta(k) s**k / k
     (DLMF 5.7.3); ka[k-1] is k times its s**k coefficient."""
-    from scipy.special import zeta
-    ka = [-m * np.euler_gamma] + [m * (-1) ** k * float(zeta(k))
+    ka = [-m * np.euler_gamma] + [m * (-1) ** k * _zeta_int(k)
                                   for k in range(2, m)]
     e = [1.0]
     for n in range(1, m):
@@ -358,6 +377,48 @@ def _log_k1(w):
     return -np.exp(w)
 
 
+def _not_a_knot(s: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
+    """The not-a-knot cubic spline through (s, y), n >= 4 nodes.
+
+    Solves the tridiagonal system for the node slopes whose end rows ask the
+    third derivative to be continuous at the second and the next-to-last
+    node (C. de Boor, A Practical Guide to Splines, 1978, ch. IV), the same
+    system as ``scipy.interpolate.CubicSpline``, by the Thomas algorithm;
+    the interior rows are diagonally dominant.  Returns the rows s_i, c3,
+    c2, c1, c0 of a (5, n-1) array, column i the cubic
+    ((c3 t + c2) t + c1) t + c0 in t = w - s_i on interval i, and the slope
+    at the last node.
+    """
+    n = len(s)
+    if n < 4:
+        raise ValueError("a not-a-knot spline needs at least 4 nodes")
+    dx = np.diff(s)
+    slope = np.diff(y) / dx
+    # row i: lower[i] k[i-1] + diag[i] k[i] + upper[i] k[i+1] = rhs[i]
+    lower = np.concatenate([[0.0], dx[1:], [s[-1] - s[-3]]])
+    diag = np.concatenate([[dx[1]], 2.0 * (dx[:-1] + dx[1:]), [dx[-2]]])
+    upper = np.concatenate([[s[2] - s[0]], dx[:-1], [0.0]])
+    rhs = np.empty(n)
+    rhs[1:-1] = 3.0 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+    d = s[2] - s[0]
+    rhs[0] = ((dx[0] + 2.0 * d) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d
+    d = s[-1] - s[-3]
+    rhs[-1] = (dx[-1] ** 2 * slope[-2]
+               + (2.0 * d + dx[-1]) * dx[-2] * slope[-1]) / d
+    lo, dg, up, k = lower.tolist(), diag.tolist(), upper.tolist(), rhs.tolist()
+    for i in range(1, n):
+        f = lo[i] / dg[i - 1]
+        dg[i] -= f * up[i - 1]
+        k[i] -= f * k[i - 1]
+    k[-1] /= dg[-1]
+    for i in range(n - 2, -1, -1):
+        k[i] = (k[i] - up[i] * k[i + 1]) / dg[i]
+    k = np.array(k)
+    t = (k[:-1] + k[1:] - 2.0 * slope) / dx
+    coef = np.stack([s[:-1], t / dx, (slope - k[:-1]) / dx - t, k[:-1], y[:-1]])
+    return coef, float(k[-1])
+
+
 class KernelTable:
     """Log-log table of one radial weight with spline evaluation.
 
@@ -368,7 +429,8 @@ class KernelTable:
     26, 1972).  Below it the residue of Gamma(s)**m x**(-s) at s = 0 is
     exact up to O(x): sum_j e_j (-log x)**(m-1-j)/(m-1-j)!, with
     e_j = [s^j] Gamma(1+s)**m (Paris & Kaminski, Asymptotics and
-    Mellin-Barnes Integrals, 2001).
+    Mellin-Barnes Integrals, 2001).  ``s`` is the uniform grid of
+    :func:`build_table`, so a lookup finds its interval by arithmetic.
     """
 
     def __init__(self, m: int, cfg: TableConfig, s: np.ndarray, logk: np.ndarray):
@@ -378,38 +440,60 @@ class KernelTable:
         self.logk = logk
         if m == 1:
             return
-        from scipy.interpolate import CubicSpline
-        self._spline = CubicSpline(s, logk + m * np.exp(s / m))
+        y = logk + m * np.exp(s / m)
+        self._coef, top_slope = _not_a_knot(s, y)
+        # a lookup's interval is floor((w - origin) / h); the origin sits
+        # 2**-20 steps below s[0], so rounding never drops a node into the
+        # interval below it and the spline returns node values exactly
+        h = (float(s[-1]) - float(s[0])) / (len(s) - 1)
+        self._origin = float(s[0]) - h * 2.0 ** -20
+        self._inv_h = 1.0 / h
+        self._last = float(len(s) - 2)
         s1, slope = float(s[-1]), (1.0 - m) / (2.0 * m)
-        c1 = -m * math.exp(s1 / m) * (float(self._spline(s1, 1)) - slope)
-        c0 = float(self._spline(s1)) - slope * s1 - c1 * math.exp(-s1 / m)
+        c1 = -m * math.exp(s1 / m) * (top_slope - slope)
+        c0 = float(y[-1]) - slope * s1 - c1 * math.exp(-s1 / m)
         self._top = (c0, slope, c1)
         self._residue = [e / math.factorial(m - 1 - j)
                          for j, e in enumerate(_residue_coeffs(m))]
+
+    def _spline(self, w):
+        """The spline at w, continued by its end cubics past the grid; NaN
+        passes (fmax/fmin send it to interval 0, so the cast stays quiet)."""
+        i = np.fmin(np.fmax((w - self._origin) * self._inv_h, 0.0),
+                    self._last)
+        x, c3, c2, c1, c0 = self._coef.take(i.astype(np.intp), axis=1)
+        t = w - x
+        out = c3 * t
+        out += c2
+        out *= t
+        out += c1
+        out *= t
+        out += c0
+        return out
 
     def _log_inside(self, w):
         out = self._spline(w)
         out -= self.m * np.exp(w / self.m)
         return out
 
-    def _log_above(self, w):
-        c0, slope, c1 = self._top
-        return (c0 + slope * w + c1 * np.exp(-w / self.m)
-                - self.m * np.exp(w / self.m))
-
     def _log_below(self, w):
         return np.log(np.polyval(self._residue, -w))
 
     def log_eval_log_arg(self, w):
         """log K_m(exp(w)); the end models take over below and above the
-        grid."""
+        grid.  Above it the model's Meijer-G part is written over the spline
+        before the stretched exponential m*exp(w/m), shared by every point,
+        is subtracted once."""
         w = np.asarray(w, float)
         if self.m == 1:
             return _log_k1(w)
-        out = self._log_inside(w)
+        out = np.asarray(self._spline(w))   # a 0-d w gives a scalar
         if w.max(initial=_NEG_INF) > self.s[-1]:
             above = w > self.s[-1]
-            out[above] = self._log_above(w[above])
+            c0, slope, c1 = self._top
+            wa = w[above]
+            out[above] = c0 + slope * wa + c1 * np.exp(-wa / self.m)
+        out -= self.m * np.exp(w / self.m)
         if w.min(initial=np.inf) < self.s[0]:
             below = w < self.s[0]
             out[below] = self._log_below(w[below])
@@ -694,22 +778,21 @@ def moment(m: int, n: int, cfg: TableConfig = DEFAULT_TABLE_CONFIG) -> float:
             + small_x_moment_bound(m, n, math.exp(float(s[0]))))
 
 
-def _gammaincc(a, x):
-    """scipy.special.gammaincc, imported on the first call.  The import
-    rebinds this module-level name to the ufunc itself, so every later call
-    goes straight to scipy and the per-call path holds no import."""
-    global _gammaincc
-    from scipy.special import gammaincc as _gammaincc
-    return _gammaincc(a, x)
-
-
 def small_x_moment_bound(m: int, n: int, x0: float) -> float:
     """Contribution of (0, x0) to the n-th moment: the residue model of
     :class:`KernelTable` integrated term by term, sum_j e_j
-    Q(m-j, (n+1) L0) / (n+1)**(m-j), L0 = -log x0, Q = ``gammaincc``."""
+    Q(m-j, (n+1) L0) / (n+1)**(m-j), L0 = -log x0, with the regularized
+    upper incomplete gamma at integer order Q(k, z) = e^-z sum_{i<k} z^i/i!.
+    Its partial sums run up k = 1..m; e^-z enters as two factors e^(-z/2),
+    so Q stays representable where e^-z alone would underflow."""
     if not 0.0 < x0 < 1.0:
         raise ValueError("the small-argument model needs 0 < x0 < 1")
-    k = np.arange(m, 0, -1)
     z = (n + 1) * -math.log(x0)
-    return float(np.dot(_residue_coeffs(m),
-                        _gammaincc(k, z) / (n + 1.0) ** k))
+    half = math.exp(-0.5 * z)
+    e = _residue_coeffs(m)
+    term, partial, terms = half, 0.0, []
+    for k in range(1, m + 1):
+        partial += term
+        terms.append(e[m - k] * (partial * half / (n + 1.0) ** k))
+        term = term * z / k
+    return math.fsum(terms)

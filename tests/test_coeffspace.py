@@ -147,7 +147,7 @@ def test_monomial_norms():
             f = TaylorCoeffs.monomial(n)
             assert squared_norm(f, m) == float(math.factorial(n) ** m)
             assert norm(f, m) == pytest.approx(
-                math.factorial(n) ** (m / 2), rel=1e-14
+                math.factorial(n) ** (m / 2), rel=1e-14, abs=0
             )
 
 
@@ -188,12 +188,15 @@ def test_inner_product_overflow_raises():
 
 
 def test_subnormal_product_is_not_flushed():
-    # coefficient product underflows a double, the weighted term does not
+    # coefficient product underflows a double, the weighted term does not;
+    # the oracle is exact (c * c alone would flush to 0.0 and, with an
+    # absolute tolerance, accept a flushed result)
     c = 1e-170
     f = TaylorCoeffs([0] * 40 + [c])
     got = inner_product(f, f, 5)
-    want = c * c * math.exp(log_weight(40, 5))
-    assert got.real == pytest.approx(want, rel=1e-12)
+    want = float(Fraction(c) ** 2 * math.factorial(40) ** 5)
+    assert want == pytest.approx(3.61597434703034e-101, rel=1e-14, abs=0)
+    assert got.real == pytest.approx(want, rel=1e-15, abs=0)
 
 
 def test_exact_input_is_summed_exactly_and_rounded_once():
@@ -342,13 +345,15 @@ def test_kernel_level1_is_exponential():
     for z, w in [(1.0, 1.0), (0.3 + 0.2j, 1.1 - 0.4j), (2.0, 0.5)]:
         u = z * complex(w).conjugate()
         got = kernel_eval(1, z, w)
-        assert got == pytest.approx(complex(math.e) ** u, rel=1e-13)
+        assert got == pytest.approx(complex(math.e) ** u, rel=1e-13, abs=0)
 
 
 def test_kernel_frozen_diagonal_values():
-    assert kernel_eval(1, 1, 1).real == pytest.approx(math.e, rel=1e-14)
-    assert kernel_eval(2, 1, 1).real == pytest.approx(SUM_INV_FACT_SQ, rel=1e-14)
-    assert kernel_eval(3, 1, 1).real == pytest.approx(SUM_INV_FACT_CUBE, rel=1e-14)
+    assert kernel_eval(1, 1, 1).real == pytest.approx(math.e, rel=1e-14, abs=0)
+    assert kernel_eval(2, 1, 1).real == pytest.approx(SUM_INV_FACT_SQ, rel=1e-14,
+                                                       abs=0)
+    assert kernel_eval(3, 1, 1).real == pytest.approx(SUM_INV_FACT_CUBE, rel=1e-14,
+                                                       abs=0)
 
 
 def test_kernel_rejects_bad_arguments():
@@ -384,7 +389,7 @@ def test_kernel_section_reproduces_polynomials():
 def test_kernel_section_degree_cut():
     sec = kernel_section(2, 1.5, 6)
     assert sec.degree == 6
-    assert sec.coeff(3) == pytest.approx(1.5**3 / 36.0, rel=1e-15)
+    assert sec.coeff(3) == pytest.approx(1.5**3 / 36.0, rel=1e-15, abs=0)
 
 
 def test_eval_point_exact_for_ints():

@@ -199,7 +199,7 @@ def test_norm_identity_level1_reduces_to_two_terms():
     lhs, terms = norm_identity_report(f, 1)
     assert len(terms) == 2
     assert lhs == pytest.approx(
-        squared_norm(lowering(f), 1) + squared_norm(f, 1), rel=1e-14
+        squared_norm(lowering(f), 1) + squared_norm(f, 1), rel=1e-14, abs=0
     )
 
 

@@ -8,6 +8,7 @@ chain is built once per session.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,9 @@ from genfock.radialkernel import (
     DEFAULT_TABLE_CONFIG,
     _log_conv,
     _log_k1,
+    _not_a_knot,
+    _residue_coeffs,
+    _zeta_int,
     KernelTable,
     QuadConfig,
     QuadratureConvergenceError,
@@ -113,7 +117,7 @@ def test_direct_convolution_point_matches_bessel():
 def test_k0_quadrature_against_scipy():
     for z in (0.5, 1.0, 2.0, 4.0, 7.5):
         assert bessel_k0_quadrature(z) == pytest.approx(
-            float(sp.k0(z)), rel=1e-10
+            float(sp.k0(z)), rel=1e-10, abs=0
         )
 
 
@@ -210,7 +214,9 @@ def test_large_argument_model_follows_level2_above_the_grid():
 def test_parent_evaluation_is_the_masked_reference_bitwise(m):
     # one spline call on the whole array, the end models written over it,
     # against evaluating each region on its own points: the spline minus
-    # the stretched exponential inside, the end models outside
+    # the stretched exponential inside, the end models outside.  Above the
+    # grid the evaluator subtracts m*exp(w/m) once for all points; the
+    # model in one expression must come out the same bits
     t = build_table(m)
     s0, s1 = float(t.s[0]), float(t.s[-1])
     rng = np.random.default_rng(m)
@@ -223,7 +229,9 @@ def test_parent_evaluation_is_the_masked_reference_bitwise(m):
     below, above = w < s0, w > s1
     want[inside] = t._spline(w[inside]) - m * np.exp(w[inside] / m)
     want[below] = t._log_below(w[below])
-    want[above] = t._log_above(w[above])
+    c0, slope, c1 = t._top
+    wa = w[above]
+    want[above] = c0 + slope * wa + c1 * np.exp(-wa / m) - m * np.exp(wa / m)
     assert below.any() and above.any()
     got = t.log_eval_log_arg(w)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
@@ -231,6 +239,104 @@ def test_parent_evaluation_is_the_masked_reference_bitwise(m):
     assert np.array_equal(grid.ravel().view(np.int64),
                           want[:400].view(np.int64))
     assert t.log_eval_log_arg(np.array([])).shape == (0,)
+
+
+@pytest.mark.parametrize("m", range(2, 7))
+def test_table_spline_is_the_not_a_knot_cubic_spline(m):
+    # scipy's CubicSpline solves the same slope system; the two differ by
+    # rounding only, measured against the size of the splined data (a
+    # pointwise ratio is meaningless where the data cross zero)
+    from scipy.interpolate import CubicSpline
+    t = build_table(m)
+    y = t.logk + m * np.exp(t.s / m)
+    ref = CubicSpline(t.s, y)
+    w = np.random.default_rng(m).uniform(t.s[0], t.s[-1], 10_000)
+    assert np.max(np.abs(t._spline(w) - ref(w))) <= 1e-15 * np.max(np.abs(y))
+    assert np.array_equal(t._spline(t.s[1:-1]), y[1:-1])
+    _, top_slope = _not_a_knot(t.s, y)
+    assert top_slope == pytest.approx(float(ref(t.s[-1], 1)), rel=1e-14,
+                                      abs=0)
+
+
+@pytest.mark.parametrize("n", [4, 5, 17, 300, 5000])
+def test_not_a_knot_matches_cubic_spline_on_a_smooth_function(n):
+    # the coefficients on their own, each point on its interval found by
+    # bisection rather than by the table's uniform index
+    from scipy.interpolate import CubicSpline
+    s = np.linspace(-3.0, 4.0, n)
+    y = np.sin(2.0 * s) * np.exp(0.3 * s) + 0.1 * s ** 3
+    coef, top_slope = _not_a_knot(s, y)
+    ref = CubicSpline(s, y)
+    w = np.random.default_rng(n).uniform(-3.0, 4.0, 10_000)
+    x, c3, c2, c1, c0 = coef[:, np.clip(np.searchsorted(s, w, side="right")
+                                        - 1, 0, n - 2)]
+    t = w - x
+    got = ((c3 * t + c2) * t + c1) * t + c0
+    assert np.max(np.abs(got - ref(w))) <= 1e-15 * np.max(np.abs(y))
+    assert np.array_equal(coef[0], s[:-1])
+    assert np.array_equal(coef[4], y[:-1])
+    assert top_slope == pytest.approx(float(ref(s[-1], 1)), rel=1e-13, abs=0)
+    with pytest.raises(ValueError):
+        _not_a_knot(s[:3], y[:3])
+
+
+def test_zeta_at_integers_is_scipys_double():
+    for k in range(2, 41):
+        assert _zeta_int(k) == float(sp.zeta(k))
+
+
+def test_table_lookup_passes_nan_quietly():
+    t = build_table(3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isnan(t.log_eval(float("nan")))
+        got = t.log_eval(np.array([np.nan, 1.0]))
+        assert np.isnan(got[0]) and np.isfinite(got[1])
+        assert np.isnan(t.log_eval_log_arg(np.array([np.nan]))[0])
+
+
+def _gammaincc_terms(m, n, x0):
+    """The moment bound's terms e_j Q(k, z) / (n+1)**k through scipy."""
+    k = np.arange(m, 0, -1)
+    z = (n + 1) * -math.log(x0)
+    return np.array(_residue_coeffs(m)) * sp.gammaincc(k, z) / (n + 1.0) ** k
+
+
+def test_small_x_moment_bound_matches_the_gammaincc_formula():
+    # scipy's gammaincc errs by up to 1e-13 relative at these z, and the
+    # alternating e_j of high levels cancel, so the bound is held to the
+    # size of its terms (9e-14 measured); gammaincc flushes to 0 where its
+    # exponent falls below -709.78, and those cases are left out
+    for m in range(1, 13):
+        for n in range(31):
+            for x0 in (1e-30, 1e-16, 1e-8):
+                terms = _gammaincc_terms(m, n, x0)
+                size = float(np.sum(np.abs(terms)))
+                if size < 1e-290:
+                    continue
+                got = small_x_moment_bound(m, n, x0)
+                assert abs(got - float(np.sum(terms))) <= 2e-13 * size
+
+
+def test_small_x_moment_bound_against_mpmath():
+    # the finite sum for Q at integer order, against 30-digit incomplete
+    # gamma values: 6e-14 relative measured at m = 12, where the terms
+    # cancel; the scipy formula of the test above is off by 1.1e-11 there
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        for m in (1, 2, 5, 12):
+            e = _residue_coeffs(m)
+            for n in range(0, 31, 3):
+                for x0 in (1e-30, 1e-16, 1e-8):
+                    z = mpmath.mpf((n + 1) * -math.log(x0))
+                    want = float(mpmath.fsum(
+                        mpmath.mpf(e[m - k]) * mpmath.gammainc(
+                            k, z, regularized=True) / mpmath.mpf(n + 1) ** k
+                        for k in range(1, m + 1)))
+                    if abs(want) < 1e-290:
+                        continue
+                    assert small_x_moment_bound(m, n, x0) == pytest.approx(
+                        want, rel=1e-13, abs=0)
 
 
 def test_small_x_mass_is_negligible_at_grid_bottom():
