@@ -394,17 +394,17 @@ def _not_a_knot(s: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
         raise ValueError("a not-a-knot spline needs at least 4 nodes")
     dx = np.diff(s)
     slope = np.diff(y) / dx
+    d0, d1 = s[2] - s[0], s[-1] - s[-3]
     # row i: lower[i] k[i-1] + diag[i] k[i] + upper[i] k[i+1] = rhs[i]
-    lower = np.concatenate([[0.0], dx[1:], [s[-1] - s[-3]]])
+    lower = np.concatenate([[0.0], dx[1:], [d1]])
     diag = np.concatenate([[dx[1]], 2.0 * (dx[:-1] + dx[1:]), [dx[-2]]])
-    upper = np.concatenate([[s[2] - s[0]], dx[:-1], [0.0]])
+    upper = np.concatenate([[d0], dx[:-1], [0.0]])
     rhs = np.empty(n)
     rhs[1:-1] = 3.0 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
-    d = s[2] - s[0]
-    rhs[0] = ((dx[0] + 2.0 * d) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d
-    d = s[-1] - s[-3]
+    rhs[0] = ((dx[0] + 2.0 * d0) * dx[1] * slope[0]
+              + dx[0] ** 2 * slope[1]) / d0
     rhs[-1] = (dx[-1] ** 2 * slope[-2]
-               + (2.0 * d + dx[-1]) * dx[-2] * slope[-1]) / d
+               + (2.0 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1
     lo, dg, up, k = lower.tolist(), diag.tolist(), upper.tolist(), rhs.tolist()
     for i in range(1, n):
         f = lo[i] / dg[i - 1]
