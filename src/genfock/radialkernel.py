@@ -12,13 +12,13 @@ exponential decay exp(-m x**(1/m)) at infinity).
 
 Evaluation routes, deliberately kept separate:
 
-* a log-domain trapezoid engine for convolution integrals, with peak
-  location, step control, window auto-expansion and halving refinement; it
-  runs a vector of points as 2-D numpy passes over blocks of neighbouring
-  points, and :func:`log_mellin_convolve` is its single-point entry.  Every
-  grid is a lattice of integer multiples of its step, so the points of a
-  block share the samples of the second factor, and a halving samples only
-  the new midpoints;
+* a log-domain trapezoid engine for convolution integrals, whose scouting
+  pass brackets the support and gives the peak width, then halves its step
+  until two passes agree; it runs a vector of points as 2-D numpy passes
+  over blocks of neighbouring points, and :func:`log_mellin_convolve` is its
+  single-point entry.  Every grid is a lattice of integer multiples of its
+  step, so the points of a block share the samples of the second factor,
+  and a halving samples only the new midpoints;
 * chained tables built from that engine, one batched engine call per level,
   stored as log-log cubic splines with exact end models from the Mellin
   image (:class:`KernelTable`, :func:`build_table`);
@@ -68,7 +68,9 @@ class QuadConfig:
     abs_tol          integrand samples below abs_tol * peak are dead tail
     max_refinements  halvings attempted before declaring non-convergence
     coarse_step      lattice spacing of the scouting pass that brackets the
-                     support; a window grows by ceil(4 / coarse_step) steps
+                     support and, by the parabola through its maximum and
+                     the two neighbours, gives the peak and its width; a
+                     window grows by ceil(4 / coarse_step) steps
     target_step      coarsest trapezoid spacing: a point's first step is
                      target_step * 2**-k with the smallest k >= 0 that is at
                      most a third of its peak width (floored at 1e-5), and
@@ -128,12 +130,6 @@ def _clean(arr: np.ndarray) -> np.ndarray:
 # Neighbouring nodes share one 2-D pass over the hull of their lattice
 # windows; the windows mostly overlap, so little of each pass is padding.
 _BLOCK = 64
-# peak sharpening: _PASSES scans of 17 samples, each a quarter as wide as the
-# one before; _SHARPEN_SPACING is each pass's sample spacing over the scout's
-_PASSES = 5
-_SHARPEN = np.linspace(-1.0, 1.0, 17)
-_SHARPEN_SPACING = (0.125 * 0.25 ** np.arange(_PASSES))[:, None]
-_PASS_IX = np.arange(_PASSES)[:, None]
 
 
 def log_mellin_convolve(log_f, log_g, ln_x: float,
@@ -147,11 +143,13 @@ def log_mellin_convolve(log_f, log_g, ln_x: float,
 
     The integrand is assumed to decay on both sides (true whenever f and g
     decay at infinity and are at most poly-log at 0).  A coarse scan on the
-    lattice u = j * coarse_step brackets the support, a local search sharpens
-    the peak and estimates its width so narrow saddles get a proportionally
-    fine step target_step * 2**-k, and the trapezoid value is accepted once
-    one halving reproduces it to ``rel_tol``; a halving samples only the new
-    midpoints and folds them into the running sum.  If
+    lattice u = j * coarse_step brackets the support, and the parabola
+    through its maximum and the two neighbours gives the peak width sigma
+    (none where a neighbour is dead: the step stays coarsest), so narrow
+    saddles get a proportionally fine step target_step * 2**-k.  The
+    trapezoid value is accepted once one halving reproduces it to
+    ``rel_tol``; a halving samples only the new midpoints and folds them
+    into the running sum, so a point costs three or four passes.  If
     ``max_refinements`` halvings never agree, QuadratureConvergenceError
     reports the last achieved relative change.  This is the single-point
     entry of the batched engine that :func:`build_table` runs on whole
@@ -209,11 +207,6 @@ def _log_conv_block(log_f, log_g, ln_x, lo, u_hi, quad: QuadConfig):
             keep &= (j >= first[:, None]) & (j <= last[:, None])
         return np.where(keep, e, _NEG_INF)
 
-    def at(u):
-        """Integrand logs of each row at its own points u."""
-        return _clean((np.asarray(log_f((ln_x[:, None] - u).ravel()), float)
-                       + np.asarray(log_g(u.ravel()), float)).reshape(u.shape))
-
     # scouting pass on the lattice u = j * coarse_step, growing each row's
     # window until both of its tails die; a rescan repeats the rows that had
     # already settled, unchanged
@@ -241,27 +234,18 @@ def _log_conv_block(log_f, log_g, ln_x, lo, u_hi, quad: QuadConfig):
     a = cs * (j0 + np.maximum(alive.argmax(axis=1) - 2, first - j0))
     b = cs * (j0 + np.minimum(e.shape[1] + 1 - alive[:, ::-1].argmax(axis=1),
                               last - j0))
-    c0 = cs * (j0 + e.argmax(axis=1))
-
-    # sharpen the peak; a saddle of width sigma needs a step ~ sigma/3, and
-    # the coarse scan cannot see below its own spacing.  A row's curvature
-    # comes from the last of the passes whose maximum was interior.
-    ee = np.empty((_PASSES, len(rows), len(_SHARPEN)))
-    k = np.empty((_PASSES, len(rows)), int)
-    for p in range(_PASSES):
-        uu = c0[:, None] + (cs * 0.25 ** p) * _SHARPEN
-        ee[p] = at(uu)
-        k[p] = ee[p].argmax(axis=1)
-        c0 = uu[rows, k[p]]
-    second = ee[..., :-2] - 2.0 * ee[..., 1:-1] + ee[..., 2:]
-    interior = (k >= 1) & (k <= 15)
-    d = cs * _SHARPEN_SPACING
-    curv = np.fmax(-second[_PASS_IX, rows, np.clip(k - 1, 0, 14)] / (d * d),
-                   0.0)
-    curv = np.where(interior.any(axis=0),
-                    curv[_PASSES - 1 - interior[::-1].argmax(axis=0), rows],
-                    0.0)
-    sigma = 1.0 / np.sqrt(curv)
+    # peak and curvature from the parabola through the scout's maximum and
+    # its lattice neighbours: the log of the log-concave integrand is close
+    # to a parabola at this scale, and the width only has to pick a power of
+    # two.  A dead neighbour, or a second difference that is not finite and
+    # negative, leaves curvature 0, and the halvings decide.
+    k = np.clip(e.argmax(axis=1), 1, e.shape[1] - 2)
+    left, right = e[rows, k - 1], e[rows, k + 1]
+    second = left - 2.0 * e[rows, k] + right
+    bent = np.isfinite(second) & (second < 0.0)
+    second = np.where(bent, second, -1.0)
+    c0 = cs * (j0 + k + np.where(bent, 0.5 * (left - right) / second, 0.0))
+    sigma = np.where(bent, cs / np.sqrt(-second), np.inf)
     reach = 10.0 * np.minimum(sigma, 1.0)
     a = np.minimum(a, c0 - reach)
     b = np.maximum(b, c0 + reach)
@@ -431,7 +415,14 @@ class KernelTable:
     e_j = [s^j] Gamma(1+s)**m (Paris & Kaminski, Asymptotics and
     Mellin-Barnes Integrals, 2001).  ``s`` is the uniform grid of
     :func:`build_table`, so a lookup finds its interval by arithmetic.
+
+    ``worst_change`` is the largest relative change with which a node's
+    last halving was accepted, and ``worst_node`` its index in ``s``; an
+    exact table (level 1) keeps 0.0 and None.
     """
+
+    worst_change: float = 0.0
+    worst_node: int | None = None
 
     def __init__(self, m: int, cfg: TableConfig, s: np.ndarray, logk: np.ndarray):
         self.m = m
@@ -524,7 +515,8 @@ def build_table(m: int, cfg: TableConfig = DEFAULT_TABLE_CONFIG) -> KernelTable:
     Level 1 is exact.  Level m is K_1 * K_(m-1), evaluated at every grid
     point by one batched call of the quadrature engine, the parent entering
     through its spline and end models.  A node short of ``rel_tol`` raises
-    QuadratureConvergenceError with the worst change any node reached.
+    QuadratureConvergenceError with the worst change any node reached;
+    otherwise that change and its node stay on the table.
     """
     _require_level(m)
     key = (m, cfg)
@@ -544,10 +536,12 @@ def build_table(m: int, cfg: TableConfig = DEFAULT_TABLE_CONFIG) -> KernelTable:
         parent = build_table(m - 1, cfg)
         log_g, lo, hi = _rung_window(parent, s)
         logk, achieved = _log_conv(_log_k1, log_g, s, lo, hi, cfg.quad)
-        if not np.all(achieved <= cfg.quad.rel_tol):
-            raise QuadratureConvergenceError(float(np.max(achieved)),
+        worst = int(np.argmax(achieved))
+        if not achieved[worst] <= cfg.quad.rel_tol:
+            raise QuadratureConvergenceError(float(achieved[worst]),
                                              cfg.quad.rel_tol)
         table = KernelTable(m, cfg, s, logk)
+        table.worst_change, table.worst_node = float(achieved[worst]), worst
     with _TABLE_LOCK:
         _TABLE_CACHE.setdefault(key, table)
     return table

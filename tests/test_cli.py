@@ -173,7 +173,7 @@ def test_bargmann_round_trip(capsys, tmp_path):
                           "--in", inv_in)
     assert code == 0
     got = [complex(re, im) for re, im in back["hermite_coeffs"]]
-    assert got == pytest.approx([1, 1j, 0.5], rel=1e-14)
+    assert got == pytest.approx([1, 1j, 0.5], rel=1e-14, abs=0)
 
 
 def test_dual_norm(capsys, tmp_path):

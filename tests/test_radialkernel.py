@@ -469,7 +469,8 @@ def test_batched_rows_match_single_point_calls():
 
 def test_level_build_samples_the_parent_once_per_lattice_point(monkeypatch):
     # rows of a block share the parent's lattice samples; per-row private
-    # grids asked the level-3 table for about 6e6 points here
+    # grids asked the level-3 table for about 6e6 points here, and per-row
+    # peak sharpening for about 2.5e5
     import genfock.radialkernel as rk
 
     parent, want = build_table(3), build_table(4)
@@ -485,7 +486,7 @@ def test_level_build_samples_the_parent_once_per_lattice_point(monkeypatch):
     monkeypatch.setattr(KernelTable, "log_eval_log_arg", counted)
     fresh = build_table(4)
     assert fresh is not want
-    assert sum(points) <= 1.0e6
+    assert sum(points) <= 1.0e5
     assert np.array_equal(fresh.logk, want.logk)
 
 
@@ -499,13 +500,51 @@ def test_halvings_sample_only_new_points():
 
     val = log_mellin_convolve(log_f, _log_k1, 0.0)
     assert val == pytest.approx(bessel_reference_log(1.0), abs=1e-11)
-    # the scout and the five 17-point sharpening passes come first
-    sharpen = [i for i, c in enumerate(calls) if c.size == 17]
-    assert len(sharpen) == 5
-    refinement = calls[sharpen[-1] + 1:]
+    # the scout comes first and samples the coarse lattice u = j*coarse_step
+    # (at ln x = 0, u = -w); the trapezoid passes follow, each off it
+    cs = QuadConfig().coarse_step
+    scout = [bool(np.all(np.mod(c, cs) == 0.0)) for c in calls]
+    first = scout.index(False)
+    assert not any(scout[first:])
+    refinement = calls[first:]
     assert len(refinement) >= 2
     u = np.concatenate(refinement)
     assert np.unique(u).size == u.size
+
+
+def test_single_point_takes_at_most_four_engine_passes():
+    # peak and width come from the scout itself: one scout pass, the first
+    # trapezoid pass and one or two halvings
+    for ln_x in np.linspace(math.log(1e-20), math.log(1e9), 59):
+        calls = []
+
+        def log_f(w):
+            calls.append(None)
+            return -np.exp(w)
+
+        log_mellin_convolve(log_f, _log_k1, float(ln_x))
+        assert len(calls) <= 4
+
+
+def test_dead_scout_neighbour_leaves_the_verdict_to_the_halvings():
+    # only u = 0 of the coarse lattice is alive, so the scout maximum has no
+    # curvature; the step stays at target_step and the halvings, which
+    # cannot converge on a cut-off integrand, raise the typed error
+    def log_f(w):
+        return np.where(abs(w) < 0.1, -w ** 2, -np.inf)
+
+    with pytest.raises(QuadratureConvergenceError):
+        log_mellin_convolve(log_f, lambda w: -0.5 * w ** 2, 0.0,
+                            window=(-10, 40))
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_table_keeps_its_worst_accepted_change(m):
+    t = build_table(m)
+    assert 0.0 <= t.worst_change <= DEFAULT_TABLE_CONFIG.quad.rel_tol
+    assert 0 <= t.worst_node < len(t.s)
+    assert build_table(1).worst_change == 0.0
+    assert build_table(1).worst_node is None
 
 
 def test_batch_grows_only_the_rows_that_need_it():
