@@ -173,14 +173,14 @@ def _log_conv(log_f, log_g, ln_x: np.ndarray, u_lo: np.ndarray,
 
     Row i integrates over the window (u_lo[i], u_hi) with the steps
     :func:`log_mellin_convolve` describes.  Its grids are lattices of
-    multiples of its own step, which depends on its own peak width only;
-    in each pass ``log_g`` is evaluated once on the block's lattice indices
-    of one step and shared by the rows on that lattice, ``log_f`` once per
-    sample.  Rows never mix, so a row's value does not depend on its
-    neighbours.  Returns the last trapezoid value of each row and the
-    relative change its last halving achieved (inf if none ran).  A row
-    whose change exceeds ``rel_tol`` did not converge, and the caller
-    decides whether that is an error.
+    multiples of its own step, which depends only on its own peak width,
+    read off its own row of the scouting pass; in each pass ``log_g`` is
+    evaluated once on the block's lattice indices of one step and shared by
+    the rows on that lattice, ``log_f`` once per sample.  Rows never mix,
+    so a row's value does not depend on its neighbours.  Returns the last
+    trapezoid value of each row and the relative change its last halving
+    achieved (inf if none ran).  A row whose change exceeds ``rel_tol`` did
+    not converge, and the caller decides whether that is an error.
     """
     val = np.empty(len(ln_x))
     achieved = np.empty(len(ln_x))
