@@ -9,10 +9,12 @@ nodes.
     python3 scripts/kernel_profiles.py --levels 1 2 3 4 --x-min 1e-6 --x-max 1e4
 
 With --build-stats it first builds levels 1 .. max(levels) in order and
-prints, per level, the build time, how many K_1 samples and
-parent-table points the convolution engine asked for (counted here by
-wrapping the two callables), and the worst relative change with which a
-node was accepted, with that node's index (kept on the table).
+prints, per level, the build time, how many leading nodes the residue
+model filled, how many K_1 samples and parent-table points the
+convolution engine asked for on the others (counted here by wrapping the
+two callables), and the worst relative change with which an engine node
+was accepted, with that node's index (the last three kept on the table).
+The package is imported from the ``src`` directory next to this script.
 
     python3 scripts/kernel_profiles.py --build-stats --levels 5 --points 3
 """
@@ -21,10 +23,11 @@ import argparse
 import math
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from genfock import radialkernel
 from genfock.radialkernel import build_table, log_radial_weight, moment
@@ -53,8 +56,8 @@ def build_stats(top):
             counts.update(k1=0, parent=0)
             t0 = time.perf_counter()
             table = build_table(m)
-            rows.append((m, time.perf_counter() - t0, counts["k1"],
-                         counts["parent"], table.worst_change,
+            rows.append((m, time.perf_counter() - t0, table.model_nodes,
+                         counts["k1"], counts["parent"], table.worst_change,
                          table.worst_node))
     finally:
         radialkernel._log_conv = engine
@@ -70,18 +73,19 @@ def main(argv=None):
     ap.add_argument("--moments", type=int, default=0,
                     help="also print the first N moments per level")
     ap.add_argument("--build-stats", action="store_true",
-                    help="print build time, engine sample counts and the "
-                    "worst accepted change per level")
+                    help="print build time, model nodes, engine sample "
+                    "counts and the worst accepted change per level")
     args = ap.parse_args(argv)
 
     if args.build_stats:
-        print("level".rjust(5) + "build_s".rjust(10) + "k1_samples".rjust(12)
-              + "parent_points".rjust(15) + "worst_change".rjust(14)
-              + "node".rjust(6))
-        for m, secs, k1, parent, worst, node in build_stats(max(args.levels)):
+        print("level".rjust(5) + "build_s".rjust(10) + "model_nodes".rjust(13)
+              + "k1_samples".rjust(12) + "parent_points".rjust(15)
+              + "worst_change".rjust(14) + "node".rjust(6))
+        for m, secs, model, k1, parent, worst, node in build_stats(
+                max(args.levels)):
             node = "-" if node is None else str(node)
-            print(f"{m:5d}{secs:10.3f}{k1:12d}{parent:15d}{worst:14.2e}"
-                  f"{node:>6}")
+            print(f"{m:5d}{secs:10.3f}{model:13d}{k1:12d}{parent:15d}"
+                  f"{worst:14.2e}{node:>6}")
         print()
     for m in args.levels:
         build_table(m)

@@ -19,9 +19,11 @@ Evaluation routes, deliberately kept separate:
   single-point entry.  Every grid is a lattice of integer multiples of its
   step, so the points of a block share the samples of the second factor,
   and a halving samples only the new midpoints;
-* chained tables built from that engine, one batched engine call per level,
-  stored as log-log cubic splines with exact end models from the Mellin
-  image (:class:`KernelTable`, :func:`build_table`);
+* chained tables built from that engine, one batched engine call per level
+  over the nodes at or above 1e-16, stored as log-log cubic splines with
+  exact end models from the Mellin image (:class:`KernelTable`,
+  :func:`build_table`); the nodes below 1e-16 take the small-argument model
+  itself, exact there to double precision;
 * direct (m-1)-dimensional tensor quadrature of the two integral
   representations (:func:`log_radial_weight_centered`,
   :func:`log_radial_weight_product`), practical for m <= 4, used to
@@ -77,9 +79,15 @@ class QuadConfig:
                      each halving raises k by one
     max_expand       window growth attempts when a tail is not dead yet
 
-    The defaults are what table chaining supports: every node of levels
-    2-20 accepts on its first halving, at a change of at most 4e-12 up to
-    level 14 and 4e-11 at level 20 (99% of nodes: under 1e-14, 4e-12).
+    The defaults are what table chaining supports: every engine node of
+    levels 2-24 accepts on its first halving, at a change of at most
+    2.2e-12 up to level 14, 4.1e-11 at level 20 and 7.7e-11 at level 24
+    (99% of nodes: under 2.1e-13, 9.7e-12 and 2.3e-11).  A row whose peak
+    width is at least 3 * target_step thus sums at step 0.24, then 0.12,
+    and keeps the second sum.  The K_1 factor is analytic in a strip of
+    half-width pi/2, so the trapezoid error at step h is about
+    exp(-pi**2 / h) (Trefethen & Weideman, SIAM Review 56, 2014): 1e-18 at
+    0.24, far under ``rel_tol``.
 
     The engine applies these per point, also when it runs many points in
     one batch: every point gets its own window growth, step and halvings,
@@ -94,7 +102,7 @@ class QuadConfig:
     abs_tol: float = 3e-20
     max_refinements: int = 4
     coarse_step: float = 0.25
-    target_step: float = 0.12
+    target_step: float = 0.24
     max_expand: int = 8
 
     @property
@@ -109,7 +117,9 @@ class TableConfig:
     The public domain is [x_min, x_max].  The grid spans
     [min(x_min, 1e-16), x_max]; past its ends the end models of
     :class:`KernelTable` carry the weight, so a convolution stage may read
-    its parent there.  A node short of ``quad.rel_tol`` fails the build.
+    its parent there.  Nodes below 1e-16 take the small-argument end model,
+    which is exact there to double precision; the engine computes the
+    others, and a node short of ``quad.rel_tol`` fails the build.
     """
 
     x_min: float = 1e-30
@@ -176,10 +186,16 @@ def _log_conv(log_f, log_g, ln_x: np.ndarray, u_lo: np.ndarray,
     multiples of its own step, which depends only on its own peak width,
     read off its own row of the scouting pass; in each pass ``log_g`` is
     evaluated once on the block's lattice indices of one step and shared by
-    the rows on that lattice, ``log_f`` once per sample.  Rows never mix,
-    so a row's value does not depend on its neighbours.  Returns the last
-    trapezoid value of each row and the relative change its last halving
-    achieved (inf if none ran).  A row whose change exceeds ``rel_tol`` did
+    the rows on that lattice, ``log_f`` once per sample.  A pass samples
+    the hull of the block's windows and a row sums all of it, also the
+    samples outside its own window.  Those lie in the row's dead tail: its
+    window reaches past the outermost scout samples above peak - tail_cut
+    on either side, and the integrand, log-concave for every rung
+    K_1 * K_(m-1), only falls from there.  So a row feels its neighbours
+    only through samples under ``abs_tol`` times its peak, and batched and
+    single rows agree to rounding.  Returns the last trapezoid value of
+    each row and the relative change its last halving achieved (inf if
+    none ran).  A row whose change exceeds ``rel_tol`` did
     not converge, and the caller decides whether that is an error.
     """
     val = np.empty(len(ln_x))
@@ -195,17 +211,14 @@ def _log_conv(log_f, log_g, ln_x: np.ndarray, u_lo: np.ndarray,
 def _log_conv_block(log_f, log_g, ln_x, lo, u_hi, quad: QuadConfig):
     rows = np.arange(len(ln_x))
 
-    def on_lattice(x, h, j, first, last):
+    def on_lattice(x, h, j):
         """Integrand logs of rows x at u = j*h for one shared index vector
-        j, the parent sampled once for all rows; a sample outside its row's
-        index window [first, last] counts as dead."""
+        j, the parent sampled once for all rows.  A row keeps the samples
+        of the block's hull outside its own window: they lie in its dead
+        tail (see :func:`_log_conv`)."""
         u = h * j
-        e = (np.asarray(log_f((x[:, None] - u).ravel()), float)
-             .reshape(len(x), len(u)) + np.asarray(log_g(u), float))
-        keep = e < np.inf
-        if len(x) > 1:
-            keep &= (j >= first[:, None]) & (j <= last[:, None])
-        return np.where(keep, e, _NEG_INF)
+        return _clean(np.asarray(log_f((x[:, None] - u).ravel()), float)
+                      .reshape(len(x), len(u)) + np.asarray(log_g(u), float))
 
     # scouting pass on the lattice u = j * coarse_step, growing each row's
     # window until both of its tails die; a rescan repeats the rows that had
@@ -216,7 +229,7 @@ def _log_conv_block(log_f, log_g, ln_x, lo, u_hi, quad: QuadConfig):
     last = np.maximum(math.ceil(u_hi / cs), first + 7)
     for _ in range(quad.max_expand + 1):
         j0 = first.min()
-        e = on_lattice(ln_x, cs, np.arange(j0, last.max() + 1), first, last)
+        e = on_lattice(ln_x, cs, np.arange(j0, last.max() + 1))
         floor = e.max(axis=1) - quad.tail_cut
         grow_left = e[rows, first - j0] > floor
         grow_right = e[rows, last - j0] > floor
@@ -273,7 +286,7 @@ def _log_conv_block(log_f, log_g, ln_x, lo, u_hi, quad: QuadConfig):
         first = np.floor(a[g] / h).astype(np.int64)
         last = np.ceil(b[g] / h).astype(np.int64)
         j = lattice(first, last, False)
-        e = on_lattice(x, h, j, first, last)
+        e = on_lattice(x, h, j)
         live = np.arange(len(x))
         top = e.max(axis=1)
         wts = np.exp(e - top[:, None])
@@ -286,7 +299,7 @@ def _log_conv_block(log_f, log_g, ln_x, lo, u_hi, quad: QuadConfig):
             h *= 0.5
             first *= 2
             last *= 2
-            e = on_lattice(x, h, lattice(first, last, True), first, last)
+            e = on_lattice(x, h, lattice(first, last, True))
             peak = np.maximum(top, e.max(axis=1))
             rescale = np.exp(top - peak)
             total = total * rescale + np.exp(e - peak[:, None]).sum(axis=1)
@@ -320,7 +333,8 @@ def _log_conv_block(log_f, log_g, ln_x, lo, u_hi, quad: QuadConfig):
 
 
 # Every grid reaches at least this far down: below it the O(x) error of the
-# residue model that continues a table is under double precision.
+# residue model is under double precision, so the model gives a table its
+# nodes there and continues it below the grid.
 _RESIDUE_EXACT_X = 1e-16
 
 
@@ -354,6 +368,16 @@ def _residue_coeffs(m: int) -> tuple[float, ...]:
     for n in range(1, m):
         e.append(math.fsum(ka[k - 1] * e[n - k] for k in range(1, n + 1)) / n)
     return tuple(e)
+
+
+def _log_residue(m: int, w):
+    """log of the residue of Gamma(s)**m x**(-s) at s = 0, at log-arguments
+    w: the polynomial sum_j e_j (-w)**(m-1-j)/(m-1-j)!, which is
+    log K_m(exp(w)) up to O(exp(w)), under double precision below
+    ``_RESIDUE_EXACT_X``."""
+    poly = [e / math.factorial(m - 1 - j)
+            for j, e in enumerate(_residue_coeffs(m))]
+    return np.log(np.polyval(poly, -w))
 
 
 def _log_k1(w):
@@ -416,11 +440,14 @@ class KernelTable:
     Mellin-Barnes Integrals, 2001).  ``s`` is the uniform grid of
     :func:`build_table`, so a lookup finds its interval by arithmetic.
 
-    ``worst_change`` is the largest relative change with which a node's
-    last halving was accepted, and ``worst_node`` its index in ``s``; an
-    exact table (level 1) keeps 0.0 and None.
+    ``model_nodes`` counts the leading nodes that hold the residue model,
+    those below 1e-16; the engine computed the others.
+    ``worst_change`` is the largest relative change with which an engine
+    node's last halving was accepted, and ``worst_node`` its index in
+    ``s``.  An exact table (level 1) keeps 0, 0.0 and None.
     """
 
+    model_nodes: int = 0
     worst_change: float = 0.0
     worst_node: int | None = None
 
@@ -444,8 +471,6 @@ class KernelTable:
         c1 = -m * math.exp(s1 / m) * (top_slope - slope)
         c0 = float(y[-1]) - slope * s1 - c1 * math.exp(-s1 / m)
         self._top = (c0, slope, c1)
-        self._residue = [e / math.factorial(m - 1 - j)
-                         for j, e in enumerate(_residue_coeffs(m))]
 
     def _spline(self, w):
         """The spline at w, continued by its end cubics past the grid; NaN
@@ -468,7 +493,7 @@ class KernelTable:
         return out
 
     def _log_below(self, w):
-        return np.log(np.polyval(self._residue, -w))
+        return _log_residue(self.m, w)
 
     def log_eval_log_arg(self, w):
         """log K_m(exp(w)); the end models take over below and above the
@@ -512,11 +537,14 @@ _TABLE_LOCK = threading.Lock()
 def build_table(m: int, cfg: TableConfig = DEFAULT_TABLE_CONFIG) -> KernelTable:
     """Build (or fetch from cache) the level-m table by chained convolution.
 
-    Level 1 is exact.  Level m is K_1 * K_(m-1), evaluated at every grid
-    point by one batched call of the quadrature engine, the parent entering
-    through its spline and end models.  A node short of ``rel_tol`` raises
-    QuadratureConvergenceError with the worst change any node reached;
-    otherwise that change and its node stay on the table.
+    Level 1 is exact.  Level m is K_1 * K_(m-1).  Grid points below 1e-16
+    (``model_nodes`` of them) take the residue model of
+    :class:`KernelTable`, exact there to double precision, where quadrature
+    would cost the widest rows and come out less exact.  The rest are
+    evaluated by one batched call of the quadrature engine, the parent
+    entering through its spline and end models.  A node short of
+    ``rel_tol`` raises QuadratureConvergenceError with the worst change any
+    node reached; otherwise that change and its node stay on the table.
     """
     _require_level(m)
     key = (m, cfg)
@@ -534,14 +562,18 @@ def build_table(m: int, cfg: TableConfig = DEFAULT_TABLE_CONFIG) -> KernelTable:
         table = KernelTable(m, cfg, s, -np.exp(s))
     else:
         parent = build_table(m - 1, cfg)
-        log_g, lo, hi = _rung_window(parent, s)
-        logk, achieved = _log_conv(_log_k1, log_g, s, lo, hi, cfg.quad)
+        model = int(np.searchsorted(s, math.log(_RESIDUE_EXACT_X)))
+        log_g, lo, hi = _rung_window(parent, s[model:])
+        logk, achieved = _log_conv(_log_k1, log_g, s[model:], lo, hi, cfg.quad)
         worst = int(np.argmax(achieved))
         if not achieved[worst] <= cfg.quad.rel_tol:
             raise QuadratureConvergenceError(float(achieved[worst]),
                                              cfg.quad.rel_tol)
-        table = KernelTable(m, cfg, s, logk)
-        table.worst_change, table.worst_node = float(achieved[worst]), worst
+        table = KernelTable(m, cfg, s, np.concatenate(
+            [_log_residue(m, s[:model]), logk]))
+        table.model_nodes = model
+        table.worst_change = float(achieved[worst])
+        table.worst_node = model + worst
     with _TABLE_LOCK:
         _TABLE_CACHE.setdefault(key, table)
     return table

@@ -386,6 +386,21 @@ def test_tables_match_meijer_g(m):
     assert worst <= 1e-11
 
 
+@pytest.mark.parametrize("m", range(2, 9))
+def test_residue_nodes_match_meijer_g(m):
+    # the nodes below 1e-16 hold the residue model, exact to double
+    # precision there (4e-15 measured); by quadrature they were off by up
+    # to 4e-13 at m = 8
+    mpmath = pytest.importorskip("mpmath")
+    t = build_table(m)
+    for x in (1e-30, 1e-27, 1e-24, 1e-20, 1e-18, 1e-17):
+        i = int(np.argmin(np.abs(t.s - math.log(x))))
+        with mpmath.workdps(30):
+            ref = float(mpmath.log(mpmath.meijerg(
+                [[], []], [[0] * m, []], mpmath.exp(float(t.s[i])))))
+        assert abs(float(t.logk[i]) - ref) <= 1e-14
+
+
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_pointwise_rung_reproduces_table_nodes(m):
     t = build_table(m)
@@ -545,6 +560,40 @@ def test_table_keeps_its_worst_accepted_change(m):
     assert 0 <= t.worst_node < len(t.s)
     assert build_table(1).worst_change == 0.0
     assert build_table(1).worst_node is None
+
+
+def test_nodes_below_1e16_come_from_the_residue_model(monkeypatch):
+    # the 896 nodes of [1e-30, 1e-16) hold the model; the engine gets the
+    # 1601 nodes at or above 1e-16 and nothing else
+    import genfock.radialkernel as rk
+
+    for m in range(2, 25):
+        assert build_table(m).model_nodes == 896
+    assert build_table(1).model_nodes == 0
+    parent, want = build_table(3), build_table(4)
+    monkeypatch.setattr(rk, "_TABLE_CACHE",
+                        {(3, DEFAULT_TABLE_CONFIG): parent})
+    rows = []
+
+    def engine(log_f, log_g, ln_x, *rest):
+        rows.append(np.array(ln_x))
+        return _log_conv(log_f, log_g, ln_x, *rest)
+
+    monkeypatch.setattr(rk, "_log_conv", engine)
+    fresh = build_table(4)
+    assert fresh is not want
+    assert [len(r) for r in rows] == [len(fresh.s) - fresh.model_nodes]
+    assert rows[0].min() >= math.log(1e-16)
+    assert np.array_equal(fresh.logk, want.logk)
+    assert fresh.worst_node >= fresh.model_nodes
+
+
+def test_every_node_accepts_on_its_first_halving():
+    # the first trapezoid step, target_step * 2**-k, is already fine enough
+    # that one halving confirms it at every node (levels 2-24: 8e-11 at most)
+    cfg = TableConfig(quad=QuadConfig(max_refinements=1))
+    for m in range(2, 11):
+        assert build_table(m, cfg).worst_change <= cfg.quad.rel_tol
 
 
 def test_batch_grows_only_the_rows_that_need_it():
