@@ -565,15 +565,16 @@ def build_table(m: int, cfg: TableConfig = DEFAULT_TABLE_CONFIG) -> KernelTable:
         model = int(np.searchsorted(s, math.log(_RESIDUE_EXACT_X)))
         log_g, lo, hi = _rung_window(parent, s[model:])
         logk, achieved = _log_conv(_log_k1, log_g, s[model:], lo, hi, cfg.quad)
-        worst = int(np.argmax(achieved))
-        if not achieved[worst] <= cfg.quad.rel_tol:
-            raise QuadratureConvergenceError(float(achieved[worst]),
-                                             cfg.quad.rel_tol)
         table = KernelTable(m, cfg, s, np.concatenate(
             [_log_residue(m, s[:model]), logk]))
         table.model_nodes = model
-        table.worst_change = float(achieved[worst])
-        table.worst_node = model + worst
+        if model < len(s):  # a grid wholly below 1e-16 is all model
+            worst = int(np.argmax(achieved))
+            if not achieved[worst] <= cfg.quad.rel_tol:
+                raise QuadratureConvergenceError(float(achieved[worst]),
+                                                 cfg.quad.rel_tol)
+            table.worst_change = float(achieved[worst])
+            table.worst_node = model + worst
     with _TABLE_LOCK:
         _TABLE_CACHE.setdefault(key, table)
     return table

@@ -588,6 +588,16 @@ def test_nodes_below_1e16_come_from_the_residue_model(monkeypatch):
     assert fresh.worst_node >= fresh.model_nodes
 
 
+def test_grid_wholly_below_1e16_is_all_model():
+    # no node is left for the engine, and none is needed
+    cfg = TableConfig(x_min=1e-25, x_max=1e-17, points_per_decade=8)
+    t = build_table(3, cfg)
+    assert t.model_nodes == len(t.s)
+    assert t.worst_change == 0.0 and t.worst_node is None
+    assert t.log_eval(1e-20) == pytest.approx(
+        float(build_table(3).log_eval(1e-20)), rel=1e-15, abs=0)
+
+
 def test_every_node_accepts_on_its_first_halving():
     # the first trapezoid step, target_step * 2**-k, is already fine enough
     # that one halving confirms it at every node (levels 2-24: 8e-11 at most)
