@@ -23,7 +23,7 @@ from .operators import (OperatorConsistencyError, apply_word,
                         lowering_adjoint, norm_identity_report, raising,
                         raising_adjoint, raising_adjoint_via_stirling)
 from .radialkernel import (KernelTable, QuadConfig, QuadratureConvergenceError,
-                           TableConfig, build_table, moment, radial_weight,
+                           build_table, moment, radial_weight,
                            radial_weight_point)
 from .stirling import normal_order_coeffs, stirling_s2
 from .suites import RunConfig, run_suite

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import bargmann, coeffspace, dualalgebra, operators, radialkernel
 from . import stirling as stirling_mod
-from .coeffspace import TaylorCoeffs, WeightOverflowError
+from .coeffspace import TaylorCoeffs, WeightOverflowError, _complex_pairs
 from .dualalgebra import DualSequence
 from .operators import OperatorConsistencyError
 from .radialkernel import QuadratureConvergenceError
@@ -206,8 +206,13 @@ def _element(path: str) -> TaylorCoeffs:
 
 
 def _path(path: str) -> list:
-    return [(float(row["t"]), DualSequence.from_json_obj(row))
-            for row in _load_json(path)]
+    rows = _load_json(path)
+    if not (isinstance(rows, list) and all(
+            isinstance(row, dict) and isinstance(row.get("t"), (int, float))
+            for row in rows)):
+        raise ValueError('a path is a JSON list of {"t": number, '
+                         '"coeffs": [[re, im], ...]} objects')
+    return [(float(row["t"]), DualSequence.from_json_obj(row)) for row in rows]
 
 
 def _emit_tabular(args, obj: dict, rows) -> None:
@@ -239,7 +244,7 @@ def _cmd_moments(args) -> int:
     rows = [["n", "computed", "exact", "rel_err"]]
     for n in range(args.nmax + 1):
         got = radialkernel.moment(args.m, n)
-        want = float(math.factorial(n) ** args.m)
+        want = coeffspace.weight(n, args.m)
         rows.append([n, repr(got), repr(want),
                      repr(abs(got - want) / want)])
     _emit_tabular(args, {"m": args.m, "rows": [dict(zip(rows[0], r))
@@ -298,8 +303,8 @@ def _cmd_verify_operators(args) -> int:
 def _cmd_bargmann(args) -> int:
     obj = _load_json(args.infile)
     if args.direction == "fwd":
-        coeffs = [complex(re, im) for re, im in obj["hermite_coeffs"]]
-        image = bargmann.forward(coeffs, args.m)
+        image = bargmann.forward(_complex_pairs(obj, "hermite_coeffs"),
+                                 args.m)
         _emit(_dump({"m": args.m, "direction": "fwd",
                      "coeffs": [_pair(c) for c in image.coeffs]}), args.out)
     else:
@@ -320,6 +325,8 @@ def _cmd_dual_norm(args) -> int:
 def _cmd_vage_check(args) -> int:
     if args.q < args.p + 1 or args.p < 1:
         raise ValueError("need q >= p + 1 >= 2")
+    if args.trials < 1:
+        raise ValueError("need trials >= 1")
     violations, worst_ratio = _product_inequality(
         np.random.default_rng(args.seed), args.trials, args.q - args.p, args.p)
     report = {"p": args.p, "q": args.q, "trials": args.trials,

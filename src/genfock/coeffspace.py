@@ -175,8 +175,19 @@ class TaylorCoeffs:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "TaylorCoeffs":
-        pairs = obj["coeffs"]
-        return cls(complex(re, im) for re, im in pairs)
+        return cls(_complex_pairs(obj, "coeffs"))
+
+
+def _complex_pairs(obj, key: str) -> list[complex]:
+    """obj[key] of a JSON object, a list of [re, im] number pairs, as
+    complex numbers; any other shape raises ValueError, a usage error."""
+    pairs = obj.get(key) if isinstance(obj, dict) else None
+    if isinstance(pairs, list):
+        try:
+            return [complex(re, im) for re, im in pairs]
+        except (TypeError, ValueError):
+            pass
+    raise ValueError(f'expected a JSON object {{"{key}": [[re, im], ...]}}')
 
 
 def add(f: TaylorCoeffs, g: TaylorCoeffs) -> TaylorCoeffs:

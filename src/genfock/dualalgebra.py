@@ -70,8 +70,9 @@ class DualSequence:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "DualSequence":
-        return cls(TaylorCoeffs.from_json_obj(obj).coeffs,
-                   int(obj.get("level", 1)))
+        # the level, if given, must be a JSON integer >= 1 (the constructor
+        # raises ValueError for anything else)
+        return cls(TaylorCoeffs.from_json_obj(obj).coeffs, obj.get("level", 1))
 
 
 def dual_sq_norm_flagged(b: DualSequence, m: int) -> tuple[float, bool]:

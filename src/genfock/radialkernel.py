@@ -19,9 +19,10 @@ Evaluation routes, deliberately kept separate:
   single-point entry.  Every grid is a lattice of integer multiples of its
   step, so the points of a block share the samples of the second factor,
   and a halving samples only the new midpoints;
-* chained tables built from that engine, one batched engine call per level
-  over the nodes at or above 1e-16, stored as log-log cubic splines with
-  exact end models from the Mellin image (:class:`KernelTable`,
+* chained tables built from that engine on one fixed grid (64 points per
+  decade over [1e-30, 1e9], shared by every level), one batched engine call
+  per level over the nodes at or above 1e-16, stored as log-log cubic
+  splines with exact end models from the Mellin image (:class:`KernelTable`,
   :func:`build_table`); the nodes below 1e-16 take the small-argument model
   itself, exact there to double precision;
 * direct (m-1)-dimensional tensor quadrature of the two integral
@@ -46,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coeffspace import _fsum_complex, _require_level
+from .coeffspace import WeightOverflowError, _fsum_complex, _require_level
 
 _NEG_INF = float("-inf")
 
@@ -64,28 +65,19 @@ class QuadratureConvergenceError(ArithmeticError):
 
 @dataclass(frozen=True)
 class QuadConfig:
-    """Knobs for the log-trapezoid convolution engine.
+    """Tolerances of the log-trapezoid convolution engine.
 
     rel_tol          relative agreement demanded between successive halvings
     abs_tol          integrand samples below abs_tol * peak are dead tail
     max_refinements  halvings attempted before declaring non-convergence
-    coarse_step      lattice spacing of the scouting pass that brackets the
-                     support and, by the parabola through its maximum and
-                     the two neighbours, gives the peak and its width; a
-                     window grows by ceil(4 / coarse_step) steps
-    target_step      coarsest trapezoid spacing: a point's first step is
-                     target_step * 2**-k with the smallest k >= 0 that is at
-                     most a third of its peak width (floored at 1e-5), and
-                     each halving raises k by one
-    max_expand       window growth attempts when a tail is not dead yet
 
     The defaults are what table chaining supports: every engine node of
     levels 2-24 accepts on its first halving, at a change of at most
     2.2e-12 up to level 14, 4.1e-11 at level 20 and 7.7e-11 at level 24
     (99% of nodes: under 2.1e-13, 9.7e-12 and 2.3e-11).  A row whose peak
-    width is at least 3 * target_step thus sums at step 0.24, then 0.12,
-    and keeps the second sum.  The K_1 factor is analytic in a strip of
-    half-width pi/2, so the trapezoid error at step h is about
+    width is at least 3 * ``_TARGET_STEP`` thus sums at step 0.24, then
+    0.12, and keeps the second sum.  The K_1 factor is analytic in a strip
+    of half-width pi/2, so the trapezoid error at step h is about
     exp(-pi**2 / h) (Trefethen & Weideman, SIAM Review 56, 2014): 1e-18 at
     0.24, far under ``rel_tol``.
 
@@ -101,34 +93,10 @@ class QuadConfig:
     rel_tol: float = 3e-10
     abs_tol: float = 3e-20
     max_refinements: int = 4
-    coarse_step: float = 0.25
-    target_step: float = 0.24
-    max_expand: int = 8
 
     @property
     def tail_cut(self) -> float:
         return -math.log(self.abs_tol)
-
-
-@dataclass(frozen=True)
-class TableConfig:
-    """Tabulation domain and density for the chained weight tables.
-
-    The public domain is [x_min, x_max].  The grid spans
-    [min(x_min, 1e-16), x_max]; past its ends the end models of
-    :class:`KernelTable` carry the weight, so a convolution stage may read
-    its parent there.  Nodes below 1e-16 take the small-argument end model,
-    which is exact there to double precision; the engine computes the
-    others, and a node short of ``quad.rel_tol`` fails the build.
-    """
-
-    x_min: float = 1e-30
-    x_max: float = 1e9
-    points_per_decade: int = 64
-    quad: QuadConfig = QuadConfig()
-
-
-DEFAULT_TABLE_CONFIG = TableConfig()
 
 
 def _clean(arr: np.ndarray) -> np.ndarray:
@@ -140,6 +108,16 @@ def _clean(arr: np.ndarray) -> np.ndarray:
 # Neighbouring nodes share one 2-D pass over the hull of their lattice
 # windows; the windows mostly overlap, so little of each pass is padding.
 _BLOCK = 64
+# The engine's lattice, the same for every caller.  The scouting pass samples
+# u = j * _COARSE_STEP to bracket the support and, by the parabola through
+# its maximum and the two neighbours, to give the peak and its width; a
+# window grows by ceil(4 / _COARSE_STEP) steps, at most _MAX_EXPAND times
+# while a tail is not dead yet.  A point's first trapezoid step is
+# _TARGET_STEP * 2**-k with the smallest k >= 0 that is at most a third of
+# its peak width (floored at 1e-5), and each halving raises k by one.
+_COARSE_STEP = 0.25
+_TARGET_STEP = 0.24
+_MAX_EXPAND = 8
 
 
 def log_mellin_convolve(log_f, log_g, ln_x: float,
@@ -153,10 +131,10 @@ def log_mellin_convolve(log_f, log_g, ln_x: float,
 
     The integrand is assumed to decay on both sides (true whenever f and g
     decay at infinity and are at most poly-log at 0).  A coarse scan on the
-    lattice u = j * coarse_step brackets the support, and the parabola
+    lattice u = j * _COARSE_STEP brackets the support, and the parabola
     through its maximum and the two neighbours gives the peak width sigma
     (none where a neighbour is dead: the step stays coarsest), so narrow
-    saddles get a proportionally fine step target_step * 2**-k.  The
+    saddles get a proportionally fine step _TARGET_STEP * 2**-k.  The
     trapezoid value is accepted once one halving reproduces it to
     ``rel_tol``; a halving samples only the new midpoints and folds them
     into the running sum, so a point costs three or four passes.  If
@@ -220,14 +198,14 @@ def _log_conv_block(log_f, log_g, ln_x, lo, u_hi, quad: QuadConfig):
         return _clean(np.asarray(log_f((x[:, None] - u).ravel()), float)
                       .reshape(len(x), len(u)) + np.asarray(log_g(u), float))
 
-    # scouting pass on the lattice u = j * coarse_step, growing each row's
+    # scouting pass on the lattice u = j * _COARSE_STEP, growing each row's
     # window until both of its tails die; a rescan repeats the rows that had
     # already settled, unchanged
-    cs = quad.coarse_step
+    cs = _COARSE_STEP
     grow = math.ceil(4.0 / cs)
     first = np.floor(lo / cs).astype(np.int64)
     last = np.maximum(math.ceil(u_hi / cs), first + 7)
-    for _ in range(quad.max_expand + 1):
+    for _ in range(_MAX_EXPAND + 1):
         j0 = first.min()
         e = on_lattice(ln_x, cs, np.arange(j0, last.max() + 1))
         floor = e.max(axis=1) - quad.tail_cut
@@ -262,11 +240,11 @@ def _log_conv_block(log_f, log_g, ln_x, lo, u_hi, quad: QuadConfig):
     reach = 10.0 * np.minimum(sigma, 1.0)
     a = np.minimum(a, c0 - reach)
     b = np.maximum(b, c0 + reach)
-    # row step target_step * 2**-depth with the smallest depth >= 0 that
-    # puts it at or below max(min(target_step, sigma/3), 1e-5); rows of one
+    # row step _TARGET_STEP * 2**-depth with the smallest depth >= 0 that
+    # puts it at or below max(min(_TARGET_STEP, sigma/3), 1e-5); rows of one
     # depth share a lattice, and so the parent's samples
-    mant, depth = np.frexp(quad.target_step / np.maximum(
-        np.minimum(quad.target_step, sigma / 3.0), 1e-5))
+    mant, depth = np.frexp(_TARGET_STEP / np.maximum(
+        np.minimum(_TARGET_STEP, sigma / 3.0), 1e-5))
     depth = np.maximum(depth - (mant == 0.5), 0)
 
     def lattice(first, last, odd):
@@ -282,7 +260,7 @@ def _log_conv_block(log_f, log_g, ln_x, lo, u_hi, quad: QuadConfig):
         halving samples only the new odd lattice points and folds them into
         a running (max, shifted sum, end weights) per row."""
         x = ln_x[g]
-        h = math.ldexp(quad.target_step, -int(dg))
+        h = math.ldexp(_TARGET_STEP, -int(dg))
         first = np.floor(a[g] / h).astype(np.int64)
         last = np.ceil(b[g] / h).astype(np.int64)
         j = lattice(first, last, False)
@@ -332,10 +310,30 @@ def _log_conv_block(log_f, log_g, ln_x, lo, u_hi, quad: QuadConfig):
     return val, achieved
 
 
-# Every grid reaches at least this far down: below it the O(x) error of the
-# residue model is under double precision, so the model gives a table its
-# nodes there and continues it below the grid.
+# Below this the O(x) error of the residue model is under double precision,
+# so the model gives a table its nodes there and continues it below the grid.
 _RESIDUE_EXACT_X = 1e-16
+
+# The tables' one configuration: the public domain [_X_MIN, _X_MAX], a grid
+# uniform in log x at _POINTS_PER_DECADE whose first _MODEL_NODES nodes lie
+# below _RESIDUE_EXACT_X and hold the residue model, and _TABLE_QUAD for the
+# engine nodes.  Past either end of the grid the end models of KernelTable
+# carry the weight, so a convolution stage may read its parent there.
+_X_MIN, _X_MAX = 1e-30, 1e9
+_POINTS_PER_DECADE = 64
+_TABLE_QUAD = QuadConfig()
+_S = np.linspace(math.log(_X_MIN), math.log(_X_MAX), int(math.ceil(
+    (math.log(_X_MAX) - math.log(_X_MIN)) * _POINTS_PER_DECADE
+    / math.log(10.0))) + 1)
+_S.flags.writeable = False
+_MODEL_NODES = int(np.searchsorted(_S, math.log(_RESIDUE_EXACT_X)))
+# a lookup's interval is floor((w - _ORIGIN) * _INV_H); the origin sits
+# 2**-20 steps below _S[0], so rounding never drops a node into the
+# interval below it and the spline returns node values exactly
+_H = (float(_S[-1]) - float(_S[0])) / (len(_S) - 1)
+_ORIGIN = float(_S[0]) - _H * 2.0 ** -20
+_INV_H = 1.0 / _H
+_LAST = float(len(_S) - 2)
 
 
 # B_2j / (2j)! for j = 1..6, the Euler-Maclaurin weights of _zeta_int
@@ -437,8 +435,8 @@ class KernelTable:
     26, 1972).  Below it the residue of Gamma(s)**m x**(-s) at s = 0 is
     exact up to O(x): sum_j e_j (-log x)**(m-1-j)/(m-1-j)!, with
     e_j = [s^j] Gamma(1+s)**m (Paris & Kaminski, Asymptotics and
-    Mellin-Barnes Integrals, 2001).  ``s`` is the uniform grid of
-    :func:`build_table`, so a lookup finds its interval by arithmetic.
+    Mellin-Barnes Integrals, 2001).  ``s`` is the one uniform grid all
+    tables share, so a lookup finds its interval by arithmetic.
 
     ``model_nodes`` counts the leading nodes that hold the residue model,
     those below 1e-16; the engine computed the others.
@@ -447,27 +445,19 @@ class KernelTable:
     ``s``.  An exact table (level 1) keeps 0, 0.0 and None.
     """
 
+    s = _S
     model_nodes: int = 0
     worst_change: float = 0.0
     worst_node: int | None = None
 
-    def __init__(self, m: int, cfg: TableConfig, s: np.ndarray, logk: np.ndarray):
+    def __init__(self, m: int, logk: np.ndarray):
         self.m = m
-        self.cfg = cfg
-        self.s = s
         self.logk = logk
         if m == 1:
             return
-        y = logk + m * np.exp(s / m)
-        self._coef, top_slope = _not_a_knot(s, y)
-        # a lookup's interval is floor((w - origin) / h); the origin sits
-        # 2**-20 steps below s[0], so rounding never drops a node into the
-        # interval below it and the spline returns node values exactly
-        h = (float(s[-1]) - float(s[0])) / (len(s) - 1)
-        self._origin = float(s[0]) - h * 2.0 ** -20
-        self._inv_h = 1.0 / h
-        self._last = float(len(s) - 2)
-        s1, slope = float(s[-1]), (1.0 - m) / (2.0 * m)
+        y = logk + m * np.exp(_S / m)
+        self._coef, top_slope = _not_a_knot(_S, y)
+        s1, slope = float(_S[-1]), (1.0 - m) / (2.0 * m)
         c1 = -m * math.exp(s1 / m) * (top_slope - slope)
         c0 = float(y[-1]) - slope * s1 - c1 * math.exp(-s1 / m)
         self._top = (c0, slope, c1)
@@ -475,8 +465,7 @@ class KernelTable:
     def _spline(self, w):
         """The spline at w, continued by its end cubics past the grid; NaN
         passes (fmax/fmin send it to interval 0, so the cast stays quiet)."""
-        i = np.fmin(np.fmax((w - self._origin) * self._inv_h, 0.0),
-                    self._last)
+        i = np.fmin(np.fmax((w - _ORIGIN) * _INV_H, 0.0), _LAST)
         x, c3, c2, c1, c0 = self._coef.take(i.astype(np.intp), axis=1)
         t = w - x
         out = c3 * t
@@ -486,14 +475,6 @@ class KernelTable:
         out *= t
         out += c0
         return out
-
-    def _log_inside(self, w):
-        out = self._spline(w)
-        out -= self.m * np.exp(w / self.m)
-        return out
-
-    def _log_below(self, w):
-        return _log_residue(self.m, w)
 
     def log_eval_log_arg(self, w):
         """log K_m(exp(w)); the end models take over below and above the
@@ -512,71 +493,67 @@ class KernelTable:
         out -= self.m * np.exp(w / self.m)
         if w.min(initial=np.inf) < self.s[0]:
             below = w < self.s[0]
-            out[below] = self._log_below(w[below])
+            out[below] = _log_residue(self.m, w[below])
         return out
 
     def log_eval(self, x):
-        """log K_m(x) on the public domain [x_min, x_max]; NaN passes."""
+        """log K_m(x) on the public domain [_X_MIN, _X_MAX]; NaN passes."""
         x = np.asarray(x, float)
-        lo, hi = self.cfg.x_min, self.cfg.x_max
-        if (np.fmin.reduce(x, axis=None, initial=np.inf) < lo
-                or np.fmax.reduce(x, axis=None, initial=_NEG_INF) > hi):
-            raise ValueError(f"argument outside table domain [{lo:g}, {hi:g}]")
+        if (np.fmin.reduce(x, axis=None, initial=np.inf) < _X_MIN
+                or np.fmax.reduce(x, axis=None, initial=_NEG_INF) > _X_MAX):
+            raise ValueError(
+                f"argument outside table domain [{_X_MIN:g}, {_X_MAX:g}]")
         if self.m == 1:
             return -x
-        return self._log_inside(np.log(x))
+        w = np.log(x)
+        out = self._spline(w)
+        out -= self.m * np.exp(w / self.m)
+        return out
 
     def eval(self, x):
         return np.exp(self.log_eval(x))
 
 
-_TABLE_CACHE: dict[tuple[int, TableConfig], KernelTable] = {}
+_TABLE_CACHE: dict[int, KernelTable] = {}
 _TABLE_LOCK = threading.Lock()
 
 
-def build_table(m: int, cfg: TableConfig = DEFAULT_TABLE_CONFIG) -> KernelTable:
+def build_table(m: int) -> KernelTable:
     """Build (or fetch from cache) the level-m table by chained convolution.
 
-    Level 1 is exact.  Level m is K_1 * K_(m-1).  Grid points below 1e-16
-    (``model_nodes`` of them) take the residue model of
-    :class:`KernelTable`, exact there to double precision, where quadrature
-    would cost the widest rows and come out less exact.  The rest are
-    evaluated by one batched call of the quadrature engine, the parent
-    entering through its spline and end models.  A node short of
-    ``rel_tol`` raises QuadratureConvergenceError with the worst change any
-    node reached; otherwise that change and its node stay on the table.
+    Level 1 is exact.  Level m is K_1 * K_(m-1).  The ``model_nodes`` grid
+    points below 1e-16 take the residue model of :class:`KernelTable`,
+    exact there to double precision, where quadrature would cost the widest
+    rows and come out less exact.  The rest are evaluated by one batched
+    call of the quadrature engine, the parent entering through its spline
+    and end models.  A node short of ``rel_tol`` raises
+    QuadratureConvergenceError with the worst change any node reached;
+    otherwise that change and its node stay on the table.
     """
     _require_level(m)
-    key = (m, cfg)
     with _TABLE_LOCK:
-        hit = _TABLE_CACHE.get(key)
+        hit = _TABLE_CACHE.get(m)
     if hit is not None:
         return hit
 
-    s_hi = math.log(cfg.x_max)
-    s_lo = math.log(min(cfg.x_min, _RESIDUE_EXACT_X))
-    npts = int(math.ceil((s_hi - s_lo) * cfg.points_per_decade / math.log(10.0))) + 1
-    s = np.linspace(s_lo, s_hi, npts)
-
     if m == 1:
-        table = KernelTable(m, cfg, s, -np.exp(s))
+        table = KernelTable(m, -np.exp(_S))
     else:
-        parent = build_table(m - 1, cfg)
-        model = int(np.searchsorted(s, math.log(_RESIDUE_EXACT_X)))
-        log_g, lo, hi = _rung_window(parent, s[model:])
-        logk, achieved = _log_conv(_log_k1, log_g, s[model:], lo, hi, cfg.quad)
-        table = KernelTable(m, cfg, s, np.concatenate(
-            [_log_residue(m, s[:model]), logk]))
-        table.model_nodes = model
-        if model < len(s):  # a grid wholly below 1e-16 is all model
-            worst = int(np.argmax(achieved))
-            if not achieved[worst] <= cfg.quad.rel_tol:
-                raise QuadratureConvergenceError(float(achieved[worst]),
-                                                 cfg.quad.rel_tol)
-            table.worst_change = float(achieved[worst])
-            table.worst_node = model + worst
+        parent = build_table(m - 1)
+        s = _S[_MODEL_NODES:]
+        log_g, lo, hi = _rung_window(parent, s)
+        logk, achieved = _log_conv(_log_k1, log_g, s, lo, hi, _TABLE_QUAD)
+        worst = int(np.argmax(achieved))
+        if not achieved[worst] <= _TABLE_QUAD.rel_tol:
+            raise QuadratureConvergenceError(float(achieved[worst]),
+                                             _TABLE_QUAD.rel_tol)
+        table = KernelTable(m, np.concatenate(
+            [_log_residue(m, _S[:_MODEL_NODES]), logk]))
+        table.model_nodes = _MODEL_NODES
+        table.worst_change = float(achieved[worst])
+        table.worst_node = _MODEL_NODES + worst
     with _TABLE_LOCK:
-        _TABLE_CACHE.setdefault(key, table)
+        _TABLE_CACHE.setdefault(m, table)
     return table
 
 
@@ -606,18 +583,17 @@ def _log_rung(parent: KernelTable | None, ln_x: float,
                                quad=quad)
 
 
-def log_radial_weight(m: int, x, cfg: TableConfig = DEFAULT_TABLE_CONFIG):
+def log_radial_weight(m: int, x):
     """log K_m(x) through the cached table (spline between nodes)."""
-    return build_table(m, cfg).log_eval(x)
+    return build_table(m).log_eval(x)
 
 
-def radial_weight(m: int, x, cfg: TableConfig = DEFAULT_TABLE_CONFIG):
+def radial_weight(m: int, x):
     """K_m(x); underflows to 0.0 where the log value is below ~-745."""
-    return np.exp(log_radial_weight(m, x, cfg))
+    return np.exp(log_radial_weight(m, x))
 
 
-def log_radial_weight_conv(m: int, x: float,
-                           cfg: TableConfig = DEFAULT_TABLE_CONFIG) -> float:
+def log_radial_weight_conv(m: int, x: float) -> float:
     """Pointwise log K_m(x) = log (K_1 * K_(m-1))(x) via the engine alone.
 
     For m = 2 both factors are exact, so the value is independent of any
@@ -627,15 +603,15 @@ def log_radial_weight_conv(m: int, x: float,
         raise ValueError("pointwise convolution route needs integer m >= 2")
     if x <= 0:
         raise ValueError("x must be positive")
-    parent = None if m == 2 else build_table(m - 1, cfg)
-    return _log_rung(parent, math.log(x), cfg.quad)
+    parent = None if m == 2 else build_table(m - 1)
+    return _log_rung(parent, math.log(x), _TABLE_QUAD)
 
 
-def _tensor_grid(m: int, x: float, step: float, tail_cut: float):
-    """Common grid for the (m-1)-dimensional representations."""
+def _tensor_grid(m: int, x: float, tail_cut: float):
+    """Common grid for the (m-1)-dimensional representations, step <= 0.2."""
     r = x ** (1.0 / m)
     sigma = 1.0 / math.sqrt(m * r)
-    h = min(step, sigma / 3.0)
+    h = min(0.2, sigma / 3.0)
     half = max(math.log1p((tail_cut + 10.0) / r), 12.0 * sigma) + 2.0 * h
     n = int(math.ceil(2.0 * half / h)) + 1
     if n ** (m - 1) > 2e8:
@@ -662,7 +638,7 @@ def _tensor_logsum(exponent_of_block, t: np.ndarray, dim: int) -> float:
     return m0 + math.log(total)
 
 
-def log_radial_weight_centered(m: int, x: float, step: float = 0.2,
+def log_radial_weight_centered(m: int, x: float,
                                tail_cut: float = 45.0) -> float:
     """log K_m(x) from the centered representation
 
@@ -677,7 +653,7 @@ def log_radial_weight_centered(m: int, x: float, step: float = 0.2,
         raise ValueError("x must be positive")
     if m == 1:
         return -x
-    t, h, r = _tensor_grid(m, x, step, tail_cut)
+    t, h, r = _tensor_grid(m, x, tail_cut)
     dim = m - 1
     expt = np.exp(t)
 
@@ -695,7 +671,7 @@ def log_radial_weight_centered(m: int, x: float, step: float = 0.2,
     return _tensor_logsum(block, t, dim) + dim * math.log(h)
 
 
-def log_radial_weight_product(m: int, x: float, step: float = 0.2,
+def log_radial_weight_product(m: int, x: float,
                               tail_cut: float = 45.0) -> float:
     """log K_m(x) from the raw product representation
 
@@ -710,7 +686,7 @@ def log_radial_weight_product(m: int, x: float, step: float = 0.2,
         raise ValueError("x must be positive")
     if m == 1:
         return -x
-    t, h, _ = _tensor_grid(m, x, step, tail_cut)
+    t, h, _ = _tensor_grid(m, x, tail_cut)
     dim = m - 1
     c = math.log(x) / m
     u = t + c
@@ -745,8 +721,7 @@ def mellin_step(parent: KernelTable, x: float,
     return math.exp(_log_rung(parent, math.log(x), quad))
 
 
-def radial_weight_point(m: int, x: float,
-                        cfg: TableConfig = DEFAULT_TABLE_CONFIG) -> float:
+def radial_weight_point(m: int, x: float) -> float:
     """One K_m value by the cheapest adequate route.
 
     m = 1 closed form; m = 2, 3 direct tensor quadrature of the centered
@@ -755,13 +730,12 @@ def radial_weight_point(m: int, x: float,
     """
     _require_level(m)
     if m <= 3:
-        return math.exp(log_radial_weight_centered(m, x,
-                                                   tail_cut=cfg.quad.tail_cut))
-    return float(np.exp(log_radial_weight(m, x, cfg)))
+        return math.exp(log_radial_weight_centered(
+            m, x, tail_cut=_TABLE_QUAD.tail_cut))
+    return float(np.exp(log_radial_weight(m, x)))
 
 
-def geometric_inner_product(f, g, m: int,
-                            cfg: TableConfig = DEFAULT_TABLE_CONFIG) -> complex:
+def geometric_inner_product(f, g, m: int) -> complex:
     """The plane-integral inner product, reduced to radial moments.
 
     Angular integration kills all cross terms, leaving
@@ -774,7 +748,7 @@ def geometric_inner_product(f, g, m: int,
         prod = f.coeffs[n] * complex(g.coeffs[n]).conjugate()
         if prod == 0:
             continue
-        terms.append(complex(prod) * moment(m, n, cfg))
+        terms.append(complex(prod) * moment(m, n))
     return _fsum_complex(terms)
 
 
@@ -787,22 +761,27 @@ def bessel_reference_log(x: float) -> float:
     return math.log(2.0) + math.log(float(k0e(z))) - z
 
 
-def moment(m: int, n: int, cfg: TableConfig = DEFAULT_TABLE_CONFIG) -> float:
+def moment(m: int, n: int) -> float:
     """int over (0,inf) of x**n K_m(x) dx, numerically; target value (n!)**m.
 
     Trapezoid over the table grid in log-x plus the residue model's
-    integral below it (:func:`small_x_moment_bound`); none above ``x_max``.
+    integral below it (:func:`small_x_moment_bound`); none above ``_X_MAX``.
+    A moment past double range raises :class:`WeightOverflowError`, as the
+    weight (n!)**m it stands for does.
     """
     if n < 0:
         raise ValueError("moment order must be >= 0")
-    table = build_table(m, cfg)
+    table = build_table(m)
     s = table.s
     e = (n + 1) * s + table.logk
     top = float(e.max())
     w = np.exp(e - top)
     trap = float(w.sum()) - 0.5 * (float(w[0]) + float(w[-1]))
-    return (math.exp(top + math.log(float(s[1] - s[0]) * trap))
-            + small_x_moment_bound(m, n, math.exp(float(s[0]))))
+    try:
+        grid = math.exp(top + math.log(float(s[1] - s[0]) * trap))
+    except OverflowError as exc:
+        raise WeightOverflowError(n, m) from exc
+    return grid + small_x_moment_bound(m, n, math.exp(float(s[0])))
 
 
 def small_x_moment_bound(m: int, n: int, x0: float) -> float:

@@ -372,3 +372,61 @@ def test_seed_changes_random_content(capsys):
     _, two = run(capsys, "vage-check", "--p", "1", "--q", "3", "--trials",
                  "50", "--seed", "2")
     assert json.loads(one)["worst_ratio"] != json.loads(two)["worst_ratio"]
+
+
+# ---------------------------------------------------------------- contract
+
+# Files the contract cases name in braces; "bad" is valid JSON of the wrong
+# shape for an element, a Hermite coefficient list and a path alike, and the
+# other bad* files go wrong one level further in.
+_CONTRACT_FILES = {
+    "bad": [1, 2, 3],
+    "badpairs": {"coeffs": [1, 2]},
+    "badlevel": {"coeffs": [[1, 0]], "level": [1]},
+    "badt": [{"t": [0], "coeffs": [[1, 0]]}, {"t": 1, "coeffs": [[1, 0]]}],
+    "elem": {"coeffs": [[1, 0], [0.5, 0.25]]},
+    "herm": {"hermite_coeffs": [[1, 0], [0, 1]]},
+    "path": [{"t": 0, "coeffs": [[1, 0]]}, {"t": 1, "coeffs": [[0, 1]]}],
+}
+
+
+@pytest.mark.parametrize("code,argv", [
+    # malformed input is a usage error
+    (2, "inner-product --m 1 --f {bad} --g {elem}"),
+    (2, "dual-norm --m 1 --in {bad}"),
+    (2, "bargmann --m 1 --direction fwd --in {bad}"),
+    (2, "bargmann --m 1 --direction inv --in {bad}"),
+    (2, "integrate --f {bad} --g {path}"),
+    (2, "op-apply --word A --in {bad}"),
+    (2, "reproduce-check --m 1 --w 0.5 --in {bad}"),
+    (2, "inner-product --m 1 --f {elem} --g {badpairs}"),
+    (2, "dual-norm --m 1 --in {badlevel}"),
+    (2, "integrate --f {path} --g {badt}"),
+    (2, "vage-check --p 1 --q 2 --trials 0"),
+    (2, "vage-check --p 1 --q 2 --trials -5"),
+    # a moment, or the (n!)**m it is checked against, past double range
+    (3, "moments --m 1 --nmax 200"),
+    (3, "moments --m 2 --nmax 120"),
+    (3, "moments --m 3 --nmax 80"),
+    (3, "moments --m 10 --nmax 29"),
+    # one valid call per subcommand
+    (0, "stirling --max-k 3"),
+    (0, "kernel-table --m 2 --points 3"),
+    (0, "moments --m 10 --nmax 28"),
+    (0, "kernel-eval --m 1 --z 1 --w 0.5"),
+    (0, "inner-product --m 1 --f {elem} --g {elem}"),
+    (0, "reproduce-check --m 1 --w 0.5 --in {elem}"),
+    (0, "op-apply --word A --in {elem}"),
+    (0, "verify-operators --m 2 --deg 8"),
+    (0, "bargmann --m 1 --direction fwd --in {herm}"),
+    (0, "bargmann --m 1 --direction inv --in {elem}"),
+    (0, "dual-norm --m 1 --in {elem}"),
+    (0, "vage-check --p 1 --q 2 --trials 1"),
+    (0, "integrate --f {path} --g {path}"),
+    (0, "verify stirling"),
+])
+def test_documented_exit_code_and_no_traceback(capsys, tmp_path, code, argv):
+    files = {key: jfile(tmp_path, key + ".json", obj)
+             for key, obj in _CONTRACT_FILES.items()}
+    assert main([a.format(**files) for a in argv.split()]) == code
+    assert "Traceback" not in capsys.readouterr().err

@@ -14,17 +14,17 @@ import numpy as np
 import pytest
 import scipy.special as sp
 
+import genfock.radialkernel as rk
 from genfock.radialkernel import (
-    DEFAULT_TABLE_CONFIG,
     _log_conv,
     _log_k1,
+    _log_residue,
     _not_a_knot,
     _residue_coeffs,
     _zeta_int,
     KernelTable,
     QuadConfig,
     QuadratureConvergenceError,
-    TableConfig,
     bessel_reference_log,
     build_table,
     geometric_inner_product,
@@ -166,7 +166,7 @@ def test_eval_outside_domain_raises():
         t.eval(0.0)
     with pytest.raises(ValueError):
         t.log_eval(-1.0)
-    lo, hi = DEFAULT_TABLE_CONFIG.x_min, DEFAULT_TABLE_CONFIG.x_max
+    lo, hi = rk._X_MIN, rk._X_MAX
     xs = np.geomspace(lo, hi, 256)
     for i, bad in ((17, lo * (1 - 1e-12)), (200, hi * (1 + 1e-12))):
         ys = xs.copy()
@@ -228,7 +228,7 @@ def test_parent_evaluation_is_the_masked_reference_bitwise(m):
     inside = (w >= s0) & (w <= s1)
     below, above = w < s0, w > s1
     want[inside] = t._spline(w[inside]) - m * np.exp(w[inside] / m)
-    want[below] = t._log_below(w[below])
+    want[below] = _log_residue(m, w[below])
     c0, slope, c1 = t._top
     wa = w[above]
     want[above] = c0 + slope * wa + c1 * np.exp(-wa / m) - m * np.exp(wa / m)
@@ -440,24 +440,17 @@ def test_refinement_exhaustion_raises_with_diagnostics():
     assert "stalled" in str(err)
 
 
-def test_public_node_that_stalls_still_raises():
-    cfg = TableConfig(x_min=1e-2, x_max=1e2, points_per_decade=4,
-                      quad=QuadConfig(rel_tol=1e-17, max_refinements=1))
+def test_public_node_that_stalls_still_raises(monkeypatch):
+    monkeypatch.setattr(rk, "_TABLE_QUAD",
+                        QuadConfig(rel_tol=1e-17, max_refinements=1))
+    monkeypatch.setattr(rk, "_TABLE_CACHE", {})
     with pytest.raises(QuadratureConvergenceError):
-        build_table(2, cfg)
+        build_table(2)
 
 
 def test_quadconfig_tail_cut():
     q = QuadConfig(abs_tol=1e-20)
     assert q.tail_cut == pytest.approx(-math.log(1e-20))
-
-
-def test_custom_table_config_narrow_domain():
-    cfg = TableConfig(x_min=1e-8, x_max=1e4, points_per_decade=48)
-    t = build_table(2, cfg)
-    assert isinstance(t, KernelTable)
-    x = 1.0
-    assert t.log_eval(x) == pytest.approx(bessel_reference_log(x), abs=1e-7)
 
 
 def test_log_mellin_convolve_exponential_pair():
@@ -486,11 +479,8 @@ def test_level_build_samples_the_parent_once_per_lattice_point(monkeypatch):
     # rows of a block share the parent's lattice samples; per-row private
     # grids asked the level-3 table for about 6e6 points here, and per-row
     # peak sharpening for about 2.5e5
-    import genfock.radialkernel as rk
-
     parent, want = build_table(3), build_table(4)
-    monkeypatch.setattr(rk, "_TABLE_CACHE",
-                        {(3, DEFAULT_TABLE_CONFIG): parent})
+    monkeypatch.setattr(rk, "_TABLE_CACHE", {3: parent})
     evaluate = KernelTable.log_eval_log_arg
     points = []
 
@@ -515,9 +505,9 @@ def test_halvings_sample_only_new_points():
 
     val = log_mellin_convolve(log_f, _log_k1, 0.0)
     assert val == pytest.approx(bessel_reference_log(1.0), abs=1e-11)
-    # the scout comes first and samples the coarse lattice u = j*coarse_step
+    # the scout comes first and samples the coarse lattice u = j*_COARSE_STEP
     # (at ln x = 0, u = -w); the trapezoid passes follow, each off it
-    cs = QuadConfig().coarse_step
+    cs = rk._COARSE_STEP
     scout = [bool(np.all(np.mod(c, cs) == 0.0)) for c in calls]
     first = scout.index(False)
     assert not any(scout[first:])
@@ -543,7 +533,7 @@ def test_single_point_takes_at_most_four_engine_passes():
 
 def test_dead_scout_neighbour_leaves_the_verdict_to_the_halvings():
     # only u = 0 of the coarse lattice is alive, so the scout maximum has no
-    # curvature; the step stays at target_step and the halvings, which
+    # curvature; the step stays at _TARGET_STEP and the halvings, which
     # cannot converge on a cut-off integrand, raise the typed error
     def log_f(w):
         return np.where(abs(w) < 0.1, -w ** 2, -np.inf)
@@ -556,7 +546,7 @@ def test_dead_scout_neighbour_leaves_the_verdict_to_the_halvings():
 @pytest.mark.parametrize("m", range(2, 9))
 def test_table_keeps_its_worst_accepted_change(m):
     t = build_table(m)
-    assert 0.0 <= t.worst_change <= DEFAULT_TABLE_CONFIG.quad.rel_tol
+    assert 0.0 <= t.worst_change <= rk._TABLE_QUAD.rel_tol
     assert 0 <= t.worst_node < len(t.s)
     assert build_table(1).worst_change == 0.0
     assert build_table(1).worst_node is None
@@ -565,14 +555,11 @@ def test_table_keeps_its_worst_accepted_change(m):
 def test_nodes_below_1e16_come_from_the_residue_model(monkeypatch):
     # the 896 nodes of [1e-30, 1e-16) hold the model; the engine gets the
     # 1601 nodes at or above 1e-16 and nothing else
-    import genfock.radialkernel as rk
-
     for m in range(2, 25):
         assert build_table(m).model_nodes == 896
     assert build_table(1).model_nodes == 0
     parent, want = build_table(3), build_table(4)
-    monkeypatch.setattr(rk, "_TABLE_CACHE",
-                        {(3, DEFAULT_TABLE_CONFIG): parent})
+    monkeypatch.setattr(rk, "_TABLE_CACHE", {3: parent})
     rows = []
 
     def engine(log_f, log_g, ln_x, *rest):
@@ -588,22 +575,14 @@ def test_nodes_below_1e16_come_from_the_residue_model(monkeypatch):
     assert fresh.worst_node >= fresh.model_nodes
 
 
-def test_grid_wholly_below_1e16_is_all_model():
-    # no node is left for the engine, and none is needed
-    cfg = TableConfig(x_min=1e-25, x_max=1e-17, points_per_decade=8)
-    t = build_table(3, cfg)
-    assert t.model_nodes == len(t.s)
-    assert t.worst_change == 0.0 and t.worst_node is None
-    assert t.log_eval(1e-20) == pytest.approx(
-        float(build_table(3).log_eval(1e-20)), rel=1e-15, abs=0)
-
-
-def test_every_node_accepts_on_its_first_halving():
-    # the first trapezoid step, target_step * 2**-k, is already fine enough
+def test_every_node_accepts_on_its_first_halving(monkeypatch):
+    # the first trapezoid step, _TARGET_STEP * 2**-k, is already fine enough
     # that one halving confirms it at every node (levels 2-24: 8e-11 at most)
-    cfg = TableConfig(quad=QuadConfig(max_refinements=1))
+    quad = QuadConfig(max_refinements=1)
+    monkeypatch.setattr(rk, "_TABLE_QUAD", quad)
+    monkeypatch.setattr(rk, "_TABLE_CACHE", {})
     for m in range(2, 11):
-        assert build_table(m, cfg).worst_change <= cfg.quad.rel_tol
+        assert build_table(m).worst_change <= quad.rel_tol
 
 
 def test_batch_grows_only_the_rows_that_need_it():
