@@ -3,9 +3,10 @@
 One executable, thirteen subcommands, no state: tabular output (stirling,
 kernel-table, moments) defaults to CSV, everything else to JSON with complex
 numbers as [re, im] pairs.  Each subcommand accepts only the flags it reads.
-Exit codes: 0 success, 1 a check failed, 2 bad usage or unreadable input,
-3 a typed numerical error (weight overflow, stalled quadrature, operator
-routes disagreeing), reported as one line on stderr.
+Exit codes: 0 success, 1 a check failed, 2 bad usage or unreadable input
+(also input whose result leaves double range: JSON output holds no inf or
+NaN), 3 a typed numerical error (weight overflow, stalled quadrature,
+operator routes disagreeing), reported as one line on stderr.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ import numpy as np
 
 from . import bargmann, coeffspace, dualalgebra, operators, radialkernel
 from . import stirling as stirling_mod
-from .coeffspace import TaylorCoeffs, WeightOverflowError, _complex_pairs
+from .coeffspace import (TaylorCoeffs, WeightOverflowError, _complex_pairs,
+                         _finite_number)
 from .dualalgebra import DualSequence
 from .operators import OperatorConsistencyError
 from .radialkernel import QuadratureConvergenceError
@@ -30,6 +32,8 @@ from .suites import (SUITE_NAMES, RunConfig, _operator_checks,
                      _product_inequality, _rand_coeffs, run_suite)
 
 _MAX_RANDOM_DEGREE = 30
+# acceptance criterion 01's moment tolerance: a larger printed rel_err fails
+_MOMENT_TOL = 1e-6
 
 
 def _complex_arg(text: str) -> complex:
@@ -56,16 +60,27 @@ def _degree_arg(text: str) -> int:
     return degree
 
 
+def _modulus(z: complex) -> float:
+    """|z|, or inf where it exceeds double range (``abs`` raises there)."""
+    try:
+        return abs(z)
+    except OverflowError:
+        return math.inf
+
+
 def _pair(c) -> list[float]:
     c = complex(c)
     return [c.real, c.imag]
 
 
 def _load_json(path: str):
-    if path == "-":
-        return json.load(sys.stdin)
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        if path == "-":
+            return json.load(sys.stdin)
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -79,7 +94,20 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _dump(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True)
+    """JSON text; a non-finite number raises ValueError, since JSON has no
+    inf or NaN."""
+    try:
+        return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:
+        raise ValueError("the result left double range, and JSON output "
+                         "holds no inf or NaN") from None
+
+
+def _json_checks(checks: list[dict]) -> list[dict]:
+    """Check rows for a JSON report: a check that raised measured inf, which
+    JSON cannot hold, so its measurement is written as null."""
+    return [{**c, "measured": c["measured"]
+             if math.isfinite(c["measured"]) else None} for c in checks]
 
 
 def _csv_rows(rows) -> str:
@@ -208,9 +236,9 @@ def _element(path: str) -> TaylorCoeffs:
 def _path(path: str) -> list:
     rows = _load_json(path)
     if not (isinstance(rows, list) and all(
-            isinstance(row, dict) and isinstance(row.get("t"), (int, float))
+            isinstance(row, dict) and _finite_number(row.get("t"))
             for row in rows)):
-        raise ValueError('a path is a JSON list of {"t": number, '
+        raise ValueError('a path is a JSON list of {"t": finite number, '
                          '"coeffs": [[re, im], ...]} objects')
     return [(float(row["t"]), DualSequence.from_json_obj(row)) for row in rows]
 
@@ -242,14 +270,15 @@ def _cmd_kernel_table(args) -> int:
 
 def _cmd_moments(args) -> int:
     rows = [["n", "computed", "exact", "rel_err"]]
+    errs = []
     for n in range(args.nmax + 1):
         got = radialkernel.moment(args.m, n)
         want = coeffspace.weight(n, args.m)
-        rows.append([n, repr(got), repr(want),
-                     repr(abs(got - want) / want)])
+        errs.append(abs(got - want) / want)
+        rows.append([n, repr(got), repr(want), repr(errs[-1])])
     _emit_tabular(args, {"m": args.m, "rows": [dict(zip(rows[0], r))
                                                for r in rows[1:]]}, rows)
-    return 0
+    return 0 if all(e <= _MOMENT_TOL for e in errs) else 1
 
 
 def _cmd_kernel_eval(args) -> int:
@@ -273,7 +302,8 @@ def _cmd_reproduce_check(args) -> int:
     section = coeffspace.kernel_section(args.m, args.w, f.degree + 1)
     lhs = coeffspace.inner_product(f, section, args.m)
     rhs = coeffspace.eval_point(f, args.w)
-    rel = float(abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300))
+    rel = float(_modulus(lhs - rhs)
+                / max(_modulus(lhs), _modulus(rhs), 1e-300))
     ok = bool(rel <= args.tol)
     _emit(_dump({"m": args.m, "w": _pair(args.w), "paired": _pair(lhs),
                  "evaluated": _pair(rhs), "rel_err": rel, "tol": args.tol,
@@ -295,7 +325,8 @@ def _cmd_verify_operators(args) -> int:
     checks = [asdict(c) for c in
               _operator_checks(args.m, args.deg, args.seed, args.tol)]
     report = {"m": args.m, "deg": args.deg, "seed": args.seed,
-              "checks": checks, "passed": all(c["passed"] for c in checks)}
+              "checks": _json_checks(checks),
+              "passed": all(c["passed"] for c in checks)}
     _emit(_dump(report), args.out)
     return 0 if report["passed"] else 1
 
@@ -349,7 +380,7 @@ def _cmd_verify(args) -> int:
     cfg = RunConfig(rel_tol=args.tol, seed=args.seed, kernel_level=args.m,
                     max_refinements=args.max_refinements)
     report = run_suite(cfg, args.suite)
-    _emit_tabular(args, report,
+    _emit_tabular(args, {**report, "checks": _json_checks(report["checks"])},
                   [["name", "passed", "measured", "tolerance", "detail"]]
                   + [[c["name"], c["passed"], repr(c["measured"]),
                       repr(c["tolerance"]), c["detail"]]

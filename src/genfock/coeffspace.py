@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from math import lgamma
 
 import numpy as np
@@ -107,6 +108,17 @@ def _strip(cs: tuple) -> tuple:
     return cs[:end]
 
 
+def _fsum(xs: list) -> float:
+    """``math.fsum``, except that a sum past double range is the signed
+    infinity of float arithmetic, not an OverflowError.  fsum raises once a
+    partial sum leaves range, even if the total does not; the terms scaled
+    by 2**-64 (exactly) settle which."""
+    try:
+        return math.fsum(xs)
+    except OverflowError:
+        return math.fsum([math.ldexp(x, -64) for x in xs]) * 2.0 ** 64
+
+
 def _fsum_complex(terms) -> complex:
     """Correctly rounded sum of complex terms, real and imaginary parts apart.
 
@@ -178,26 +190,36 @@ class TaylorCoeffs:
         return cls(_complex_pairs(obj, "coeffs"))
 
 
+def _finite_number(x) -> bool:
+    """x is a JSON number that is finite as a double (not NaN, not an
+    infinity, not an integer past double range)."""
+    try:
+        return isinstance(x, (int, float)) and math.isfinite(x)
+    except OverflowError:
+        return False
+
+
 def _complex_pairs(obj, key: str) -> list[complex]:
-    """obj[key] of a JSON object, a list of [re, im] number pairs, as
-    complex numbers; any other shape raises ValueError, a usage error."""
+    """obj[key] of a JSON object, a list of [re, im] pairs of finite
+    numbers, as complex numbers; anything else raises ValueError, a usage
+    error."""
     pairs = obj.get(key) if isinstance(obj, dict) else None
-    if isinstance(pairs, list):
-        try:
-            return [complex(re, im) for re, im in pairs]
-        except (TypeError, ValueError):
-            pass
-    raise ValueError(f'expected a JSON object {{"{key}": [[re, im], ...]}}')
+    if isinstance(pairs, list) and all(
+            isinstance(p, list) and len(p) == 2 and all(map(_finite_number, p))
+            for p in pairs):
+        return [complex(re, im) for re, im in pairs]
+    raise ValueError(f'expected a JSON object {{"{key}": [[re, im], ...]}} '
+                     'of finite numbers')
 
 
 def add(f: TaylorCoeffs, g: TaylorCoeffs) -> TaylorCoeffs:
-    n = max(len(f.coeffs), len(g.coeffs))
-    return TaylorCoeffs(tuple(f.coeff(i) + g.coeff(i) for i in range(n)))
+    return TaylorCoeffs(
+        x + y for x, y in zip_longest(f.coeffs, g.coeffs, fillvalue=0))
 
 
 def sub(f: TaylorCoeffs, g: TaylorCoeffs) -> TaylorCoeffs:
-    n = max(len(f.coeffs), len(g.coeffs))
-    return TaylorCoeffs(tuple(f.coeff(i) - g.coeff(i) for i in range(n)))
+    return TaylorCoeffs(
+        x - y for x, y in zip_longest(f.coeffs, g.coeffs, fillvalue=0))
 
 
 def scale(c, f: TaylorCoeffs) -> TaylorCoeffs:
@@ -251,7 +273,7 @@ def inner_product(f: TaylorCoeffs, g: TaylorCoeffs, m: int) -> complex:
     ``(f_n * conj(g_n)) * weight(n, m)``; one whose weight or coefficient
     product alone leaves double range stays accurate, and one that is
     itself too large for a double raises WeightOverflowError.  The terms
-    are summed correctly rounded.
+    are summed correctly rounded; a sum past double range is infinite.
     """
     size = min(len(f.coeffs), len(g.coeffs))
     fc, gc = f.coeffs[:size], g.coeffs[:size]
@@ -270,7 +292,7 @@ def inner_product(f: TaylorCoeffs, g: TaylorCoeffs, m: int) -> complex:
     bad = ~(np.isfinite(re) & np.isfinite(im))
     if bad.any():
         raise WeightOverflowError(int(idx[bad.argmax()]), m)
-    return complex(math.fsum(re.tolist()), math.fsum(im.tolist()))
+    return complex(_fsum(re.tolist()), _fsum(im.tolist()))
 
 
 def _weighted_sq_terms(coeffs, w: int, k: int = 0,

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coeffspace import (TaylorCoeffs, _is_exact,
+from .coeffspace import (TaylorCoeffs, _fsum, _is_exact,
                          _require_level, _strip, _weighted_sq_terms,
                          inner_product, log_weight)
 
@@ -76,13 +76,13 @@ class DualSequence:
 
 
 def dual_sq_norm_flagged(b: DualSequence, m: int) -> tuple[float, bool]:
-    """(sum |b_n|^2 (n!)**(2-m), underflowed).  A term past double range
-    counts as inf; the flag goes True when some nonzero coefficient
-    contributed exactly 0.0 because its weighted term left double range
-    below."""
+    """(sum |b_n|^2 (n!)**(2-m), underflowed).  A term, or the sum, past
+    double range counts as inf; the flag goes True when some nonzero
+    coefficient contributed exactly 0.0 because its weighted term left
+    double range below."""
     _require_level(m)
     terms = _weighted_sq_terms(b.coeffs, 2 - m, strict=False)
-    return math.fsum(terms), 0.0 in terms
+    return _fsum(terms), 0.0 in terms
 
 
 def dual_norm(b: DualSequence, m: int) -> float:
@@ -139,8 +139,12 @@ def _float_convolution(ca: tuple, cb: tuple) -> list:
         start = 0
         for cnt in live:
             if cnt:
-                out.append(complex(math.fsum(re[start:start + cnt]),
-                                   math.fsum(im[start:start + cnt])))
+                try:
+                    out.append(complex(math.fsum(re[start:start + cnt]),
+                                       math.fsum(im[start:start + cnt])))
+                except OverflowError:  # a partial sum left double range
+                    out.append(complex(_fsum(re[start:start + cnt]),
+                                       _fsum(im[start:start + cnt])))
                 start += cnt
             else:
                 out.append(0)

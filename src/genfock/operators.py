@@ -11,21 +11,22 @@ actions:
 so at level 1 they reduce to the classical pair.  The module keeps all
 actions exact on int/Fraction input, which lets the combinatorial identity
 checks run in integer arithmetic with no tolerance at all.
+
+Each action works on the plain coefficient tuple and wraps only its result.
+The normal-ordered routes share one lowering ladder: rung n is lowering**n f,
+one ``lowering`` of rung n-1, and raising**n is a shift by n places.  The
+Stirling-weighted terms add into one list, n increasing, with no closed form.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import repeat, starmap, zip_longest
+from operator import mul, sub
 
-from .coeffspace import (
-    TaylorCoeffs,
-    _is_exact,
-    _require_level,
-    _weighted_sq_terms,
-    squared_norm,
-    sub,
-)
+from .coeffspace import (TaylorCoeffs, _is_exact, _require_level,
+                         _weighted_sq_terms, add, scale, squared_norm)
 from .stirling import normal_order_coeffs, stirling_s2
 
 
@@ -33,17 +34,38 @@ class OperatorConsistencyError(RuntimeError):
     """Two supposedly equivalent operator routes disagreed."""
 
 
+def _raise(cs: tuple, m: int = 1) -> tuple:
+    return (0,) + cs if cs else cs
+
+
+def _lower(cs: tuple, m: int = 1) -> tuple:
+    return tuple(map(mul, range(1, len(cs)), cs[1:]))
+
+
+def _raise_adj(cs: tuple, m: int) -> tuple:
+    return tuple(map(mul, map(pow, range(1, len(cs)), repeat(m)), cs[1:]))
+
+
+def _lower_adj(cs: tuple, m: int) -> tuple:
+    out = [0] if cs else []
+    for k, c in enumerate(cs):
+        d = (k + 1) ** (m - 1)
+        out.append(c if d == 1 or c == 0
+                   else Fraction(c, d) if _is_exact(c) else c / d)
+    return tuple(out)
+
+
+_LETTERS = {"A": _raise, "B": _lower, "S": _raise_adj, "T": _lower_adj}
+
+
 def raising(f: TaylorCoeffs) -> TaylorCoeffs:
     """Multiplication by the variable: shifts every coefficient up one slot."""
-    if not f.coeffs:
-        return f
-    return TaylorCoeffs((0,) + f.coeffs)
+    return TaylorCoeffs(_raise(f.coeffs))
 
 
 def lowering(f: TaylorCoeffs) -> TaylorCoeffs:
     """Differentiation: (lowering f)_n = (n+1) * f_{n+1}."""
-    cs = f.coeffs
-    return TaylorCoeffs(tuple((n + 1) * cs[n + 1] for n in range(len(cs) - 1)))
+    return TaylorCoeffs(_lower(f.coeffs))
 
 
 def raising_adjoint(f: TaylorCoeffs, m: int) -> TaylorCoeffs:
@@ -53,8 +75,7 @@ def raising_adjoint(f: TaylorCoeffs, m: int) -> TaylorCoeffs:
     composition; see :func:`adjoint_word_check`.
     """
     _require_level(m)
-    cs = f.coeffs
-    return TaylorCoeffs(tuple((n + 1) ** m * cs[n + 1] for n in range(len(cs) - 1)))
+    return TaylorCoeffs(_raise_adj(f.coeffs, m))
 
 
 def lowering_adjoint(f: TaylorCoeffs, m: int) -> TaylorCoeffs:
@@ -64,18 +85,7 @@ def lowering_adjoint(f: TaylorCoeffs, m: int) -> TaylorCoeffs:
     them); float/complex input is divided in the obvious way.
     """
     _require_level(m)
-    if not f.coeffs:
-        return f
-    out = [0]
-    for k, c in enumerate(f.coeffs):
-        d = (k + 1) ** (m - 1)
-        if d == 1 or c == 0:
-            out.append(c)
-        elif _is_exact(c):
-            out.append(Fraction(c, d))
-        else:
-            out.append(c / d)
-    return TaylorCoeffs(out)
+    return TaylorCoeffs(_lower_adj(f.coeffs, m))
 
 
 def apply_word(word: str, f: TaylorCoeffs, m: int = 1) -> TaylorCoeffs:
@@ -87,29 +97,34 @@ def apply_word(word: str, f: TaylorCoeffs, m: int = 1) -> TaylorCoeffs:
     to n times itself.  The level only matters for S and T.
     """
     _require_level(m)
-    g = f
+    cs = f.coeffs
     for ch in reversed(word.upper()):
-        if ch == "A":
-            g = raising(g)
-        elif ch == "B":
-            g = lowering(g)
-        elif ch == "S":
-            g = raising_adjoint(g, m)
-        elif ch == "T":
-            g = lowering_adjoint(g, m)
-        else:
+        if ch not in _LETTERS:
             raise ValueError(f"unknown operator letter {ch!r} (use A, B, S, T)")
-    return g
+        cs = _LETTERS[ch](cs, m)
+    return TaylorCoeffs(cs)
 
 
 def number_power_direct(k: int, f: TaylorCoeffs) -> TaylorCoeffs:
     """(raising . lowering)**k applied literally, k compositions."""
     if k < 0:
         raise ValueError("power must be >= 0")
-    g = f
+    cs = f.coeffs
     for _ in range(k):
-        g = raising(lowering(g))
-    return g
+        cs = _raise(_lower(cs))
+    return TaylorCoeffs(cs)
+
+
+def _ladder_sum(cs: tuple, terms, out: list) -> list:
+    """Add w * raising**n . lowering**n applied to cs into ``out`` for the
+    terms (n, w) = (1, w_1), (2, w_2), ...: each rung of the ladder is one
+    more lowering of the last, and raising**n is an offset of n."""
+    rung = cs
+    for n, w in terms:
+        rung = _lower(rung)
+        for i, c in enumerate(rung, n):
+            out[i] += w * c
+    return out
 
 
 def number_power_normal_ordered(k: int, f: TaylorCoeffs) -> TaylorCoeffs:
@@ -122,22 +137,8 @@ def number_power_normal_ordered(k: int, f: TaylorCoeffs) -> TaylorCoeffs:
         raise ValueError("power must be >= 0")
     if k == 0:
         return f
-    # lowering powers are reused across the expansion terms
-    lowered = [f]
-    for _ in range(k):
-        lowered.append(lowering(lowered[-1]))
-    total = TaylorCoeffs.zero()
-    for n, s in normal_order_coeffs(k):
-        g = lowered[n]
-        for _ in range(n):
-            g = raising(g)
-        total = _axpy(s, g, total)
-    return total
-
-
-def _axpy(c, g: TaylorCoeffs, acc: TaylorCoeffs) -> TaylorCoeffs:
-    n = max(len(g.coeffs), len(acc.coeffs))
-    return TaylorCoeffs(tuple(acc.coeff(i) + c * g.coeff(i) for i in range(n)))
+    out = [0] * len(f.coeffs) if len(f.coeffs) > 1 else []
+    return TaylorCoeffs(_ladder_sum(f.coeffs, normal_order_coeffs(k), out))
 
 
 def raising_adjoint_via_stirling(f: TaylorCoeffs, m: int) -> TaylorCoeffs:
@@ -150,7 +151,10 @@ def raising_adjoint_via_stirling(f: TaylorCoeffs, m: int) -> TaylorCoeffs:
 
 def commutator_raising(f: TaylorCoeffs, m: int) -> TaylorCoeffs:
     """[raising_adjoint, raising] f, computed from the coefficient actions."""
-    return sub(raising_adjoint(raising(f), m), raising(raising_adjoint(f, m)))
+    _require_level(m)
+    cs = f.coeffs
+    return TaylorCoeffs(starmap(sub, zip_longest(
+        _raise_adj(_raise(cs), m), _raise(_raise_adj(cs, m)), fillvalue=0)))
 
 
 def commutator_expansion_terms(m: int) -> list[tuple[int, int]]:
@@ -166,10 +170,10 @@ def commutator_expansion_terms(m: int) -> list[tuple[int, int]]:
 
 def commutator_via_expansion(f: TaylorCoeffs, m: int) -> TaylorCoeffs:
     """[raising_adjoint, raising] f through the Stirling expansion route."""
-    total = f
-    for n, wgt in commutator_expansion_terms(m):
-        total = _axpy(wgt, apply_word("A" * n + "B" * n, f), total)
-    return total
+    terms = commutator_expansion_terms(m)
+    if not terms:
+        return f
+    return TaylorCoeffs(_ladder_sum(f.coeffs, terms, list(f.coeffs)))
 
 
 def commutator_apply(f: TaylorCoeffs, m: int) -> TaylorCoeffs:
@@ -183,15 +187,9 @@ def commutator_apply(f: TaylorCoeffs, m: int) -> TaylorCoeffs:
     """
     direct = commutator_raising(f, m)
     expanded = commutator_via_expansion(f, m)
-    if f.is_exact():
-        ok = direct == expanded
-    else:
-        n = max(len(direct.coeffs), len(expanded.coeffs))
-        ok = all(
-            abs(complex(direct.coeff(i)) - complex(expanded.coeff(i)))
-            <= 1e-12 * max(abs(complex(direct.coeff(i))), 1e-300)
-            for i in range(n)
-        )
+    ok = direct == expanded or not f.is_exact() and all(
+        abs(complex(a) - complex(b)) <= 1e-12 * max(abs(complex(a)), 1e-300)
+        for a, b in zip_longest(direct.coeffs, expanded.coeffs, fillvalue=0))
     if not ok:
         raise OperatorConsistencyError(
             f"commutator routes disagree at level m={m}")
@@ -279,13 +277,13 @@ def reordering_identity_check(n: int, degree: int) -> bool:
     for j in range(degree + 1):
         mono = TaylorCoeffs.monomial(j)
         lhs1 = apply_word("B" * n + "A", mono)
-        rhs1 = _axpy(n, apply_word("B" * (n - 1), mono),
-                     apply_word("A" + "B" * n, mono))
+        rhs1 = add(apply_word("A" + "B" * n, mono),
+                   scale(n, apply_word("B" * (n - 1), mono)))
         if lhs1 != rhs1:
             return False
         lhs2 = apply_word("B" + "A" * n, mono)
-        rhs2 = _axpy(n, apply_word("A" * (n - 1), mono),
-                     apply_word("A" * n + "B", mono))
+        rhs2 = add(apply_word("A" * n + "B", mono),
+                   scale(n, apply_word("A" * (n - 1), mono)))
         if lhs2 != rhs2:
             return False
     return True

@@ -71,7 +71,7 @@ def normal_order_coeffs(k: int) -> list[tuple[int, int]]:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    return [(n, stirling_s2(k, n)) for n in range(1, k + 1)]
+    return list(enumerate(_SHARED.row(k)))[1:]
 
 
 def verify_normal_ordering(k: int, degree: int) -> bool:
@@ -79,8 +79,8 @@ def verify_normal_ordering(k: int, degree: int) -> bool:
 
     Left side: apply (multiply * differentiate) k times to z^j, which scales
     by j each time.  Right side: sum S(k, n) times the falling factorial
-    j(j-1)...(j-n+1).  Both sides are exact ints; returns True iff they agree
-    for every j.
+    j(j-1)...(j-n+1), each one factor more than the last.  Both sides are
+    exact ints; returns True iff they agree for every j.
     """
     if k < 1 or degree < 1:
         raise ValueError("k and degree must be >= 1")
@@ -89,11 +89,9 @@ def verify_normal_ordering(k: int, degree: int) -> bool:
         lhs = 1
         for _ in range(k):
             lhs *= j
-        rhs = 0
+        rhs, ff = 0, 1
         for n, s in coeffs:
-            ff = 1
-            for i in range(n):
-                ff *= j - i
+            ff *= j - n + 1
             rhs += s * ff
         if lhs != rhs:
             return False

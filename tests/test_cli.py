@@ -4,6 +4,7 @@ Element and path inputs are JSON files ('-' reads stdin); tabular commands
 print CSV unless asked for JSON.
 """
 
+import contextlib
 import io
 import json
 import math
@@ -13,6 +14,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import genfock
 from genfock import operators, radialkernel
@@ -387,6 +390,16 @@ _CONTRACT_FILES = {
     "elem": {"coeffs": [[1, 0], [0.5, 0.25]]},
     "herm": {"hermite_coeffs": [[1, 0], [0, 1]]},
     "path": [{"t": 0, "coeffs": [[1, 0]]}, {"t": 1, "coeffs": [[0, 1]]}],
+    # numbers no double holds: written as NaN, Infinity and 401 digits
+    "nan": {"coeffs": [[math.nan, 0]]},
+    "inf": {"coeffs": [[math.inf, 0], [1, 0]]},
+    "hugeint": {"coeffs": [[10 ** 400, 0]]},
+    "huget": [{"t": 0, "coeffs": [[1, 0]]}, {"t": 10 ** 400, "coeffs": []}],
+    # finite input whose result, a sum of finite terms, leaves double range
+    "sumover": {"coeffs": [[1.3e154, 0], [1.3e154, 0]]},
+    "nearmax": {"coeffs": [[1.7e308, 1.7e308], [1e308, -1e308]]},
+    "nearmax1": {"coeffs": [[1.7e308, 1.7e308]]},
+    "sumoverpath": [{"t": t, "coeffs": [[1e154, 0]] * 3} for t in (0, 1)],
 }
 
 
@@ -404,6 +417,19 @@ _CONTRACT_FILES = {
     (2, "integrate --f {path} --g {badt}"),
     (2, "vage-check --p 1 --q 2 --trials 0"),
     (2, "vage-check --p 1 --q 2 --trials -5"),
+    (2, "dual-norm --m 1 --in {nan}"),
+    (2, "dual-norm --m 1 --in {inf}"),
+    (2, "dual-norm --m 1 --in {hugeint}"),
+    (2, "inner-product --m 1 --f {hugeint} --g {elem}"),
+    (2, "bargmann --m 1 --direction inv --in {inf}"),
+    (2, "integrate --f {huget} --g {path}"),
+    # a result JSON cannot hold is an error line, not "Infinity"
+    (2, "dual-norm --m 1 --in {sumover}"),
+    (2, "inner-product --m 1 --f {sumover} --g {sumover}"),
+    (2, "reproduce-check --m 1 --w 0.5 --in {nearmax}"),
+    (2, "integrate --f {sumoverpath} --g {sumoverpath}"),
+    # a moment that misses (n!)**m by more than 1e-6 fails the check
+    (1, "moments --m 10 --nmax 28"),
     # a moment, or the (n!)**m it is checked against, past double range
     (3, "moments --m 1 --nmax 200"),
     (3, "moments --m 2 --nmax 120"),
@@ -412,7 +438,7 @@ _CONTRACT_FILES = {
     # one valid call per subcommand
     (0, "stirling --max-k 3"),
     (0, "kernel-table --m 2 --points 3"),
-    (0, "moments --m 10 --nmax 28"),
+    (0, "moments --m 5 --nmax 8"),
     (0, "kernel-eval --m 1 --z 1 --w 0.5"),
     (0, "inner-product --m 1 --f {elem} --g {elem}"),
     (0, "reproduce-check --m 1 --w 0.5 --in {elem}"),
@@ -424,9 +450,81 @@ _CONTRACT_FILES = {
     (0, "vage-check --p 1 --q 2 --trials 1"),
     (0, "integrate --f {path} --g {path}"),
     (0, "verify stirling"),
+    # values whose modulus, not their parts, leaves double range
+    (0, "reproduce-check --m 1 --w 0.5 --in {nearmax1}"),
 ])
 def test_documented_exit_code_and_no_traceback(capsys, tmp_path, code, argv):
     files = {key: jfile(tmp_path, key + ".json", obj)
              for key, obj in _CONTRACT_FILES.items()}
     assert main([a.format(**files) for a in argv.split()]) == code
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_deeply_nested_json_is_an_input_error(capsys, tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    assert main(["dual-norm", "--m", "1", "--in", str(deep)]) == 2
+    assert "nested too deeply" in capsys.readouterr().err
+
+
+def test_non_finite_json_output_is_refused(capsys, tmp_path):
+    f = jfile(tmp_path, "f.json", {"coeffs": [[1e200, 0]]})
+    assert main(["dual-norm", "--m", "1", "--in", f]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "double range" in captured.err
+
+
+# Arbitrary JSON for the file-reading subcommands: nesting, NaN, infinities,
+# numbers past double range, strings, and the keys the readers look for.
+_KEYS = st.sampled_from(["coeffs", "level", "hermite_coeffs", "t"])
+_LEAVES = (st.none() | st.booleans() | st.text(max_size=3)
+           | st.integers(-3, 3) | st.sampled_from([10 ** 400, -10 ** 309])
+           | st.floats()
+           | st.sampled_from([1e200, -1e300, 1.3e154, 1.7e308, 5e-324]))
+_JSON = st.recursive(
+    _LEAVES,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(_KEYS | st.text(max_size=2), inner,
+                                     max_size=4)),
+    max_leaves=12)
+_PAIRS = st.lists(st.lists(_LEAVES, min_size=2, max_size=2), max_size=4)
+_ELEMENTS = (_JSON
+             | st.fixed_dictionaries({"coeffs": _PAIRS},
+                                     optional={"level": _LEAVES})
+             | st.fixed_dictionaries({"hermite_coeffs": _PAIRS})
+             | st.lists(st.fixed_dictionaries({"t": _LEAVES,
+                                               "coeffs": _PAIRS}),
+                        max_size=3))
+_FILE_COMMANDS = [
+    "inner-product --m {m} --f {a} --g {b}",
+    "dual-norm --m {m} --in {a}",
+    "bargmann --m {m} --direction fwd --in {a}",
+    "bargmann --m {m} --direction inv --in {a}",
+    "integrate --f {a} --g {b}",
+    "op-apply --word {word} --m {m} --in {a}",
+    "reproduce-check --m {m} --w 0.5 --in {a}",
+]
+
+
+@pytest.fixture(scope="module")
+def drive_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("drive")
+
+
+@settings(max_examples=30)
+@given(_ELEMENTS, _ELEMENTS, st.integers(1, 3),
+       st.text(alphabet="ABST", min_size=1, max_size=3))
+def test_malformed_element_files_exit_cleanly(drive_dir, a, b, m, word):
+    files = {"a": drive_dir / "a.json", "b": drive_dir / "b.json"}
+    for key, obj in (("a", a), ("b", b)):
+        files[key].write_text(json.dumps(obj))
+    for command in _FILE_COMMANDS:
+        argv = command.format(m=m, word=word, **files).split()
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2, 3), argv
+        assert "Traceback" not in err.getvalue(), argv

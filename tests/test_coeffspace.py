@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from genfock.coeffspace import (
     TaylorCoeffs,
     WeightOverflowError,
+    _fsum,
     _weight_table,
     add,
     aggregate_kernels_exponential,
@@ -185,6 +186,17 @@ def test_inner_product_overflow_raises():
         inner_product(e50, e50, 5)
     with pytest.raises(WeightOverflowError):
         squared_norm(e50, 5)
+
+
+def test_sum_past_double_range_is_infinite_not_an_error():
+    # math.fsum raises once a partial sum leaves range
+    assert _fsum([1.7e308, 1.7e308]) == math.inf
+    assert _fsum([-1.7e308, -1.7e308, 1.0]) == -math.inf
+    assert _fsum([1.7e308, 1.7e308, -1.7e308]) == 1.7e308
+    assert _fsum([0.1] * 10) == math.fsum([0.1] * 10)
+    # every term in range, their sum is not
+    f = TaylorCoeffs([1.3e154, 1.3e154])
+    assert inner_product(f, f, 1) == complex(math.inf, 0)
 
 
 def test_subnormal_product_is_not_flushed():

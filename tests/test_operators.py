@@ -1,10 +1,12 @@
 """Raise/lower calculus: adjoints, commutators, normal ordering, norms."""
 
 import math
+from fractions import Fraction
+from itertools import zip_longest
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from genfock.coeffspace import (
@@ -34,6 +36,7 @@ from genfock.operators import (
     shift_norm_decomposition,
     weighted_moment,
 )
+from genfock.stirling import stirling_s2
 
 
 def rand_element(rng, deg, scale=1.0):
@@ -165,6 +168,101 @@ def test_number_power_routes_agree_exactly():
     f = TaylorCoeffs(list(range(1, 13)))
     for k in range(0, 9):
         assert number_power_direct(k, f) == number_power_normal_ordered(k, f)
+
+
+# ---------------------------------------------------- the lowering ladder
+
+_COEFFS = {
+    "int": st.integers(-50, 50),
+    "fraction": st.fractions(-20, 20, max_denominator=12),
+    "float": st.floats(-1e6, 1e6),
+    "complex": st.complex_numbers(max_magnitude=1e6, allow_nan=False,
+                                  allow_infinity=False),
+}
+coeff_tuples = st.sampled_from(sorted(_COEFFS)).flatmap(
+    lambda kind: st.lists(_COEFFS[kind], max_size=25).map(tuple))
+
+
+def _exact(cs):
+    return all(isinstance(c, (int, Fraction)) for c in cs)
+
+
+def _routes_agree(a, b, cs):
+    """Exact input: equal.  Float input: each coefficient within 1e-12 of
+    the larger (the routes round differently, with no cancellation beyond
+    the direct commutator's (n+1)**m - n**m)."""
+    if _exact(cs):
+        return a == b
+    return all(abs(complex(x) - complex(y))
+               <= 1e-12 * max(abs(complex(x)), abs(complex(y)), 1e-300)
+               for x, y in zip_longest(a.coeffs, b.coeffs, fillvalue=0))
+
+
+# A literal copy of the expansion the ladder replaced: a fresh object per
+# operator letter, each term lowered from f again, sums through _axpy.
+def _ref_raise(f):
+    return f if not f.coeffs else TaylorCoeffs((0,) + f.coeffs)
+
+
+def _ref_lower(f):
+    cs = f.coeffs
+    return TaylorCoeffs(tuple((n + 1) * cs[n + 1] for n in range(len(cs) - 1)))
+
+
+def _ref_word(word, f):
+    for ch in reversed(word):
+        f = _ref_raise(f) if ch == "A" else _ref_lower(f)
+    return f
+
+
+def _ref_axpy(c, g, acc):
+    n = max(len(g.coeffs), len(acc.coeffs))
+    return TaylorCoeffs(tuple(acc.coeff(i) + c * g.coeff(i) for i in range(n)))
+
+
+def _ref_number_power(k, f):
+    if k == 0:
+        return f
+    total = TaylorCoeffs.zero()
+    for n in range(1, k + 1):
+        total = _ref_axpy(stirling_s2(k, n), _ref_word("A" * n + "B" * n, f),
+                          total)
+    return total
+
+
+def _ref_commutator(f, m):
+    total = f
+    for n in range(1, m):
+        total = _ref_axpy((n + 1) * stirling_s2(m, n + 1),
+                          _ref_word("A" * n + "B" * n, f), total)
+    return total
+
+
+def _same_output(got, want, cs):
+    """Equal coefficients of the same types; the same repr on exact input."""
+    assert [type(c) for c in got.coeffs] == [type(c) for c in want.coeffs]
+    assert got.coeffs == want.coeffs
+    if _exact(cs):
+        assert repr(got) == repr(want)
+
+
+@given(coeff_tuples, st.integers(0, 9), st.integers(1, 7))
+@example((), 3, 2)
+@example((5,), 2, 4)
+@example((Fraction(1, 3),), 0, 1)
+@example((1.5, -0.0, 2.0), 9, 7)
+@example((1, 2, 3), 9, 6)
+def test_ladder_routes_agree_and_match_the_expansion_they_replace(cs, k, m):
+    f = TaylorCoeffs(cs)
+    numpow = number_power_normal_ordered(k, f)
+    comm = commutator_via_expansion(f, m)
+    adj = raising_adjoint_via_stirling(f, m)
+    assert _routes_agree(numpow, number_power_direct(k, f), cs)
+    assert _routes_agree(comm, commutator_raising(f, m), cs)
+    assert _routes_agree(adj, raising_adjoint(f, m), cs)
+    _same_output(numpow, _ref_number_power(k, f), cs)
+    _same_output(comm, _ref_commutator(f, m), cs)
+    _same_output(adj, _ref_lower(_ref_number_power(m - 1, f)), cs)
 
 
 # ------------------------------------------------------------ norm pieces
