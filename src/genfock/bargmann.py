@@ -4,8 +4,10 @@ The bridge is the Hermite basis with an alternating sign:
 
     eta_n(t) = (-1)**n * psi_n(t),
 
-psi_n the usual orthonormal Hermite functions.  A function with Hermite
-coefficients (c_n) maps to the series with Taylor coefficients
+psi_n the usual orthonormal Hermite functions, evaluated by one streamed
+three-term recurrence that holds two rows at a time (only hermite_eta_all
+stacks them into a table).  A function with Hermite coefficients (c_n) maps
+to the series with Taylor coefficients
 
     f_n = c_n / (n!)**(m/2),
 
@@ -28,6 +30,7 @@ conventions, which does not match this one.  The series is the ground truth.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -48,30 +51,33 @@ _TINY = 1e-300
 HERMITE_SUP_BOUND = 0.9
 
 
-def hermite_eta_all(nmax: int, t) -> np.ndarray:
-    """eta_0 .. eta_nmax at t (scalar or array); shape (nmax+1, *t.shape).
+def _eta_rows(t, nmax: int | None = None):
+    """Yield eta_0(t), eta_1(t), ... through eta_nmax (no end if None).
 
-    Three-term recurrence in the orthonormal scaling, which is stable and
-    keeps every value O(1):
+    Holds only the last two rows.  Stable in the orthonormal scaling, every
+    value O(1); with eta_{-1} = 0, row 1 subtracts an exact 0.0:
 
         eta_{k+1} = -sqrt(2/(k+1)) * t * eta_k - sqrt(k/(k+1)) * eta_{k-1}
     """
-    if nmax < 0:
+    if nmax is not None and nmax < 0:
         raise ValueError("nmax must be >= 0")
     t = np.asarray(t, float)
-    out = np.empty((nmax + 1,) + t.shape)
-    out[0] = _PI_QUARTER * np.exp(-0.5 * t * t)
-    if nmax >= 1:
-        out[1] = -math.sqrt(2.0) * t * out[0]
-    for k in range(1, nmax):
-        out[k + 1] = (-math.sqrt(2.0 / (k + 1)) * t * out[k]
-                      - math.sqrt(k / (k + 1.0)) * out[k - 1])
-    return out
+    prev, eta = 0.0, _PI_QUARTER * np.exp(-0.5 * t * t)
+    for k in itertools.count() if nmax is None else range(nmax):
+        yield eta
+        prev, eta = eta, (-math.sqrt(2.0 / (k + 1)) * t * eta
+                          - math.sqrt(k / (k + 1.0)) * prev)
+    yield eta
+
+
+def hermite_eta_all(nmax: int, t) -> np.ndarray:
+    """eta_0 .. eta_nmax at t (scalar or array); shape (nmax+1, *t.shape)."""
+    return np.stack(tuple(_eta_rows(t, nmax)))
 
 
 def hermite_eta(n: int, t):
-    """eta_n at t."""
-    return hermite_eta_all(n, t)[n]
+    """eta_n at t: the last row of the recurrence, none of them stored."""
+    return functools.reduce(lambda _, eta: eta, _eta_rows(t, n))
 
 
 @functools.lru_cache(maxsize=None, typed=True)
@@ -99,7 +105,7 @@ def eta_sup_on_grid(nmax: int, t_max: float = 30.0, pts: int = 6001
     n up to about 400, beyond which the functions are exponentially small.
     """
     t = np.linspace(-t_max, t_max, pts)
-    return np.abs(hermite_eta_all(nmax, t)).max(axis=1)
+    return np.array([np.abs(eta).max() for eta in _eta_rows(t, nmax)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,34 +214,30 @@ def transform_kernel(m: int, z: complex, t, tol: float = 1e-14):
     collapse).
     """
     _require_level(m)
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     z = complex(z)
     zabs = max(abs(z), 1e-30)
-    t = np.asarray(t, float)
-    eta_prev = np.zeros_like(t)
-    eta = _PI_QUARTER * np.exp(-0.5 * t * t)
-    total = eta.astype(complex)
+    rows = _eta_rows(t, 2000)
+    total = next(rows).astype(complex)
     zpow = 1.0 + 0.0j
     term_bound = HERMITE_SUP_BOUND
     ref = max(float(np.abs(total).max()), _TINY)
     scales = _scales(m, 64)
     below = 0
-    n = 0
-    while below < 3 and n < 2000:
-        n += 1
+    for n, eta in enumerate(rows, 1):
         if n == len(scales):
             scales = _scales(m, 2 * n)
         if scales[n] == 0.0:
             raise WeightOverflowError(n, m)
-        eta_prev, eta = eta, (-math.sqrt(2.0 / n) * t * eta
-                              - math.sqrt((n - 1.0) / n) * eta_prev)
         zpow = zpow * z
         total = total + zpow * scales[n] * eta
         ref = max(ref, float(np.abs(total).max()))
         term_bound = term_bound * zabs * math.exp(
             -0.5 * (log_weight(n, m) - log_weight(n - 1, m)))
         below = below + 1 if term_bound < tol * ref else 0
+        if below == 3:
+            break
     return total if total.ndim else complex(total)
 
 
@@ -251,11 +253,9 @@ def transform_via_quadrature(hermite_coeffs, m: int, z: complex,
     """
     _require_level(m)
     nodes, weights = _gauss_hermite(order)
-    coeffs = list(hermite_coeffs)
-    etas = hermite_eta_all(max(len(coeffs) - 1, 0), nodes)
     phi = np.zeros_like(nodes, dtype=complex)
-    for n, c in enumerate(coeffs):
-        phi += complex(c) * etas[n]
+    for c, eta in zip(hermite_coeffs, _eta_rows(nodes)):
+        phi += complex(c) * eta
     hz = transform_kernel(m, z, nodes)
     return _fsum_complex(_lifted_weights(nodes, weights) * hz * phi)
 

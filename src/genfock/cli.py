@@ -12,7 +12,9 @@ operator routes disagreeing), reported as one line on stderr.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
+import functools
 import io
 import json
 import math
@@ -37,27 +39,42 @@ _MOMENT_TOL = 1e-6
 
 
 def _complex_arg(text: str) -> complex:
-    """Accept '1.5+2j' (Python literal) or '1.5,2' (re,im)."""
+    """Accept '1.5+2j' (Python literal) or '1.5,2' (re,im); finite only."""
     s = text.strip()
     try:
-        return complex(s)
+        z = complex(s)
     except ValueError:
-        pass
-    parts = s.split(",")
-    if len(parts) == 2:
-        return complex(float(parts[0]), float(parts[1]))
-    raise argparse.ArgumentTypeError(f"cannot parse complex value {text!r}")
+        parts = s.split(",")
+        if len(parts) != 2:
+            raise argparse.ArgumentTypeError(
+                f"cannot parse complex value {text!r}") from None
+        z = complex(float(parts[0]), float(parts[1]))
+    if not cmath.isfinite(z):
+        raise argparse.ArgumentTypeError(f"complex value {text!r} is not "
+                                         "finite")
+    return z
 
 
 def _degree_arg(text: str) -> int:
-    """A random element's degree, capped at _MAX_RANDOM_DEGREE."""
+    """A random element's degree, from 0 up to _MAX_RANDOM_DEGREE."""
     degree = int(text)
+    if degree < 0:
+        raise argparse.ArgumentTypeError(f"degree {degree} is negative")
     if degree > _MAX_RANDOM_DEGREE:
         raise argparse.ArgumentTypeError(
             f"degree {degree} is above {_MAX_RANDOM_DEGREE}: a random element "
             f"with O(1) coefficients makes the reproducing identity "
             f"ill-conditioned beyond degree {_MAX_RANDOM_DEGREE}")
     return degree
+
+
+def _tol_arg(text: str) -> float:
+    """A tolerance: a positive finite number."""
+    tol = float(text)
+    if not 0.0 < tol < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"tolerance {text!r} is not a positive finite number")
+    return tol
 
 
 def _modulus(z: complex) -> float:
@@ -126,7 +143,7 @@ def _shared_flags(sub: argparse.ArgumentParser, *, seed: bool = False,
         sub.add_argument("--seed", type=int, default=2026,
                          help="seed for the randomized content")
     if tol is not None:
-        sub.add_argument("--tol", type=float, default=tol,
+        sub.add_argument("--tol", type=_tol_arg, default=tol,
                          help="tolerance (default %(default)g)")
     if fmt:
         sub.add_argument("--format", choices=("json", "csv"), default=fmt)
@@ -257,8 +274,8 @@ def _cmd_stirling(args) -> int:
 
 
 def _cmd_kernel_table(args) -> int:
-    if args.points < 2 or args.xmin <= 0 or args.xmax <= args.xmin:
-        raise ValueError("need 0 < xmin < xmax and points >= 2")
+    if args.points < 2 or not 0 < args.xmin < args.xmax < math.inf:
+        raise ValueError("need 0 < xmin < xmax < inf and points >= 2")
     xs = np.geomspace(args.xmin, args.xmax, args.points)
     vals = [float(radialkernel.radial_weight(args.m, x)) for x in xs]
     _emit_tabular(args, {"m": args.m, "x": list(map(float, xs)),
@@ -405,9 +422,15 @@ _HANDLERS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """:func:`build_parser`, called once: building the thirteen subparsers
+    costs more than most of the work they dispatch."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
     except (WeightOverflowError, QuadratureConvergenceError,

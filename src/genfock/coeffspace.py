@@ -26,13 +26,22 @@ _TINY = 1e-300
 
 
 class WeightOverflowError(OverflowError):
-    """A factorial-power weight left double range at an index that matters."""
+    """A factorial-power weight, or a term it scales, left double range at
+    an index that matters.
+
+    The message blames the weight (n!)**m only when the weight itself is
+    past double range; otherwise the term (a coefficient product times an
+    in-range weight) is what overflowed.
+    """
 
     def __init__(self, index: int, m: int):
-        super().__init__(
-            f"weight (n!)^m exceeds double range at index n={index} (level m={m}) "
-            "with a non-zero coefficient"
-        )
+        if _weight_table(m, index + 1)[1][index] > 1024:
+            msg = (f"weight (n!)^m exceeds double range at index n={index} "
+                   f"(level m={m}) with a non-zero coefficient")
+        else:
+            msg = (f"term at index n={index} (level m={m}) exceeds double "
+                   "range; its weight (n!)^m is within range")
+        super().__init__(msg)
         self.index = index
         self.m = m
 
@@ -352,7 +361,7 @@ def kernel_eval(m: int, z: complex, w: complex, tol: float = 1e-14) -> complex:
     monotonically once the factorial dominates).
     """
     _require_level(m)
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     u = complex(z) * complex(w).conjugate()
     total = 1.0 + 0.0j
@@ -361,7 +370,11 @@ def kernel_eval(m: int, z: complex, w: complex, tol: float = 1e-14) -> complex:
     n = 0
     while below < 3 and n < 100_000:
         n += 1
-        term = term * u / float(n) ** m
+        try:
+            nm = float(n) ** m
+        except OverflowError:  # n**m past double range: inf, as in IEEE
+            nm = math.inf
+        term = term * u / nm
         total += term
         if abs(term) < tol * max(abs(total), _TINY):
             below += 1

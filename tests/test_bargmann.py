@@ -1,6 +1,7 @@
 """Hermite-side transform: basis, unitarity, kernel, quadrature cross-check."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from numpy.polynomial.hermite import hermgauss
 
-from genfock import bargmann
+from genfock import bargmann, suites
 from genfock.bargmann import (
     HERMITE_SUP_BOUND,
     HermiteEvaluation,
@@ -26,7 +27,9 @@ from genfock.bargmann import (
 from genfock.coeffspace import (
     TaylorCoeffs,
     WeightOverflowError,
+    _fsum_complex,
     eval_point,
+    log_weight,
     squared_norm,
 )
 
@@ -218,3 +221,132 @@ def test_forward_image_norm_equals_l2():
         assert squared_norm(forward(c, m), m) == pytest.approx(
             l2, rel=1e-14, abs=0
         )
+
+
+# ---------------------------------------------------------- streamed rows
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes traced by tracemalloc during one call of fn, after a warm
+    call has filled the caches."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sup_scan_and_bargmann_suite_hold_no_table():
+    # a 201 x 6001 table and its np.abs copy traced 19.3 MB
+    assert traced_peak(lambda: eta_sup_on_grid(200)) <= 1_000_000
+    assert traced_peak(lambda: suites.suite_bargmann(
+        suites.RunConfig(seed=1))) <= 2_000_000
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 60, 200])
+def test_sup_scan_is_the_table_maximum_exactly(n):
+    t = np.linspace(-30.0, 30.0, 6001)
+    want = np.abs(hermite_eta_all(n, t)).max(axis=1)
+    assert eta_sup_on_grid(n).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("t", [0.7, -2.5, np.linspace(-8.0, 8.0, 33),
+                               np.linspace(-3.0, 3.0, 6).reshape(2, 3)])
+def test_single_row_is_the_table_row_bitwise(t):
+    table = hermite_eta_all(120, t)
+    for n in (0, 1, 2, 7, 120):
+        got = hermite_eta(n, t)
+        assert type(got) is type(table[n])
+        assert np.asarray(got).tobytes() == table[n].tobytes()
+
+
+def _table_before_streaming(nmax, t):
+    """The (nmax+1) x grid table as it was built before the rows were
+    streamed, kept literally as the reference for bit identity."""
+    t = np.asarray(t, float)
+    out = np.empty((nmax + 1,) + t.shape)
+    out[0] = PI_QUARTER * np.exp(-0.5 * t * t)
+    if nmax >= 1:
+        out[1] = -math.sqrt(2.0) * t * out[0]
+    for k in range(1, nmax):
+        out[k + 1] = (-math.sqrt(2.0 / (k + 1)) * t * out[k]
+                      - math.sqrt(k / (k + 1.0)) * out[k - 1])
+    return out
+
+
+def _kernel_before_streaming(m, z, t, tol=1e-14):
+    """transform_kernel with its own copy of the recurrence, literally as
+    it was before the rows were streamed."""
+    z = complex(z)
+    zabs = max(abs(z), 1e-30)
+    t = np.asarray(t, float)
+    eta_prev = np.zeros_like(t)
+    eta = PI_QUARTER * np.exp(-0.5 * t * t)
+    total = eta.astype(complex)
+    zpow = 1.0 + 0.0j
+    term_bound = HERMITE_SUP_BOUND
+    ref = max(float(np.abs(total).max()), 1e-300)
+    scales = bargmann._scales(m, 64)
+    below = 0
+    n = 0
+    while below < 3 and n < 2000:
+        n += 1
+        if n == len(scales):
+            scales = bargmann._scales(m, 2 * n)
+        if scales[n] == 0.0:
+            raise WeightOverflowError(n, m)
+        eta_prev, eta = eta, (-math.sqrt(2.0 / n) * t * eta
+                              - math.sqrt((n - 1.0) / n) * eta_prev)
+        zpow = zpow * z
+        total = total + zpow * scales[n] * eta
+        ref = max(ref, float(np.abs(total).max()))
+        term_bound = term_bound * zabs * math.exp(
+            -0.5 * (log_weight(n, m) - log_weight(n - 1, m)))
+        below = below + 1 if term_bound < tol * ref else 0
+    return total if total.ndim else complex(total)
+
+
+def _quadrature_before_streaming(hermite_coeffs, m, z, order=96):
+    nodes, weights = bargmann._gauss_hermite(order)
+    coeffs = list(hermite_coeffs)
+    etas = _table_before_streaming(max(len(coeffs) - 1, 0), nodes)
+    phi = np.zeros_like(nodes, dtype=complex)
+    for n, c in enumerate(coeffs):
+        phi += complex(c) * etas[n]
+    hz = _kernel_before_streaming(m, z, nodes)
+    return _fsum_complex(bargmann._lifted_weights(nodes, weights) * hz * phi)
+
+
+def same_value(a, b) -> bool:
+    """Same type and repr, and for arrays the same dtype, shape and bytes
+    (an array's repr rounds to 8 digits)."""
+    if isinstance(a, np.ndarray):
+        return (type(b) is np.ndarray and a.dtype == b.dtype
+                and a.shape == b.shape and a.tobytes() == b.tobytes())
+    return type(a) is type(b) and repr(a) == repr(b)
+
+
+_Z = st.complex_numbers(max_magnitude=3.0, allow_nan=False,
+                        allow_infinity=False)
+_T = (st.floats(-12.0, 12.0)
+      | st.lists(st.floats(-12.0, 12.0), min_size=1, max_size=40).map(np.array)
+      | st.just(np.asarray(bargmann._gauss_hermite(96)[0])))
+_COEFFS = st.lists(st.complex_numbers(max_magnitude=1e3, allow_nan=False,
+                                      allow_infinity=False), max_size=60)
+
+
+@given(st.integers(1, 6), _Z, _T, st.integers(0, 200))
+def test_streamed_rows_match_the_table_they_replace(m, z, t, nmax):
+    want = _table_before_streaming(nmax, t)
+    assert same_value(hermite_eta_all(nmax, t), want)
+    assert same_value(hermite_eta(nmax, t), want[nmax])
+    assert same_value(transform_kernel(m, z, t),
+                      _kernel_before_streaming(m, z, t))
+
+
+@given(st.integers(1, 6), _Z, _COEFFS)
+def test_quadrature_route_matches_the_code_it_replaces(m, z, coeffs):
+    assert same_value(transform_via_quadrature(coeffs, m, z),
+                      _quadrature_before_streaming(coeffs, m, z))

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import genfock
-from genfock import operators, radialkernel
+from genfock import cli, operators, radialkernel
 from genfock.cli import main
 from genfock.operators import OperatorConsistencyError
 from genfock.radialkernel import QuadratureConvergenceError
@@ -329,6 +329,22 @@ def test_flags_a_subcommand_does_not_read_exit_two(capsys, argv):
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    "kernel-eval --m 1 --z 1 --w 1 --tol nan",
+    "kernel-eval --m 1 --z nan --w 1",
+    "kernel-eval --m 1 --z 1 --w 1,inf",
+    "reproduce-check --m 1 --w 0.5 --degree -1",
+    "reproduce-check --m 1 --w 0.5 --tol 0",
+    "verify-operators --tol -1",
+    "verify operators --tol inf",
+])
+def test_values_past_a_flag_range_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv.split())
+    assert info.value.code == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def numerical_error_line(capsys, name):
     err = capsys.readouterr().err
     assert err.startswith("genfock: numerical error: " + name)
@@ -339,6 +355,15 @@ def test_weight_overflow_exits_three(capsys, tmp_path):
     f = jfile(tmp_path, "f.json", {"coeffs": [[0, 0], [0, 0], [1e300, 0]]})
     assert main(["inner-product", "--m", "2", "--f", f, "--g", f]) == 3
     numerical_error_line(capsys, "WeightOverflowError")
+
+
+def test_term_overflow_names_the_term(capsys, tmp_path):
+    # the weight 0! ** 1 is 1; the product of the coefficients overflows
+    f = jfile(tmp_path, "f.json", {"coeffs": [[1.7e308, 1.7e308]]})
+    assert main(["inner-product", "--m", "1", "--f", f, "--g", f]) == 3
+    err = capsys.readouterr().err
+    assert "WeightOverflowError: term at index n=0 (level m=1)" in err
+    assert "weight (n!)^m exceeds" not in err
 
 
 def test_stalled_quadrature_exits_three(capsys, monkeypatch):
@@ -367,6 +392,26 @@ def test_verify_reports_are_byte_identical(tmp_path, capsys):
     assert main(["verify", "dual", "--seed", "42", "--out", str(a)]) == 0
     assert main(["verify", "dual", "--seed", "42", "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_parser_is_built_once(capsys, monkeypatch):
+    built = []
+    real = cli.build_parser
+
+    def counting():
+        built.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    try:
+        first = run(capsys, "verify", "bargmann", "--seed", "3")
+        second = run(capsys, "verify", "bargmann", "--seed", "3")
+    finally:
+        cli._parser.cache_clear()
+    assert built == [1]
+    assert first == second
+    assert first[0] == 0
 
 
 def test_seed_changes_random_content(capsys):
@@ -423,6 +468,8 @@ _CONTRACT_FILES = {
     (2, "inner-product --m 1 --f {hugeint} --g {elem}"),
     (2, "bargmann --m 1 --direction inv --in {inf}"),
     (2, "integrate --f {huget} --g {path}"),
+    (2, "kernel-table --m 2 --xmin nan --points 3"),
+    (2, "kernel-table --m 2 --xmax inf --points 3"),
     # a result JSON cannot hold is an error line, not "Infinity"
     (2, "dual-norm --m 1 --in {sumover}"),
     (2, "inner-product --m 1 --f {sumover} --g {sumover}"),
@@ -450,6 +497,8 @@ _CONTRACT_FILES = {
     (0, "vage-check --p 1 --q 2 --trials 1"),
     (0, "integrate --f {path} --g {path}"),
     (0, "verify stirling"),
+    # n**m past double range (an OverflowError traceback once)
+    (0, "kernel-eval --m 1000 --z 1 --w 1"),
     # values whose modulus, not their parts, leaves double range
     (0, "reproduce-check --m 1 --w 0.5 --in {nearmax1}"),
 ])
@@ -528,3 +577,99 @@ def test_malformed_element_files_exit_cleanly(drive_dir, a, b, m, word):
             code = main(argv)
         assert code in (0, 1, 2, 3), argv
         assert "Traceback" not in err.getvalue(), argv
+
+
+# Every subcommand over its flags.  Each flag is a pair: a strategy for
+# values inside its documented range or on its edges, and values just past
+# it (levels >= 1, tolerances positive and finite, degrees 0..30, trials
+# >= 1, q >= p + 1 >= 2, 0 < xmin < xmax, points >= 2, finite complex
+# arguments, seeds >= 0, the listed choices).  Radial levels stay at 5 or
+# below and sizes stay small, so the drive runs in Tier-1.
+_LEVEL = (st.integers(1, 6) | st.sampled_from([40, 1000]), [0, -1])
+_RADIAL_LEVEL = (st.integers(1, 5), [0, -1])
+_TOL = (st.sampled_from(["1e-12", "1e-300", "0.5", "1e300"]),
+        ["0", "-1e-9", "nan", "inf", "tol"])
+_COMPLEX = (st.sampled_from(["0", "1", "-2.5", "0.5+0.5j", "1.5,-2", "3j",
+                             "1e3", "1e200"]),
+            ["nan", "1,inf", "1,2,3", "z"])
+_SEED = (st.integers(0, 3), [-1])
+_XMIN = (st.sampled_from(["1e-30", "1e-3", "0.5"]),
+         ["-1", "0", "1e-31", "20", "nan"])
+_XMAX = (st.sampled_from(["1", "10", "1e9"]), ["1e-4", "1.1e9", "inf", "nan"])
+_FORMAT = (st.sampled_from(["csv", "json"]), ["xml"])
+
+
+def _file(*names):
+    return st.sampled_from(["{%s}" % name for name in names]), []
+
+
+@st.composite
+def _call(draw, command, **flags):
+    """argv for one subcommand.  At most one flag takes a value past its
+    range, so a rejection is the rejection of that value; half the calls
+    take none.  The flag named ``suite`` is positional."""
+    past = draw(st.sampled_from(
+        [None] * len(flags) + [key for key, pair in flags.items() if pair[1]]))
+    argv = [command]
+    for key, (inside, beyond) in flags.items():
+        value = str(draw(st.sampled_from(beyond) if key == past else inside))
+        argv += ([value] if key == "suite"
+                 else ["--" + key.replace("_", "-"), value])
+    return argv
+
+
+_FLAG_CALLS = st.one_of(
+    _call("stirling", max_k=(st.integers(0, 25), [-1]), format=_FORMAT),
+    _call("kernel-table", m=_RADIAL_LEVEL, xmin=_XMIN, xmax=_XMAX,
+          points=(st.integers(2, 4), [1, 0]), format=_FORMAT),
+    _call("moments", m=_RADIAL_LEVEL,
+          nmax=(st.integers(0, 12) | st.sampled_from([60, 200]), [-1]),
+          format=_FORMAT),
+    _call("kernel-eval", m=_LEVEL, z=_COMPLEX, w=_COMPLEX, tol=_TOL),
+    _call("inner-product", m=_LEVEL, f=_file("elem"),
+          g=_file("elem", "nearmax1")),
+    _call("reproduce-check", m=_LEVEL, w=_COMPLEX,
+          degree=(st.integers(0, 30), [-1, 31]), seed=_SEED, tol=_TOL),
+    _call("op-apply", word=(st.text("ABST", min_size=1, max_size=4),
+                            ["X", "AXB"]), m=_LEVEL),
+    _call("verify-operators", m=(st.integers(1, 8), [0, -1]),
+          deg=(st.integers(1, 20), [0, -1]), seed=_SEED, tol=_TOL),
+    _call("bargmann", m=_LEVEL,
+          direction=(st.sampled_from(["fwd", "inv"]), ["both"]),
+          **{"in": _file("herm", "elem")}),
+    _call("dual-norm", m=_LEVEL, **{"in": _file("elem")}),
+    _call("vage-check", p=(st.integers(1, 4), [0, -1]),
+          q=(st.integers(2, 6), [1, 0]), trials=(st.integers(1, 20), [0, -1]),
+          seed=_SEED),
+    _call("integrate", f=_file("path"), g=_file("path")),
+    _call("verify", suite=(st.sampled_from(["stirling", "operators",
+                                            "bargmann", "dual", "kernels"]),
+                           ["none"]),
+          m=_RADIAL_LEVEL, max_refinements=(st.integers(0, 2), [-1]),
+          seed=_SEED, tol=_TOL, format=_FORMAT),
+)
+
+
+@pytest.fixture(scope="module")
+def flag_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("flags")
+    files = {}
+    for key in ("elem", "herm", "path", "nearmax1"):
+        files[key] = root / (key + ".json")
+        files[key].write_text(json.dumps(_CONTRACT_FILES[key]))
+    return files
+
+
+@settings(max_examples=120)
+@given(_FLAG_CALLS)
+def test_flags_over_their_ranges_exit_cleanly(flag_files, argv):
+    argv = [a.format(**flag_files) for a in argv]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the value
+            code = exc.code
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in err.getvalue(), argv

@@ -223,6 +223,23 @@ def test_exact_input_is_summed_exactly_and_rounded_once():
     assert info.value.index == 1
 
 
+@pytest.mark.parametrize("f", [
+    TaylorCoeffs([10**200]),  # exact route
+    TaylorCoeffs([1.7e308 + 1.7e308j]),  # float route
+])
+def test_term_overflow_blames_the_term_not_the_weight(f):
+    # the weight 0! ** 1 is 1; the coefficient product is what overflows
+    for fn in (lambda: inner_product(f, f, 1), lambda: squared_norm(f, 1)):
+        with pytest.raises(WeightOverflowError) as info:
+            fn()
+        assert (info.value.index, info.value.m) == (0, 1)
+        assert str(info.value).startswith("term at index n=0 (level m=1)")
+        assert "weight (n!)^m exceeds" not in str(info.value)
+    # a weight past double range is still blamed as such
+    with pytest.raises(WeightOverflowError, match="^weight .* n=200 "):
+        squared_norm(TaylorCoeffs.monomial(200), 1)
+
+
 def test_mixed_input_takes_the_float_route():
     # any float coefficient converts every paired coefficient to complex
     f = TaylorCoeffs([Fraction(1, 3), 0.5])
@@ -373,6 +390,15 @@ def test_kernel_rejects_bad_arguments():
         kernel_eval(0, 1, 1)
     with pytest.raises(ValueError):
         kernel_eval(1, 1, 1, tol=0.0)
+    with pytest.raises(ValueError):
+        kernel_eval(1, 1, 1, tol=math.nan)
+
+
+def test_kernel_at_a_level_whose_powers_leave_double_range():
+    # 3.0 ** 1000 raised OverflowError; n**m past range divides to 0 as in
+    # IEEE arithmetic, and the value is 1 + 1 + 2**-1000 + ...
+    assert kernel_eval(1000, 1, 1) == 2.0
+    assert kernel_eval(400, 3, 1) == pytest.approx(4.0, rel=1e-15, abs=0)
 
 
 @given(
