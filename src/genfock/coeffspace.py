@@ -14,6 +14,7 @@ input to the inner product is summed exactly and rounded once.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -358,7 +359,8 @@ def kernel_eval(m: int, z: complex, w: complex, tol: float = 1e-14) -> complex:
 
     The partial sum stops after three consecutive terms fall below
     tol * |partial sum| (guards small-argument plateaus; terms decrease
-    monotonically once the factorial dominates).
+    monotonically once the factorial dominates), or as soon as it is no
+    longer finite, which it then returns.
     """
     _require_level(m)
     if not tol > 0:
@@ -376,6 +378,8 @@ def kernel_eval(m: int, z: complex, w: complex, tol: float = 1e-14) -> complex:
             nm = math.inf
         term = term * u / nm
         total += term
+        if not cmath.isfinite(total):  # no later term can bring it back
+            break
         if abs(term) < tol * max(abs(total), _TINY):
             below += 1
         else:

@@ -100,55 +100,182 @@ def pairing(f: TaylorCoeffs, b: DualSequence) -> complex:
     return inner_product(f, TaylorCoeffs(b.coeffs), 1)
 
 
-# index pairs per block of consecutive diagonals in the float Cauchy product
-_BLOCK = 4096
+# cells (index pairs, padding included) per block of consecutive diagonals
+_BLOCK = 8192
+# below this many index pairs every diagonal takes the fsum route: there the
+# certificate's fixed numpy cost per block exceeds the fsum work it saves
+_CERTIFY_PAIRS = 300
+# the interval test wants sigma at least this large, so that E is a double
+_CERTIFY_TINY = 2.0 ** -900
+# fsum of terms that are all zeros: the first unless every term is -0.0
+_ZERO_SUMS = (math.fsum([0.0]), math.fsum([-0.0]))
+# the exponent field of a double: x & _EXPONENT is 2**floor(log2 |x|)
+_EXPONENT = np.uint64(0x7FF0000000000000)
+
+
+def _fsum_rows(re, im, live) -> list:
+    """The fsum route: row k of the (diagonals, pairs) product arrays
+    ``re``, ``im`` summed over its live cells, in order, with ``fsum``; a
+    row without a live cell is the exact 0."""
+    counts = live.sum(axis=1).tolist()
+    re, im = re[live].tolist(), im[live].tolist()
+    out = []
+    start = 0
+    for n in counts:
+        if n:
+            try:
+                out.append(complex(math.fsum(re[start:start + n]),
+                                   math.fsum(im[start:start + n])))
+            except OverflowError:  # a partial sum left double range
+                out.append(complex(_fsum(re[start:start + n]),
+                                   _fsum(im[start:start + n])))
+            start += n
+        else:
+            out.append(0)
+    return out
+
+
+def _certified_sums(p):
+    """(vals, s, ok) for the sums along the last axis of ``p``, shape
+    (2, diagonals, pairs): ``vals`` is complex, s[h] a view of its real
+    (h = 0) or imaginary (h = 1) parts, and ok a mask of s.
+
+    Where ok holds, s is the double nearest to the exact sum of the doubles
+    summed, ties to even: the value ``fsum`` returns.  Each sum is split
+    against a power of two sigma >= (pairs + 2) * max|p|, the error-free
+    extraction of Rump, Ogita and Oishi (Accurate floating-point summation
+    part I, SIAM J. Sci. Comput. 31, 2008): q = (p + sigma) - sigma and
+    p - q are exact, every q is a multiple of 2**-53 sigma and their sum hi
+    stays below sigma, so hi is exact in any order.  The low parts p - q,
+    each at most 2**-53 sigma, sum to lo within
+    E = gamma(pairs - 1) * pairs * 2**-53 sigma of their exact sum, with E
+    rounded up to a power of two large enough that fl(lo - 2E) <= lo - E
+    and fl(lo + 2E) >= lo + E.
+
+    Rounding is monotone, so s = hi + lo is certified when hi + fl(lo - 2E)
+    and hi + fl(lo + 2E) round alike; no gap is computed, so the half gap
+    below a power of two needs no special case.  That test fails near a
+    tie, and a sum of a few terms of one binade is often exactly a tie.
+    There a second test applies: each low part is a multiple of the unit
+    in the last place of its term, so when
+    sigma * 2**bit_length(pairs) <= 2**54 * 2**floor(log2 |p|) for the
+    smallest non-zero |p|, every partial sum of the low parts is a double,
+    lo is exact and s = hi + lo is rounded once.  A non-finite term, or a
+    sigma past double range, fails both tests, and so does a zero sum; the
+    first also wants sigma >= ``_CERTIFY_TINY``, which keeps E a double.
+    All comparisons are between powers of two or exact doubles.
+    """
+    n = p.shape[-1]
+    buf = np.empty((2,) + p.shape)  # the high and the low parts
+    q, lo = buf
+    m = np.abs(p, out=q).max(axis=-1)
+    # 2**floor(log2 m) * 2**(c + 1) with 2**c >= n + 2; 0 for subnormal m
+    sigma = (m.view(np.uint64) & _EXPONENT).view(float)
+    sigma *= 2.0 ** ((n + 1).bit_length() + 1)
+    np.add(p, sigma[..., None], out=q)
+    q -= sigma[..., None]
+    np.subtract(p, q, out=lo)
+    hi, lo = buf.sum(axis=-1)
+    vals = np.empty(p.shape[1], dtype=complex)
+    s = vals.view(float).reshape(-1, 2).T
+    np.add(hi, lo, out=s)
+    two_e = sigma * 2.0 ** (((n - 1) * n).bit_length() - 104)
+    ok = hi + (lo + two_e) == hi + (lo - two_e)
+    ok &= sigma >= _CERTIFY_TINY
+    if not ok.all():
+        rest = ~ok & (s != 0)
+        a = np.abs(p[rest])
+        least = np.minimum.reduce(a, axis=-1, initial=np.inf, where=a != 0)
+        least = (least.view(np.uint64) & _EXPONENT).view(float)
+        ok[rest] = sigma[rest] * 2.0 ** (n.bit_length() - 55) < least
+    return vals, s, ok
 
 
 def _float_convolution(ca: tuple, cb: tuple) -> list:
     """Cauchy product of float coefficients, each output correctly rounded.
 
     The products a_i * b_j are formed with the real operations of a complex
-    multiply, diagonal by diagonal in blocks of about ``_BLOCK`` index
-    pairs, and the live ones (both factors non-zero) of each diagonal
-    i + j are reduced with ``fsum``, which does not depend on the order of
-    its terms.  A diagonal with no live product is the exact 0.
+    multiply, in blocks of about ``_BLOCK`` cells laid out skewed: row k of
+    a block holds diagonal d0 + k, one cell per index into the shorter
+    factor, read from a strided view of the zero-padded longer factor, so
+    no index arrays are built and memory stays bounded per block.
+
+    Each diagonal's real and imaginary parts are summed in numpy and
+    certified by :func:`_certified_sums` (the error-free extraction of
+    Rump, Ogita and Oishi, SIAM J. Sci. Comput. 31, 2008): a certified
+    value is proved to be the double nearest the exact sum, the value
+    ``fsum`` returns.  A part whose products are all zeros sums to the
+    zero ``fsum`` gives.  ``fsum`` itself, over the diagonal's live
+    products (both factors non-zero) in order of the index into ``ca``,
+    still runs where the certificate fails: near ties whose low parts do
+    not sum exactly, exact cancellation, subnormal terms, non-finite
+    values, a split past double range.  It also runs on every diagonal of
+    a product of fewer than ``_CERTIFY_PAIRS`` index pairs, where the
+    certificate's fixed cost exceeds what it saves.  A diagonal with no
+    live product is the exact 0.
     """
     a = np.array(ca, dtype=complex)
     b = np.array(cb, dtype=complex)
-    live_a, live_b = a != 0, b != 0
-    # diagonal d holds the pairs (first[d] + k, d - first[d] - k), k < pairs[d]
-    diag = np.arange(len(ca) + len(cb) - 1)
-    first = np.maximum(diag - len(cb) + 1, 0)
-    pairs = np.minimum(diag, len(ca) - 1) - first + 1
-    ends = pairs.cumsum()
     out = []
-    d0 = 0
-    while d0 < len(diag):
-        done = int(ends[d0 - 1]) if d0 else 0
-        d1 = max(int(ends.searchsorted(done + _BLOCK, "right")), d0 + 1)
-        n = pairs[d0:d1]
-        starts = ends[d0:d1] - n - done
-        rows = (first[d0:d1] - starts).repeat(n)
-        rows += np.arange(len(rows))
-        cols = diag[d0:d1].repeat(n) - rows
-        keep = live_a[rows] & live_b[cols]
-        live = np.add.reduceat(keep, starts).tolist()
-        x, y = a[rows[keep]], b[cols[keep]]
-        re = (x.real * y.real - x.imag * y.imag).tolist()
-        im = (x.real * y.imag + x.imag * y.real).tolist()
-        start = 0
-        for cnt in live:
-            if cnt:
-                try:
-                    out.append(complex(math.fsum(re[start:start + cnt]),
-                                       math.fsum(im[start:start + cnt])))
-                except OverflowError:  # a partial sum left double range
-                    out.append(complex(_fsum(re[start:start + cnt]),
-                                       _fsum(im[start:start + cnt])))
-                start += cnt
-            else:
-                out.append(0)
-        d0 = d1
+    if (len(a) * len(b) >= _CERTIFY_PAIRS
+            and 0 in (ca[0], ca[-1], cb[0], cb[-1])):
+        # diagonals before the first or after the last live product are 0
+        nza, nzb = np.flatnonzero(a), np.flatnonzero(b)
+        if not (len(nza) and len(nzb)):
+            return [0] * (len(ca) + len(cb) - 1)
+        out = [0] * int(nza[0] + nzb[0])
+        a, b = a[nza[0]:nza[-1] + 1], b[nzb[0]:nzb[-1] + 1]
+    swap = len(a) > len(b)
+    short, other = (b, a) if swap else (a, b)
+    nr, nc = len(short), len(other)
+    nd = nr + nc - 1
+    pad = np.zeros(2 * nr + nc - 2, dtype=complex)
+    pad[nr - 1:nr - 1 + nc] = other
+    # view[d, i] = other[d - i], zero outside other
+    view = np.ndarray((nd, nr), complex, pad, (nr - 1) * 16, (16, -16))
+    live_short = short != 0
+    order = slice(None, None, -1 if swap else 1)  # cells by index into ca
+    width = max(1, _BLOCK // nr)
+    certify = nr * nc >= _CERTIFY_PAIRS
+    with np.errstate(all="ignore"):
+        for d0 in range(0, nd, width):
+            d1 = min(d0 + width, nd)
+            i0, i1 = max(0, d0 - nc + 1), min(d1, nr)
+            v = view[d0:d1, i0:i1]
+            ur, ui = short.real[i0:i1], short.imag[i0:i1]
+            xr, xi, yr, yi = (v.real, v.imag, ur, ui) if swap else (
+                ur, ui, v.real, v.imag)
+            p = np.empty((2, d1 - d0, i1 - i0))
+            np.multiply(xr, yr, out=p[0])
+            p[0] -= xi * yi
+            np.multiply(xr, yi, out=p[1])
+            p[1] += xi * yr
+            if not certify:
+                out += _fsum_rows(p[0][:, order], p[1][:, order],
+                                  (live_short[i0:i1] & (v != 0))[:, order])
+                continue
+            vals, s, ok = _certified_sums(p)
+            if ok.all():
+                out += vals.tolist()
+                continue
+            live = live_short[i0:i1] & (v != 0)
+            zero = ~p.any(axis=-1)
+            if zero.any():  # a part whose products are all zeros
+                pos = (live & ~np.signbit(p)).any(axis=-1)
+                s[zero] = np.where(pos, *_ZERO_SUMS)[zero]
+                ok |= zero
+            vals = vals.tolist()
+            # both parts zero and no live product: the exact 0
+            for k in np.flatnonzero(zero[0] & zero[1]
+                                    & ~live.any(axis=-1)).tolist():
+                vals[k] = 0
+            miss = np.flatnonzero(~(ok[0] & ok[1]))
+            for k, z in zip(miss.tolist(), _fsum_rows(
+                    p[0][miss][:, order], p[1][miss][:, order],
+                    live[miss][:, order])):
+                vals[k] = z
+            out += vals
+    out += [0] * (len(ca) + len(cb) - 1 - len(out))
     return out
 
 
@@ -157,9 +284,12 @@ def cauchy_product(a: DualSequence, b: DualSequence) -> DualSequence:
 
     All-exact (int/Fraction) inputs stay exact.  Otherwise every coefficient
     is taken as a complex float and each output coefficient is the
-    correctly rounded sum of its products (see :func:`_float_convolution`),
-    so the product commutes exactly: a running sum would depend on the
-    traversal order.
+    correctly rounded sum of its products, so the product commutes exactly:
+    a running sum would depend on the traversal order.  The rounding is
+    certified in numpy by error-free extraction (Rump, Ogita and Oishi,
+    SIAM J. Sci. Comput. 31, 2008), with ``fsum`` on the diagonals the
+    certificate does not cover and on small products; the result is the
+    same either way (see :func:`_float_convolution`).
     """
     ca, cb = a.coeffs, b.coeffs
     level = max(a.level, b.level)
@@ -244,11 +374,12 @@ def riemann_integral_product(f_path, g_path) -> DualSequence:
     prods = [cauchy_product(fb, gb) for (_, fb), (_, gb) in zip(f_path, g_path)]
     level = max(pr.level for pr in prods)
     width = max(len(pr.coeffs) for pr in prods)
+    rows = [tuple(map(complex, pr.coeffs)) + (0j,) * (width - len(pr.coeffs))
+            for pr in prods]
     acc = [0.0j] * width
-    for (t0, t1, p0, p1) in zip(ts, ts[1:], prods, prods[1:]):
+    for t0, t1, r0, r1 in zip(ts, ts[1:], rows, rows[1:]):
         half_h = 0.5 * (t1 - t0)
-        for n in range(width):
-            acc[n] += half_h * (complex(p0.coeff(n)) + complex(p1.coeff(n)))
+        acc = [s + half_h * (x + y) for s, x, y in zip(acc, r0, r1)]
     return DualSequence(acc, level)
 
 

@@ -1,0 +1,25 @@
+"""``scripts/bench_dual.py --quick``: the dual-algebra layer benchmark runs
+end to end, and every output it times is the reference's repr for repr."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_dual.py"
+
+
+def test_quick_run_writes_bit_identical_rows(tmp_path):
+    spec = importlib.util.spec_from_file_location("bench_dual", SCRIPT)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    out = tmp_path / "bench.json"
+    assert bench.main(["--quick", "--out", str(out)]) == 0
+    result = json.loads(out.read_text())
+    assert result["bit_identical"] is True
+    assert result["provenance"]["numpy"]
+    rows = {(r["call"], r["args"]): r for r in result["rows"]}
+    assert ("cauchy_product", "(200, 200)") in rows
+    assert ("cauchy_product", "(1000, 1000)") not in rows
+    assert {call for call, _ in rows} == {
+        "cauchy_product", "vage_check", "riemann_integral_product"}
+    assert all(r["us"] > 0 and r["peak_mb"] > 0 for r in rows.values())

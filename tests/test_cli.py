@@ -475,6 +475,7 @@ _CONTRACT_FILES = {
     (2, "inner-product --m 1 --f {sumover} --g {sumover}"),
     (2, "reproduce-check --m 1 --w 0.5 --in {nearmax}"),
     (2, "integrate --f {sumoverpath} --g {sumoverpath}"),
+    (2, "kernel-eval --m 1 --z 1e3 --w 1"),
     # a moment that misses (n!)**m by more than 1e-6 fails the check
     (1, "moments --m 10 --nmax 28"),
     # a moment, or the (n!)**m it is checked against, past double range

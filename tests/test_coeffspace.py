@@ -1,7 +1,9 @@
 """Coefficient-space core: weights, pairings, kernel series, aggregation."""
 
+import cmath
 import json
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -399,6 +401,17 @@ def test_kernel_at_a_level_whose_powers_leave_double_range():
     # IEEE arithmetic, and the value is 1 + 1 + 2**-1000 + ...
     assert kernel_eval(1000, 1, 1) == 2.0
     assert kernel_eval(400, 3, 1) == pytest.approx(4.0, rel=1e-15, abs=0)
+
+
+@pytest.mark.parametrize("m,z,w", [(1, 1e3, 1), (1, -1e3, 1),
+                                   (1000, 0.5 + 0.5j, 1e200)])
+def test_kernel_returns_once_the_sum_is_not_finite(m, z, w):
+    # the series would run to its 100 000-term cap (about 0.1 s) with a
+    # partial sum that no later term can make finite again
+    start = time.perf_counter()
+    got = kernel_eval(m, z, w)
+    assert time.perf_counter() - start < 0.02
+    assert not cmath.isfinite(got)
 
 
 @given(

@@ -13,11 +13,12 @@ pins that counterexample so nobody "fixes" the orientation back.
 
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from genfock import dualalgebra
@@ -97,6 +98,23 @@ def test_product_commutes(a, b):
     assert cauchy_product(a, b) == cauchy_product(b, a)
 
 
+def _rounded_sum(xs):
+    """fsum; where a partial sum leaves double range (fsum's OverflowError),
+    fsum over the non-finite terms alone if there are any, else the exact
+    rational sum rounded once, a signed infinity past double range."""
+    try:
+        return math.fsum(xs)
+    except OverflowError:
+        special = [x for x in xs if not math.isfinite(x)]
+        if special:
+            return math.fsum(special)
+        exact = sum(map(Fraction, xs))
+        try:
+            return float(exact)
+        except OverflowError:
+            return math.inf if exact > 0 else -math.inf
+
+
 def _reference_product(ca, cb):
     """Per-diagonal fsum of the live products, the empty diagonal as 0."""
     out = []
@@ -104,9 +122,22 @@ def _reference_product(ca, cb):
         terms = [complex(ca[i] * cb[d - i])
                  for i in range(max(0, d - len(cb) + 1), min(d, len(ca) - 1) + 1)
                  if ca[i] != 0 and cb[d - i] != 0]
-        out.append(complex(math.fsum(t.real for t in terms),
-                           math.fsum(t.imag for t in terms)) if terms else 0)
+        out.append(complex(_rounded_sum([t.real for t in terms]),
+                           _rounded_sum([t.imag for t in terms]))
+                   if terms else 0)
     return out
+
+
+def _outcome(product, ca, cb):
+    """The coefficients as (type, repr) pairs, or the exception raised."""
+    try:
+        return [(type(x), repr(x)) for x in product(ca, cb)]
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+def _package_product(ca, cb):
+    return cauchy_product(DualSequence(ca), DualSequence(cb)).coeffs
 
 
 def _draw(rng, n, zeros):
@@ -135,6 +166,80 @@ def test_float_product_is_the_reference_bit_for_bit(monkeypatch, block,
     for got in (ab, ba):
         assert [(type(x), repr(x)) for x in got] == [
             (type(x), repr(x)) for x in want]
+
+
+# float parts that stress the certificate: signed zeros, subnormals,
+# magnitudes whose products reach the top of double range (and a sigma past
+# it), and 1 beside 2**-53, whose sums are exact ties
+_HARD_PARTS = st.one_of(
+    st.floats(-4.0, 4.0),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 3.0, 2.0 ** -53, -(2.0 ** -53),
+                     5e-324, -5e-324, 2.0 ** -1022, 1e154, -1e154, 1.3e154]))
+_HARD_COEFFS = st.one_of(st.just(0), _HARD_PARTS,
+                         st.builds(complex, _HARD_PARTS, _HARD_PARTS))
+_BIG = complex(1.3e154, 1.3e154)
+
+
+@pytest.mark.parametrize("block", [4096, 5])
+def test_certified_product_is_the_reference_on_hard_input(monkeypatch, block):
+    # every product takes the certificate, so each diagonal it refuses
+    # (ties, cancellation, zero or subnormal sums, inf - inf, a sigma past
+    # range) must come back from fsum as the reference has it
+    monkeypatch.setattr(dualalgebra, "_BLOCK", block)
+    monkeypatch.setattr(dualalgebra, "_CERTIFY_PAIRS", 0)
+
+    @given(st.lists(_HARD_COEFFS, min_size=1, max_size=30),
+           st.lists(_HARD_COEFFS, min_size=1, max_size=30))
+    @example([1.0, 1.0], [1.0, 2.0 ** -53])     # 1 + 2**-53, a tie
+    @example([1.0, 1.0], [1.0, -1.0])           # exact cancellation
+    @example([_BIG, -_BIG], [_BIG, _BIG])       # inf - inf: ValueError
+    @example([1e154, 1e154, 1e154], [1.7e154, 1.7e154, -1.7e154])
+    # diagonal 2 sums to 1 + 2**-53 + 2**-105, just above a tie; its low
+    # parts do not sum exactly, and rounded they make the tie itself
+    @example([1 + 2.0 ** -51, 2.0 ** -53 + 2.0 ** -105, -(2.0 ** -51)],
+             [1.0, 1.0, 1.0])
+    def check(ca, cb):
+        want = _outcome(_reference_product, ca, cb)
+        assert _outcome(_package_product, ca, cb) == want
+        assert _outcome(_package_product, cb, ca) == want
+
+    check()
+
+
+def test_product_takes_both_routes(monkeypatch):
+    # 40 x 40 is past _CERTIFY_PAIRS; diagonal 1 cancels exactly, which the
+    # certificate refuses, so it alone goes to fsum
+    summed = []
+
+    def spy(re, im, live):
+        out = fsum_rows(re, im, live)
+        summed.extend(out)
+        return out
+
+    fsum_rows = dualalgebra._fsum_rows
+    monkeypatch.setattr(dualalgebra, "_fsum_rows", spy)
+    rng = np.random.default_rng(11)
+    ca = [1.0, 1.0] + rng.standard_normal(38).tolist()
+    cb = [1.0, -1.0] + rng.standard_normal(38).tolist()
+    got = _package_product(ca, cb)
+    assert summed == [0j]
+    assert got[1] == 0j
+    assert [(type(x), repr(x)) for x in got] == [
+        (type(x), repr(x)) for x in _reference_product(ca, cb)]
+
+
+def test_float_product_memory_is_bounded_per_block():
+    # one full (1000, 1000) array of products would take 8 MB
+    rng = np.random.default_rng(5)
+    a = DualSequence(_draw(rng, 1000, ()))
+    b = DualSequence(_draw(rng, 1000, ()))
+    tracemalloc.start()
+    try:
+        cauchy_product(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
 
 
 def test_mixed_product_takes_the_float_route():
