@@ -23,6 +23,7 @@ splitting (k!)^{(2-q)/2} = (k!)^{(2-p)/2} (k!)^{(p-q)/2}, then summing in n.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from dataclasses import dataclass
@@ -233,11 +234,12 @@ def _float_convolution(ca: tuple, cb: tuple) -> list:
     pad[nr - 1:nr - 1 + nc] = other
     # view[d, i] = other[d - i], zero outside other
     view = np.ndarray((nd, nr), complex, pad, (nr - 1) * 16, (16, -16))
-    live_short = short != 0
     order = slice(None, None, -1 if swap else 1)  # cells by index into ca
     width = max(1, _BLOCK // nr)
     certify = nr * nc >= _CERTIFY_PAIRS
-    with np.errstate(all="ignore"):
+    # the certificate meets inf - inf and overflow by design; the fsum
+    # route warns as numpy does
+    with np.errstate(all="ignore") if certify else contextlib.nullcontext():
         for d0 in range(0, nd, width):
             d1 = min(d0 + width, nd)
             i0, i1 = max(0, d0 - nc + 1), min(d1, nr)
@@ -251,14 +253,15 @@ def _float_convolution(ca: tuple, cb: tuple) -> list:
             np.multiply(xr, yi, out=p[1])
             p[1] += xi * yr
             if not certify:
+                live = (short[i0:i1] != 0) & (v != 0)
                 out += _fsum_rows(p[0][:, order], p[1][:, order],
-                                  (live_short[i0:i1] & (v != 0))[:, order])
+                                  live[:, order])
                 continue
             vals, s, ok = _certified_sums(p)
             if ok.all():
                 out += vals.tolist()
                 continue
-            live = live_short[i0:i1] & (v != 0)
+            live = (short[i0:i1] != 0) & (v != 0)
             zero = ~p.any(axis=-1)
             if zero.any():  # a part whose products are all zeros
                 pos = (live & ~np.signbit(p)).any(axis=-1)
