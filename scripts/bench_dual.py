@@ -197,7 +197,7 @@ def _provenance(checkout: Path) -> dict:
 def run(quick: bool = False, against=None, seed: int = 0) -> dict:
     rng = np.random.default_rng(seed)
     other = _load(against) if against else None
-    repeats, rounds = (3, 1) if quick else (9, 5)
+    repeats, rounds = (3, 1) if quick else (3, 15)
     results = []
     for call, args, inputs, runner, reference in _rows(rng, quick):
         want = repr(reference())
