@@ -51,6 +51,7 @@ from genfock import dualalgebra  # noqa: E402
 
 PRODUCT_SIZES = ((6, 6), (20, 20), (25, 40), (40, 40), (200, 200),
                  (1000, 1000))
+SEED = 0
 
 
 def _load(checkout: Path):
@@ -194,8 +195,8 @@ def _provenance(checkout: Path) -> dict:
     return {"commit": _commit(checkout), "source_sha256": _digest(checkout)}
 
 
-def run(quick: bool = False, against=None, seed: int = 0) -> dict:
-    rng = np.random.default_rng(seed)
+def run(quick: bool = False, against=None) -> dict:
+    rng = np.random.default_rng(SEED)
     other = _load(against) if against else None
     repeats, rounds = (3, 1) if quick else (3, 15)
     results = []
@@ -232,7 +233,7 @@ def run(quick: bool = False, against=None, seed: int = 0) -> dict:
                       "checkout, the other checkout first in each round"
                       if other is not None else "")
                    + "; peak_mb is the tracemalloc peak of one call"),
-        "seed": seed,
+        "seed": SEED,
         "quick": quick,
         "provenance": {
             "python": platform.python_version(),
@@ -258,12 +259,11 @@ def main(argv=None) -> int:
     ap.add_argument("--quick", action="store_true",
                     help="smaller sizes and few repeats; prints, writes "
                          "nothing unless --out is given")
-    ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--out", type=Path, default=None,
                     help="where to write the JSON (default BENCH_dual.json "
                          "at the repository root, except with --quick)")
     args = ap.parse_args(argv)
-    result = run(args.quick, args.against, args.seed)
+    result = run(args.quick, args.against)
     text = json.dumps(result, indent=1) + "\n"
     out = args.out or (None if args.quick else ROOT / "BENCH_dual.json")
     if out is None:
