@@ -12,9 +12,10 @@ real and imaginary parts):
 
 Each row holds the best-of timing of one call in microseconds, the
 tracemalloc peak of one call, and whether the output is the reference's
-``repr`` for ``repr``.  The reference sums each diagonal's live products
-(Python complex multiplication, both factors non-zero) with ``math.fsum``
-and builds the other two rows from it in the package's arithmetic.
+``repr`` for ``repr``.  The reference product is the tests' own
+(``tests/dual_reference.py``: each diagonal's live products summed with
+``fsum``); the other two rows are built from it in the package's
+arithmetic.
 Provenance reads package versions through ``importlib.metadata``.
 
     python3 scripts/bench_dual.py                    # writes BENCH_dual.json
@@ -46,7 +47,9 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "tests"))
 
+from dual_reference import reference_product  # noqa: E402
 from genfock import dualalgebra  # noqa: E402
 
 PRODUCT_SIZES = ((6, 6), (20, 20), (25, 40), (40, 40), (200, 200),
@@ -71,28 +74,16 @@ def _cn(rng, n: int) -> list:
     return (rng.standard_normal(n) + 1j * rng.standard_normal(n)).tolist()
 
 
-def _reference_product(ca, cb) -> list:
-    out = []
-    for d in range(len(ca) + len(cb) - 1):
-        terms = [complex(ca[i] * cb[d - i])
-                 for i in range(max(0, d - len(cb) + 1),
-                                min(d, len(ca) - 1) + 1)
-                 if ca[i] != 0 and cb[d - i] != 0]
-        out.append(complex(math.fsum(t.real for t in terms),
-                           math.fsum(t.imag for t in terms)) if terms else 0)
-    return out
-
-
 def _reference_vage(a, b, p, q):
     da = dualalgebra
-    lhs = da.dual_norm(da.DualSequence(_reference_product(a, b), q), q)
+    lhs = da.dual_norm(da.DualSequence(reference_product(a, b), q), q)
     bound = (da.vage_constant(q - p) * da.dual_norm(da.DualSequence(a), p)
              * da.dual_norm(da.DualSequence(b), q))
     return lhs, bound, lhs <= bound * (1.0 + 1e-12)
 
 
 def _reference_riemann(f_rows, g_rows, ts):
-    prods = [_reference_product(f, g) for f, g in zip(f_rows, g_rows)]
+    prods = [reference_product(f, g) for f, g in zip(f_rows, g_rows)]
     width = max(map(len, prods))
     acc = [0.0j] * width
     for t0, t1, p0, p1 in zip(ts, ts[1:], prods, prods[1:]):
@@ -119,7 +110,7 @@ def _rows(rng, quick: bool) -> list:
             "complex normal coefficients",
             lambda m, a=a, b=b: m.cauchy_product(
                 m.DualSequence(a), m.DualSequence(b)).coeffs,
-            lambda a=a, b=b: tuple(_reference_product(a, b))))
+            lambda a=a, b=b: tuple(reference_product(a, b))))
     a, b = _cn(rng, 200), _cn(rng, 200)
     rows.append((
         "vage_check", "n=200, p=2, q=3", "complex normal coefficients",

@@ -21,6 +21,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from dual_reference import reference_product
 from genfock import dualalgebra
 from genfock.coeffspace import TaylorCoeffs
 from genfock.dualalgebra import (
@@ -98,36 +99,6 @@ def test_product_commutes(a, b):
     assert cauchy_product(a, b) == cauchy_product(b, a)
 
 
-def _rounded_sum(xs):
-    """fsum; where a partial sum leaves double range (fsum's OverflowError),
-    fsum over the non-finite terms alone if there are any, else the exact
-    rational sum rounded once, a signed infinity past double range."""
-    try:
-        return math.fsum(xs)
-    except OverflowError:
-        special = [x for x in xs if not math.isfinite(x)]
-        if special:
-            return math.fsum(special)
-        exact = sum(map(Fraction, xs))
-        try:
-            return float(exact)
-        except OverflowError:
-            return math.inf if exact > 0 else -math.inf
-
-
-def _reference_product(ca, cb):
-    """Per-diagonal fsum of the live products, the empty diagonal as 0."""
-    out = []
-    for d in range(len(ca) + len(cb) - 1):
-        terms = [complex(ca[i] * cb[d - i])
-                 for i in range(max(0, d - len(cb) + 1), min(d, len(ca) - 1) + 1)
-                 if ca[i] != 0 and cb[d - i] != 0]
-        out.append(complex(_rounded_sum([t.real for t in terms]),
-                           _rounded_sum([t.imag for t in terms]))
-                   if terms else 0)
-    return out
-
-
 def _outcome(product, ca, cb):
     """The coefficients as (type, repr) pairs, or the exception raised."""
     try:
@@ -162,7 +133,7 @@ def test_float_product_is_the_reference_bit_for_bit(monkeypatch, block,
     cb = _draw(rng, lb, [z - 1 for z in zeros if 0 < z <= lb])
     ab = cauchy_product(DualSequence(ca), DualSequence(cb)).coeffs
     ba = cauchy_product(DualSequence(cb), DualSequence(ca)).coeffs
-    want = _reference_product(ca, cb)
+    want = reference_product(ca, cb)
     for got in (ab, ba):
         assert [(type(x), repr(x)) for x in got] == [
             (type(x), repr(x)) for x in want]
@@ -198,8 +169,12 @@ def test_certified_product_is_the_reference_on_hard_input(monkeypatch, block):
     # parts do not sum exactly, and rounded they make the tie itself
     @example([1 + 2.0 ** -51, 2.0 ** -53 + 2.0 ** -105, -(2.0 ** -51)],
              [1.0, 1.0, 1.0])
+    # diagonal 4 overflows fsum (1e308 + 1e308); the fallback's 2**-64
+    # scaling flushes the 5e-324 term, so the sum is 0.0, not 5e-324
+    @example([5e-324, 1e154, 1e154, 1e154, 1e154],
+             [1e154, 1e154, -1e154, -1e154, 1.0])
     def check(ca, cb):
-        want = _outcome(_reference_product, ca, cb)
+        want = _outcome(reference_product, ca, cb)
         assert _outcome(_package_product, ca, cb) == want
         assert _outcome(_package_product, cb, ca) == want
 
@@ -225,7 +200,7 @@ def test_product_takes_both_routes(monkeypatch):
     assert summed == [0j]
     assert got[1] == 0j
     assert [(type(x), repr(x)) for x in got] == [
-        (type(x), repr(x)) for x in _reference_product(ca, cb)]
+        (type(x), repr(x)) for x in reference_product(ca, cb)]
 
 
 def test_float_product_memory_is_bounded_per_block():
