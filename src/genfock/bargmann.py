@@ -38,8 +38,7 @@ import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
 from .coeffspace import (TaylorCoeffs, WeightOverflowError, _fsum_complex,
-                         _require_level, _weight_table, log_weight,
-                         squared_norm)
+                         _require_level, _weight_table, squared_norm)
 
 _PI_QUARTER = math.pi ** -0.25
 _TINY = 1e-300
@@ -207,9 +206,10 @@ def transform_kernel(m: int, z: complex, t, tol: float = 1e-14):
     """h_m(z, t) = sum_n z**n (n!)**(-m/2) eta_n(t); t may be an array.
 
     Stops the same way the coefficient-side kernel does: after three
-    consecutive terms fall below tol times the running sum, with the term
-    size taken as the uniform bound |z|**n (n!)**(-m/2) * sup|eta| and the
-    running sum as the largest partial-sum magnitude over the t batch
+    consecutive terms fall below tol times the running sum.  The term size
+    is the uniform bound |z|**n (n!)**(-m/2) * sup|eta|, stepped by |z|
+    times the ratio of consecutive scales (|z|**n alone can overflow); the
+    running sum is the largest partial-sum magnitude over the t batch
     (pointwise values can pass through zero; the batch maximum cannot
     collapse).
     """
@@ -233,8 +233,7 @@ def transform_kernel(m: int, z: complex, t, tol: float = 1e-14):
         zpow = zpow * z
         total = total + zpow * scales[n] * eta
         ref = max(ref, float(np.abs(total).max()))
-        term_bound = term_bound * zabs * math.exp(
-            -0.5 * (log_weight(n, m) - log_weight(n - 1, m)))
+        term_bound = term_bound * zabs * (scales[n] / scales[n - 1])
         below = below + 1 if term_bound < tol * ref else 0
         if below == 3:
             break

@@ -8,8 +8,10 @@ exact big integers.  The float kernels (inner product, weighted squares,
 kernel sections, weights) read their weights from it as arrays and scale
 each coefficient by a power of two first, so a term is formed as in double
 arithmetic while it is in range and stays exact where the weight or the
-coefficient product alone would leave double range.  Exact (int/Fraction)
-input to the inner product is summed exactly and rounded once.
+coefficient product alone would leave double range.  The kernel
+aggregation reads it too: 1/n! from level -1, raised to each level's
+power, and n! from level 1.  Exact (int/Fraction) input to the inner
+product is summed exactly and rounded once.
 """
 
 from __future__ import annotations
@@ -121,26 +123,31 @@ def _strip(cs: tuple) -> tuple:
 def _fsum(xs: list) -> float:
     """``math.fsum``, except that a sum past double range is the signed
     infinity of float arithmetic, not an OverflowError.  fsum raises once a
-    partial sum leaves range, even if the total does not; the terms scaled
-    by 2**-64 (exactly) settle which."""
+    partial sum leaves range, even if the total does not; the exact sum of
+    the finite terms, rounded once, settles which."""
     try:
         return math.fsum(xs)
     except OverflowError:
-        return math.fsum([math.ldexp(x, -64) for x in xs]) * 2.0 ** 64
+        special = [x for x in xs if not math.isfinite(x)]
+        if special:  # inf or nan decides, as in fsum
+            return math.fsum(special)
+        exact = sum(map(Fraction, xs))
+        try:
+            return float(exact)
+        except OverflowError:
+            return math.inf if exact > 0 else -math.inf
 
 
 def _fsum_complex(terms) -> complex:
-    """Correctly rounded sum of complex terms, real and imaginary parts apart.
+    """Correctly rounded sum of complex terms, real and imaginary parts
+    apart, each by :func:`_fsum`.
 
     A numpy array is split through its real and imaginary views, so it pays
     no per-element conversion to Python complex.
     """
-    if isinstance(terms, np.ndarray):
-        return complex(math.fsum(terms.real.tolist()),
-                       math.fsum(terms.imag.tolist()))
-    cs = [complex(t) for t in terms]
-    return complex(math.fsum([c.real for c in cs]),
-                   math.fsum([c.imag for c in cs]))
+    if not isinstance(terms, np.ndarray):
+        terms = np.array([complex(t) for t in terms])
+    return complex(_fsum(terms.real.tolist()), _fsum(terms.imag.tolist()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -412,6 +419,34 @@ def kernel_section(m: int, w: complex, degree: int) -> TaylorCoeffs:
     return TaylorCoeffs(out.tolist())
 
 
+def _aggregate(level_coeffs: list, z: complex, w: complex, degree: int,
+               resum) -> tuple[complex, complex]:
+    """(lhs, rhs) of a kernel aggregation identity at u = z * conj(w).
+
+    lhs sums ``level_coeffs[lv - 1]`` times the degree-truncated level-lv
+    kernel, each kernel summed correctly rounded; its weights are the level
+    -1 row 1/n! raised to the power lv, so no level builds a table of its
+    own.  rhs is ``resum(upow, fact)``, the coefficientwise resummation over
+    the lists of u**n and of n! (level 1; inf past double range).
+    """
+    if not isinstance(degree, int) or degree < 0:
+        raise ValueError(f"degree must be an integer >= 0, got {degree!r}")
+    u = complex(z) * complex(w).conjugate()
+    upow = [1.0 + 0.0j]
+    for _ in range(degree):
+        upow.append(upow[-1] * u)
+    size = degree + 1
+    mant, exp = _weight_table(-1, size)
+    inv = np.ldexp(mant[:size], exp[:size])
+    lv = np.arange(1, len(level_coeffs) + 1)[:, None]
+    kernels = [_fsum_complex(row) for row in inv ** lv * np.array(upow)]
+    lhs = _fsum_complex(np.array(level_coeffs) * kernels)
+    mant, exp = _weight_table(1, size)
+    with np.errstate(over="ignore"):
+        fact = np.ldexp(mant[:size], exp[:size]).tolist()
+    return lhs, resum(upow, fact)
+
+
 def aggregate_kernels_geometric(eps: float, z: complex, w: complex,
                                 degree: int = 48) -> tuple[complex, complex]:
     """Geometric aggregation of the kernel family across levels.
@@ -423,25 +458,11 @@ def aggregate_kernels_geometric(eps: float, z: complex, w: complex,
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
-    u = complex(z) * complex(w).conjugate()
-    upow = [u ** 0]
-    for n in range(1, degree + 1):
-        upow.append(upow[-1] * u)
-
     n_levels = max(40, int(math.ceil(math.log(1e-18) / math.log(eps))))
-    lhs_terms = []
-    for lv in range(1, n_levels + 1):
-        partial = _fsum_complex(upow[n] * math.exp(-log_weight(n, lv))
-                                for n in range(degree + 1))
-        lhs_terms.append(eps ** lv * partial)
-    lhs = _fsum_complex(lhs_terms)
-
-    rhs_terms = []
-    for n in range(degree + 1):
-        fct = float(math.factorial(n)) if n < 171 else math.inf
-        rhs_terms.append(upow[n] / (fct - eps))
-    rhs = eps * _fsum_complex(rhs_terms)
-    return lhs, rhs
+    return _aggregate(
+        [eps ** lv for lv in range(1, n_levels + 1)], z, w, degree,
+        lambda upow, fact: eps * _fsum_complex(
+            [p / (f - eps) for p, f in zip(upow, fact)]))
 
 
 def aggregate_kernels_exponential(eps: float, z: complex, w: complex,
@@ -450,27 +471,11 @@ def aggregate_kernels_exponential(eps: float, z: complex, w: complex,
     resummation expm1(eps/n!)."""
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
-    u = complex(z) * complex(w).conjugate()
-    upow = [u ** 0]
-    for n in range(1, degree + 1):
-        upow.append(upow[-1] * u)
-
-    lhs_terms = []
-    lv = 0
-    lw = 1.0
-    while True:
-        lv += 1
-        lw = lw * eps / lv
-        if lw < 1e-20 and lv > 4:
-            break
-        partial = _fsum_complex(upow[n] * math.exp(-log_weight(n, lv))
-                                for n in range(degree + 1))
-        lhs_terms.append(lw * partial)
-    lhs = _fsum_complex(lhs_terms)
-
-    rhs_terms = []
-    for n in range(degree + 1):
-        fct = float(math.factorial(n)) if n < 171 else math.inf
-        rhs_terms.append(math.expm1(eps / fct) * upow[n])
-    rhs = _fsum_complex(rhs_terms)
-    return lhs, rhs
+    level_coeffs, lw = [], eps
+    while lw >= 1e-20 or len(level_coeffs) < 4:
+        level_coeffs.append(lw)
+        lw = lw * eps / (len(level_coeffs) + 1)
+    return _aggregate(
+        level_coeffs, z, w, degree,
+        lambda upow, fact: _fsum_complex(
+            [math.expm1(eps / f) * p for p, f in zip(upow, fact)]))

@@ -31,7 +31,7 @@ import numpy as np
 
 from .coeffspace import (TaylorCoeffs, _fsum, _is_exact,
                          _require_level, _strip, _weighted_sq_terms,
-                         inner_product, log_weight)
+                         inner_product, weight)
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,12 +123,8 @@ def _fsum_rows(re, im, live) -> list:
     start = 0
     for n in counts:
         if n:
-            try:
-                out.append(complex(math.fsum(re[start:start + n]),
-                                   math.fsum(im[start:start + n])))
-            except OverflowError:  # a partial sum left double range
-                out.append(complex(_fsum(re[start:start + n]),
-                                   _fsum(im[start:start + n])))
+            out.append(complex(_fsum(re[start:start + n]),
+                               _fsum(im[start:start + n])))
             start += n
         else:
             out.append(0)
@@ -319,7 +315,7 @@ def _vage_constant(d: int) -> float:
     terms = []
     n = 0
     while True:
-        t = math.exp(-d * log_weight(n, 1))
+        t = weight(n, -d)
         if t < 1e-40 and n > 2:
             break
         terms.append(t)

@@ -3,10 +3,10 @@
 
 Each diagonal's live products (Python complex multiplication, both factors
 non-zero) are summed with the package's ``_fsum``: ``math.fsum``, with its
-intermediate-overflow fallback on terms scaled by 2**-64.  A diagonal
-without a live product is the exact 0.  This is the rule the package
-followed before its certified rounding, so agreeing with it repr for repr
-means agreeing with that earlier code.
+intermediate-overflow fallback, the exact rational sum rounded once.  A
+diagonal without a live product is the exact 0.  So each diagonal is its
+correctly rounded sum, or the infinity or NaN of float arithmetic, which
+is what the certified rounding must reproduce repr for repr.
 """
 
 from genfock.coeffspace import _fsum

@@ -15,6 +15,7 @@ from genfock.coeffspace import (
     TaylorCoeffs,
     WeightOverflowError,
     _fsum,
+    _fsum_complex,
     _weight_table,
     add,
     aggregate_kernels_exponential,
@@ -199,6 +200,18 @@ def test_sum_past_double_range_is_infinite_not_an_error():
     # every term in range, their sum is not
     f = TaylorCoeffs([1.3e154, 1.3e154])
     assert inner_product(f, f, 1) == complex(math.inf, 0)
+
+
+def test_overflow_fallback_is_correctly_rounded():
+    # 2**970 is half an ulp of 2**1023 and 5e-324 breaks the tie upward; a
+    # fallback that scaled the terms down would flush 5e-324 and round down
+    got = _fsum([2.0 ** 1023, 2.0 ** 1023, -(2.0 ** 1023), 2.0 ** 970, 5e-324])
+    assert got.hex() == "0x1.0000000000001p+1023"
+
+
+def test_complex_sum_shares_the_overflow_rule():
+    assert _fsum_complex(np.array([1.7e308, 1.7e308, -1.7e308])) == 1.7e308
+    assert _fsum_complex([1.7e308j, 1.7e308j]) == complex(0, math.inf)
 
 
 def test_subnormal_product_is_not_flushed():
@@ -468,3 +481,40 @@ def test_aggregation_rejects_eps_out_of_range():
         aggregate_kernels_geometric(0.0, 1, 1)
     with pytest.raises(ValueError):
         aggregate_kernels_exponential(1.0, 1, 1)
+
+
+@pytest.mark.parametrize("fn", [aggregate_kernels_geometric,
+                                aggregate_kernels_exponential])
+@pytest.mark.parametrize("degree", [-1, 2.5, "3"])
+def test_aggregation_rejects_bad_degree(fn, degree):
+    with pytest.raises(ValueError):
+        fn(0.5, 1, 1, degree=degree)
+
+
+# the verify kernels suite's grid and acceptance criterion 10's grid
+_AGGREGATION_GRID = (
+    [(eps, z, w) for eps in (0.25, 0.5, 0.85) for z in (0.3, 0.8 + 0.2j, -1.1)
+     for w in (0.4, -0.6 + 0.5j, 1.2)]
+    + [(eps, z, w) for eps in (0.25, 0.5, 0.9) for z in (0.6, 1.1 + 0.3j, 1.8j)
+       for w in (0.5, 1.2 - 0.4j, 2.0)])
+
+
+@pytest.mark.parametrize("fn", [aggregate_kernels_geometric,
+                                aggregate_kernels_exponential])
+def test_aggregation_lhs_against_mpmath(fn):
+    # 40-digit coefficientwise resummation at the u the code forms; the
+    # level sums the lhs truncates differ from it by under 1e-17 relative
+    mpmath = pytest.importorskip("mpmath")
+    worst = 0.0
+    with mpmath.workdps(40):
+        for eps, z, w in _AGGREGATION_GRID:
+            u = complex(z) * complex(w).conjugate()
+            uu, e = mpmath.mpc(u.real, u.imag), mpmath.mpf(eps)
+            coeff = ((lambda f: e / (f - e))
+                     if fn is aggregate_kernels_geometric
+                     else (lambda f: mpmath.expm1(e / f)))
+            want = complex(mpmath.fsum(uu ** n * coeff(mpmath.factorial(n))
+                                       for n in range(49)))
+            lhs, _ = fn(eps, z, w)
+            worst = max(worst, abs(lhs - want) / abs(want))
+    assert worst <= 3e-15

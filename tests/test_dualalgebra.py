@@ -169,8 +169,8 @@ def test_certified_product_is_the_reference_on_hard_input(monkeypatch, block):
     # parts do not sum exactly, and rounded they make the tie itself
     @example([1 + 2.0 ** -51, 2.0 ** -53 + 2.0 ** -105, -(2.0 ** -51)],
              [1.0, 1.0, 1.0])
-    # diagonal 4 overflows fsum (1e308 + 1e308); the fallback's 2**-64
-    # scaling flushes the 5e-324 term, so the sum is 0.0, not 5e-324
+    # diagonal 4 overflows fsum (1e308 + 1e308); the fallback's exact sum
+    # keeps the 5e-324 term, which a scaled-down redo would flush to 0.0
     @example([5e-324, 1e154, 1e154, 1e154, 1e154],
              [1e154, 1e154, -1e154, -1e154, 1.0])
     def check(ca, cb):
@@ -295,6 +295,14 @@ def test_constant_large_gap_approaches_sqrt_two():
     assert vage_constant(50) == pytest.approx(
         math.sqrt(2.0), rel=1e-15, abs=0
     )
+
+
+@pytest.mark.parametrize("d", range(3, 9))
+def test_constant_against_exact_sum(d):
+    # terms past n = 30 are below 1e-96 of the n = 0 term at d = 3
+    exact = sum(Fraction(1, math.factorial(n) ** d) for n in range(31))
+    assert vage_constant(d) == pytest.approx(math.sqrt(exact), rel=1e-15,
+                                             abs=0)
 
 
 def test_constant_rejects_bad_gap():
