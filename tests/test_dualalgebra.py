@@ -299,7 +299,7 @@ def test_constant_large_gap_approaches_sqrt_two():
 
 @pytest.mark.parametrize("d", range(3, 9))
 def test_constant_against_exact_sum(d):
-    # terms past n = 30 are below 1e-96 of the n = 0 term at d = 3
+    # terms past n = 30 are below 1e-101 of the n = 0 term at d = 3
     exact = sum(Fraction(1, math.factorial(n) ** d) for n in range(31))
     assert vage_constant(d) == pytest.approx(math.sqrt(exact), rel=1e-15,
                                              abs=0)
