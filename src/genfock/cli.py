@@ -240,8 +240,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=4,
                    help="radial chain depth exercised by the kernels suite")
     p.add_argument("--max-refinements", type=int, default=2,
-                   help="quadrature refinement budget for the kernels suite")
-    _shared_flags(p, seed=True, tol=1e-9, fmt="json")
+                   help="sets only the halving budget of the kernels "
+                        "suite's 'radial convolution converges' check "
+                        "(default %(default)d)")
+    p.add_argument("--tol", type=_tol_arg, default=1e-9,
+                   help="sets only the quadrature tolerance of that same "
+                        "check (default %(default)g)")
+    _shared_flags(p, seed=True, fmt="json")
 
     return parser
 

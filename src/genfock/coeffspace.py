@@ -344,8 +344,9 @@ def _weighted_sq_terms(coeffs, w: int, k: int = 0,
 def squared_norm(f: TaylorCoeffs, m: int) -> float:
     """Sum of |f_n|^2 * (n!)**m, correctly rounded over the terms of
     :func:`_weighted_sq_terms` (exact where a weight or a coefficient alone
-    leaves double range but the term does not)."""
-    return math.fsum(_weighted_sq_terms(f.coeffs, m))
+    leaves double range but the term does not) by :func:`_fsum`, so a sum
+    of in-range terms past double range is inf."""
+    return _fsum(_weighted_sq_terms(f.coeffs, m))
 
 
 def norm(f: TaylorCoeffs, m: int) -> float:

@@ -25,7 +25,7 @@ from fractions import Fraction
 from itertools import repeat, starmap, zip_longest
 from operator import mul, sub
 
-from .coeffspace import (TaylorCoeffs, _is_exact, _require_level,
+from .coeffspace import (TaylorCoeffs, _fsum, _is_exact, _require_level,
                          _weighted_sq_terms, add, scale, squared_norm)
 from .stirling import normal_order_coeffs, stirling_s2
 
@@ -198,11 +198,12 @@ def commutator_apply(f: TaylorCoeffs, m: int) -> TaylorCoeffs:
 
 def weighted_moment(f: TaylorCoeffs, m: int, k: int) -> float:
     """Sum over n of |f_n|**2 * (n!)**m * n**k, correctly rounded over the
-    terms of ``_weighted_sq_terms`` (weights from the exact table)."""
+    terms of ``_weighted_sq_terms`` (weights from the exact table) by
+    ``_fsum``: inf where in-range terms sum past double range."""
     _require_level(m)
     if k < 0:
         raise ValueError("moment order must be >= 0")
-    return math.fsum(_weighted_sq_terms(f.coeffs, m, k))
+    return _fsum(_weighted_sq_terms(f.coeffs, m, k))
 
 
 def domain_functional(f: TaylorCoeffs, m: int) -> tuple[float, bool]:
@@ -212,7 +213,7 @@ def domain_functional(f: TaylorCoeffs, m: int) -> tuple[float, bool]:
     definition (and goes False only if the value leaves double range).
     """
     _require_level(m)
-    val = math.fsum(_weighted_sq_terms(f.coeffs, m, m, strict=False))
+    val = _fsum(_weighted_sq_terms(f.coeffs, m, m, strict=False))
     return val, math.isfinite(val)
 
 

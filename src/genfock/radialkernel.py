@@ -22,20 +22,21 @@ Evaluation routes, deliberately kept separate:
 * chained tables built from that engine on one fixed grid (64 points per
   decade over [1e-30, 1e9], shared by every level), one batched engine call
   per level over the nodes at or above 1e-16, stored as log-log cubic
-  splines with exact end models from the Mellin image (:class:`KernelTable`,
-  :func:`build_table`); the nodes below 1e-16 take the small-argument model
-  itself, exact there to double precision;
+  Hermite interpolants with exact end models from the Mellin image
+  (:class:`KernelTable`, :func:`build_table`); the nodes below 1e-16 take
+  the small-argument model itself, exact there to double precision;
 * direct (m-1)-dimensional tensor quadrature of the two integral
   representations (:func:`log_radial_weight_centered`,
   :func:`log_radial_weight_product`), practical for m <= 4, used to
   cross-check the chain.
 
 Building, evaluating and integrating a table needs numpy and the standard
-library alone: the spline is a not-a-knot cubic solved here
-(:func:`_not_a_knot`), zeta(k) at integer k comes from Euler-Maclaurin
-(:func:`_zeta_int`) and the incomplete gamma ratio at integer order from its
-finite sum (:func:`small_x_moment_bound`).  scipy enters only at
-:func:`bessel_reference_log`, a reference route, for ``k0e``.
+library alone: the interpolant takes its node slopes from local finite
+differences (:func:`_local_cubic`), zeta(k) at integer k comes from
+Euler-Maclaurin (:func:`_zeta_int`) and the incomplete gamma ratio at
+integer order from its finite sum (:func:`small_x_moment_bound`).  scipy
+enters only at :func:`bessel_reference_log`, a reference route, for
+``k0e``.
 """
 
 from __future__ import annotations
@@ -329,7 +330,7 @@ _S.flags.writeable = False
 _MODEL_NODES = int(np.searchsorted(_S, math.log(_RESIDUE_EXACT_X)))
 # a lookup's interval is floor((w - _ORIGIN) * _INV_H); the origin sits
 # 2**-20 steps below _S[0], so rounding never drops a node into the
-# interval below it and the spline returns node values exactly
+# interval below it and the interpolant returns node values exactly
 _H = (float(_S[-1]) - float(_S[0])) / (len(_S) - 1)
 _ORIGIN = float(_S[0]) - _H * 2.0 ** -20
 _INV_H = 1.0 / _H
@@ -383,57 +384,50 @@ def _log_k1(w):
     return -np.exp(w)
 
 
-def _not_a_knot(s: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
-    """The not-a-knot cubic spline through (s, y), n >= 4 nodes.
+# 12 h times the slopes at the first three nodes from the first five values:
+# the 5-point one-sided formulas at nodes 0 and 1, the central one at node 2
+_END_STENCILS = np.array([[-25.0, 48.0, -36.0, 16.0, -3.0],
+                          [-3.0, -10.0, 18.0, -6.0, 1.0],
+                          [1.0, -8.0, 0.0, 8.0, -1.0]])
 
-    Solves the tridiagonal system for the node slopes whose end rows ask the
-    third derivative to be continuous at the second and the next-to-last
-    node (C. de Boor, A Practical Guide to Splines, 1978, ch. IV), the same
-    system as ``scipy.interpolate.CubicSpline``, by the Thomas algorithm;
-    the interior rows are diagonally dominant.  Returns the rows s_i, c3,
-    c2, c1, c0 of a (5, n-1) array, column i the cubic
+
+def _local_cubic(s: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
+    """The cubic Hermite interpolant through (s, y), s uniform, n >= 5 nodes.
+
+    Its node slopes are fixed finite differences (B. Fornberg, Math. Comp.
+    51, 1988), each exact on quartics: the 7-point central formula inside,
+    the 5-point central one at the third node from either end and the
+    5-point one-sided ones at the two outermost nodes.  So an interval
+    depends only on the nodes within three of it.  Returns the rows s_i,
+    c3, c2, c1, c0 of a (5, n-1) array, column i the cubic
     ((c3 t + c2) t + c1) t + c0 in t = w - s_i on interval i, and the slope
     at the last node.
     """
     n = len(s)
-    if n < 4:
-        raise ValueError("a not-a-knot spline needs at least 4 nodes")
+    if n < 5:
+        raise ValueError("the local cubic needs at least 5 nodes")
+    h = (s[-1] - s[0]) / (n - 1)
+    k = np.empty(n)
+    k[3:-3] = (45.0 * (y[4:-2] - y[2:-4]) - 9.0 * (y[5:-1] - y[1:-5])
+               + (y[6:] - y[:-6])) / (60.0 * h)
+    k[:3] = _END_STENCILS @ y[:5] / (12.0 * h)
+    k[-3:] = (_END_STENCILS @ y[:-6:-1] / (-12.0 * h))[::-1]
     dx = np.diff(s)
     slope = np.diff(y) / dx
-    d0, d1 = s[2] - s[0], s[-1] - s[-3]
-    # row i: lower[i] k[i-1] + diag[i] k[i] + upper[i] k[i+1] = rhs[i]
-    lower = np.concatenate([[0.0], dx[1:], [d1]])
-    diag = np.concatenate([[dx[1]], 2.0 * (dx[:-1] + dx[1:]), [dx[-2]]])
-    upper = np.concatenate([[d0], dx[:-1], [0.0]])
-    rhs = np.empty(n)
-    rhs[1:-1] = 3.0 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
-    rhs[0] = ((dx[0] + 2.0 * d0) * dx[1] * slope[0]
-              + dx[0] ** 2 * slope[1]) / d0
-    rhs[-1] = (dx[-1] ** 2 * slope[-2]
-               + (2.0 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1
-    lo, dg, up, k = lower.tolist(), diag.tolist(), upper.tolist(), rhs.tolist()
-    for i in range(1, n):
-        f = lo[i] / dg[i - 1]
-        dg[i] -= f * up[i - 1]
-        k[i] -= f * k[i - 1]
-    k[-1] /= dg[-1]
-    for i in range(n - 2, -1, -1):
-        k[i] = (k[i] - up[i] * k[i + 1]) / dg[i]
-    k = np.array(k)
     t = (k[:-1] + k[1:] - 2.0 * slope) / dx
     coef = np.stack([s[:-1], t / dx, (slope - k[:-1]) / dx - t, k[:-1], y[:-1]])
     return coef, float(k[-1])
 
 
 class KernelTable:
-    """Log-log table of one radial weight with spline evaluation.
+    """Log-log table of one radial weight with cubic Hermite evaluation.
 
-    The spline runs through logk + m*x**(1/m), which tends to a line in
-    log x, and a cubic spline follows a line exactly.  Above the grid the
-    Meijer-G expansion c0 + (1-m)/(2m) log x + c1 x**(-1/m) takes over,
-    matched in value and slope at the top node (J. L. Fields, Math. Comp.
-    26, 1972).  Below it the residue of Gamma(s)**m x**(-s) at s = 0 is
-    exact up to O(x): sum_j e_j (-log x)**(m-1-j)/(m-1-j)!, with
+    The interpolant (:func:`_local_cubic`) runs through logk + m*x**(1/m),
+    which tends to a line in log x, and it follows a line exactly.  Above
+    the grid the Meijer-G expansion c0 + (1-m)/(2m) log x + c1 x**(-1/m)
+    takes over, matched in value and slope at the top node (J. L. Fields,
+    Math. Comp. 26, 1972).  Below it the residue of Gamma(s)**m x**(-s) at
+    s = 0 is exact up to O(x): sum_j e_j (-log x)**(m-1-j)/(m-1-j)!, with
     e_j = [s^j] Gamma(1+s)**m (Paris & Kaminski, Asymptotics and
     Mellin-Barnes Integrals, 2001).  ``s`` is the one uniform grid all
     tables share, so a lookup finds its interval by arithmetic.
@@ -456,15 +450,16 @@ class KernelTable:
         if m == 1:
             return
         y = logk + m * np.exp(_S / m)
-        self._coef, top_slope = _not_a_knot(_S, y)
+        self._coef, top_slope = _local_cubic(_S, y)
         s1, slope = float(_S[-1]), (1.0 - m) / (2.0 * m)
         c1 = -m * math.exp(s1 / m) * (top_slope - slope)
         c0 = float(y[-1]) - slope * s1 - c1 * math.exp(-s1 / m)
         self._top = (c0, slope, c1)
 
     def _spline(self, w):
-        """The spline at w, continued by its end cubics past the grid; NaN
-        passes (fmax/fmin send it to interval 0, so the cast stays quiet)."""
+        """The interpolant at w, continued by its end cubics past the
+        grid; NaN passes (fmax/fmin send it to interval 0, so the cast
+        stays quiet)."""
         i = np.fmin(np.fmax((w - _ORIGIN) * _INV_H, 0.0), _LAST)
         x, c3, c2, c1, c0 = self._coef.take(i.astype(np.intp), axis=1)
         t = w - x
@@ -478,7 +473,7 @@ class KernelTable:
 
     def log_eval_log_arg(self, w):
         """log K_m(exp(w)); the end models take over below and above the
-        grid.  Above it the model's Meijer-G part is written over the spline
+        grid.  Above it the model's Meijer-G part is written over the cubic
         before the stretched exponential m*exp(w/m), shared by every point,
         is subtracted once."""
         w = np.asarray(w, float)
@@ -525,7 +520,7 @@ def build_table(m: int) -> KernelTable:
     points below 1e-16 take the residue model of :class:`KernelTable`,
     exact there to double precision, where quadrature would cost the widest
     rows and come out less exact.  The rest are evaluated by one batched
-    call of the quadrature engine, the parent entering through its spline
+    call of the quadrature engine, the parent entering through its cubic
     and end models.  A node short of ``rel_tol`` raises
     QuadratureConvergenceError with the worst change any node reached;
     otherwise that change and its node stay on the table.
@@ -557,34 +552,26 @@ def build_table(m: int) -> KernelTable:
     return table
 
 
-def _rung_window(parent: KernelTable | None, ln_x):
+def _rung_window(parent: KernelTable, ln_x):
     """The parent's log-callable and the u-window (lo, hi) of the rung
     K_1 * parent at ln_x, for a table node and a single point alike.
 
     K_1(x/t) is dead 8 log-units below ln_x; above the parent's top node its
     large-argument model takes over, and 4 log-units further up it is dead
-    for every point of a table (the engine grows the window where not).  A
-    parent of None stands for the exact level-1 weight.
+    for every point of a table (the engine grows the window where not).
     """
-    if parent is None:
-        return _log_k1, ln_x - 8.0, 40.0
     return parent.log_eval_log_arg, ln_x - 8.0, float(parent.s[-1]) + 4.0
 
 
-def _log_rung(parent: KernelTable | None, ln_x: float,
-              quad: QuadConfig) -> float:
-    """log (K_1 * parent)(x) at x = exp(ln_x): one convolution rung.
-
-    A parent of None stands for the exact level-1 weight, so the rung to
-    level 2 involves no table at all.
-    """
+def _log_rung(parent: KernelTable, ln_x: float, quad: QuadConfig) -> float:
+    """log (K_1 * parent)(x) at x = exp(ln_x): one convolution rung."""
     log_g, lo, hi = _rung_window(parent, ln_x)
     return log_mellin_convolve(_log_k1, log_g, ln_x, window=(lo, hi),
                                quad=quad)
 
 
 def log_radial_weight(m: int, x):
-    """log K_m(x) through the cached table (spline between nodes)."""
+    """log K_m(x) through the cached table (cubic between nodes)."""
     return build_table(m).log_eval(x)
 
 
@@ -596,15 +583,14 @@ def radial_weight(m: int, x):
 def log_radial_weight_conv(m: int, x: float) -> float:
     """Pointwise log K_m(x) = log (K_1 * K_(m-1))(x) via the engine alone.
 
-    For m = 2 both factors are exact, so the value is independent of any
-    table; this is the route the Bessel cross-check runs on.
+    For m = 2 the parent is the exact level-1 table, so the value depends
+    on no interpolation; this is the route the Bessel cross-check runs on.
     """
     if not isinstance(m, int) or m < 2:
         raise ValueError("pointwise convolution route needs integer m >= 2")
     if x <= 0:
         raise ValueError("x must be positive")
-    parent = None if m == 2 else build_table(m - 1)
-    return _log_rung(parent, math.log(x), _TABLE_QUAD)
+    return _log_rung(build_table(m - 1), math.log(x), _TABLE_QUAD)
 
 
 def _tensor_grid(m: int, x: float, tail_cut: float):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from genfock.coeffspace import (
     TaylorCoeffs,
+    _weighted_sq_terms,
     inner_product,
     log_weight,
     squared_norm,
@@ -306,6 +307,21 @@ def test_domain_functional_flags_overflow():
     assert ok and val == (math.factorial(4) ** 3) * 4**3
     val, ok = domain_functional(TaylorCoeffs.monomial(200), 6)
     assert not ok and val == math.inf
+
+
+def test_weighted_sums_of_in_range_terms_past_double_range_are_inf():
+    # every term is finite, their sum is not: the squared norm, the moment
+    # and the domain functional read inf, as the dual norm does
+    f = TaylorCoeffs([1.3e154, 1.3e154])
+    assert squared_norm(f, 1) == math.inf
+    assert weighted_moment(f, 1, 0) == math.inf
+    g = TaylorCoeffs([0, 1.3e154, 6.5e153])
+    assert domain_functional(g, 1) == (math.inf, False)
+    # in range the sum is math.fsum's, bit for bit
+    h = TaylorCoeffs([0.1, 0.2j, 0.3 - 0.4j])
+    assert squared_norm(h, 2) == math.fsum(_weighted_sq_terms(h.coeffs, 2))
+    assert weighted_moment(h, 2, 1) == math.fsum(
+        _weighted_sq_terms(h.coeffs, 2, 1))
 
 
 def test_domain_functional_overflow_raises_nothing(monkeypatch):

@@ -16,10 +16,10 @@ import scipy.special as sp
 
 import genfock.radialkernel as rk
 from genfock.radialkernel import (
+    _local_cubic,
     _log_conv,
     _log_k1,
     _log_residue,
-    _not_a_knot,
     _residue_coeffs,
     _zeta_int,
     KernelTable,
@@ -99,6 +99,26 @@ def test_level2_table_within_gate_between_nodes():
     assert np.max(np.abs(log_radial_weight(2, xs) - want)) <= 1e-10
 
 
+def test_level2_table_tracks_bessel_densely():
+    # the table's level-2 error, dominated by the interpolation between
+    # nodes: 2.99e-12 in log at most
+    xs = np.geomspace(1e-20, 1e6, 20_001)
+    want = np.array([bessel_reference_log(x) for x in xs])
+    assert np.max(np.abs(log_radial_weight(2, xs) - want)) <= 3.1e-12
+
+
+@pytest.mark.parametrize("lo, hi", [(1e-30, 1e-26), (1e9, 1e17)])
+def test_level2_end_bands_hold_double_precision(lo, hi):
+    # the grid's bottom decades interpolate the residue model's nodes, and
+    # above the grid the large-argument model continues the top node's
+    # value and slope; both stay within a few ulps of 2*K0(2*sqrt x),
+    # measured relative to max(1, |log K|) (8.7e-16 and 8.9e-16 measured)
+    w = np.linspace(math.log(lo), math.log(hi), 20_001)
+    want = np.array([bessel_reference_log(x) for x in np.exp(w)])
+    err = np.abs(build_table(2).log_eval_log_arg(w) - want)
+    assert np.max(err / np.maximum(1.0, np.abs(want))) <= 1.5e-15
+
+
 def test_level2_relative_error_at_moderate_points():
     # the linear-scale comparison against an independently quadratured
     # Bessel value, on points where neither side under- or overflows
@@ -108,7 +128,8 @@ def test_level2_relative_error_at_moderate_points():
 
 
 def test_direct_convolution_point_matches_bessel():
-    # single fresh convolution of the analytic level-1 factors, no tables
+    # single fresh convolution of K_1 and the exact level-1 table: nothing
+    # is interpolated
     for x in (0.25, 1.0, 9.0):
         got = log_radial_weight_conv(2, x)
         assert got == pytest.approx(bessel_reference_log(x), abs=1e-11)
@@ -195,8 +216,9 @@ def test_small_argument_model_follows_level2_below_the_grid():
 
 def test_large_argument_model_follows_level2_above_the_grid():
     # above the grid the asymptotic form takes over, matched in value and
-    # slope to the spline at the top node; at level 2 it stays on
-    # 2*K0(2*sqrt x) (5e-10 measured 8 log-units up)
+    # slope to the interpolant at the top node, whose slope there is the
+    # 5-point one-sided difference; at level 2 it stays on 2*K0(2*sqrt x)
+    # (5e-10 measured 8 log-units up)
     t = build_table(2)
     s1 = float(t.s[-1])
     for dw in (1e-9, 1.0, 4.0, 8.0):
@@ -242,42 +264,59 @@ def test_parent_evaluation_is_the_masked_reference_bitwise(m):
 
 
 @pytest.mark.parametrize("m", range(2, 7))
-def test_table_spline_is_the_not_a_knot_cubic_spline(m):
-    # scipy's CubicSpline solves the same slope system; the two differ by
-    # rounding only, measured against the size of the splined data (a
-    # pointwise ratio is meaningless where the data cross zero)
-    from scipy.interpolate import CubicSpline
+def test_table_interpolant_is_c1_through_its_nodes(m):
+    # every node but the last is returned exactly from its own interval;
+    # the cubic of the interval below a node ends on its value and slope to
+    # rounding, and the model above the grid leaves the last node with the
+    # slope that _local_cubic returns for it
     t = build_table(m)
     y = t.logk + m * np.exp(t.s / m)
-    ref = CubicSpline(t.s, y)
-    w = np.random.default_rng(m).uniform(t.s[0], t.s[-1], 10_000)
-    assert np.max(np.abs(t._spline(w) - ref(w))) <= 1e-15 * np.max(np.abs(y))
-    assert np.array_equal(t._spline(t.s[1:-1]), y[1:-1])
-    _, top_slope = _not_a_knot(t.s, y)
-    assert top_slope == pytest.approx(float(ref(t.s[-1], 1)), rel=1e-14,
-                                      abs=0)
+    assert np.array_equal(t._spline(t.s[:-1]), y[:-1])
+    _, c3, c2, c1, c0 = t._coef
+    d = np.diff(t.s)
+    end_value = ((c3 * d + c2) * d + c1) * d + c0
+    end_slope = (3.0 * c3 * d + 2.0 * c2) * d + c1
+    scale = float(np.max(np.abs(y)))
+    assert np.max(np.abs(end_value - y[1:])) <= 1e-15 * scale
+    assert np.max(np.abs(end_slope[:-1] - c1[1:])) <= 1e-15 * scale / d[0]
+    _, top_slope = _local_cubic(t.s, y)
+    assert abs(end_slope[-1] - top_slope) <= 1e-15 * scale / d[0]
+    _, slope, c1_top = t._top
+    model_slope = slope - c1_top / m * math.exp(-float(t.s[-1]) / m)
+    assert abs(model_slope - top_slope) <= 1e-15 * scale / d[0]
 
 
-@pytest.mark.parametrize("n", [4, 5, 17, 300, 5000])
-def test_not_a_knot_matches_cubic_spline_on_a_smooth_function(n):
-    # the coefficients on their own, each point on its interval found by
-    # bisection rather than by the table's uniform index
-    from scipy.interpolate import CubicSpline
+@pytest.mark.parametrize("n", [5, 6, 17, 300, 5000])
+def test_local_cubic_is_exact_on_cubics_and_its_slopes_on_quartics(n):
+    # the stencils are exact on quartics, so cubic Hermite pieces with
+    # those slopes reproduce any cubic; what is left is rounding.  A slope
+    # weighs at most seven values by at most 128/12 in sum, over h, so its
+    # rounding is a few eps * max|y| / h (3.7e-15 max|y| / h measured), and
+    # the cubic's is under 1e-15 of max|y| (6.6e-16 measured).  Each point
+    # finds its interval by bisection rather than by the table's uniform
+    # index
     s = np.linspace(-3.0, 4.0, n)
-    y = np.sin(2.0 * s) * np.exp(0.3 * s) + 0.1 * s ** 3
-    coef, top_slope = _not_a_knot(s, y)
-    ref = CubicSpline(s, y)
+    h = 7.0 / (n - 1)
     w = np.random.default_rng(n).uniform(-3.0, 4.0, 10_000)
-    x, c3, c2, c1, c0 = coef[:, np.clip(np.searchsorted(s, w, side="right")
-                                        - 1, 0, n - 2)]
-    t = w - x
-    got = ((c3 * t + c2) * t + c1) * t + c0
-    assert np.max(np.abs(got - ref(w))) <= 1e-15 * np.max(np.abs(y))
-    assert np.array_equal(coef[0], s[:-1])
-    assert np.array_equal(coef[4], y[:-1])
-    assert top_slope == pytest.approx(float(ref(s[-1], 1)), rel=1e-13, abs=0)
+    i = np.clip(np.searchsorted(s, w, side="right") - 1, 0, n - 2)
+    for seed in range(10):
+        quartic = np.random.default_rng(seed).normal(size=5)
+        for poly in (quartic, quartic[1:]):
+            y = np.polyval(poly, s)
+            scale = float(np.max(np.abs(y)))
+            coef, top_slope = _local_cubic(s, y)
+            assert np.array_equal(coef[0], s[:-1])
+            assert np.array_equal(coef[4], y[:-1])
+            want = np.polyval(np.polyder(poly), s)
+            assert np.max(np.abs(coef[3] - want[:-1])) <= 2e-14 * scale / h
+            assert abs(top_slope - want[-1]) <= 2e-14 * scale / h
+        # the last poly is the cubic
+        x, c3, c2, c1, c0 = coef[:, i]
+        t = w - x
+        got = ((c3 * t + c2) * t + c1) * t + c0
+        assert np.max(np.abs(got - np.polyval(poly, w))) <= 2e-15 * scale
     with pytest.raises(ValueError):
-        _not_a_knot(s[:3], y[:3])
+        _local_cubic(s[:4], y[:4])
 
 
 def test_zeta_at_integers_is_scipys_double():
