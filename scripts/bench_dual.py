@@ -7,15 +7,15 @@ real and imaginary parts):
 - ``cauchy_product`` at lengths (6, 6), (20, 20), (25, 40), (40, 40),
   (200, 200) and (1000, 1000);
 - ``vage_check`` at n = 200, levels p, q = 2, 3;
-- ``riemann_integral_product`` on two 17-node linear paths of length-6
-  elements (``sample_path`` on [0, 1]).
+- ``riemann_integral_product`` on two linear paths of length-6 elements
+  (``sample_path`` on [0, 1]) of 17 and 129 nodes.
 
 Each row holds the best-of timing of one call in microseconds, the
 tracemalloc peak of one call, and whether the output is the reference's
 ``repr`` for ``repr``.  The reference product is the tests' own
 (``tests/dual_reference.py``: each diagonal's live products summed with
-``fsum``); the other two rows are built from it in the package's
-arithmetic.
+``fsum``); the other rows are built from it in the package's arithmetic
+(the path integral as ``reference_riemann`` there has it).
 Provenance reads package versions through ``importlib.metadata``.
 
     python3 scripts/bench_dual.py                    # writes BENCH_dual.json
@@ -26,8 +26,8 @@ Provenance reads package versions through ``importlib.metadata``.
 under another name and alternates the two on every repeat; each row then
 also holds the other checkout's time, the ratio, and whether the two
 outputs agree ``repr`` for ``repr``.  ``--quick`` drops the (1000, 1000)
-row and takes few repeats.  The package is imported from the ``src``
-directory next to this script.
+and the 129-node rows and takes few repeats.  The package is imported from
+the ``src`` directory next to this script.
 """
 
 import argparse
@@ -49,11 +49,12 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "tests"))
 
-from dual_reference import reference_product  # noqa: E402
+from dual_reference import reference_product, reference_riemann  # noqa: E402
 from genfock import dualalgebra  # noqa: E402
 
 PRODUCT_SIZES = ((6, 6), (20, 20), (25, 40), (40, 40), (200, 200),
                  (1000, 1000))
+RIEMANN_STEPS = (16, 128)
 SEED = 0
 
 
@@ -82,19 +83,6 @@ def _reference_vage(a, b, p, q):
     return lhs, bound, lhs <= bound * (1.0 + 1e-12)
 
 
-def _reference_riemann(f_rows, g_rows, ts):
-    prods = [reference_product(f, g) for f, g in zip(f_rows, g_rows)]
-    width = max(map(len, prods))
-    acc = [0.0j] * width
-    for t0, t1, p0, p1 in zip(ts, ts[1:], prods, prods[1:]):
-        half_h = 0.5 * (t1 - t0)
-        for n in range(width):
-            c0 = complex(p0[n]) if n < len(p0) else 0j
-            c1 = complex(p1[n]) if n < len(p1) else 0j
-            acc[n] += half_h * (c0 + c1)
-    return acc
-
-
 def _line(ends, t):
     return [x + t * y for x, y in zip(*ends)]
 
@@ -118,17 +106,19 @@ def _rows(rng, quick: bool) -> list:
                                2, 3),
         lambda: _reference_vage(a, b, 2, 3)))
     f_ends, g_ends = (_cn(rng, 6), _cn(rng, 6)), (_cn(rng, 6), _cn(rng, 6))
-    ts = [i / 16 for i in range(17)]
-    rows.append((
-        "riemann_integral_product", "17 nodes on [0, 1]",
-        "linear paths x0 + t x1 of complex normal length-6 elements",
-        lambda m: m.riemann_integral_product(
-            m.sample_path(lambda t: m.DualSequence(_line(f_ends, t), 2)),
-            m.sample_path(lambda t: m.DualSequence(_line(g_ends, t), 2))
-        ).coeffs,
-        lambda: tuple(_reference_riemann([_line(f_ends, t) for t in ts],
-                                         [_line(g_ends, t) for t in ts],
-                                         ts))))
+    for steps in RIEMANN_STEPS[:1] if quick else RIEMANN_STEPS:
+        ts = [i / steps for i in range(steps + 1)]
+        rows.append((
+            "riemann_integral_product", f"{steps + 1} nodes on [0, 1]",
+            "linear paths x0 + t x1 of complex normal length-6 elements",
+            lambda m, steps=steps: m.riemann_integral_product(
+                m.sample_path(lambda t: m.DualSequence(_line(f_ends, t), 2),
+                              steps=steps),
+                m.sample_path(lambda t: m.DualSequence(_line(g_ends, t), 2),
+                              steps=steps)).coeffs,
+            lambda ts=ts: tuple(reference_riemann(
+                [_line(f_ends, t) for t in ts], [_line(g_ends, t) for t in ts],
+                ts))))
     return rows
 
 

@@ -37,8 +37,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
-from .coeffspace import (TaylorCoeffs, WeightOverflowError, _fsum_complex,
-                         _require_level, _weight_table, squared_norm)
+from .coeffspace import (TaylorCoeffs, WeightOverflowError, _fsum,
+                         _fsum_complex, _require_level, _weight_table,
+                         _weighted_sq_terms)
 
 _PI_QUARTER = math.pi ** -0.25
 _TINY = 1e-300
@@ -195,9 +196,16 @@ def inverse(f: TaylorCoeffs, m: int) -> tuple:
 
 def unitarity_gap(hermite_coeffs, m: int) -> dict:
     """Squared L2 norm of the input, level-m squared norm of the image, and
-    their relative gap (0 for an exactly unitary map)."""
-    l2 = math.fsum(abs(complex(c)) ** 2 for c in hermite_coeffs)
-    img = squared_norm(forward(hermite_coeffs, m), m)
+    their relative gap (0 for an exactly unitary map).
+
+    A squared norm past double range is inf, and then so is the gap: two
+    norms out of range leave no relative gap to measure.
+    """
+    l2 = _fsum([a * a for a in (abs(complex(c)) for c in hermite_coeffs)])
+    img = _fsum(_weighted_sq_terms(forward(hermite_coeffs, m).coeffs, m,
+                                   strict=False))
+    if math.isinf(l2) or math.isinf(img):
+        return {"l2": l2, "image": img, "gap": math.inf}
     gap = abs(img - l2) / max(l2, 1e-300)
     return {"l2": l2, "image": img, "gap": gap}
 

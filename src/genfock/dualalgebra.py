@@ -162,8 +162,7 @@ def _certified_sums(p):
     All comparisons are between powers of two or exact doubles.
     """
     n = p.shape[-1]
-    buf = np.empty((2,) + p.shape)  # the high and the low parts
-    q, lo = buf
+    q, lo = np.empty_like(p), np.empty_like(p)  # the high and low parts
     m = np.abs(p, out=q).max(axis=-1)
     # 2**floor(log2 m) * 2**(c + 1) with 2**c >= n + 2; 0 for subnormal m
     sigma = (m.view(np.uint64) & _EXPONENT).view(float)
@@ -171,7 +170,7 @@ def _certified_sums(p):
     np.add(p, sigma[..., None], out=q)
     q -= sigma[..., None]
     np.subtract(p, q, out=lo)
-    hi, lo = buf.sum(axis=-1)
+    hi, lo = q.sum(axis=-1), lo.sum(axis=-1)
     vals = np.empty(p.shape[1], dtype=complex)
     s = vals.view(float).reshape(-1, 2).T
     np.add(hi, lo, out=s)
@@ -187,70 +186,86 @@ def _certified_sums(p):
     return vals, s, ok
 
 
-def _float_convolution(ca: tuple, cb: tuple) -> list:
-    """Cauchy product of float coefficients, each output correctly rounded.
+def _float_convolution(pairs) -> list:
+    """Cauchy products of a stack of factor pairs (ca, cb) of float
+    coefficients, one list per pair, each output correctly rounded.
 
-    The products a_i * b_j are formed with the real operations of a complex
-    multiply, in blocks of about ``_BLOCK`` cells laid out skewed: row k of
-    a block holds diagonal d0 + k, one cell per index into the shorter
-    factor, read from a strided view of the zero-padded longer factor, so
-    no index arrays are built and memory stays bounded per block.
+    The factors are zero-padded to common lengths, and the diagonals of
+    the pairs, pair after pair, are the rows of one skewed layout: one
+    cell per index into the shorter factor, read from a strided view of
+    the padded longer factors.  The products a_i * b_j are formed with the
+    real operations of a complex multiply, in blocks of about ``_BLOCK``
+    cells, so memory stays bounded; a block may end inside a pair.
 
-    Each diagonal's real and imaginary parts are summed in numpy and
-    certified by :func:`_certified_sums` (the error-free extraction of
-    Rump, Ogita and Oishi, SIAM J. Sci. Comput. 31, 2008): a certified
-    value is proved to be the double nearest the exact sum, the value
-    ``fsum`` returns.  A part whose products are all zeros sums to the
-    zero ``fsum`` gives.  ``fsum`` itself, over the diagonal's live
-    products (both factors non-zero) in order of the index into ``ca``,
-    still runs where the certificate fails: near ties whose low parts do
-    not sum exactly, exact cancellation, subnormal terms, non-finite
-    values, a split past double range.  It also runs on every diagonal of
-    a product of fewer than ``_CERTIFY_PAIRS`` index pairs, where the
-    certificate's fixed cost exceeds what it saves.  A diagonal with no
-    live product is the exact 0.
+    Each diagonal's real and imaginary sums are certified in numpy by
+    :func:`_certified_sums` to be the double nearest the exact sum, the
+    value ``fsum`` returns in any order; a part whose products are all
+    zeros takes the zero ``fsum`` gives.  ``fsum`` itself, over the
+    diagonal's live products (both factors non-zero: never a padded cell),
+    runs where the certificate fails (near ties, exact cancellation,
+    subnormal or non-finite terms, a split past range) and on every
+    diagonal of a stack under ``_CERTIFY_PAIRS`` index pairs.  A diagonal
+    with no live product is the exact 0.  Errors come as pair-by-pair
+    calls would raise them.
     """
-    a = np.array(ca, dtype=complex)
-    b = np.array(cb, dtype=complex)
-    out = []
-    swap = len(a) > len(b)
-    short, other = (b, a) if swap else (a, b)
-    nr, nc = len(short), len(other)
+    if not pairs:
+        return []
+    fa, fb = zip(*pairs)
+    na, nb = max(map(len, fa)), max(map(len, fb))
+    swap = na > nb
+    nr, nc = (nb, na) if swap else (na, nb)
     nd = nr + nc - 1
-    pad = np.zeros(2 * nr + nc - 2, dtype=complex)
-    pad[nr - 1:nr - 1 + nc] = other
-    # view[d, i] = other[d - i], zero outside other
-    view = np.ndarray((nd, nr), complex, pad, (nr - 1) * 16, (16, -16))
-    order = slice(None, None, -1 if swap else 1)  # cells by index into ca
+    rows = len(pairs) * nd
+    # per pair nr - 1 zeros and its padded longer factor; then the shorter
+    pad = np.zeros(rows + nr - 1 + len(pairs) * nr, dtype=complex)
+    other = pad[:rows].reshape(-1, nd)[:, nr - 1:]
+    short = pad[rows + nr - 1:].reshape(-1, nr)
+    a, b = (other, short) if swap else (short, other)
+    try:  # factors of one length convert at once
+        a[:], b[:] = fa, fb
+    except Exception:
+        for j, (ca, cb) in enumerate(pairs):
+            try:  # ca, then cb, pair by pair, as one-pair calls convert
+                a[j, :len(ca)], b[j, :len(cb)] = ca, cb
+            except Exception:  # an earlier pair's error comes first
+                _float_convolution(pairs[:j])
+                raise
+    # view[j*nd + d, i] = other_j[d - i], zero outside other_j
+    view = np.ndarray((rows, nr), complex, pad, (nr - 1) * 16, (16, -16))
     width = max(1, _BLOCK // nr)
-    certify = nr * nc >= _CERTIFY_PAIRS
+    certify = len(pairs) * nr * nc >= _CERTIFY_PAIRS
+    out = []
     # the certificate meets inf - inf and overflow by design; the fsum route
     # warns of overflow as numpy does, but not of the 0 * inf that padding
     # and dead cells meet beside an infinite part
     with np.errstate(all="ignore") if certify else np.errstate(
             invalid="ignore"):
-        for d0 in range(0, nd, width):
-            d1 = min(d0 + width, nd)
-            i0, i1 = max(0, d0 - nc + 1), min(d1, nr)
-            v = view[d0:d1, i0:i1]
-            ur, ui = short.real[i0:i1], short.imag[i0:i1]
-            xr, xi, yr, yi = (v.real, v.imag, ur, ui) if swap else (
-                ur, ui, v.real, v.imag)
-            p = np.empty((2, d1 - d0, i1 - i0))
+        for r0 in range(0, rows, width):
+            r1 = min(r0 + width, rows)
+            j, d0 = divmod(r0, nd)
+            one = d0 + r1 - r0 <= nd  # in pair j: the columns it reaches
+            i0, i1 = (max(0, d0 - nc + 1), min(d0 + r1 - r0, nr)) if (
+                one) else (0, nr)
+            u = short[j, i0:i1] if one else short[np.arange(r0, r1) // nd]
+            v = view[r0:r1, i0:i1]
+            xr, xi, yr, yi = (v.real, v.imag, u.real, u.imag) if swap else (
+                u.real, u.imag, v.real, v.imag)
+            p = np.empty((2, r1 - r0, i1 - i0))
             np.multiply(xr, yr, out=p[0])
             p[0] -= xi * yi
             np.multiply(xr, yi, out=p[1])
             p[1] += xi * yr
             if not certify:
-                live = (short[i0:i1] != 0) & (v != 0)
-                out += _fsum_rows(p[0][:, order], p[1][:, order],
-                                  live[:, order])
+                live = (u != 0) & (v != 0)
+                out += _fsum_rows(p[0], p[1], live)
                 continue
+            if r1 - r0 > 4 * (i1 - i0):  # short rows sum faster column-major
+                p = p.transpose(0, 2, 1).copy().transpose(0, 2, 1)
             vals, s, ok = _certified_sums(p)
             if ok.all():
                 out += vals.tolist()
                 continue
-            live = (short[i0:i1] != 0) & (v != 0)
+            live = (u != 0) & (v != 0)
             zero = ~p.any(axis=-1)
             if zero.any():  # a part whose products are all zeros
                 pos = (live & ~np.signbit(p)).any(axis=-1)
@@ -263,10 +278,24 @@ def _float_convolution(ca: tuple, cb: tuple) -> list:
                 vals[k] = 0
             miss = np.flatnonzero(~(ok[0] & ok[1]))
             for k, z in zip(miss.tolist(), _fsum_rows(
-                    p[0][miss][:, order], p[1][miss][:, order],
-                    live[miss][:, order])):
+                    p[0][miss], p[1][miss], live[miss])):
                 vals[k] = z
             out += vals
+    return [out[j * nd:j * nd + len(ca) + len(cb) - 1]
+            for j, (ca, cb) in enumerate(pairs)]
+
+
+def _exact_convolution(ca: tuple, cb: tuple):
+    """The exact product of non-empty all-int/Fraction factors, else None."""
+    if not (all(map(_is_exact, ca)) and all(map(_is_exact, cb))):
+        return None
+    out = [0] * (len(ca) + len(cb) - 1)
+    for i, x in enumerate(ca):
+        if x == 0:
+            continue
+        for j, y in enumerate(cb):
+            if y != 0:
+                out[i + j] += x * y
     return out
 
 
@@ -276,26 +305,16 @@ def cauchy_product(a: DualSequence, b: DualSequence) -> DualSequence:
     All-exact (int/Fraction) inputs stay exact.  Otherwise every coefficient
     is taken as a complex float and each output coefficient is the
     correctly rounded sum of its products, so the product commutes exactly:
-    a running sum would depend on the traversal order.  The rounding is
-    certified in numpy by error-free extraction (Rump, Ogita and Oishi,
-    SIAM J. Sci. Comput. 31, 2008), with ``fsum`` on the diagonals the
-    certificate does not cover and on small products; the result is the
-    same either way (see :func:`_float_convolution`).
+    a running sum would depend on the traversal order.  The float product
+    is the one-pair call of :func:`_float_convolution`.
     """
     ca, cb = a.coeffs, b.coeffs
     level = max(a.level, b.level)
     if not ca or not cb:
         return DualSequence((), level)
-    if not (all(map(_is_exact, ca)) and all(map(_is_exact, cb))):
-        return DualSequence(_float_convolution(ca, cb), level)
-    out = [0] * (len(ca) + len(cb) - 1)
-    for i, x in enumerate(ca):
-        if x == 0:
-            continue
-        for j, y in enumerate(cb):
-            if y != 0:
-                out[i + j] += x * y
-    return DualSequence(out, level)
+    out = _exact_convolution(ca, cb)
+    return DualSequence(out if out is not None
+                        else _float_convolution([(ca, cb)])[0], level)
 
 
 def vage_constant(d: int) -> float:
@@ -349,7 +368,7 @@ def riemann_integral_product(f_path, g_path) -> DualSequence:
 
     Both paths are lists of (t_i, DualSequence) on the same strictly
     increasing grid; the grid need not be uniform.  The integrand is the
-    Cauchy product at each node.
+    Cauchy product at each node, with one kernel call for all float nodes.
     """
     if len(f_path) != len(g_path):
         raise ValueError("paths must share one grid (length mismatch)")
@@ -362,16 +381,22 @@ def riemann_integral_product(f_path, g_path) -> DualSequence:
     if any(t1 <= t0 for t0, t1 in zip(ts, ts[1:])):
         raise ValueError("grid must be strictly increasing")
 
-    prods = [cauchy_product(fb, gb) for (_, fb), (_, gb) in zip(f_path, g_path)]
-    level = max(pr.level for pr in prods)
-    width = max(len(pr.coeffs) for pr in prods)
-    rows = [tuple(map(complex, pr.coeffs)) + (0j,) * (width - len(pr.coeffs))
-            for pr in prods]
-    acc = [0.0j] * width
-    for t0, t1, r0, r1 in zip(ts, ts[1:], rows, rows[1:]):
-        half_h = 0.5 * (t1 - t0)
-        acc = [s + half_h * (x + y) for s, x, y in zip(acc, r0, r1)]
-    return DualSequence(acc, level)
+    level = max(d.level for _, d in (*f_path, *g_path))
+    pairs = [(f.coeffs, g.coeffs) for (_, f), (_, g) in zip(f_path, g_path)]
+    prods = [_exact_convolution(*pair) if all(pair) else [] for pair in pairs]
+    floats = [j for j, pr in enumerate(prods) if pr is None]
+    for j, pr in zip(floats, _float_convolution([pairs[j] for j in floats])):
+        prods[j] = pr
+    width = max(map(len, prods))
+    rows = np.array([pr + [0] * (width - len(pr)) for pr in prods], complex)
+    terms = np.zeros((len(ts), width, 2))  # row 0 is the starting 0
+    with np.errstate(all="ignore"):
+        r = (rows[:-1] + rows[1:]).view(float).reshape(len(ts) - 1, width, 2)
+        half_h = 0.5 * np.diff(ts)[:, None, None]
+        # h * r as Python multiplies a float into a complex: cross terms too
+        terms[1:] = half_h * r + np.array([-0.0, 0.0]) * r[..., ::-1]
+        acc = np.add.accumulate(terms)[-1]
+    return DualSequence(acc.view(complex).ravel().tolist(), level)
 
 
 def sample_path(fn, t0: float = 0.0, t1: float = 1.0, steps: int = 16):

@@ -1,5 +1,5 @@
-"""The reference float Cauchy product, shared by the tests and
-``scripts/bench_dual.py``.
+"""The reference float Cauchy product and path integral, shared by the
+tests and ``scripts/bench_dual.py``.
 
 Each diagonal's live products (Python complex multiplication, both factors
 non-zero) are summed with the package's ``_fsum``: ``math.fsum``, with its
@@ -8,6 +8,8 @@ diagonal without a live product is the exact 0.  So each diagonal is its
 correctly rounded sum, or the infinity or NaN of float arithmetic, which
 is what the certified rounding must reproduce repr for repr.
 """
+
+from fractions import Fraction
 
 from genfock.coeffspace import _fsum
 
@@ -22,3 +24,36 @@ def reference_product(ca, cb) -> list:
         out.append(complex(_fsum([t.real for t in terms]),
                            _fsum([t.imag for t in terms])) if terms else 0)
     return out
+
+
+def _exact(c) -> bool:
+    return isinstance(c, (int, Fraction))
+
+
+def reference_riemann(f_rows, g_rows, ts) -> list:
+    """The trapezoidal integral of the node products of two coefficient
+    paths on the grid ``ts``, in Python complex arithmetic, one
+    coefficient and one interval at a time.  A node with an empty factor
+    contributes zeros; a node whose coefficients are all int/Fraction
+    takes its exact product, rounded to complex once per coefficient."""
+    prods = []
+    for f, g in zip(f_rows, g_rows):
+        if not (f and g):
+            prods.append([])
+        elif all(map(_exact, f)) and all(map(_exact, g)):
+            exact = [0] * (len(f) + len(g) - 1)
+            for i, x in enumerate(f):
+                for j, y in enumerate(g):
+                    exact[i + j] += x * y
+            prods.append(exact)
+        else:
+            prods.append(reference_product(f, g))
+    width = max(map(len, prods))
+    acc = [0.0j] * width
+    for t0, t1, p0, p1 in zip(ts, ts[1:], prods, prods[1:]):
+        half_h = 0.5 * (t1 - t0)
+        for n in range(width):
+            c0 = complex(p0[n]) if n < len(p0) else 0j
+            c1 = complex(p1[n]) if n < len(p1) else 0j
+            acc[n] += half_h * (c0 + c1)
+    return acc

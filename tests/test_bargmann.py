@@ -128,6 +128,15 @@ def test_unitarity_gap_is_a_few_ulps(m):
         assert unitarity_gap(list(c), m)["gap"] <= 1e-15
 
 
+@pytest.mark.parametrize("m", [1, 3])
+@pytest.mark.parametrize("coeffs", [[1.3e154, 1.3e154], [1e155]])
+def test_unitarity_gap_past_double_range_is_inf(coeffs, m):
+    # each squared modulus is finite but their sum is not, or the square
+    # itself is past range; the image's norm leaves range with it
+    assert unitarity_gap(coeffs, m) == {
+        "l2": math.inf, "image": math.inf, "gap": math.inf}
+
+
 def test_scale_overflow_is_typed():
     with pytest.raises(WeightOverflowError) as info:
         forward([0] * 400 + [1.0], 6)

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from dual_reference import reference_product
+from dual_reference import reference_product, reference_riemann
 from genfock import dualalgebra
 from genfock.coeffspace import TaylorCoeffs
 from genfock.dualalgebra import (
@@ -177,6 +177,50 @@ def test_certified_product_is_the_reference_on_hard_input(monkeypatch, block):
         want = _outcome(reference_product, ca, cb)
         assert _outcome(_package_product, ca, cb) == want
         assert _outcome(_package_product, cb, ca) == want
+
+    check()
+
+
+def _stack_outcome(pairs):
+    """Each pair's reference product as (type, repr) pairs, or the error
+    the first pair to fail raises."""
+    rows = []
+    for ca, cb in pairs:
+        row = _outcome(reference_product, ca, cb)
+        if isinstance(row, tuple):
+            return row
+        rows.append(row)
+    return rows
+
+
+def _kernel_outcome(pairs):
+    try:
+        return [[(type(x), repr(x)) for x in row]
+                for row in dualalgebra._float_convolution(pairs)]
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("block", [4096, 5])
+def test_stacked_kernel_is_the_reference_pair_by_pair(monkeypatch, block):
+    # ragged pairs are zero-padded to common lengths; block = 5 puts block
+    # boundaries inside a pair, and with a shorter factor of length 1 or 2
+    # makes blocks that span pairs
+    monkeypatch.setattr(dualalgebra, "_BLOCK", block)
+    monkeypatch.setattr(dualalgebra, "_CERTIFY_PAIRS", 0)
+    factor = st.lists(_HARD_COEFFS, min_size=1, max_size=12)
+
+    @given(st.lists(st.tuples(factor, factor), min_size=1, max_size=4))
+    @example([([1.0], [2.0, 3.0, 4.0]), ([5.0, 0], [1e154, -1e154, 1.0]),
+              ([2.0 ** -53, 1.0], [1.0])])
+    @example([([1.0, 1.0], [1.0, 2.0 ** -53]), ([1.0], [_BIG]),
+              ([_BIG, -_BIG], [_BIG, _BIG])])      # the third raises
+    @example([([3.0, 0, 1.0], [0, 0]), ([1.0, 1.0], [1.0, -1.0])])
+    # a factor that does not convert raises after the pairs before it
+    @example([([_BIG, -_BIG], [_BIG, _BIG]), ([1.0, 10 ** 400], [1.0, 1.0])])
+    @example([([1.0, 10 ** 400], [1.0, 1.0]), ([_BIG, -_BIG], [_BIG, _BIG])])
+    def check(pairs):
+        assert _kernel_outcome(pairs) == _stack_outcome(pairs)
 
     check()
 
@@ -420,3 +464,86 @@ def test_grid_mismatch_raises():
     gp[3] = (gp[3][0] + 0.01, gp[3][1])
     with pytest.raises(ValueError):
         riemann_integral_product(fp, gp)
+
+
+def _path_outcome(integrate, f_rows, g_rows, ts):
+    try:
+        got = integrate(f_rows, g_rows, ts)
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+    return [(type(x), repr(x)) for x in got]
+
+
+def _package_riemann(f_rows, g_rows, ts):
+    out = riemann_integral_product(
+        [(t, DualSequence(f, 2)) for t, f in zip(ts, f_rows)],
+        [(t, DualSequence(g, 3)) for t, g in zip(ts, g_rows)])
+    assert out.level == 3
+    return out.coeffs
+
+
+_HUGE = 2 ** 53 + 1   # exact products of it are not doubles
+
+
+def _node_rows(kind):
+    """(f_rows, g_rows, ts): nine nodes on an uneven grid, ragged float
+    factors of one to seven coefficients, and one node of each kind."""
+    rng = np.random.default_rng(23)
+    ts = np.cumsum(rng.uniform(0.05, 0.3, 9)).tolist()
+    f_rows = [_draw(rng, int(rng.integers(1, 8)), ()) for _ in ts]
+    g_rows = [_draw(rng, int(rng.integers(1, 8)), ()) for _ in ts]
+    if kind == "empty":
+        f_rows[4] = []
+    elif kind == "exact":
+        f_rows[2], g_rows[2] = [_HUGE, 3], [_HUGE, 2 ** 60 + 7, -_HUGE]
+    elif kind == "all exact":
+        f_rows = [[_HUGE, 3]] * len(ts)
+        g_rows = [[_HUGE, 2 ** 60 + 7, -_HUGE]] * len(ts)
+    elif kind == "signed zeros":  # products that underflow toward -0.0
+        f_rows, g_rows = [[-1e-200]] * len(ts), [[1e-200]] * len(ts)
+    elif kind == "non-finite":  # 0.0 * inf in the float-by-complex multiply
+        f_rows[3], g_rows[3] = [1e300j], [1e300j, 1.0]
+    if kind.startswith("inf - inf"):
+        f_rows[6], g_rows[6] = [_BIG, -_BIG], [_BIG, _BIG]
+    if kind.endswith("no float"):  # an int past double range in a float node
+        f_rows[8] = [1.0, 10 ** 400]
+    return f_rows, g_rows, ts
+
+
+@pytest.mark.parametrize("kind", [
+    "ragged", "empty", "exact", "all exact", "signed zeros", "non-finite",
+    "inf - inf", "no float", "inf - inf, then no float"])
+def test_path_integral_is_the_reference(kind):
+    f_rows, g_rows, ts = _node_rows(kind)
+    want = _path_outcome(reference_riemann, f_rows, g_rows, ts)
+    assert _path_outcome(_package_riemann, f_rows, g_rows, ts) == want
+    if kind.startswith("inf - inf"):  # the earlier node's error comes first
+        assert want == (ValueError, "-inf + inf in fsum")
+    if kind == "signed zeros":
+        assert want == [(complex, "0j")]
+    if kind == "non-finite":
+        assert "nan" in want[0][1]
+    if kind == "no float":
+        assert want == (OverflowError, "int too large to convert to float")
+    if "exact" in kind:
+        # the same node in floats rounds its factors first and differs
+        floats = [[complex(c) for c in f] for f in f_rows]
+        assert _path_outcome(reference_riemann, floats, g_rows, ts) != want
+
+
+def test_float_path_takes_one_kernel_call(monkeypatch):
+    calls = []
+    kernel = dualalgebra._float_convolution
+
+    def spy(pairs):
+        calls.append(len(pairs))
+        return kernel(pairs)
+
+    def per_node(a, b):
+        raise AssertionError("a per-node cauchy_product call")
+
+    monkeypatch.setattr(dualalgebra, "_float_convolution", spy)
+    monkeypatch.setattr(dualalgebra, "cauchy_product", per_node)
+    f, g = linear_paths()
+    riemann_integral_product(sample_path(f), sample_path(g))
+    assert calls == [17]
