@@ -8,7 +8,8 @@ real and imaginary parts):
   (200, 200) and (1000, 1000);
 - ``vage_check`` at n = 200, levels p, q = 2, 3;
 - ``riemann_integral_product`` on two linear paths of length-6 elements
-  (``sample_path`` on [0, 1]) of 17 and 129 nodes.
+  (``sample_path`` on [0, 1]) of 17 and 129 nodes; the paths are built
+  once per checkout, outside the timed calls.
 
 Each row holds the best-of timing of one call in microseconds, the
 tracemalloc peak of one call, and whether the output is the reference's
@@ -32,6 +33,7 @@ the ``src`` directory next to this script.
 
 import argparse
 import hashlib
+import importlib
 import importlib.metadata
 import importlib.util
 import json
@@ -58,9 +60,9 @@ RIEMANN_STEPS = (16, 128)
 SEED = 0
 
 
-def _load(checkout: Path):
-    """The dualalgebra module of another checkout, imported as its own
-    package so that both can be timed in one process."""
+def _load(checkout: Path, module: str = "dualalgebra"):
+    """A module of another checkout's package, imported as its own package
+    so that both can be timed in one process."""
     name = "genfock_against"
     spec = importlib.util.spec_from_file_location(
         name, checkout / "src" / "genfock" / "__init__.py",
@@ -68,7 +70,7 @@ def _load(checkout: Path):
     package = importlib.util.module_from_spec(spec)
     sys.modules[name] = package
     spec.loader.exec_module(package)
-    return sys.modules[name + ".dualalgebra"]
+    return importlib.import_module(f"{name}.{module}")
 
 
 def _cn(rng, n: int) -> list:
@@ -85,6 +87,20 @@ def _reference_vage(a, b, p, q):
 
 def _line(ends, t):
     return [x + t * y for x, y in zip(*ends)]
+
+
+def _paths_once(f_ends, g_ends, steps):
+    """The two sampled paths for a dualalgebra module, built on its first
+    call and kept, so that a timed call runs the integral alone."""
+    built = {}
+
+    def paths(m):
+        if m not in built:
+            built[m] = [m.sample_path(
+                lambda t, ends=ends: m.DualSequence(_line(ends, t), 2),
+                steps=steps) for ends in (f_ends, g_ends)]
+        return built[m]
+    return paths
 
 
 def _rows(rng, quick: bool) -> list:
@@ -111,11 +127,8 @@ def _rows(rng, quick: bool) -> list:
         rows.append((
             "riemann_integral_product", f"{steps + 1} nodes on [0, 1]",
             "linear paths x0 + t x1 of complex normal length-6 elements",
-            lambda m, steps=steps: m.riemann_integral_product(
-                m.sample_path(lambda t: m.DualSequence(_line(f_ends, t), 2),
-                              steps=steps),
-                m.sample_path(lambda t: m.DualSequence(_line(g_ends, t), 2),
-                              steps=steps)).coeffs,
+            lambda m, paths=_paths_once(f_ends, g_ends, steps):
+                m.riemann_integral_product(*paths(m)).coeffs,
             lambda ts=ts: tuple(reference_riemann(
                 [_line(f_ends, t) for t in ts], [_line(g_ends, t) for t in ts],
                 ts))))

@@ -12,14 +12,17 @@ With --build-stats it first builds levels 1 .. max(levels) in order and
 prints, per level, the build time, how many leading nodes the residue
 model filled, how many K_1 samples and parent-table points the
 convolution engine asked for on the others (counted here by wrapping the
-two callables), and the worst relative change with which an engine node
-was accepted, with that node's index (the last three kept on the table).
+engine's factors: parent points evaluated, and parent points read from
+the values the parent table stores on the engine's first lattices), and
+the worst relative change with which an engine node was accepted, with
+that node's index (the last three kept on the table).
 The package is imported from the ``src`` directory next to this script.
 
     python3 scripts/kernel_profiles.py --build-stats --levels 5 --points 3
 """
 
 import argparse
+import contextlib
 import math
 import sys
 import time
@@ -33,10 +36,17 @@ from genfock import radialkernel
 from genfock.radialkernel import build_table, log_radial_weight, moment
 
 
-def build_stats(top):
-    """Build levels 1..top one at a time; one stats row per level."""
-    counts = {"k1": 0, "parent": 0}
-    engine = radialkernel._log_conv
+@contextlib.contextmanager
+def engine_counts(rk=radialkernel):
+    """Count what the convolution engine of the radialkernel module ``rk``
+    asks for while the block runs: K_1 samples, parent points evaluated,
+    and, where the parent is a table that stores its lattice values,
+    parent points served from them.  Works on packages whose engine takes
+    the parent as a plain callable, too."""
+    counts = {"k1": 0, "parent": 0, "stored": 0}
+    engine, table = rk._log_conv, rk.KernelTable
+    evaluate, lookup = table.log_eval_log_arg, getattr(table, "lattice_log",
+                                                       None)
 
     def counted_engine(log_f, log_g, *rest):
         def f(w):
@@ -47,20 +57,42 @@ def build_stats(top):
             counts["parent"] += np.size(w)
             return log_g(w)
 
-        return engine(f, g, *rest)
+        if not isinstance(log_g, table):
+            return engine(f, g, *rest)
 
-    radialkernel._log_conv = counted_engine
-    rows = []
+        def evaluated(self, w):  # a lookup the stored values did not hold
+            counts["stored"] -= np.size(w)
+            counts["parent"] += np.size(w)
+            return evaluate(self, w)
+
+        def looked_up(self, h, j):
+            counts["stored"] += len(j)
+            return lookup(self, h, j)
+
+        table.log_eval_log_arg, table.lattice_log = evaluated, looked_up
+        try:
+            return engine(f, log_g, *rest)
+        finally:
+            table.log_eval_log_arg, table.lattice_log = evaluate, lookup
+
+    rk._log_conv = counted_engine
     try:
-        for m in range(1, top + 1):
-            counts.update(k1=0, parent=0)
+        yield counts
+    finally:
+        rk._log_conv = engine
+
+
+def build_stats(top):
+    """Build levels 1..top one at a time; one stats row per level."""
+    rows = []
+    for m in range(1, top + 1):
+        with engine_counts() as counts:
             t0 = time.perf_counter()
             table = build_table(m)
-            rows.append((m, time.perf_counter() - t0, table.model_nodes,
-                         counts["k1"], counts["parent"], table.worst_change,
-                         table.worst_node))
-    finally:
-        radialkernel._log_conv = engine
+            secs = time.perf_counter() - t0
+        rows.append((m, secs, table.model_nodes, counts["k1"],
+                     counts["parent"], counts["stored"], table.worst_change,
+                     table.worst_node))
     return rows
 
 
@@ -80,12 +112,13 @@ def main(argv=None):
     if args.build_stats:
         print("level".rjust(5) + "build_s".rjust(10) + "model_nodes".rjust(13)
               + "k1_samples".rjust(12) + "parent_points".rjust(15)
-              + "worst_change".rjust(14) + "node".rjust(6))
-        for m, secs, model, k1, parent, worst, node in build_stats(
+              + "stored_points".rjust(15) + "worst_change".rjust(14)
+              + "node".rjust(6))
+        for m, secs, model, k1, parent, stored, worst, node in build_stats(
                 max(args.levels)):
             node = "-" if node is None else str(node)
             print(f"{m:5d}{secs:10.3f}{model:13d}{k1:12d}{parent:15d}"
-                  f"{worst:14.2e}{node:>6}")
+                  f"{stored:15d}{worst:14.2e}{node:>6}")
         print()
     for m in args.levels:
         build_table(m)

@@ -29,6 +29,7 @@ conventions, which does not match this one.  The series is the ground truth.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import itertools
 import math
@@ -219,7 +220,9 @@ def transform_kernel(m: int, z: complex, t, tol: float = 1e-14):
     times the ratio of consecutive scales (|z|**n alone can overflow); the
     running sum is the largest partial-sum magnitude over the t batch
     (pointwise values can pass through zero; the batch maximum cannot
-    collapse).
+    collapse).  Where z**n leaves double range before its scale brings the
+    term back (at m = 1 from about |z| = 11.6 on, near n = 286), the sum is
+    lost: :class:`WeightOverflowError` names the first such n.
     """
     _require_level(m)
     if not tol > 0:
@@ -245,6 +248,11 @@ def transform_kernel(m: int, z: complex, t, tol: float = 1e-14):
         below = below + 1 if term_bound < tol * ref else 0
         if below == 3:
             break
+    if not cmath.isfinite(zpow):
+        n, zpow = 1, z
+        while cmath.isfinite(zpow):
+            n, zpow = n + 1, zpow * z
+        raise WeightOverflowError(n, m)
     return total if total.ndim else complex(total)
 
 

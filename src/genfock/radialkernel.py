@@ -16,9 +16,9 @@ Evaluation routes, deliberately kept separate:
   pass brackets the support and gives the peak width, then halves its step
   until two passes agree; it runs a vector of points as 2-D numpy passes
   over blocks of neighbouring points, and :func:`log_mellin_convolve` is its
-  single-point entry.  Every grid is a lattice of integer multiples of its
-  step, so the points of a block share the samples of the second factor,
-  and a halving samples only the new midpoints;
+  single-point entry.  Its grids are lattices u = j * step, so a block's
+  points share the second factor's samples, one pass gives the first sum
+  and its halving, and a table stores its values on the first lattices;
 * chained tables built from that engine on one fixed grid (64 points per
   decade over [1e-30, 1e9], shared by every level), one batched engine call
   per level over the nodes at or above 1e-16, stored as log-log cubic
@@ -85,10 +85,10 @@ class QuadConfig:
     The engine applies these per point, also when it runs many points in
     one batch: every point gets its own window growth, step and halvings,
     and leaves the refinement loop once its own halving agrees.  Its grids
-    are lattices u = j * step, so points of a batch with equal steps share
-    the second factor's samples, and a halving samples only the odd
-    multiples of the new step.  With ``max_refinements = 0`` no halving
-    runs, so nothing is accepted.
+    are lattices u = j * step, so points with equal steps share the second
+    factor's samples; the first pass samples the lattice of half the first
+    step for the sum and its first halving at once.  With
+    ``max_refinements = 0`` it samples the first step alone and accepts none.
     """
 
     rel_tol: float = 3e-10
@@ -102,8 +102,10 @@ class QuadConfig:
 
 def _clean(arr: np.ndarray) -> np.ndarray:
     # +inf or nan in a log-integrand means a pathological callable; treat the
-    # sample as dead rather than poisoning the sum.
-    return np.where(arr < np.inf, arr, _NEG_INF)
+    # sample as dead rather than poisoning the sum.  In place: the engine's
+    # sample matrices are its own, and the widest are about 1 MB
+    np.copyto(arr, _NEG_INF, where=~(arr < np.inf))
+    return arr
 
 
 # Neighbouring nodes share one 2-D pass over the hull of their lattice
@@ -112,13 +114,14 @@ _BLOCK = 64
 # The engine's lattice, the same for every caller.  The scouting pass samples
 # u = j * _COARSE_STEP to bracket the support and, by the parabola through
 # its maximum and the two neighbours, to give the peak and its width; a
-# window grows by ceil(4 / _COARSE_STEP) steps, at most _MAX_EXPAND times
-# while a tail is not dead yet.  A point's first trapezoid step is
-# _TARGET_STEP * 2**-k with the smallest k >= 0 that is at most a third of
-# its peak width (floored at 1e-5), and each halving raises k by one.
+# window grows by _GROW steps, at most _MAX_EXPAND times while a tail is not
+# dead yet.  A point's first trapezoid step is _TARGET_STEP * 2**-k with the
+# smallest k >= 0 that is at most a third of its peak width (floored at
+# 1e-5), and each halving raises k by one.
 _COARSE_STEP = 0.25
 _TARGET_STEP = 0.24
 _MAX_EXPAND = 8
+_GROW = math.ceil(4.0 / _COARSE_STEP)
 
 
 def log_mellin_convolve(log_f, log_g, ln_x: float,
@@ -137,12 +140,13 @@ def log_mellin_convolve(log_f, log_g, ln_x: float,
     (none where a neighbour is dead: the step stays coarsest), so narrow
     saddles get a proportionally fine step _TARGET_STEP * 2**-k.  The
     trapezoid value is accepted once one halving reproduces it to
-    ``rel_tol``; a halving samples only the new midpoints and folds them
-    into the running sum, so a point costs three or four passes.  If
+    ``rel_tol``; one pass over the lattice of step h/2 gives the sum at h
+    and its first halving, and a later halving samples only the new
+    midpoints: two passes a point, three if a second halving runs.  If
     ``max_refinements`` halvings never agree, QuadratureConvergenceError
-    reports the last achieved relative change.  This is the single-point
-    entry of the batched engine that :func:`build_table` runs on whole
-    levels.
+    reports the last achieved relative change.  ``log_g`` may also be a
+    :class:`KernelTable`.  This is the single-point entry of the batched
+    engine that :func:`build_table` runs on whole levels.
     """
     if window is None:
         window = (ln_x - 10.0, 40.0)
@@ -164,7 +168,8 @@ def _log_conv(log_f, log_g, ln_x: np.ndarray, u_lo: np.ndarray,
     :func:`log_mellin_convolve` describes.  Its grids are lattices of
     multiples of its own step, which depends only on its own peak width,
     read off its own row of the scouting pass; in each pass ``log_g`` is
-    evaluated once on the block's lattice indices of one step and shared by
+    evaluated once on the block's lattice indices of one step (or read from
+    a table's stored values, :meth:`KernelTable.lattice_log`) and shared by
     the rows on that lattice, ``log_f`` once per sample.  A pass samples
     the hull of the block's windows and a row sums all of it, also the
     samples outside its own window.  Those lie in the row's dead tail: its
@@ -189,6 +194,7 @@ def _log_conv(log_f, log_g, ln_x: np.ndarray, u_lo: np.ndarray,
 
 def _log_conv_block(log_f, log_g, ln_x, lo, u_hi, quad: QuadConfig):
     rows = np.arange(len(ln_x))
+    parent = getattr(log_g, "lattice_log", None) or (lambda h, j: log_g(h * j))
 
     def on_lattice(x, h, j):
         """Integrand logs of rows x at u = j*h for one shared index vector
@@ -197,13 +203,13 @@ def _log_conv_block(log_f, log_g, ln_x, lo, u_hi, quad: QuadConfig):
         tail (see :func:`_log_conv`)."""
         u = h * j
         return _clean(np.asarray(log_f((x[:, None] - u).ravel()), float)
-                      .reshape(len(x), len(u)) + np.asarray(log_g(u), float))
+                      .reshape(len(x), len(u))
+                      + np.asarray(parent(h, j), float))
 
     # scouting pass on the lattice u = j * _COARSE_STEP, growing each row's
     # window until both of its tails die; a rescan repeats the rows that had
     # already settled, unchanged
     cs = _COARSE_STEP
-    grow = math.ceil(4.0 / cs)
     first = np.floor(lo / cs).astype(np.int64)
     last = np.maximum(math.ceil(u_hi / cs), first + 7)
     for _ in range(_MAX_EXPAND + 1):
@@ -214,8 +220,8 @@ def _log_conv_block(log_f, log_g, ln_x, lo, u_hi, quad: QuadConfig):
         grow_right = e[rows, last - j0] > floor
         if not (grow_left | grow_right).any():
             break
-        first -= grow * grow_left
-        last += grow * grow_right
+        first -= _GROW * grow_left
+        last += _GROW * grow_right
     else:
         raise RuntimeError("integrand tails refuse to die; bad window or "
                            "non-decaying input")
@@ -231,7 +237,7 @@ def _log_conv_block(log_f, log_g, ln_x, lo, u_hi, quad: QuadConfig):
     # to a parabola at this scale, and the width only has to pick a power of
     # two.  A dead neighbour, or a second difference that is not finite and
     # negative, leaves curvature 0, and the halvings decide.
-    k = np.clip(e.argmax(axis=1), 1, e.shape[1] - 2)
+    k = np.minimum(np.maximum(e.argmax(axis=1), 1), e.shape[1] - 2)
     left, right = e[rows, k - 1], e[rows, k + 1]
     second = left - 2.0 * e[rows, k] + right
     bent = np.isfinite(second) & (second < 0.0)
@@ -257,28 +263,33 @@ def _log_conv_block(log_f, log_g, ln_x, lo, u_hi, quad: QuadConfig):
         return np.arange(lo + odd, hi + 1, 1 + odd)
 
     def refine(g, dg):
-        """Trapezoid sums of the rows g on their own lattice windows; each
-        halving samples only the new odd lattice points and folds them into
-        a running (max, shifted sum, end weights) per row."""
+        """Trapezoid sums of the rows g on their own lattice windows, folded
+        into a running (max, shifted sum, end weights) per row.  One pass
+        over the lattice of half the first step gives the first sum (its
+        even points) and the first halving (its odd points); each further
+        halving samples only the new odd lattice points."""
         x = ln_x[g]
         h = math.ldexp(_TARGET_STEP, -int(dg))
         first = np.floor(a[g] / h).astype(np.int64)
         last = np.ceil(b[g] / h).astype(np.int64)
-        j = lattice(first, last, False)
-        e = on_lattice(x, h, j)
+        fused = int(quad.max_refinements > 0)
+        e = on_lattice(x, math.ldexp(h, -fused),
+                       lattice(first << fused, last << fused, False))
+        even = e[:, ::1 + fused]
         live = np.arange(len(x))
-        top = e.max(axis=1)
-        wts = np.exp(e - top[:, None])
+        top = even.max(axis=1)
+        wts = np.exp(even - top[:, None])
         total = wts.sum(axis=1)
-        ends = wts[live, first - j[0]] + wts[live, last - j[0]]
+        ends = wts[live, first - first.min()] + wts[live, last - first.min()]
         val = top + np.log(h * (total - 0.5 * ends))
         out = np.empty(len(x))
         achieved = change = np.full(len(x), np.inf)
-        for _ in range(quad.max_refinements):
+        for halving in range(quad.max_refinements):
             h *= 0.5
             first *= 2
             last *= 2
-            e = on_lattice(x, h, lattice(first, last, True))
+            e = (on_lattice(x, h, lattice(first, last, True)) if halving
+                 else e[:, 1::2])
             peak = np.maximum(top, e.max(axis=1))
             rescale = np.exp(top - peak)
             total = total * rescale + np.exp(e - peak[:, None]).sum(axis=1)
@@ -335,6 +346,22 @@ _H = (float(_S[-1]) - float(_S[0])) / (len(_S) - 1)
 _ORIGIN = float(_S[0]) - _H * 2.0 ** -20
 _INV_H = 1.0 / _H
 _LAST = float(len(_S) - 2)
+
+
+def _rung_window(ln_x):
+    """The u-window (lo, hi) of the rung K_1 * parent at ln_x: K_1(x/t) is
+    dead 8 log-units below ln_x, the parent (its large-argument model) 4
+    above the top node for every node; the engine grows it where not."""
+    return ln_x - 8.0, float(_S[-1]) + 4.0
+
+
+# Every table stores its log values on the lattices u = h*j a rung over it
+# samples first, the scout's and the depth-0 first pass's, for the j of the
+# grid's rung windows grown as far as the scout grows them: u in [-109, 57].
+_REACH = _MAX_EXPAND * _GROW * _COARSE_STEP
+_STORED_J = {h: np.arange(math.floor((_rung_window(_S[0])[0] - _REACH) / h),
+                          math.ceil((_rung_window(0.0)[1] + _REACH) / h) + 1)
+             for h in (_COARSE_STEP, math.ldexp(_TARGET_STEP, -1))}
 
 
 # B_2j / (2j)! for j = 1..6, the Euler-Maclaurin weights of _zeta_int
@@ -436,7 +463,9 @@ class KernelTable:
     those below 1e-16; the engine computed the others.
     ``worst_change`` is the largest relative change with which an engine
     node's last halving was accepted, and ``worst_node`` its index in
-    ``s``.  An exact table (level 1) keeps 0, 0.0 and None.
+    ``s``.  An exact table (level 1) keeps 0, 0.0 and None.  Every table
+    stores its log values on the lattices a rung over it samples first,
+    read-only (:meth:`lattice_log`), about 2,000 values.
     """
 
     s = _S
@@ -447,14 +476,27 @@ class KernelTable:
     def __init__(self, m: int, logk: np.ndarray):
         self.m = m
         self.logk = logk
-        if m == 1:
-            return
-        y = logk + m * np.exp(_S / m)
-        self._coef, top_slope = _local_cubic(_S, y)
-        s1, slope = float(_S[-1]), (1.0 - m) / (2.0 * m)
-        c1 = -m * math.exp(s1 / m) * (top_slope - slope)
-        c0 = float(y[-1]) - slope * s1 - c1 * math.exp(-s1 / m)
-        self._top = (c0, slope, c1)
+        if m > 1:
+            y = logk + m * np.exp(_S / m)
+            self._coef, top_slope = _local_cubic(_S, y)
+            s1, slope = float(_S[-1]), (1.0 - m) / (2.0 * m)
+            c1 = -m * math.exp(s1 / m) * (top_slope - slope)
+            c0 = float(y[-1]) - slope * s1 - c1 * math.exp(-s1 / m)
+            self._top = (c0, slope, c1)
+        self._stored = {h: (int(j[0]), self.log_eval_log_arg(h * j))
+                        for h, j in _STORED_J.items()}
+        for _, vals in self._stored.values():
+            vals.flags.writeable = False
+
+    def lattice_log(self, h: float, j: np.ndarray):
+        """log_eval_log_arg(h * j) for a run j of consecutive indices, a
+        read-only slice of the stored values where they hold the run.  (The
+        engine's only strided runs, its later halvings, have finer steps.)"""
+        start, vals = self._stored.get(h, (0, ()))
+        i = int(j[0]) - start
+        if i >= 0 and i + len(j) <= len(vals):
+            return vals[i:i + len(j)]
+        return self.log_eval_log_arg(h * j)
 
     def _spline(self, w):
         """The interpolant at w, continued by its end cubics past the
@@ -534,10 +576,9 @@ def build_table(m: int) -> KernelTable:
     if m == 1:
         table = KernelTable(m, -np.exp(_S))
     else:
-        parent = build_table(m - 1)
         s = _S[_MODEL_NODES:]
-        log_g, lo, hi = _rung_window(parent, s)
-        logk, achieved = _log_conv(_log_k1, log_g, s, lo, hi, _TABLE_QUAD)
+        logk, achieved = _log_conv(_log_k1, build_table(m - 1), s,
+                                   *_rung_window(s), _TABLE_QUAD)
         worst = int(np.argmax(achieved))
         if not achieved[worst] <= _TABLE_QUAD.rel_tol:
             raise QuadratureConvergenceError(float(achieved[worst]),
@@ -552,21 +593,14 @@ def build_table(m: int) -> KernelTable:
     return table
 
 
-def _rung_window(parent: KernelTable, ln_x):
-    """The parent's log-callable and the u-window (lo, hi) of the rung
-    K_1 * parent at ln_x, for a table node and a single point alike.
-
-    K_1(x/t) is dead 8 log-units below ln_x; above the parent's top node its
-    large-argument model takes over, and 4 log-units further up it is dead
-    for every point of a table (the engine grows the window where not).
-    """
-    return parent.log_eval_log_arg, ln_x - 8.0, float(parent.s[-1]) + 4.0
-
-
 def _log_rung(parent: KernelTable, ln_x: float, quad: QuadConfig) -> float:
-    """log (K_1 * parent)(x) at x = exp(ln_x): one convolution rung."""
-    log_g, lo, hi = _rung_window(parent, ln_x)
-    return log_mellin_convolve(_log_k1, log_g, ln_x, window=(lo, hi),
+    """log (K_1 * parent)(x) at x = exp(ln_x): one convolution rung, for
+    x < exp(s[-1] + 12), about 1.6e14, where its window closes."""
+    lo, hi = _rung_window(ln_x)
+    if not lo < hi:
+        raise ValueError(f"the convolution route needs 0 < x < "
+                         f"{math.exp(hi + 8.0):.4g}, got {math.exp(ln_x):g}")
+    return log_mellin_convolve(_log_k1, parent, ln_x, window=(lo, hi),
                                quad=quad)
 
 

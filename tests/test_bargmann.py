@@ -186,6 +186,17 @@ def test_kernel_vectorizes_over_t():
     assert complex(vals[3]) == pytest.approx(complex(one), rel=1e-13, abs=0)
 
 
+@pytest.mark.parametrize("z", [12.0, 12j, -12.0])
+def test_kernel_raises_once_z_power_leaves_double_range(z):
+    # z**n overflows at n = 286, long before (n!)**(-1/2) would bring the
+    # term back; the sum was NaN at every node
+    nodes = hermgauss(96)[0]
+    with pytest.raises(WeightOverflowError) as info:
+        transform_kernel(1, z, nodes)
+    assert (info.value.index, info.value.m) == (286, 1)
+    assert np.all(np.isfinite(transform_kernel(1, z / 1.2, nodes)))
+
+
 # ------------------------------------------------------------ cross-check
 
 

@@ -135,6 +135,18 @@ def test_direct_convolution_point_matches_bessel():
         assert got == pytest.approx(bessel_reference_log(x), abs=1e-11)
 
 
+def test_convolution_route_states_its_admissible_x():
+    # the rung's window [ln x - 8, s[-1] + 4] closes at x = exp(s[-1] + 12),
+    # about 1.6e14; nan, inf and 1e300 failed with "window must satisfy
+    # lo < hi", and 1.5e14 still holds the Bessel form
+    for x in (math.nan, math.inf, 1e300):
+        for m in (2, 3):
+            with pytest.raises(ValueError, match=r"needs 0 < x < 1\.628e\+14"):
+                log_radial_weight_conv(m, x)
+    got, want = log_radial_weight_conv(2, 1.5e14), bessel_reference_log(1.5e14)
+    assert abs(got - want) <= 4e-15 * abs(want)
+
+
 def test_k0_quadrature_against_scipy():
     for z in (0.5, 1.0, 2.0, 4.0, 7.5):
         assert bessel_k0_quadrature(z) == pytest.approx(
@@ -535,39 +547,136 @@ def test_level_build_samples_the_parent_once_per_lattice_point(monkeypatch):
 
 
 def test_halvings_sample_only_new_points():
-    # nested refinement: every u of the trapezoid passes is sampled once
-    calls = []
-
-    def log_f(w):
-        calls.append(np.array(w, dtype=float))
-        return -np.exp(w)
-
-    val = log_mellin_convolve(log_f, _log_k1, 0.0)
-    assert val == pytest.approx(bessel_reference_log(1.0), abs=1e-11)
-    # the scout comes first and samples the coarse lattice u = j*_COARSE_STEP
-    # (at ln x = 0, u = -w); the trapezoid passes follow, each off it
+    # nested refinement: every u of the trapezoid passes is sampled once.
+    # exp(-|w| - w*w) has a kink, so the trapezoid rule converges only as
+    # h**2 there and all three halvings run before the typed error
     cs = rk._COARSE_STEP
-    scout = [bool(np.all(np.mod(c, cs) == 0.0)) for c in calls]
-    first = scout.index(False)
-    assert not any(scout[first:])
-    refinement = calls[first:]
-    assert len(refinement) >= 2
-    u = np.concatenate(refinement)
-    assert np.unique(u).size == u.size
-
-
-def test_single_point_takes_at_most_four_engine_passes():
-    # peak and width come from the scout itself: one scout pass, the first
-    # trapezoid pass and one or two halvings
-    for ln_x in np.linspace(math.log(1e-20), math.log(1e9), 59):
+    for log_w, passes in ((np.exp, 1), (lambda w: np.abs(w) + w * w, 3)):
         calls = []
 
         def log_f(w):
-            calls.append(None)
-            return -np.exp(w)
+            calls.append(np.array(w, dtype=float))
+            return -log_w(w)
 
-        log_mellin_convolve(log_f, _log_k1, float(ln_x))
-        assert len(calls) <= 4
+        try:
+            val = log_mellin_convolve(log_f, _log_k1, 0.0,
+                                      quad=QuadConfig(max_refinements=3))
+        except QuadratureConvergenceError:
+            assert passes == 3
+        else:
+            assert val == pytest.approx(bessel_reference_log(1.0), abs=1e-11)
+        # the scout comes first and samples the coarse lattice
+        # u = j*_COARSE_STEP (at ln x = 0, u = -w); the trapezoid passes
+        # follow, each off it: one pass over the lattice of half the first
+        # step holds the first sum and its halving, and each later halving
+        # samples only the new odd points
+        scout = [bool(np.all(np.mod(c, cs) == 0.0)) for c in calls]
+        first = scout.index(False)
+        assert not any(scout[first:])
+        refinement = calls[first:]
+        assert len(refinement) == passes
+        u = np.concatenate(refinement)
+        assert np.unique(u).size == u.size
+
+
+def test_single_point_takes_at_most_three_engine_passes():
+    # peak and width come from the scout itself: one scout pass, then one
+    # pass over the lattice of half the first step that gives the first
+    # trapezoid sum and its halving, and a second halving where that one
+    # does not accept.  So a point whose first halving accepts takes two
+    # passes, plus one for each time its scout window grows (once, at the
+    # top point).  The passes are counted on the second factor, which gets
+    # u = j*h itself; the scout's lie on the lattice of _COARSE_STEP
+    scouts = []
+    for ln_x in np.linspace(math.log(1e-20), math.log(1e9), 59):
+        calls = []
+
+        def log_g(u):
+            calls.append(bool(np.all(np.mod(u, rk._COARSE_STEP) == 0.0)))
+            return -np.exp(u)
+
+        log_mellin_convolve(_log_k1, log_g, float(ln_x))
+        assert len(calls) <= 3
+        scouts.append(sum(calls))
+        try:
+            log_mellin_convolve(_log_k1, _log_k1, float(ln_x),
+                                quad=QuadConfig(max_refinements=1))
+        except QuadratureConvergenceError:
+            continue
+        assert len(calls) == scouts[-1] + 1
+    assert scouts == [1] * 58 + [2]
+
+
+def test_depth0_rung_reads_the_parent_only_from_stored_values(monkeypatch):
+    # a depth-0 rung whose first halving accepts samples the scout's
+    # lattice and the lattice of step _TARGET_STEP / 2, both stored on the
+    # parent table, so the parent evaluates nothing
+    evaluated, steps = [], []
+    evaluate, stored = KernelTable.log_eval_log_arg, KernelTable.lattice_log
+
+    def counted(self, w):
+        evaluated.append(np.size(w))
+        return evaluate(self, w)
+
+    def lattice_log(self, h, j):
+        steps.append(h)
+        return stored(self, h, j)
+
+    for m, x in ((3, 1e-6), (4, 1e-3)):
+        build_table(m - 1)
+        monkeypatch.setattr(KernelTable, "log_eval_log_arg", counted)
+        monkeypatch.setattr(KernelTable, "lattice_log", lattice_log)
+        log_radial_weight_conv(m, x)
+        monkeypatch.undo()
+        assert steps == [rk._COARSE_STEP, rk._TARGET_STEP / 2]
+        assert evaluated == []
+        steps.clear()
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_stored_lattice_values_are_the_tables_own_bitwise(m):
+    # each stored value is what log_eval_log_arg gives on the engine's own
+    # u = h*j, here evaluated in runs of 1 to 300 indices as a block asks
+    # for them, over the whole stored range, both end models included
+    t = build_table(m)
+    rng = np.random.default_rng(m)
+    assert list(t._stored) == [rk._COARSE_STEP, rk._TARGET_STEP / 2]
+    for h, (start, vals) in t._stored.items():
+        assert not vals.flags.writeable
+        j = np.arange(start, start + len(vals))
+        assert h * j[0] < t.s[0] - 40.0 and h * j[-1] > t.s[-1] + 36.0
+        cuts = np.cumsum(rng.integers(1, 300, size=len(j)))
+        for run in np.split(j, cuts[cuts < len(j)]):
+            got = t.lattice_log(h, run)
+            assert np.shares_memory(got, vals)
+            assert got.tobytes() == t.log_eval_log_arg(h * run).tobytes()
+
+
+def test_table_and_its_callable_give_the_same_rung_bitwise(monkeypatch):
+    # one block over the level-3 table: depth-0 rows read stored values,
+    # the row at ln x = 9 runs at depth >= 1 on lattices the table does not
+    # store, and the row at ln x = -5 starts inside its integrand's left
+    # tail and grows its window; the plain callable evaluates everything
+    parent = build_table(3)
+    ln_x = np.array([-30.0, -5.0, 0.0, 2.5, 9.0])
+    lo, hi = rk._rung_window(ln_x)
+    lo[1] = ln_x[1] - 1.0
+    steps = []
+    stored = KernelTable.lattice_log
+
+    def lattice_log(self, h, j):
+        steps.append(h)
+        return stored(self, h, j)
+
+    monkeypatch.setattr(KernelTable, "lattice_log", lattice_log)
+    for quad in (QuadConfig(), QuadConfig(max_refinements=0)):
+        val, achieved = _log_conv(_log_k1, parent, ln_x, lo, hi, quad)
+        want = _log_conv(_log_k1, parent.log_eval_log_arg, ln_x, lo, hi, quad)
+        assert val.tobytes() == want[0].tobytes()
+        assert achieved.tobytes() == want[1].tobytes()
+    assert np.all(achieved == np.inf)
+    assert steps.count(rk._COARSE_STEP) >= 4          # grown, both runs
+    assert min(steps) < rk._TARGET_STEP / 2           # a row at depth >= 1
 
 
 def test_dead_scout_neighbour_leaves_the_verdict_to_the_halvings():
