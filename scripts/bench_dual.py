@@ -6,10 +6,14 @@ real and imaginary parts):
 
 - ``cauchy_product`` at lengths (6, 6), (20, 20), (25, 40), (40, 40),
   (200, 200) and (1000, 1000);
-- ``vage_check`` at n = 200, levels p, q = 2, 3;
+- ``vage_check`` at n = 200, levels p, q = 2, 3, where the product is
+  formed only up to the degree its level-3 norm can register;
 - ``riemann_integral_product`` on two linear paths of length-6 elements
   (``sample_path`` on [0, 1]) of 17 and 129 nodes; the paths are built
-  once per checkout, outside the timed calls.
+  once per checkout, outside the timed calls;
+- ``cauchy_product`` of norm-scaled factors c_n (n!)^(-m/2), drawn as the
+  ``algebra`` benchmark workload draws them, at (1000, 1000) for m = 1, 2
+  and 5: from n = 314, 178 and 86 on their coefficients are exactly 0.
 
 Each row holds the best-of timing of one call in microseconds, the
 tracemalloc peak of one call, and whether the output is the reference's
@@ -27,7 +31,8 @@ Provenance reads package versions through ``importlib.metadata``.
 under another name and alternates the two on every repeat; each row then
 also holds the other checkout's time, the ratio, and whether the two
 outputs agree ``repr`` for ``repr``.  ``--quick`` drops the (1000, 1000)
-and the 129-node rows and takes few repeats.  The package is imported from
+and the 129-node rows, keeps one norm-scaled row at (100, 100) and m = 5,
+and takes few repeats.  The package is imported from
 the ``src`` directory next to this script.
 """
 
@@ -57,6 +62,8 @@ from genfock import dualalgebra  # noqa: E402
 PRODUCT_SIZES = ((6, 6), (20, 20), (25, 40), (40, 40), (200, 200),
                  (1000, 1000))
 RIEMANN_STEPS = (16, 128)
+SCALED = ((1000, 1), (1000, 2), (1000, 5))  # (length, m)
+SCALED_QUICK = ((100, 5),)
 SEED = 0
 
 
@@ -75,6 +82,13 @@ def _load(checkout: Path, module: str = "dualalgebra"):
 
 def _cn(rng, n: int) -> list:
     return (rng.standard_normal(n) + 1j * rng.standard_normal(n)).tolist()
+
+
+def _scaled(rng, n: int, m: int) -> list:
+    """n complex normal coefficients c_k scaled by (k!)^(-m/2), as the
+    ``algebra`` workload draws them."""
+    s = np.exp([-0.5 * m * math.lgamma(k + 1) for k in range(n)])
+    return (np.array(_cn(rng, n)) * s).tolist()
 
 
 def _reference_vage(a, b, p, q):
@@ -118,9 +132,9 @@ def _rows(rng, quick: bool) -> list:
     a, b = _cn(rng, 200), _cn(rng, 200)
     rows.append((
         "vage_check", "n=200, p=2, q=3", "complex normal coefficients",
-        lambda m: m.vage_check(m.DualSequence(a, 2), m.DualSequence(b, 3),
-                               2, 3),
-        lambda: _reference_vage(a, b, 2, 3)))
+        lambda m, a=a, b=b: m.vage_check(
+            m.DualSequence(a, 2), m.DualSequence(b, 3), 2, 3),
+        lambda a=a, b=b: _reference_vage(a, b, 2, 3)))
     f_ends, g_ends = (_cn(rng, 6), _cn(rng, 6)), (_cn(rng, 6), _cn(rng, 6))
     for steps in RIEMANN_STEPS[:1] if quick else RIEMANN_STEPS:
         ts = [i / steps for i in range(steps + 1)]
@@ -132,6 +146,14 @@ def _rows(rng, quick: bool) -> list:
             lambda ts=ts: tuple(reference_riemann(
                 [_line(f_ends, t) for t in ts], [_line(g_ends, t) for t in ts],
                 ts))))
+    for n, level in SCALED_QUICK if quick else SCALED:
+        a, b = _scaled(rng, n, level), _scaled(rng, n, level)
+        rows.append((
+            "cauchy_product", f"({n}, {n}), norm-scaled m={level}",
+            "complex normal coefficients times (n!)^(-m/2)",
+            lambda m, a=a, b=b: m.cauchy_product(
+                m.DualSequence(a), m.DualSequence(b)).coeffs,
+            lambda a=a, b=b: tuple(reference_product(a, b))))
     return rows
 
 

@@ -6,16 +6,21 @@ actual product norm to the proved bound.  The bound is never attained by
 generic draws; basis vectors at high index get closest.
 
     python3 scripts/vage_ratio_scan.py --pairs 5000 --gaps 1 2 3
+
+The package is imported from the ``src`` directory next to this script,
+whatever the working directory.
 """
 
 import argparse
 import sys
+from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from genfock.dualalgebra import DualSequence, vage_check, vage_constant
+from genfock.dualalgebra import (  # noqa: E402
+    DualSequence, vage_check, vage_constant)
 
 
 def draw(rng, level, max_len):

@@ -222,7 +222,8 @@ def transform_kernel(m: int, z: complex, t, tol: float = 1e-14):
     (pointwise values can pass through zero; the batch maximum cannot
     collapse).  Where z**n leaves double range before its scale brings the
     term back (at m = 1 from about |z| = 11.6 on, near n = 286), the sum is
-    lost: :class:`WeightOverflowError` names the first such n.
+    lost: :class:`WeightOverflowError` names z**n and the first such n.
+    Where the scale itself leaves double range first, it names the weight.
     """
     _require_level(m)
     if not tol > 0:
@@ -252,7 +253,7 @@ def transform_kernel(m: int, z: complex, t, tol: float = 1e-14):
         n, zpow = 1, z
         while cmath.isfinite(zpow):
             n, zpow = n + 1, zpow * z
-        raise WeightOverflowError(n, m)
+        raise WeightOverflowError(n, m, f"z**n (z={z!r})")
     return total if total.ndim else complex(total)
 
 

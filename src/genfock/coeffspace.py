@@ -32,13 +32,17 @@ class WeightOverflowError(OverflowError):
     """A factorial-power weight, or a term it scales, left double range at
     an index that matters.
 
-    The message blames the weight (n!)**m only when the weight itself is
-    past double range; otherwise the term (a coefficient product times an
-    in-range weight) is what overflowed.
+    The message names ``cause`` when the caller gives the factor that left
+    range.  Otherwise it blames the weight (n!)**m only when the weight
+    itself is past double range, and else the term (a coefficient product
+    times an in-range weight).
     """
 
-    def __init__(self, index: int, m: int):
-        if _weight_table(m, index + 1)[1][index] > 1024:
+    def __init__(self, index: int, m: int, cause: str | None = None):
+        if cause is not None:
+            msg = (f"{cause} exceeds double range at index n={index} "
+                   f"(level m={m})")
+        elif _weight_table(m, index + 1)[1][index] > 1024:
             msg = (f"weight (n!)^m exceeds double range at index n={index} "
                    f"(level m={m}) with a non-zero coefficient")
         else:

@@ -30,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coeffspace import (TaylorCoeffs, _fsum, _is_exact,
-                         _require_level, _strip, _weighted_sq_terms,
-                         inner_product, weight)
+                         _require_level, _strip, _weight_table,
+                         _weighted_sq_terms, inner_product, weight)
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,19 +116,27 @@ _EXPONENT = np.uint64(0x7FF0000000000000)
 def _fsum_rows(re, im, live) -> list:
     """The fsum route: row k of the (diagonals, pairs) product arrays
     ``re``, ``im`` summed over its live cells, in order, with ``fsum``; a
-    row without a live cell is the exact 0."""
+    row without a live cell is the exact 0.  The rows run through
+    ``math.fsum``, and through the package's ``_fsum`` (the same value
+    wherever ``math.fsum`` returns one) only once a partial sum leaves
+    double range."""
     counts = live.sum(axis=1).tolist()
     re, im = re[live].tolist(), im[live].tolist()
-    out = []
-    start = 0
-    for n in counts:
-        if n:
-            out.append(complex(_fsum(re[start:start + n]),
-                               _fsum(im[start:start + n])))
-            start += n
-        else:
-            out.append(0)
-    return out
+
+    def rows(fsum):
+        out, start = [], 0
+        for n in counts:
+            if n:
+                end = start + n
+                out.append(complex(fsum(re[start:end]), fsum(im[start:end])))
+                start = end
+            else:
+                out.append(0)
+        return out
+    try:
+        return rows(math.fsum)
+    except OverflowError:
+        return rows(_fsum)
 
 
 def _certified_sums(p):
@@ -186,62 +194,94 @@ def _certified_sums(p):
     return vals, s, ok
 
 
-def _float_convolution(pairs) -> list:
-    """Cauchy products of a stack of factor pairs (ca, cb) of float
-    coefficients, one list per pair, each output correctly rounded.
+def _index_pairs(nr: int, nc: int, k: int) -> int:
+    """How many index pairs (i, j), i < nr and j < nc, lie on the first k
+    diagonals i + j < k (inclusion-exclusion over triangles)."""
+    return sum(sign * x * (x + 1) // 2 for x, sign in (
+        (k, 1), (k - nr, -1), (k - nc, -1), (k - nr - nc, 1)) if x > 0)
 
-    The factors are zero-padded to common lengths, and the diagonals of
-    the pairs, pair after pair, are the rows of one skewed layout: one
-    cell per index into the shorter factor, read from a strided view of
-    the padded longer factors.  The products a_i * b_j are formed with the
-    real operations of a complex multiply, in blocks of about ``_BLOCK``
-    cells, so memory stays bounded; a block may end inside a pair.
 
-    Each diagonal's real and imaginary sums are certified in numpy by
-    :func:`_certified_sums` to be the double nearest the exact sum, the
-    value ``fsum`` returns in any order; a part whose products are all
-    zeros takes the zero ``fsum`` gives.  ``fsum`` itself, over the
-    diagonal's live products (both factors non-zero: never a padded cell),
-    runs where the certificate fails (near ties, exact cancellation,
-    subnormal or non-finite terms, a split past range) and on every
-    diagonal of a stack under ``_CERTIFY_PAIRS`` index pairs.  A diagonal
-    with no live product is the exact 0.  Errors come as pair-by-pair
-    calls would raise them.
+def _visible_end(a, b, q: int, nd: int) -> int:
+    """How many leading diagonals of the products of the converted factor
+    rows ``a`` and ``b`` can register in the level-q dual norm: past them,
+    every term :func:`_weighted_sq_terms` forms with the weight (n!)**(2-q)
+    is exactly 0.0.  All ``nd`` unless q >= 3 and every part is finite.
+
+    The bound: let every part of ``a`` lie below 2**ea and every part of
+    ``b`` below 2**eb.  A product part, fl(xr*yr - xi*yi) or
+    fl(xr*yi + xi*yr), is at most 2**(ea + eb + 1); diagonal n is the
+    correctly rounded sum of at most n + 1 < 2**L of them, L the bit length
+    of n + 1, so it is at most the double (2**L - 1) * 2**(ea + eb + 1) and
+    below 2**t(n), t(n) = ea + eb + 1 + L.  Where t <= 1023 on the last
+    diagonal no product and no sum leaves double range, so every part is
+    finite; else all ``nd`` are kept, since a later diagonal could be inf
+    or NaN.  The term of a part below 2**t scales it by 2**-e with e <= t,
+    forms (re**2 + im**2) * mant <= 2 * mant from the weight's table entry
+    mant * 2**exp, and scales that by 2**(2e + exp).  Rounding is
+    monotone, so the term is 0.0 wherever ldexp(2 * mant, 2t + exp) is.
     """
-    if not pairs:
-        return []
-    fa, fb = zip(*pairs)
-    na, nb = max(map(len, fa)), max(map(len, fb))
-    swap = na > nb
-    nr, nc = (nb, na) if swap else (na, nb)
+    if q < 3:
+        return nd
+    big = np.abs(a.view(float)).max(), np.abs(b.view(float)).max()
+    if not all(map(math.isfinite, big)):
+        return nd
+    t = sum(math.frexp(x)[1] for x in big) + 1 + np.frexp(
+        np.arange(1, nd + 1))[1]
+    if t[-1] > 1023:
+        return nd
+    mant, exp = _weight_table(2 - q, nd)
+    with np.errstate(over="ignore"):
+        can = np.flatnonzero(np.ldexp(2.0 * mant[:nd], 2 * t + exp[:nd]))
+    return int(can[-1]) + 1 if can.size else 0
+
+
+def _skewed(n_pairs: int, nr: int, nc: int):
+    """(short, other, view) over one zeroed buffer: ``short`` and ``other``
+    (n_pairs rows of nr <= nc) take the shorter and the longer factors, and
+    view[j*nd + d, i] = other[j, d - i], zero outside other[j], with
+    nd = nr + nc - 1 rows per pair: the diagonals as rows of cells."""
     nd = nr + nc - 1
-    rows = len(pairs) * nd
-    # per pair nr - 1 zeros and its padded longer factor; then the shorter
-    pad = np.zeros(rows + nr - 1 + len(pairs) * nr, dtype=complex)
+    rows = n_pairs * nd
+    # per pair nr - 1 zeros and its longer factor; then nr - 1 zeros and
+    # the shorter factors
+    pad = np.zeros(rows + nr - 1 + n_pairs * nr, dtype=complex)
     other = pad[:rows].reshape(-1, nd)[:, nr - 1:]
     short = pad[rows + nr - 1:].reshape(-1, nr)
-    a, b = (other, short) if swap else (short, other)
-    try:  # factors of one length convert at once
-        a[:], b[:] = fa, fb
-    except Exception:
-        for j, (ca, cb) in enumerate(pairs):
-            try:  # ca, then cb, pair by pair, as one-pair calls convert
-                a[j, :len(ca)], b[j, :len(cb)] = ca, cb
-            except Exception:  # an earlier pair's error comes first
-                _float_convolution(pairs[:j])
-                raise
-    # view[j*nd + d, i] = other_j[d - i], zero outside other_j
     view = np.ndarray((rows, nr), complex, pad, (nr - 1) * 16, (16, -16))
+    return short, other, view
+
+
+def _diagonal_sums(short, other, view, swap: bool, n_rows: int) -> list:
+    """The first ``n_rows`` rows of a :func:`_skewed` layout, diagonal sums
+    pair after pair, each correctly rounded; ``swap`` tells that ``short``
+    holds the second factors.
+
+    The products a_i * b_j are formed with the real operations of a complex
+    multiply, in blocks of about ``_BLOCK`` cells, so memory stays bounded;
+    a block may end inside a pair.  Each diagonal's real and imaginary sums
+    are certified in numpy by :func:`_certified_sums` to be the double
+    nearest the exact sum, the value ``fsum`` returns in any order; a part
+    whose products are all zeros takes the zero ``fsum`` gives.  ``fsum``
+    itself, over the diagonal's live products (both factors non-zero:
+    never a padded cell), runs where the certificate fails (near ties,
+    exact cancellation, subnormal or non-finite terms, a split past range)
+    and on every diagonal when the rows hold under ``_CERTIFY_PAIRS`` index
+    pairs.  A diagonal with no live product is the exact 0.
+    """
+    nr, nc = short.shape[1], other.shape[1]
+    nd = nr + nc - 1
     width = max(1, _BLOCK // nr)
-    certify = len(pairs) * nr * nc >= _CERTIFY_PAIRS
+    whole, part = divmod(n_rows, nd)
+    certify = whole * nr * nc + (part and _index_pairs(nr, nc, part)
+                                 ) >= _CERTIFY_PAIRS
     out = []
     # the certificate meets inf - inf and overflow by design; the fsum route
     # warns of overflow as numpy does, but not of the 0 * inf that padding
     # and dead cells meet beside an infinite part
     with np.errstate(all="ignore") if certify else np.errstate(
             invalid="ignore"):
-        for r0 in range(0, rows, width):
-            r1 = min(r0 + width, rows)
+        for r0 in range(0, n_rows, width):
+            r1 = min(r0 + width, n_rows)
             j, d0 = divmod(r0, nd)
             one = d0 + r1 - r0 <= nd  # in pair j: the columns it reaches
             i0, i1 = (max(0, d0 - nc + 1), min(d0 + r1 - r0, nr)) if (
@@ -281,8 +321,73 @@ def _float_convolution(pairs) -> list:
                     p[0][miss], p[1][miss], live[miss])):
                 vals[k] = z
             out += vals
-    return [out[j * nd:j * nd + len(ca) + len(cb) - 1]
-            for j, (ca, cb) in enumerate(pairs)]
+    return out
+
+
+def _float_convolution(pairs, level=None) -> list:
+    """Cauchy products of a stack of factor pairs (ca, cb) of float
+    coefficients, one list per pair, each output correctly rounded.
+
+    The factors are zero-padded to common lengths and laid out by
+    :func:`_skewed`, and :func:`_diagonal_sums` forms only the diagonals
+    that can hold a live product (both factors non-zero): the zero heads
+    and tails the factors share across the stack are trimmed first, and
+    the diagonals before and after the trimmed window are the exact 0.
+    With ``level`` an integer q, each list also stops after the diagonals
+    that can register in the level-q dual norm (:func:`_visible_end`), and
+    a one-pair call forms none past them; the factors are converted before
+    that cap, so a conversion error comes as without it.  Errors come as
+    pair-by-pair calls would raise them.
+    """
+    if not pairs:
+        return []
+    fa, fb = zip(*pairs)
+    na, nb = max(map(len, fa)), max(map(len, fb))
+    n_pairs, swap = len(pairs), na > nb
+    short, other, view = _skewed(n_pairs, min(na, nb), max(na, nb))
+    a, b = (other, short) if swap else (short, other)
+    try:  # factors of one length convert at once
+        a[:], b[:] = fa, fb
+    except Exception:
+        for j, (ca, cb) in enumerate(pairs):
+            try:  # ca, then cb, pair by pair, as one-pair calls convert
+                a[j, :len(ca)], b[j, :len(cb)] = ca, cb
+            except Exception:  # an earlier pair's error comes first
+                _float_convolution(pairs[:j], level)
+                raise
+    full = stop = na + nb - 1  # the diagonals of the longest product
+    if level is not None:
+        stop = _visible_end(a, b, level, full)
+    lo, hi = 0, stop
+    # the window [lo, hi) from the first to the last live product, sought
+    # when capped or unless the first pair's factors start and end live
+    if stop < full or not (a[0, 0] and a[0, -1] and b[0, 0] and b[0, -1]):
+        ra, rb = a.any(axis=0).tolist(), b.any(axis=0).tolist()
+        live = True in ra and True in rb
+        if live:
+            ha, hb = ra.index(True), rb.index(True)
+            ea, eb = na - ra[::-1].index(True), nb - rb[::-1].index(True)
+            lo, hi = ha + hb, min(ea + eb - 1, stop)
+        if not live or hi <= lo:
+            lo = hi = 0
+        elif (ha, hb, ea, eb) != (0, 0, na, nb):  # trim the zero ends
+            a, b = a[:, ha:ea], b[:, hb:eb]
+            swap = ea - ha > eb - hb
+            short, other, view = _skewed(n_pairs, min(ea - ha, eb - hb),
+                                         max(ea - ha, eb - hb))
+            short[:], other[:] = (b, a) if swap else (a, b)
+    # one pair forms its window's rows alone; a stack forms every row
+    nd = short.shape[1] + other.shape[1] - 1
+    k = hi - lo
+    out = _diagonal_sums(short, other, view, swap,
+                         k if n_pairs == 1 else n_pairs * nd) if k else []
+    if (lo, hi) == (0, full):
+        return [out[j * nd:j * nd + len(ca) + len(cb) - 1]
+                for j, (ca, cb) in enumerate(pairs)]
+    # the exact 0s outside the window; a capped list stops at stop
+    return [([0] * lo + out[j * nd:j * nd + k] + [0] * (n - hi))[:n]
+            for j, n in enumerate(min(len(ca) + len(cb) - 1, stop)
+                                  for ca, cb in pairs)]
 
 
 def _exact_convolution(ca: tuple, cb: tuple):
@@ -308,13 +413,18 @@ def cauchy_product(a: DualSequence, b: DualSequence) -> DualSequence:
     a running sum would depend on the traversal order.  The float product
     is the one-pair call of :func:`_float_convolution`.
     """
-    ca, cb = a.coeffs, b.coeffs
-    level = max(a.level, b.level)
+    return DualSequence(_product(a.coeffs, b.coeffs),
+                        max(a.level, b.level))
+
+
+def _product(ca: tuple, cb: tuple, level=None) -> list:
+    """The coefficients of :func:`cauchy_product`; with ``level`` a float
+    product stops where :func:`_float_convolution` caps it."""
     if not ca or not cb:
-        return DualSequence((), level)
+        return []
     out = _exact_convolution(ca, cb)
-    return DualSequence(out if out is not None
-                        else _float_convolution([(ca, cb)])[0], level)
+    return out if out is not None else _float_convolution([(ca, cb)],
+                                                          level)[0]
 
 
 def vage_constant(d: int) -> float:
@@ -354,11 +464,16 @@ def vage_check(a: DualSequence, b: DualSequence, p: int, q: int
     measured in the stronger norm.  (The orientation with the product and
     ``a`` measured at level p instead is not a theorem; see the module
     docstring.)
+
+    The product is formed only as far as its level-q norm can register:
+    for float factors with finite coefficients and q >= 3 it stops after
+    the last diagonal whose weighted square :func:`_visible_end` cannot
+    prove to be 0.0, so lhs is bit for bit the norm of the full product.
     """
     _require_level(p)
     if not isinstance(q, int) or q < p + 1:
         raise ValueError("need q >= p + 1 >= 2")
-    lhs = dual_norm(cauchy_product(a, b), q)
+    lhs = dual_norm(DualSequence(_product(a.coeffs, b.coeffs, q)), q)
     bound = vage_constant(q - p) * dual_norm(a, p) * dual_norm(b, q)
     return lhs, bound, lhs <= bound * (1.0 + 1e-12)
 

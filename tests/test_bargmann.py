@@ -194,7 +194,20 @@ def test_kernel_raises_once_z_power_leaves_double_range(z):
     with pytest.raises(WeightOverflowError) as info:
         transform_kernel(1, z, nodes)
     assert (info.value.index, info.value.m) == (286, 1)
+    assert str(info.value) == (f"z**n (z={complex(z)!r}) exceeds double "
+                               "range at index n=286 (level m=1)")
     assert np.all(np.isfinite(transform_kernel(1, z / 1.2, nodes)))
+
+
+def test_kernel_blames_the_weight_where_the_scale_leaves_range():
+    # at z = 14 the scale (n!)^(-1/2) underflows at n = 314 while z**n is
+    # still finite: the weight, not z**n, is what left double range
+    with pytest.raises(WeightOverflowError) as info:
+        transform_kernel(1, 14.0, 0.0)
+    assert (info.value.index, info.value.m) == (314, 1)
+    assert str(info.value).startswith(
+        "weight (n!)^m exceeds double range at index n=314 (level m=1)")
+    assert "z**n" not in str(info.value)
 
 
 # ------------------------------------------------------------ cross-check

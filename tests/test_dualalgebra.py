@@ -261,6 +261,88 @@ def test_float_product_memory_is_bounded_per_block():
     assert peak < 2e6
 
 
+def _with_zero_ends(c, head, tail, zero=0):
+    return [zero] * head + c + [zero] * tail
+
+
+_ZERO_ENDS = [  # (head, tail, zero) of each factor
+    ((3, 0, 0), (0, 0, 0)),          # a zero head
+    ((0, 4, 0.0), (0, 2, 0j)),       # zero tails
+    ((2, 3, -0.0), (5, 1, 0)),       # both, signed zeros in a
+    ((0, 0, 0), (4, 4, complex(-0.0, -0.0))),
+    ((7, 7, 0.0), (0, 0, 0)),        # most of a is zeros
+]
+
+
+@pytest.mark.parametrize("certify", [0, 300])
+@pytest.mark.parametrize("ends", _ZERO_ENDS)
+def test_trimmed_product_is_the_reference(monkeypatch, certify, ends):
+    # zero heads and tails are trimmed before any product is formed; the
+    # diagonals outside the window are still the exact 0 and the rest is
+    # bit for bit the reference, on both routes
+    monkeypatch.setattr(dualalgebra, "_CERTIFY_PAIRS", certify)
+    rng = np.random.default_rng(sum(sum(e[:2]) for e in ends))
+    (ha, ta, za), (hb, tb, zb) = ends
+    for la, lb in ((1, 1), (5, 9), (30, 30)):
+        ca = _with_zero_ends(_draw(rng, la, ()), ha, ta, za)
+        cb = _with_zero_ends(_draw(rng, lb, ()), hb, tb, zb)
+        if la == 5:  # signed zeros inside, and a real factor
+            ca[ha + 1], cb = -0.0, [complex(c).real for c in cb]
+        want = [(type(x), repr(x)) for x in reference_product(ca, cb)]
+        for x, y in ((ca, cb), (cb, ca)):
+            got = _package_product(x, y)
+            assert [(type(v), repr(v)) for v in got] == want
+
+
+@pytest.mark.parametrize("zero", [0, 0.0, -0.0, complex(-0.0, 0.0)])
+def test_all_zero_factor_gives_exact_zeros(zero):
+    rng = np.random.default_rng(3)
+    for n in (1, 40):
+        c = _draw(rng, n, ())
+        got = _package_product([zero] * 6, c)
+        assert [(type(v), repr(v)) for v in got] == [(int, "0")] * (n + 5)
+        assert list(got) == reference_product([zero] * 6, c)
+        assert _package_product(c, [zero] * 6) == got
+
+
+def test_stack_trims_what_its_pairs_share(monkeypatch):
+    # a stack trims only the zero ends every pair has; each pair's own
+    # outer diagonals come out as the exact 0 all the same
+    monkeypatch.setattr(dualalgebra, "_CERTIFY_PAIRS", 0)
+    rng = np.random.default_rng(4)
+    pairs = [(_with_zero_ends(_draw(rng, 8, ()), 2, 1), [0, 0] + _draw(
+        rng, 5, ())), (_with_zero_ends(_draw(rng, 4, ()), 3, 4), _draw(
+            rng, 9, ()) + [0.0] * 3), ([0, 0, 0, 1.5], [0.0, 2.0])]
+    got = dualalgebra._float_convolution(pairs)
+    for row, (ca, cb) in zip(got, pairs):
+        assert [(type(v), repr(v)) for v in row] == [
+            (type(v), repr(v)) for v in reference_product(ca, cb)]
+
+
+def test_norm_scaled_product_forms_only_its_live_window(monkeypatch):
+    # c_n (n!)^(-1) is exactly 0 from n = 178 on (the draws of the algebra
+    # benchmark at m = 2): a (1000, 1000) product forms 355 diagonals of
+    # its 1999, and the rest are the exact 0
+    formed = []
+
+    def spy(short, other, view, swap, n_rows):
+        formed.append((short.shape, other.shape, n_rows))
+        return diagonal_sums(short, other, view, swap, n_rows)
+
+    diagonal_sums = dualalgebra._diagonal_sums
+    monkeypatch.setattr(dualalgebra, "_diagonal_sums", spy)
+    rng = np.random.default_rng(6)
+    s = np.exp([-math.lgamma(n + 1) for n in range(1000)])
+    a, b = (np.array(_draw(rng, 1000, ())) * s).tolist(), (np.array(
+        _draw(rng, 1000, ())) * s).tolist()
+    live = int(np.flatnonzero(s)[-1]) + 1
+    assert live == 178
+    got = _package_product(a, b)
+    assert formed == [((1, live), (1, live), 2 * live - 1)]
+    assert [(type(x), x) for x in got[2 * live - 1:]] == [(int, 0)] * (
+        1999 - (2 * live - 1))
+
+
 def test_mixed_product_takes_the_float_route():
     a = DualSequence([1, Fraction(1, 2)], 1)
     b = DualSequence([2, 0.25], 1)
@@ -401,6 +483,65 @@ def test_product_bound_fails_when_norms_swap():
     lhs_swapped = dual_norm(cauchy_product(e3, e0), 1)
     bound_swapped = vage_constant(1) * dual_norm(e3, 2) * dual_norm(e0, 1)
     assert lhs_swapped > bound_swapped
+
+
+def _old_vage(a, b, p, q):
+    """vage_check as the full product's norm: (lhs, bound, holds)."""
+    lhs = dual_norm(cauchy_product(a, b), q)
+    bound = vage_constant(q - p) * dual_norm(a, p) * dual_norm(b, q)
+    return lhs, bound, lhs <= bound * (1.0 + 1e-12)
+
+
+def _vage_draws():
+    rng = np.random.default_rng(21)
+    for q in (3, 4, 5, 6):
+        for la, lb in ((1, 1), (1, 400), (7, 3), (60, 250), (400, 400)):
+            for scale in (1e-100, 1.0, 1e100):
+                a = _draw(rng, la, ()) if la > 1 else [scale * 0.75j]
+                b = [scale * c for c in _draw(rng, lb, ())]
+                yield a, b, int(rng.integers(1, q)), q
+    # a non-finite coefficient, early or where only a full product reads it
+    a, b = _draw(rng, 300, ()), _draw(rng, 300, ())
+    for bad in (math.inf, math.nan, complex(0.0, -math.inf)):
+        yield a[:12] + [bad] + a[13:], b[:30], 2, 3
+        yield a, b[:280] + [bad] + b[281:], 1, 3
+        yield a[:30], [bad] + b[1:30], 1, 4
+    yield [1, -2, 3] * 30, [Fraction(1, 3), 0, 5] * 40, 2, 3  # exact
+    yield [1, Fraction(1, 2)] * 50, [0.5] * 90, 1, 5  # mixed: float
+    yield [1e200] * 300, [1e200] * 300, 2, 3  # products past range
+    # finite early diagonals, inf from n = 300 on, where the weights
+    # (n!)**-4 alone would flush every finite term
+    yield [1.0] * 150 + [1e200] * 150, [1.0] * 150 + [1e200] * 150, 2, 6
+    yield [0] * 200 + [1.0], [0.0] * 5 + [2.0] * 9, 1, 3  # zero heads
+
+
+def test_vage_check_is_the_full_product_norm_bit_for_bit():
+    for ca, cb, p, q in _vage_draws():
+        a, b = DualSequence(ca, p), DualSequence(cb, q)
+        with np.errstate(all="ignore"):
+            want = _old_vage(a, b, p, q)
+            got = vage_check(a, b, p, q)
+        assert repr(got) == repr(want), (len(ca), len(cb), p, q)
+
+
+def test_vage_check_forms_only_the_visible_diagonals(monkeypatch):
+    # at n = 200 and q = 3 the weights 1/n! flush every term past n ~ 180
+    # to 0.0; the full product has 399 diagonals
+    formed = []
+
+    def spy(p):
+        formed.append(p.shape[1])
+        return certified_sums(p)
+
+    certified_sums = dualalgebra._certified_sums
+    rng = np.random.default_rng(0)
+    a = DualSequence(_draw(rng, 200, ()), 2)
+    b = DualSequence(_draw(rng, 200, ()), 3)
+    want = _old_vage(a, b, 2, 3)
+    monkeypatch.setattr(dualalgebra, "_certified_sums", spy)
+    got = vage_check(a, b, 2, 3)
+    assert repr(got) == repr(want)
+    assert 170 <= sum(formed) <= 185
 
 
 def test_vage_check_validates_levels():
