@@ -21,7 +21,8 @@ tracemalloc peak of one call, and whether the output is the reference's
 (``tests/dual_reference.py``: each diagonal's live products summed with
 ``fsum``); the other rows are built from it in the package's arithmetic
 (the path integral as ``reference_riemann`` there has it).
-Provenance reads package versions through ``importlib.metadata``.
+Provenance reads package versions through ``importlib.metadata``, and
+genfock's from ``genfock.__version__`` where it is not installed.
 
     python3 scripts/bench_dual.py                    # writes BENCH_dual.json
     python3 scripts/bench_dual.py --against ../base  # alternates two checkouts
@@ -183,10 +184,12 @@ def _peak_mb(call) -> float:
 
 
 def _version(name: str):
+    """The installed distribution's version, else the imported module's
+    ``__version__``: run from ``src``, genfock has no distribution."""
     try:
         return importlib.metadata.version(name)
     except importlib.metadata.PackageNotFoundError:
-        return None
+        return getattr(sys.modules.get(name), "__version__", None)
 
 
 def _commit(checkout: Path):
@@ -209,6 +212,18 @@ def _digest(checkout: Path) -> str:
 
 def _provenance(checkout: Path) -> dict:
     return {"commit": _commit(checkout), "source_sha256": _digest(checkout)}
+
+
+def _run_provenance(against) -> dict:
+    """Versions, machine and the checkouts a run timed."""
+    return {
+        "python": platform.python_version(),
+        "numpy": _version("numpy"),
+        "genfock": _version("genfock"),
+        "machine": platform.machine(),
+        "this": _provenance(ROOT),
+        **({"against": _provenance(Path(against))} if against else {}),
+    }
 
 
 def run(quick: bool = False, against=None) -> dict:
@@ -251,14 +266,7 @@ def run(quick: bool = False, against=None) -> dict:
                    + "; peak_mb is the tracemalloc peak of one call"),
         "seed": SEED,
         "quick": quick,
-        "provenance": {
-            "python": platform.python_version(),
-            "numpy": _version("numpy"),
-            "genfock": _version("genfock"),
-            "machine": platform.machine(),
-            "this": _provenance(ROOT),
-            **({"against": _provenance(Path(against))} if against else {}),
-        },
+        "provenance": _run_provenance(against),
         "bit_identical": all(r["bit_identical"] for r in results),
         "rows": results,
     }

@@ -34,7 +34,6 @@ imported from the ``src`` directory next to this script.
 import argparse
 import json
 import math
-import platform
 import sys
 from pathlib import Path
 
@@ -43,8 +42,8 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 # bench_dual puts this checkout's src first on sys.path
-from bench_dual import (ROOT, _best_us, _load, _provenance,  # noqa: E402
-                        _version)
+from bench_dual import (ROOT, _best_us, _load,  # noqa: E402
+                        _run_provenance)
 from kernel_profiles import engine_counts  # noqa: E402
 
 from genfock import radialkernel  # noqa: E402
@@ -122,14 +121,7 @@ def run(quick: bool = False, against=None) -> dict:
                               "round" if other is not None else "")),
         "seed": SEED,
         "quick": quick,
-        "provenance": {
-            "python": platform.python_version(),
-            "numpy": _version("numpy"),
-            "genfock": _version("genfock"),
-            "machine": platform.machine(),
-            "this": _provenance(ROOT),
-            **({"against": _provenance(Path(against))} if against else {}),
-        },
+        "provenance": _run_provenance(against),
         "rows": results,
     }
     if other is not None:

@@ -5,9 +5,10 @@ The bridge is the Hermite basis with an alternating sign:
     eta_n(t) = (-1)**n * psi_n(t),
 
 psi_n the usual orthonormal Hermite functions, evaluated by one streamed
-three-term recurrence that holds two rows at a time (only hermite_eta_all
-stacks them into a table).  A function with Hermite coefficients (c_n) maps
-to the series with Taylor coefficients
+three-term recurrence that holds two rows at a time.  hermite_eta_all
+stacks the rows into a table, and the two series below read theirs from a
+read-only table kept per node set (see :class:`_EtaReader`).  A function
+with Hermite coefficients (c_n) maps to the series with Taylor coefficients
 
     f_n = c_n / (n!)**(m/2),
 
@@ -30,9 +31,11 @@ conventions, which does not match this one.  The series is the ground truth.
 from __future__ import annotations
 
 import cmath
+import collections
 import functools
 import itertools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,23 +55,116 @@ _TINY = 1e-300
 HERMITE_SUP_BOUND = 0.9
 
 
-def _eta_rows(t, nmax: int | None = None):
-    """Yield eta_0(t), eta_1(t), ... through eta_nmax (no end if None).
+def _eta_rows(t, nmax: int | None = None, k: int = 0, prev=0.0, eta=None):
+    """Yield eta_k(t), eta_{k+1}(t), ... through eta_nmax (no end if None).
 
     Holds only the last two rows.  Stable in the orthonormal scaling, every
     value O(1); with eta_{-1} = 0, row 1 subtracts an exact 0.0:
 
         eta_{k+1} = -sqrt(2/(k+1)) * t * eta_k - sqrt(k/(k+1)) * eta_{k-1}
+
+    By default the run starts at eta_0; a run resumed from k >= 1 takes
+    eta_{k-1} and eta_k as ``prev`` and ``eta`` and continues bit for bit.
     """
     if nmax is not None and nmax < 0:
         raise ValueError("nmax must be >= 0")
     t = np.asarray(t, float)
-    prev, eta = 0.0, _PI_QUARTER * np.exp(-0.5 * t * t)
-    for k in itertools.count() if nmax is None else range(nmax):
+    if eta is None:
+        eta = _PI_QUARTER * np.exp(-0.5 * t * t)
+    for k in itertools.count(k) if nmax is None else range(k, nmax):
         yield eta
         prev, eta = eta, (-math.sqrt(2.0 / (k + 1)) * t * eta
                           - math.sqrt(k / (k + 1.0)) * prev)
     yield eta
+
+
+# Per node set, the rows eta_0 .. eta_(r-1) as one read-only table, keyed
+# by the set's shape and bytes (an array changed in place is a new key).
+# A table grows on demand to at most _BASIS_ROWS rows, the most
+# transform_kernel reads.  The least recently used sets leave once the
+# tables and their keys' node bytes would pass _BASIS_BUDGET bytes, or the
+# sets _BASIS_SETS; rows that cannot fit stream.
+_BASIS_ROWS = 2001
+_BASIS_BUDGET = 1 << 21
+_BASIS_SETS = 16
+_BLOCK_BYTES = 1 << 18  # complex terms one block of a series forms at once
+_bases: collections.OrderedDict = collections.OrderedDict()
+_bases_lock = threading.Lock()
+
+
+def _basis(key, t: np.ndarray, rows: int) -> np.ndarray | None:
+    """The cached table of node set t with at least ``rows`` rows; None
+    where that many rows pass the row cap or the byte budget.  A table too
+    short is grown, to twice its rows where the caps allow, by resuming the
+    recurrence from its last two rows."""
+    with _bases_lock:
+        table = _bases.get(key)
+        if table is not None:
+            _bases.move_to_end(key)
+            if len(table) >= rows:
+                return table
+    if rows > _BASIS_ROWS or (rows + 1) * t.nbytes > _BASIS_BUDGET:
+        return None
+    have = 0 if table is None else len(table)
+    size = min(_BASIS_ROWS, _BASIS_BUDGET // max(t.nbytes, 1) - 1,
+               max(rows, 2 * have, 1))
+    grown = np.empty((size,) + t.shape)
+    if have:
+        grown[:have] = table
+        run = _eta_rows(t, size - 1, have - 1,
+                        table[have - 2] if have > 1 else 0.0, table[-1])
+        next(run)  # eta_(have-1), already stored
+    else:
+        run = _eta_rows(t, size - 1)
+    for i, row in enumerate(run, have):
+        grown[i] = row
+    grown.flags.writeable = False
+    with _bases_lock:
+        _bases.pop(key, None)
+        used = sum(map(_held_bytes, _bases.items()))
+        while _bases and (len(_bases) == _BASIS_SETS or used
+                          + _held_bytes((key, grown)) > _BASIS_BUDGET):
+            used -= _held_bytes(_bases.popitem(last=False))
+        _bases[key] = grown
+    return grown
+
+
+def _held_bytes(entry) -> int:
+    """The bytes one cache entry counts against the budget: its table and
+    its key's node bytes."""
+    key, table = entry
+    return table.nbytes + len(key[1])
+
+
+class _EtaReader:
+    """eta_0, eta_1, ... at one node set, taken in consecutive blocks.
+
+    A block is a read-only slice of the set's cached table where the rows
+    fit it; past that the rows stream from :func:`_eta_rows`, restarted at
+    eta_0.  Either way they are the rows of one recurrence, bit for bit.
+    """
+
+    def __init__(self, t):
+        self.t = np.asarray(t, float)
+        self.key = (self.t.shape, self.t.tobytes())
+        self.taken = 0
+        self.stream = None
+
+    def take(self, count: int) -> np.ndarray:
+        """The next ``count`` rows, shape (count, *t.shape)."""
+        lo, hi = self.taken, self.taken + count
+        self.taken = hi
+        if self.stream is None:
+            table = _basis(self.key, self.t, hi)
+            if table is not None:
+                return table[lo:hi]
+            self.stream = _eta_rows(self.t)
+            for _ in range(lo):
+                next(self.stream)
+        out = np.empty((count,) + self.t.shape)
+        for i in range(count):
+            out[i] = next(self.stream)
+        return out
 
 
 def hermite_eta_all(nmax: int, t) -> np.ndarray:
@@ -224,31 +320,60 @@ def transform_kernel(m: int, z: complex, t, tol: float = 1e-14):
     term back (at m = 1 from about |z| = 11.6 on, near n = 286), the sum is
     lost: :class:`WeightOverflowError` names z**n and the first such n.
     Where the scale itself leaves double range first, it names the weight.
+
+    The terms are formed a block at a time, the block's rows read from the
+    node set's cached basis.  The coefficients z**n (n!)**(-m/2) are
+    stepped one by one in Python, as far as the term at which the stopping
+    rule must fire; one multiply forms the block's terms and one
+    accumulate adds them to the running sum strictly in sequence, so every
+    partial sum is bit for bit the one a term-by-term loop makes.
     """
     _require_level(m)
     if not tol > 0:
         raise ValueError("tol must be positive")
     z = complex(z)
     zabs = max(abs(z), 1e-30)
-    rows = _eta_rows(t, 2000)
-    total = next(rows).astype(complex)
+    rows = _EtaReader(t)
+    total = rows.take(1)[0].astype(complex)
+    ref = max(float(np.abs(total).max()), _TINY)
+    cap = max(1, _BLOCK_BYTES // (16 * total.size))
     zpow = 1.0 + 0.0j
     term_bound = HERMITE_SUP_BOUND
-    ref = max(float(np.abs(total).max()), _TINY)
     scales = _scales(m, 64)
-    below = 0
-    for n, eta in enumerate(rows, 1):
-        if n == len(scales):
-            scales = _scales(m, 2 * n)
-        if scales[n] == 0.0:
-            raise WeightOverflowError(n, m)
-        zpow = zpow * z
-        total = total + zpow * scales[n] * eta
-        ref = max(ref, float(np.abs(total).max()))
-        term_bound = term_bound * zabs * (scales[n] / scales[n - 1])
-        below = below + 1 if term_bound < tol * ref else 0
-        if below == 3:
-            break
+    below = n = 0
+    while below < 3 and n < 2000:
+        # the next block's coefficients, through the term at which the
+        # stopping rule fires even if ref grows no further
+        coefs, zpows, bounds = [], [], []
+        ahead, bound, zp = below, term_bound, zpow
+        while ahead < 3 and n + len(coefs) < 2000 and len(coefs) < cap:
+            k = n + len(coefs) + 1
+            if k == len(scales):
+                scales = _scales(m, 2 * k)
+            if scales[k] == 0.0:
+                break
+            zp = zp * z
+            zpows.append(zp)
+            coefs.append(zp * scales[k])
+            bound = bound * zabs * (scales[k] / scales[k - 1])
+            bounds.append(bound)
+            ahead = ahead + 1 if bound < tol * ref else 0
+        if not coefs:
+            raise WeightOverflowError(n + 1, m)
+        # row 0 the running sum, then the block's terms, summed in sequence
+        sums = np.empty((len(coefs) + 1,) + total.shape, complex)
+        sums[0] = total
+        np.multiply(np.array(coefs).reshape((-1,) + (1,) * total.ndim),
+                    rows.take(len(coefs)), out=sums[1:])
+        np.add.accumulate(sums, axis=0, out=sums)
+        peaks = np.abs(sums[1:]).reshape(len(coefs), -1).max(axis=1)
+        for i, peak in enumerate(peaks.tolist()):
+            ref = max(ref, peak)
+            below = below + 1 if bounds[i] < tol * ref else 0
+            if below == 3:
+                break
+        n += i + 1
+        total, zpow, term_bound = sums[i + 1].copy(), zpows[i], bounds[i]
     if not cmath.isfinite(zpow):
         n, zpow = 1, z
         while cmath.isfinite(zpow):
@@ -269,9 +394,12 @@ def transform_via_quadrature(hermite_coeffs, m: int, z: complex,
     """
     _require_level(m)
     nodes, weights = _gauss_hermite(order)
-    phi = np.zeros_like(nodes, dtype=complex)
-    for c, eta in zip(hermite_coeffs, _eta_rows(nodes)):
-        phi += complex(c) * eta
+    coeffs = np.array([complex(c) for c in hermite_coeffs], complex)
+    # phi = 0 + c_0 eta_0 + c_1 eta_1 + ..., summed in sequence
+    terms = np.zeros((len(coeffs) + 1, len(nodes)), complex)
+    np.multiply(coeffs[:, None], _EtaReader(nodes).take(len(coeffs)),
+                out=terms[1:])
+    phi = np.add.accumulate(terms, axis=0, out=terms)[-1]
     hz = transform_kernel(m, z, nodes)
     return _fsum_complex(_lifted_weights(nodes, weights) * hz * phi)
 

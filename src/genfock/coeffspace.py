@@ -410,12 +410,18 @@ def kernel_section(m: int, w: complex, degree: int) -> TaylorCoeffs:
     """
     _require_level(m)
     wbar = complex(w).conjugate()
-    ps = []
-    p = 1.0 + 0.0j
-    for _ in range(degree + 1):
-        ps.append(p)
-        p = p * wbar
-    p = np.array(ps, dtype=complex)
+    # p[n] = p[n-1] * wbar, one complex product a step.  Powers past double
+    # range turn inf or nan quietly; the errstate that quiets them costs
+    # more than the products at small degrees, so it is set only where
+    # |wbar|**degree may leave range
+    p = np.empty(len(range(degree + 1)), complex)
+    p.fill(wbar)
+    p[:1] = 1.0
+    if degree * math.log2(max(abs(wbar), 1e-300)) < 1000.0:
+        np.multiply.accumulate(p, out=p)
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.multiply.accumulate(p, out=p)
     mant, exp = _weight_table(m, degree + 1)
     mant, exp = mant[:degree + 1], -exp[:degree + 1]
     out = np.empty(degree + 1, dtype=complex)

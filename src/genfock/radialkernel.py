@@ -407,8 +407,12 @@ def _log_residue(m: int, w):
 
 
 def _log_k1(w):
-    """log K_1(exp(w)) = -exp(w), vectorized over log-arguments."""
-    return -np.exp(w)
+    """log K_1(exp(w)) = -exp(w), vectorized over log-arguments; an array
+    result is negated in place, with no second buffer."""
+    out = np.exp(w)
+    if type(out) is not np.ndarray:
+        return -out
+    return np.negative(out, out=out)
 
 
 # 12 h times the slopes at the first three nodes from the first five values:
@@ -642,13 +646,13 @@ def _tensor_grid(m: int, x: float, tail_cut: float):
 
 def _tensor_logsum(exponent_of_block, t: np.ndarray, dim: int) -> float:
     """log-sum-exp of a dim-dimensional tensor built in chunks along axis 0."""
-    if dim == 1:
+    n = len(t)
+    chunk = max(1, int(4e6 // n ** (dim - 1)))
+    if dim == 1 or chunk >= n:  # one block holds the tensor: build it once
         e = exponent_of_block(t)
         m0 = float(np.max(e))
         return m0 + math.log(float(np.sum(np.exp(e - m0))))
     # two passes: max first, then the shifted sum, chunking the first axis
-    n = len(t)
-    chunk = max(1, int(4e6 // n ** (dim - 1)))
     m0 = _NEG_INF
     for i in range(0, n, chunk):
         m0 = max(m0, float(np.max(exponent_of_block(t[i:i + chunk]))))

@@ -9,6 +9,7 @@ import scipy.special as sp
 from hypothesis import given
 from hypothesis import strategies as st
 from numpy.polynomial.hermite import hermgauss
+from series_reference import kernel_term_by_term, quadrature_term_by_term
 
 from genfock import bargmann, suites
 from genfock.bargmann import (
@@ -383,3 +384,159 @@ def test_streamed_rows_match_the_table_they_replace(m, z, t, nmax):
 def test_quadrature_route_matches_the_code_it_replaces(m, z, coeffs):
     assert same_value(transform_via_quadrature(coeffs, m, z),
                       _quadrature_before_streaming(coeffs, m, z))
+
+
+# ------------------------------------------------ cached basis, block sums
+
+
+def outcome(fn, *args):
+    """The value (compared by same_value) or the raised error's type,
+    index, level and message."""
+    try:
+        return "value", fn(*args)
+    except (WeightOverflowError, ValueError, TypeError) as err:
+        return "raise", (type(err), getattr(err, "index", None),
+                         getattr(err, "m", None), str(err))
+
+
+def same_outcome(a, b) -> bool:
+    return a[0] == b[0] and (same_value(a[1], b[1]) if a[0] == "value"
+                             else a[1] == b[1])
+
+
+_NODES = bargmann._gauss_hermite(96)[0]
+_KERNEL_Z = (1e-3, 0.3 - 0.2j, 2.0j, -3.1, 7.0 + 5.0j, 11.7, 12.0, 12j,
+             -12.0, 14.0, 20.0, 20j)
+_KERNEL_T = (0.7, np.linspace(-6.0, 6.0, 33),
+             np.linspace(-3.0, 3.0, 6).reshape(2, 3), _NODES)
+
+
+def _fill_with_other_sets():
+    """Cache fresh node sets until every set cached before is gone."""
+    before = set(bargmann._bases)
+    t = np.linspace(-1.0, 1.0, 1024)
+    while before & set(bargmann._bases):
+        t = t + 1e-3
+        bargmann._EtaReader(t).take(bargmann._BASIS_BUDGET // t.nbytes - 1)
+
+
+@pytest.fixture
+def empty_bases():
+    """An empty basis cache, put back as it was after the test."""
+    saved = dict(bargmann._bases)
+    bargmann._bases.clear()
+    yield
+    bargmann._bases.clear()
+    bargmann._bases.update(saved)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+def test_block_sums_match_the_term_by_term_kernel(m, monkeypatch,
+                                                  empty_bases):
+    for z in _KERNEL_Z:
+        for t in _KERNEL_T:
+            want = outcome(kernel_term_by_term, m, z, t)
+            bargmann._bases.clear()
+            got = {"cold": outcome(transform_kernel, m, z, t),
+                   "warm": outcome(transform_kernel, m, z, t)}
+            _fill_with_other_sets()
+            got["evicted"] = outcome(transform_kernel, m, z, t)
+            with monkeypatch.context() as patch:
+                # three rows a block: the table grows mid-call
+                patch.setattr(bargmann, "_BLOCK_BYTES", 3 * 16 * 96)
+                bargmann._bases.clear()
+                got["grown"] = outcome(transform_kernel, m, z, t)
+            with monkeypatch.context() as patch:
+                # no set fits: every row streams
+                patch.setattr(bargmann, "_BASIS_BUDGET", 64)
+                got["streamed"] = outcome(transform_kernel, m, z, t)
+            for state, value in got.items():
+                assert same_outcome(value, want), (m, z, t, state)
+
+
+@pytest.mark.parametrize("count", [0, 1, 15, 60, 2100])
+def test_block_phi_matches_the_term_by_term_quadrature(count, empty_bases):
+    # past 2001 rows the table stops growing and the rows stream
+    rng = np.random.default_rng(count)
+    c = list(rng.standard_normal(count) + 1j * rng.standard_normal(count))
+    if count:
+        c[0] = complex(-1.0, -0.0)  # its imaginary term is -0.0
+    for m in (1, 3, 5):
+        for z in (0.5, 1.5 - 1.0j, 2.0j):
+            want = quadrature_term_by_term(c, m, z)
+            bargmann._bases.clear()
+            got = [transform_via_quadrature(c, m, z),  # cold
+                   transform_via_quadrature(c, m, z)]  # warm
+            _fill_with_other_sets()
+            got.append(transform_via_quadrature(c, m, z))  # evicted
+            assert all(same_value(value, want) for value in got), (m, z)
+
+
+def test_cached_basis_is_the_table_and_read_only(empty_bases):
+    transform_kernel(1, 2.0, _NODES)
+    (key, table), = bargmann._bases.items()
+    assert key == (_NODES.shape, _NODES.tobytes())
+    assert table.tobytes() == hermite_eta_all(len(table) - 1,
+                                               _NODES).tobytes()
+    with pytest.raises(ValueError):
+        table[0, 0] = 1.0
+    block = bargmann._EtaReader(_NODES).take(5)
+    with pytest.raises(ValueError):
+        block[0, 0] = 1.0
+
+
+def test_basis_is_keyed_by_the_node_values(empty_bases):
+    t = np.linspace(-2.0, 2.0, 9)
+    first = transform_kernel(2, 1.5, t)
+    t[4] = 0.25  # changed in place: a new key, not a stale table
+    assert same_value(transform_kernel(2, 1.5, t),
+                      kernel_term_by_term(2, 1.5, t))
+    assert not same_value(first, transform_kernel(2, 1.5, t))
+    assert len(bargmann._bases) == 2
+
+
+def test_basis_grows_to_the_row_cap_and_no_further(empty_bases):
+    # at z = 10, m = 1 the kernel reads a few hundred rows, over two
+    # blocks; a quadrature of 2100 coefficients reads past the row cap, so
+    # its rows stream and the table stays; 2001 coefficients fill it
+    key = (_NODES.shape, _NODES.tobytes())
+    transform_kernel(1, 10.0, _NODES)
+    rows = len(bargmann._bases[key])
+    assert 200 < rows < bargmann._BASIS_ROWS
+    transform_via_quadrature([1.0] * 2100, 1, 0.5)
+    assert len(bargmann._bases[key]) == rows
+    transform_via_quadrature([1.0] * 2001, 1, 0.5)
+    assert len(bargmann._bases[key]) == bargmann._BASIS_ROWS
+
+
+def held_bytes() -> int:
+    return sum(map(bargmann._held_bytes, bargmann._bases.items()))
+
+
+def test_cache_stays_within_its_budget(empty_bases):
+    # 1024 nodes: 8 kB a row, so at most 255 rows of the set are cached
+    # (the key's nodes count too), and the |z| = 20 sum, which runs to
+    # z**n overflow at m = 1, streams the rest
+    nodes = np.linspace(-20.0, 20.0, 1024)
+    for m in (1, 2):
+        assert same_outcome(outcome(transform_kernel, m, 20.0, nodes),
+                            outcome(kernel_term_by_term, m, 20.0, nodes))
+        assert held_bytes() <= bargmann._BASIS_BUDGET
+    # sets evict the least recently used first
+    transform_kernel(1, 2.0, _NODES)
+    for shift in (1e-3, 2e-3, 3e-3):
+        transform_kernel(1, 2.0, _NODES)
+        transform_kernel(2, 20.0, nodes + shift)
+    assert (_NODES.shape, _NODES.tobytes()) in bargmann._bases
+    assert held_bytes() <= bargmann._BASIS_BUDGET
+
+
+def test_cache_holds_a_bounded_number_of_sets(empty_bases):
+    # single points hold a few hundred bytes each; the set count bounds
+    # what their keys and arrays hold besides
+    for t in np.linspace(-3.0, 3.0, 40):
+        transform_kernel(1, 1.5, float(t))
+    assert len(bargmann._bases) == bargmann._BASIS_SETS
+    assert held_bytes() <= bargmann._BASIS_BUDGET
+    assert ((), np.float64(3.0).tobytes()) in bargmann._bases

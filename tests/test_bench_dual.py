@@ -5,6 +5,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import genfock
+
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_dual.py"
 
 
@@ -17,6 +19,10 @@ def test_quick_run_writes_bit_identical_rows(tmp_path):
     result = json.loads(out.read_text())
     assert result["bit_identical"] is True
     assert result["provenance"]["numpy"]
+    # run from src, genfock has no installed distribution: its version
+    # comes from the package itself
+    assert result["provenance"]["genfock"] == genfock.__version__
+    assert bench._version("no_such_distribution") is None
     rows = {(r["call"], r["args"]): r for r in result["rows"]}
     assert ("cauchy_product", "(200, 200)") in rows
     assert ("cauchy_product", "(1000, 1000)") not in rows

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from series_reference import kernel_section_by_loop
 
 from genfock.coeffspace import (
     TaylorCoeffs,
@@ -519,3 +520,33 @@ def test_aggregation_lhs_against_mpmath(fn):
             lhs, _ = fn(eps, z, w)
             worst = max(worst, abs(lhs - want) / abs(want))
     assert worst <= 3e-15
+
+
+def _section_outcome(fn, *args):
+    try:
+        return "value", repr(fn(*args).coeffs)
+    except (TypeError, ValueError) as err:
+        return "raise", type(err), str(err)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+def test_kernel_section_powers_match_the_loop_bitwise(m):
+    # |w| from 1e-3 to 30: degree 1000 runs |w|**n far past double range,
+    # where the powers turn inf and nan as the loop's did
+    rng = np.random.default_rng(600 + m)
+    ws = [0.0, 1e-3j, -0.5, complex(-1.0, -0.0), 2.0, 12.0j, 30.0 - 1.0j,
+          complex("inf"), complex("nan")]
+    ws += [complex(rng.standard_normal(), rng.standard_normal())
+           * 10 ** rng.uniform(-3, 1.5) for _ in range(6)]
+    for w in ws:
+        for degree in (0, 1, 30, 200, 1000):
+            assert _section_outcome(kernel_section, m, w, degree) == (
+                _section_outcome(kernel_section_by_loop, m, w, degree)), (
+                    w, degree)
+
+
+@pytest.mark.parametrize("degree", [-1, -3, 30.0, "30"])
+def test_kernel_section_rejects_what_the_loop_rejected(degree):
+    assert _section_outcome(kernel_section, 2, 0.5, degree) == (
+        _section_outcome(kernel_section_by_loop, 2, 0.5, degree))

@@ -745,3 +745,78 @@ def test_batch_grows_only_the_rows_that_need_it():
         single = log_mellin_convolve(_log_k1, _log_k1, x,
                                      window=(lo[i], 40.0))
         assert abs(val[i] - single) <= 1e-13
+
+
+def _tensor_logsum_two_pass(exponent_of_block, t, dim):
+    """_tensor_logsum as it was before a tensor that one block holds was
+    built once: at dim >= 2 always a max pass and a sum pass, kept
+    literally as the reference for bit identity."""
+    if dim == 1:
+        e = exponent_of_block(t)
+        m0 = float(np.max(e))
+        return m0 + math.log(float(np.sum(np.exp(e - m0))))
+    n = len(t)
+    chunk = max(1, int(4e6 // n ** (dim - 1)))
+    m0 = float("-inf")
+    for i in range(0, n, chunk):
+        m0 = max(m0, float(np.max(exponent_of_block(t[i:i + chunk]))))
+    total = 0.0
+    for i in range(0, n, chunk):
+        total += float(np.sum(np.exp(exponent_of_block(t[i:i + chunk]) - m0)))
+    return m0 + math.log(total)
+
+
+@pytest.mark.parametrize("route,m", [
+    (radial_weight_point, 2), (radial_weight_point, 3),
+    (log_radial_weight_centered, 3), (log_radial_weight_product, 3),
+    (log_radial_weight_product, 4)])
+def test_tensor_sum_in_one_block_is_the_two_pass_sum_bitwise(
+        route, m, monkeypatch):
+    xs = (10.0 ** np.random.default_rng(5).uniform(-6.0, 3.0, 20)).tolist()
+    if m == 4:
+        xs = [0.05, 1.0, 7.0]  # the m = 4 grids one block holds
+    calls = []
+    real = rk._tensor_logsum
+
+    def recording(block, t, dim):
+        builds = []
+
+        def counted(t0):
+            builds.append(len(t0))
+            return block(t0)
+        got = real(counted, t, dim)
+        calls.append((block, t, dim, got, builds))
+        return got
+    monkeypatch.setattr(rk, "_tensor_logsum", recording)
+    for x in xs:
+        route(m, x)
+    assert len(calls) == len(xs)
+    for block, t, dim, got, builds in calls:
+        assert repr(got) == repr(_tensor_logsum_two_pass(block, t, dim))
+        assert builds == [len(t)]  # the whole tensor, built once
+
+
+def test_tensor_sum_past_one_block_keeps_two_passes():
+    # 3000 points at dim 3 make chunks of one row, each built twice; the
+    # block builds 1 x 40 x 40 per row, not 3000 x 3000, to stay small
+    t = np.linspace(-1.0, 1.0, 3000)
+    small = t[::75]
+    builds = []
+
+    def block(t0):
+        builds.append(len(t0))
+        return (-np.cosh(t0)[:, None, None] - small[None, :, None] ** 2
+                - small[None, None, :] ** 2)
+    want = _tensor_logsum_two_pass(block, t, 3)
+    builds.clear()
+    assert repr(rk._tensor_logsum(block, t, 3)) == repr(want)
+    assert builds == [1] * 6000
+
+
+@pytest.mark.parametrize("w", [0.5, -3.0, np.float64(2.0), np.array(1.5),
+                               np.linspace(-40.0, 7.0, 9),
+                               np.linspace(-2.0, 2.0, 6).reshape(2, 3)])
+def test_log_k1_negates_in_place_bitwise(w):
+    got, want = _log_k1(w), -np.exp(w)
+    assert type(got) is type(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
