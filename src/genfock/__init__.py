@@ -22,7 +22,7 @@ from .operators import (OperatorConsistencyError, apply_word,
                         commutator_apply, domain_functional, lowering,
                         lowering_adjoint, norm_identity_report, raising,
                         raising_adjoint, raising_adjoint_via_stirling)
-from .radialkernel import (KernelTable, QuadConfig, QuadratureConvergenceError,
+from .radialkernel import (KernelTable, QuadratureConvergenceError,
                            build_table, moment, radial_weight,
                            radial_weight_point)
 from .stirling import normal_order_coeffs, stirling_s2

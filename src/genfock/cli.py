@@ -178,7 +178,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--z", type=_complex_arg, required=True)
     p.add_argument("--w", type=_complex_arg, required=True)
-    _shared_flags(p, tol=1e-14)
+    p.add_argument("--tol", type=_tol_arg, default=1e-14,
+                   help="series stopping threshold: the sum stops once three "
+                        "terms in a row fall below tol times the partial sum "
+                        "(default %(default)g); not a bound on the error, "
+                        "which cancellation can make far larger")
+    _shared_flags(p)
 
     p = subs.add_parser("inner-product", help="weighted coefficient pairing")
     p.add_argument("--m", type=int, required=True)
@@ -239,13 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=SUITE_NAMES + ("all",))
     p.add_argument("--m", type=int, default=4,
                    help="radial chain depth exercised by the kernels suite")
-    p.add_argument("--max-refinements", type=int, default=2,
-                   help="sets only the halving budget of the kernels "
-                        "suite's 'radial convolution converges' check "
-                        "(default %(default)d)")
-    p.add_argument("--tol", type=_tol_arg, default=1e-9,
-                   help="sets only the quadrature tolerance of that same "
-                        "check (default %(default)g)")
     _shared_flags(p, seed=True, fmt="json")
 
     return parser
@@ -282,7 +280,7 @@ def _cmd_kernel_table(args) -> int:
     if args.points < 2 or not 0 < args.xmin < args.xmax < math.inf:
         raise ValueError("need 0 < xmin < xmax < inf and points >= 2")
     xs = np.geomspace(args.xmin, args.xmax, args.points)
-    vals = [float(radialkernel.radial_weight(args.m, x)) for x in xs]
+    vals = radialkernel.radial_weight(args.m, xs).tolist()
     _emit_tabular(args, {"m": args.m, "x": list(map(float, xs)),
                          "values": vals},
                   [["x", "k_m"]] + [[repr(float(x)), repr(v)]
@@ -399,9 +397,8 @@ def _cmd_integrate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    cfg = RunConfig(rel_tol=args.tol, seed=args.seed, kernel_level=args.m,
-                    max_refinements=args.max_refinements)
-    report = run_suite(cfg, args.suite)
+    report = run_suite(RunConfig(seed=args.seed, kernel_level=args.m),
+                       args.suite)
     _emit_tabular(args, {**report, "checks": _json_checks(report["checks"])},
                   [["name", "passed", "measured", "tolerance", "detail"]]
                   + [[c["name"], c["passed"], repr(c["measured"]),

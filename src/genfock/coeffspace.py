@@ -372,7 +372,10 @@ def kernel_eval(m: int, z: complex, w: complex, tol: float = 1e-14) -> complex:
     The partial sum stops after three consecutive terms fall below
     tol * |partial sum| (guards small-argument plateaus; terms decrease
     monotonically once the factorial dominates), or as soon as it is no
-    longer finite, which it then returns.
+    longer finite, which it then returns.  ``tol`` is only that stopping
+    threshold, not a bound on the error: where u = z * conj(w) points away
+    from the positive axis the terms cancel, and the rounding they leave
+    can exceed tol by far (at m = 1, u = -30 gives -3.07e-5 for e**-30).
     """
     _require_level(m)
     if not tol > 0:

@@ -44,7 +44,6 @@ from __future__ import annotations
 import functools
 import math
 import threading
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,40 +63,26 @@ class QuadratureConvergenceError(ArithmeticError):
         self.rel_tol = rel_tol
 
 
-@dataclass(frozen=True)
-class QuadConfig:
-    """Tolerances of the log-trapezoid convolution engine.
-
-    rel_tol          relative agreement demanded between successive halvings
-    abs_tol          integrand samples below abs_tol * peak are dead tail
-    max_refinements  halvings attempted before declaring non-convergence
-
-    The defaults are what table chaining supports: every engine node of
-    levels 2-24 accepts on its first halving, at a change of at most
-    2.2e-12 up to level 14, 4.1e-11 at level 20 and 7.7e-11 at level 24
-    (99% of nodes: under 2.1e-13, 9.7e-12 and 2.3e-11).  A row whose peak
-    width is at least 3 * ``_TARGET_STEP`` thus sums at step 0.24, then
-    0.12, and keeps the second sum.  The K_1 factor is analytic in a strip
-    of half-width pi/2, so the trapezoid error at step h is about
-    exp(-pi**2 / h) (Trefethen & Weideman, SIAM Review 56, 2014): 1e-18 at
-    0.24, far under ``rel_tol``.
-
-    The engine applies these per point, also when it runs many points in
-    one batch: every point gets its own window growth, step and halvings,
-    and leaves the refinement loop once its own halving agrees.  Its grids
-    are lattices u = j * step, so points with equal steps share the second
-    factor's samples; the first pass samples the lattice of half the first
-    step for the sum and its first halving at once.  With
-    ``max_refinements = 0`` it samples the first step alone and accepts none.
-    """
-
-    rel_tol: float = 3e-10
-    abs_tol: float = 3e-20
-    max_refinements: int = 4
-
-    @property
-    def tail_cut(self) -> float:
-        return -math.log(self.abs_tol)
+# The engine's one configuration, shared by every table and every pointwise
+# route.  A row's trapezoid value is accepted once one halving reproduces it
+# to _REL_TOL; integrand samples more than _TAIL_CUT below a row's peak (a
+# factor 3e-20) are dead tail; a row still short of _REL_TOL after
+# _MAX_REFINEMENTS halvings did not converge.
+#
+# This is what table chaining supports: every engine node of levels 2-24
+# accepts on its first halving, at a change of at most 2.2e-12 up to level
+# 14, 4.1e-11 at level 20 and 7.7e-11 at level 24 (99% of nodes: under
+# 2.1e-13, 9.7e-12 and 2.3e-11).  A row whose peak width is at least
+# 3 * _TARGET_STEP thus sums at step 0.24, then 0.12, and keeps the second
+# sum.  The K_1 factor is analytic in a strip of half-width pi/2, so the
+# trapezoid error at step h is about exp(-pi**2 / h) (Trefethen & Weideman,
+# SIAM Review 56, 2014): 1e-18 at 0.24, far under _REL_TOL.  Levels 30-37
+# still build, their worst nodes just above 1e-16 at 2.7-3.0e-10; level 38
+# stalls at 1.07e-9.  The engine applies all three per point, also when it
+# runs many points in one batch.
+_REL_TOL = 3e-10
+_TAIL_CUT = -math.log(3e-20)
+_MAX_REFINEMENTS = 4
 
 
 def _clean(arr: np.ndarray) -> np.ndarray:
@@ -125,8 +110,7 @@ _GROW = math.ceil(4.0 / _COARSE_STEP)
 
 
 def log_mellin_convolve(log_f, log_g, ln_x: float,
-                        window: tuple[float, float] | None = None,
-                        quad: QuadConfig = QuadConfig()) -> float:
+                        window: tuple[float, float] | None = None) -> float:
     """log of (f * g)(x) for the multiplicative convolution, x = exp(ln_x).
 
     ``log_f`` and ``log_g`` are vectorized maps w -> log f(exp(w)); working
@@ -140,10 +124,10 @@ def log_mellin_convolve(log_f, log_g, ln_x: float,
     (none where a neighbour is dead: the step stays coarsest), so narrow
     saddles get a proportionally fine step _TARGET_STEP * 2**-k.  The
     trapezoid value is accepted once one halving reproduces it to
-    ``rel_tol``; one pass over the lattice of step h/2 gives the sum at h
+    ``_REL_TOL``; one pass over the lattice of step h/2 gives the sum at h
     and its first halving, and a later halving samples only the new
     midpoints: two passes a point, three if a second halving runs.  If
-    ``max_refinements`` halvings never agree, QuadratureConvergenceError
+    ``_MAX_REFINEMENTS`` halvings never agree, QuadratureConvergenceError
     reports the last achieved relative change.  ``log_g`` may also be a
     :class:`KernelTable`.  This is the single-point entry of the batched
     engine that :func:`build_table` runs on whole levels.
@@ -154,14 +138,14 @@ def log_mellin_convolve(log_f, log_g, ln_x: float,
     if not u_lo < u_hi:
         raise ValueError("window must satisfy lo < hi")
     val, achieved = _log_conv(log_f, log_g, np.array([float(ln_x)]),
-                              np.array([u_lo]), u_hi, quad)
-    if not achieved[0] <= quad.rel_tol:
-        raise QuadratureConvergenceError(float(achieved[0]), quad.rel_tol)
+                              np.array([u_lo]), u_hi)
+    if not achieved[0] <= _REL_TOL:
+        raise QuadratureConvergenceError(float(achieved[0]), _REL_TOL)
     return float(val[0])
 
 
 def _log_conv(log_f, log_g, ln_x: np.ndarray, u_lo: np.ndarray,
-              u_hi: float, quad: QuadConfig) -> tuple[np.ndarray, np.ndarray]:
+              u_hi: float) -> tuple[np.ndarray, np.ndarray]:
     """The convolution engine over a vector of points, ``_BLOCK`` at a time.
 
     Row i integrates over the window (u_lo[i], u_hi) with the steps
@@ -173,14 +157,14 @@ def _log_conv(log_f, log_g, ln_x: np.ndarray, u_lo: np.ndarray,
     the rows on that lattice, ``log_f`` once per sample.  A pass samples
     the hull of the block's windows and a row sums all of it, also the
     samples outside its own window.  Those lie in the row's dead tail: its
-    window reaches past the outermost scout samples above peak - tail_cut
+    window reaches past the outermost scout samples above peak - _TAIL_CUT
     on either side, and the integrand, log-concave for every rung
     K_1 * K_(m-1), only falls from there.  So a row feels its neighbours
-    only through samples under ``abs_tol`` times its peak, and batched and
+    only through samples under 3e-20 times its peak, and batched and
     single rows agree to rounding.  Returns the last trapezoid value of
-    each row and the relative change its last halving achieved (inf if
-    none ran).  A row whose change exceeds ``rel_tol`` did
-    not converge, and the caller decides whether that is an error.
+    each row and the relative change its last halving achieved.  A row
+    whose change exceeds ``_REL_TOL`` did not converge, and the caller
+    decides whether that is an error.
     """
     val = np.empty(len(ln_x))
     achieved = np.empty(len(ln_x))
@@ -188,11 +172,11 @@ def _log_conv(log_f, log_g, ln_x: np.ndarray, u_lo: np.ndarray,
         for i in range(0, len(ln_x), _BLOCK):
             blk = slice(i, i + _BLOCK)
             val[blk], achieved[blk] = _log_conv_block(
-                log_f, log_g, ln_x[blk], u_lo[blk], u_hi, quad)
+                log_f, log_g, ln_x[blk], u_lo[blk], u_hi)
     return val, achieved
 
 
-def _log_conv_block(log_f, log_g, ln_x, lo, u_hi, quad: QuadConfig):
+def _log_conv_block(log_f, log_g, ln_x, lo, u_hi):
     rows = np.arange(len(ln_x))
     parent = getattr(log_g, "lattice_log", None) or (lambda h, j: log_g(h * j))
 
@@ -215,7 +199,7 @@ def _log_conv_block(log_f, log_g, ln_x, lo, u_hi, quad: QuadConfig):
     for _ in range(_MAX_EXPAND + 1):
         j0 = first.min()
         e = on_lattice(ln_x, cs, np.arange(j0, last.max() + 1))
-        floor = e.max(axis=1) - quad.tail_cut
+        floor = e.max(axis=1) - _TAIL_CUT
         grow_left = e[rows, first - j0] > floor
         grow_right = e[rows, last - j0] > floor
         if not (grow_left | grow_right).any():
@@ -272,19 +256,17 @@ def _log_conv_block(log_f, log_g, ln_x, lo, u_hi, quad: QuadConfig):
         h = math.ldexp(_TARGET_STEP, -int(dg))
         first = np.floor(a[g] / h).astype(np.int64)
         last = np.ceil(b[g] / h).astype(np.int64)
-        fused = int(quad.max_refinements > 0)
-        e = on_lattice(x, math.ldexp(h, -fused),
-                       lattice(first << fused, last << fused, False))
-        even = e[:, ::1 + fused]
+        e = on_lattice(x, math.ldexp(h, -1),
+                       lattice(first << 1, last << 1, False))
+        even = e[:, ::2]
         live = np.arange(len(x))
         top = even.max(axis=1)
         wts = np.exp(even - top[:, None])
         total = wts.sum(axis=1)
         ends = wts[live, first - first.min()] + wts[live, last - first.min()]
         val = top + np.log(h * (total - 0.5 * ends))
-        out = np.empty(len(x))
-        achieved = change = np.full(len(x), np.inf)
-        for halving in range(quad.max_refinements):
+        out, achieved = np.empty(len(x)), np.empty(len(x))
+        for halving in range(_MAX_REFINEMENTS):
             h *= 0.5
             first *= 2
             last *= 2
@@ -298,7 +280,7 @@ def _log_conv_block(log_f, log_g, ln_x, lo, u_hi, quad: QuadConfig):
             finer = top + np.log(h * (total - 0.5 * ends))
             change = np.abs(np.expm1(np.minimum(finer - val, 700.0)))
             val = finer
-            done = change <= quad.rel_tol
+            done = change <= _REL_TOL
             if done.all():
                 out[live], achieved[live] = val, change
                 return out, achieved
@@ -328,12 +310,11 @@ _RESIDUE_EXACT_X = 1e-16
 
 # The tables' one configuration: the public domain [_X_MIN, _X_MAX], a grid
 # uniform in log x at _POINTS_PER_DECADE whose first _MODEL_NODES nodes lie
-# below _RESIDUE_EXACT_X and hold the residue model, and _TABLE_QUAD for the
-# engine nodes.  Past either end of the grid the end models of KernelTable
+# below _RESIDUE_EXACT_X and hold the residue model, the engine computing the
+# others.  Past either end of the grid the end models of KernelTable
 # carry the weight, so a convolution stage may read its parent there.
 _X_MIN, _X_MAX = 1e-30, 1e9
 _POINTS_PER_DECADE = 64
-_TABLE_QUAD = QuadConfig()
 _S = np.linspace(math.log(_X_MIN), math.log(_X_MAX), int(math.ceil(
     (math.log(_X_MAX) - math.log(_X_MIN)) * _POINTS_PER_DECADE
     / math.log(10.0))) + 1)
@@ -567,7 +548,7 @@ def build_table(m: int) -> KernelTable:
     exact there to double precision, where quadrature would cost the widest
     rows and come out less exact.  The rest are evaluated by one batched
     call of the quadrature engine, the parent entering through its cubic
-    and end models.  A node short of ``rel_tol`` raises
+    and end models.  A node short of ``_REL_TOL`` raises
     QuadratureConvergenceError with the worst change any node reached;
     otherwise that change and its node stay on the table.
     """
@@ -582,11 +563,10 @@ def build_table(m: int) -> KernelTable:
     else:
         s = _S[_MODEL_NODES:]
         logk, achieved = _log_conv(_log_k1, build_table(m - 1), s,
-                                   *_rung_window(s), _TABLE_QUAD)
+                                   *_rung_window(s))
         worst = int(np.argmax(achieved))
-        if not achieved[worst] <= _TABLE_QUAD.rel_tol:
-            raise QuadratureConvergenceError(float(achieved[worst]),
-                                             _TABLE_QUAD.rel_tol)
+        if not achieved[worst] <= _REL_TOL:
+            raise QuadratureConvergenceError(float(achieved[worst]), _REL_TOL)
         table = KernelTable(m, np.concatenate(
             [_log_residue(m, _S[:_MODEL_NODES]), logk]))
         table.model_nodes = _MODEL_NODES
@@ -597,15 +577,14 @@ def build_table(m: int) -> KernelTable:
     return table
 
 
-def _log_rung(parent: KernelTable, ln_x: float, quad: QuadConfig) -> float:
+def _log_rung(parent: KernelTable, ln_x: float) -> float:
     """log (K_1 * parent)(x) at x = exp(ln_x): one convolution rung, for
     x < exp(s[-1] + 12), about 1.6e14, where its window closes."""
     lo, hi = _rung_window(ln_x)
     if not lo < hi:
         raise ValueError(f"the convolution route needs 0 < x < "
                          f"{math.exp(hi + 8.0):.4g}, got {math.exp(ln_x):g}")
-    return log_mellin_convolve(_log_k1, parent, ln_x, window=(lo, hi),
-                               quad=quad)
+    return log_mellin_convolve(_log_k1, parent, ln_x, window=(lo, hi))
 
 
 def log_radial_weight(m: int, x):
@@ -628,15 +607,16 @@ def log_radial_weight_conv(m: int, x: float) -> float:
         raise ValueError("pointwise convolution route needs integer m >= 2")
     if x <= 0:
         raise ValueError("x must be positive")
-    return _log_rung(build_table(m - 1), math.log(x), _TABLE_QUAD)
+    return _log_rung(build_table(m - 1), math.log(x))
 
 
-def _tensor_grid(m: int, x: float, tail_cut: float):
-    """Common grid for the (m-1)-dimensional representations, step <= 0.2."""
+def _tensor_grid(m: int, x: float):
+    """Common grid for the (m-1)-dimensional representations, step <= 0.2,
+    reaching _TAIL_CUT into the tails like the engine."""
     r = x ** (1.0 / m)
     sigma = 1.0 / math.sqrt(m * r)
     h = min(0.2, sigma / 3.0)
-    half = max(math.log1p((tail_cut + 10.0) / r), 12.0 * sigma) + 2.0 * h
+    half = max(math.log1p((_TAIL_CUT + 10.0) / r), 12.0 * sigma) + 2.0 * h
     n = int(math.ceil(2.0 * half / h)) + 1
     if n ** (m - 1) > 2e8:
         raise RuntimeError(f"tensor quadrature too large for m={m}, x={x:g}")
@@ -662,8 +642,7 @@ def _tensor_logsum(exponent_of_block, t: np.ndarray, dim: int) -> float:
     return m0 + math.log(total)
 
 
-def log_radial_weight_centered(m: int, x: float,
-                               tail_cut: float = 45.0) -> float:
+def log_radial_weight_centered(m: int, x: float) -> float:
     """log K_m(x) from the centered representation
 
         K_m(x) = int over R^(m-1) of exp(-x**(1/m) * (sum_i exp(t_i)
@@ -677,7 +656,7 @@ def log_radial_weight_centered(m: int, x: float,
         raise ValueError("x must be positive")
     if m == 1:
         return -x
-    t, h, r = _tensor_grid(m, x, tail_cut)
+    t, h, r = _tensor_grid(m, x)
     dim = m - 1
     expt = np.exp(t)
 
@@ -695,8 +674,7 @@ def log_radial_weight_centered(m: int, x: float,
     return _tensor_logsum(block, t, dim) + dim * math.log(h)
 
 
-def log_radial_weight_product(m: int, x: float,
-                              tail_cut: float = 45.0) -> float:
+def log_radial_weight_product(m: int, x: float) -> float:
     """log K_m(x) from the raw product representation
 
         K_m(x) = int over (0,inf)^(m-1) of exp(-sum_i x_i - x / prod_i x_i)
@@ -710,7 +688,7 @@ def log_radial_weight_product(m: int, x: float,
         raise ValueError("x must be positive")
     if m == 1:
         return -x
-    t, h, _ = _tensor_grid(m, x, tail_cut)
+    t, h, _ = _tensor_grid(m, x)
     dim = m - 1
     c = math.log(x) / m
     u = t + c
@@ -733,8 +711,7 @@ def log_radial_weight_product(m: int, x: float,
     return _tensor_logsum(block, t, dim) + dim * math.log(h)
 
 
-def mellin_step(parent: KernelTable, x: float,
-                quad: QuadConfig = QuadConfig()) -> float:
+def mellin_step(parent: KernelTable, x: float) -> float:
     """(K_1 * parent)(x): one convolution rung, returned as a value.
 
     This is the recursion that climbs from the level of the ``parent``
@@ -742,7 +719,7 @@ def mellin_step(parent: KernelTable, x: float,
     """
     if x <= 0:
         raise ValueError("x must be positive")
-    return math.exp(_log_rung(parent, math.log(x), quad))
+    return math.exp(_log_rung(parent, math.log(x)))
 
 
 def radial_weight_point(m: int, x: float) -> float:
@@ -750,12 +727,16 @@ def radial_weight_point(m: int, x: float) -> float:
 
     m = 1 closed form; m = 2, 3 direct tensor quadrature of the centered
     representation (1-D / 2-D, no tables involved); m >= 4 through the
-    chained tables, where the tensor route would cost too much.
+    chained tables, where the tensor route would cost too much, and outside
+    their domain [1e-30, 1e9] by one convolution rung over the level below
+    (:func:`log_radial_weight_conv`), which raises ValueError past about
+    x = 1.6e14.
     """
     _require_level(m)
     if m <= 3:
-        return math.exp(log_radial_weight_centered(
-            m, x, tail_cut=_TABLE_QUAD.tail_cut))
+        return math.exp(log_radial_weight_centered(m, x))
+    if x < _X_MIN or x > _X_MAX:
+        return float(np.exp(log_radial_weight_conv(m, x)))
     return float(np.exp(log_radial_weight(m, x)))
 
 

@@ -24,19 +24,12 @@ SUITE_NAMES = ("stirling", "kernels", "operators", "bargmann", "dual")
 
 @dataclass(frozen=True)
 class RunConfig:
-    rel_tol: float = 1e-9
-    abs_tol: float = 1e-14
     seed: int = 2026
     kernel_level: int = 4
-    max_refinements: int = 2
 
     def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ValueError("tolerances must be positive")
         if self.kernel_level < 1:
             raise ValueError("kernel_level must be >= 1")
-        if self.max_refinements < 0:
-            raise ValueError("max_refinements must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -202,12 +195,11 @@ def suite_kernels(cfg: RunConfig) -> list[CheckResult]:
         return worst, "centered vs product vs table at levels 2 and 3"
 
     def convolution_convergence():
-        quad = radialkernel.QuadConfig(rel_tol=cfg.rel_tol,
-                                       abs_tol=cfg.abs_tol,
-                                       max_refinements=cfg.max_refinements)
-        parent = radialkernel.build_table(lvl - 1)
-        val = radialkernel.mellin_step(parent, 1.0, quad)
-        return 0.0, f"level {lvl} at x = 1 converged; value {val:.12e}"
+        table = radialkernel.build_table(lvl)
+        x = math.exp(float(table.s[table.worst_node]))
+        return table.worst_change, (
+            f"worst accepted halving change at level {lvl} is at node "
+            f"{table.worst_node} (x = {x:.6g})")
 
     def reproducing():
         rng = _rng(cfg, 301)
@@ -285,8 +277,8 @@ def suite_kernels(cfg: RunConfig) -> list[CheckResult]:
                monotone_table),
         _guard("tensor and table representations agree", 1e-6,
                representations),
-        _guard(f"radial convolution converges at level {lvl}", 0.0,
-               convolution_convergence),
+        _guard(f"radial convolution converges at level {lvl}",
+               radialkernel._REL_TOL, convolution_convergence),
         _guard("kernel sections reproduce point evaluation", 1e-12,
                reproducing),
         _guard("kernel is Hermitian symmetric", 1e-12, hermitian),

@@ -69,6 +69,17 @@ def test_kernel_table(capsys):
     assert obj["values"][1] == pytest.approx(0.2277877454990668, rel=1e-8)
 
 
+@pytest.mark.parametrize("m", range(1, 7))
+def test_kernel_table_is_the_pointwise_table_bitwise(capsys, m):
+    # the grid is evaluated in one array call, each value the scalar one's
+    code, obj = run_json(capsys, "kernel-table", "--m", str(m), "--xmin",
+                         "1e-30", "--xmax", "1e9", "--points", "41",
+                         "--format", "json")
+    assert code == 0
+    assert obj["values"] == [float(radialkernel.radial_weight(m, x))
+                             for x in obj["x"]]
+
+
 def test_kernel_table_level_6(capsys):
     code, obj = run_json(capsys, "kernel-table", "--m", "6", "--points", "3",
                          "--format", "json")
@@ -274,12 +285,31 @@ def test_non_radial_entry_points_do_not_load_scipy():
 
 
 def test_verify_forced_convergence_failure(capsys):
-    code, obj = run_json(capsys, "verify", "kernels", "--m", "2",
-                         "--max-refinements", "0", "--seed", "1")
+    # level 38 is the first whose table build stalls
+    code, obj = run_json(capsys, "verify", "kernels", "--m", "38",
+                         "--seed", "1")
     assert code == 1
     failed = [c for c in obj["checks"] if not c["passed"]]
     assert any("converge" in c["name"] for c in failed)
     assert any("QuadratureConvergenceError" in c["detail"] for c in failed)
+
+
+def test_verify_convergence_row_reports_the_tables_worst_change(capsys):
+    code, obj = run_json(capsys, "verify", "kernels", "--m", "8")
+    assert code == 0
+    row, = [c for c in obj["checks"] if "converge" in c["name"]]
+    assert row["name"] == "radial convolution converges at level 8"
+    assert 0.0 < row["measured"] <= row["tolerance"] == 3e-10
+    assert f"node {radialkernel.build_table(8).worst_node} " in row["detail"]
+    assert obj["config"] == {"seed": 2026, "kernel_level": 8}
+
+
+@pytest.mark.parametrize("flag", [["--tol", "1e-9"],
+                                  ["--max-refinements", "2"]])
+def test_verify_takes_no_quadrature_flags(capsys, flag):
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "kernels"] + flag)
+    assert info.value.code == 2
 
 
 def test_usage_error_exits_two(capsys):
@@ -372,6 +402,14 @@ def test_stalled_quadrature_exits_three(capsys, monkeypatch):
 
     monkeypatch.setattr(radialkernel, "radial_weight", stall)
     assert main(["kernel-table", "--m", "6"]) == 3
+    numerical_error_line(capsys, "QuadratureConvergenceError")
+
+
+def test_first_level_that_stalls_exits_three(capsys):
+    # levels up to 37 build; at 38 a node's last halving changes by 1.07e-9
+    assert main(["kernel-table", "--m", "37", "--points", "3"]) == 0
+    capsys.readouterr()
+    assert main(["kernel-table", "--m", "38", "--points", "3"]) == 3
     numerical_error_line(capsys, "QuadratureConvergenceError")
 
 
@@ -646,8 +684,7 @@ _FLAG_CALLS = st.one_of(
     _call("verify", suite=(st.sampled_from(["stirling", "operators",
                                             "bargmann", "dual", "kernels"]),
                            ["none"]),
-          m=_RADIAL_LEVEL, max_refinements=(st.integers(0, 2), [-1]),
-          seed=_SEED, tol=_TOL, format=_FORMAT),
+          m=_RADIAL_LEVEL, seed=_SEED, format=_FORMAT),
 )
 
 

@@ -23,7 +23,6 @@ from genfock.radialkernel import (
     _residue_coeffs,
     _zeta_int,
     KernelTable,
-    QuadConfig,
     QuadratureConvergenceError,
     bessel_reference_log,
     build_table,
@@ -417,7 +416,7 @@ def test_mellin_step_reproduces_level2():
 
 @pytest.mark.parametrize("m", [6, 7, 8, 10, 14, 20])
 def test_high_levels_build(m):
-    # every node reaches rel_tol, or the build raises
+    # every node reaches _REL_TOL, or the build raises
     t = build_table(m)
     assert np.all(np.isfinite(t.logk))
     assert np.all(np.diff(t.logk) < 0.0)
@@ -467,6 +466,35 @@ def test_radial_weight_point_agrees_with_table():
         assert a == pytest.approx(b, rel=5e-9)
 
 
+@pytest.mark.parametrize("m", [4, 5, 8])
+def test_radial_weight_point_falls_back_to_one_rung_off_the_table(m):
+    # outside the tables' domain [1e-30, 1e9] a level m >= 4 point takes one
+    # convolution rung over the level below; inside it stays the table's
+    for x in (1e-31, 1e-40, 1e10):
+        with pytest.raises(ValueError):
+            log_radial_weight(m, x)
+        want = log_radial_weight_conv(m, x)
+        assert radial_weight_point(m, x) == float(np.exp(want))
+    if m == 4:
+        # below the grid against Meijer-G (8e-16 measured); above it, where
+        # mpmath does not converge, against the value first measured
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            ref = float(mpmath.log(mpmath.meijerg(
+                [[], []], [[0] * m, []], mpmath.mpf(1e-31))))
+        assert abs(log_radial_weight_conv(m, 1e-31) - ref) <= 1e-14 * ref
+        assert log_radial_weight_conv(m, 1e10) == pytest.approx(-1271.48,
+                                                                abs=1e-2)
+    for x in (1e-30, 0.3, 1e9):
+        assert radial_weight_point(m, x) == float(np.exp(log_radial_weight(m,
+                                                                           x)))
+    # the rung's window closes at about 1.6e14
+    with pytest.raises(ValueError, match="convolution route"):
+        radial_weight_point(m, 2e14)
+    with pytest.raises(ValueError):
+        radial_weight_point(m, 0.0)
+
+
 # --------------------------------------------------- alternate repr routes
 
 
@@ -483,25 +511,24 @@ def test_tensor_representations_agree(m, x):
 
 
 def test_refinement_exhaustion_raises_with_diagnostics():
-    t1 = build_table(1)
+    # exp(-|w| - w*w) has a kink, so the trapezoid rule converges only as
+    # h**2 there, and every halving leaves a change above the tolerance
     with pytest.raises(QuadratureConvergenceError) as info:
-        mellin_step(t1, 1.0, QuadConfig(rel_tol=1e-14, max_refinements=0))
+        log_mellin_convolve(lambda w: -np.abs(w) - w * w, _log_k1, 0.0)
     err = info.value
-    assert err.achieved == math.inf
+    assert rk._REL_TOL < err.achieved < 1e-3
+    assert err.rel_tol == rk._REL_TOL
     assert "stalled" in str(err)
 
 
-def test_public_node_that_stalls_still_raises(monkeypatch):
-    monkeypatch.setattr(rk, "_TABLE_QUAD",
-                        QuadConfig(rel_tol=1e-17, max_refinements=1))
-    monkeypatch.setattr(rk, "_TABLE_CACHE", {})
-    with pytest.raises(QuadratureConvergenceError):
-        build_table(2)
-
-
-def test_quadconfig_tail_cut():
-    q = QuadConfig(abs_tol=1e-20)
-    assert q.tail_cut == pytest.approx(-math.log(1e-20))
+def test_public_node_that_stalls_still_raises():
+    # level 38 is the first whose build stalls: its worst node changes by
+    # 1.07e-9 on its last halving; the levels below it are kept
+    with pytest.raises(QuadratureConvergenceError) as info:
+        build_table(38)
+    assert rk._REL_TOL < info.value.achieved < 1e-8
+    assert 38 not in rk._TABLE_CACHE
+    assert build_table(37).worst_change <= rk._REL_TOL
 
 
 def test_log_mellin_convolve_exponential_pair():
@@ -519,8 +546,8 @@ def test_batched_rows_match_single_point_calls():
     hi = float(parent.s[-1])
     s = np.linspace(-60.0, 15.0, 150)
     val, achieved = _log_conv(_log_k1, parent.log_eval_log_arg, s, s - 8.0,
-                              hi, QuadConfig())
-    assert np.all(achieved <= QuadConfig().rel_tol)
+                              hi)
+    assert np.all(achieved <= rk._REL_TOL)
     single = [log_mellin_convolve(_log_k1, parent.log_eval_log_arg, si,
                                   window=(si - 8.0, hi)) for si in s]
     assert np.max(np.abs(val - single)) <= 1e-13
@@ -549,9 +576,12 @@ def test_level_build_samples_the_parent_once_per_lattice_point(monkeypatch):
 def test_halvings_sample_only_new_points():
     # nested refinement: every u of the trapezoid passes is sampled once.
     # exp(-|w| - w*w) has a kink, so the trapezoid rule converges only as
-    # h**2 there and all three halvings run before the typed error
+    # h**2 there and all four halvings run before the typed error: the
+    # fused pass holds the first, each later one is a pass of its own
     cs = rk._COARSE_STEP
-    for log_w, passes in ((np.exp, 1), (lambda w: np.abs(w) + w * w, 3)):
+    kinked = rk._MAX_REFINEMENTS
+    for log_w, passes in ((np.exp, 1),
+                          (lambda w: np.abs(w) + w * w, kinked)):
         calls = []
 
         def log_f(w):
@@ -559,10 +589,9 @@ def test_halvings_sample_only_new_points():
             return -log_w(w)
 
         try:
-            val = log_mellin_convolve(log_f, _log_k1, 0.0,
-                                      quad=QuadConfig(max_refinements=3))
+            val = log_mellin_convolve(log_f, _log_k1, 0.0)
         except QuadratureConvergenceError:
-            assert passes == 3
+            assert passes == kinked
         else:
             assert val == pytest.approx(bessel_reference_log(1.0), abs=1e-11)
         # the scout comes first and samples the coarse lattice
@@ -598,11 +627,14 @@ def test_single_point_takes_at_most_three_engine_passes():
         log_mellin_convolve(_log_k1, log_g, float(ln_x))
         assert len(calls) <= 3
         scouts.append(sum(calls))
-        try:
-            log_mellin_convolve(_log_k1, _log_k1, float(ln_x),
-                                quad=QuadConfig(max_refinements=1))
-        except QuadratureConvergenceError:
-            continue
+        # with one halving allowed, a point that still converges is one
+        # whose first halving accepts
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(rk, "_MAX_REFINEMENTS", 1)
+            try:
+                log_mellin_convolve(_log_k1, _log_k1, float(ln_x))
+            except QuadratureConvergenceError:
+                continue
         assert len(calls) == scouts[-1] + 1
     assert scouts == [1] * 58 + [2]
 
@@ -669,13 +701,11 @@ def test_table_and_its_callable_give_the_same_rung_bitwise(monkeypatch):
         return stored(self, h, j)
 
     monkeypatch.setattr(KernelTable, "lattice_log", lattice_log)
-    for quad in (QuadConfig(), QuadConfig(max_refinements=0)):
-        val, achieved = _log_conv(_log_k1, parent, ln_x, lo, hi, quad)
-        want = _log_conv(_log_k1, parent.log_eval_log_arg, ln_x, lo, hi, quad)
-        assert val.tobytes() == want[0].tobytes()
-        assert achieved.tobytes() == want[1].tobytes()
-    assert np.all(achieved == np.inf)
-    assert steps.count(rk._COARSE_STEP) >= 4          # grown, both runs
+    val, achieved = _log_conv(_log_k1, parent, ln_x, lo, hi)
+    want = _log_conv(_log_k1, parent.log_eval_log_arg, ln_x, lo, hi)
+    assert val.tobytes() == want[0].tobytes()
+    assert achieved.tobytes() == want[1].tobytes()
+    assert steps.count(rk._COARSE_STEP) >= 2          # grown
     assert min(steps) < rk._TARGET_STEP / 2           # a row at depth >= 1
 
 
@@ -694,7 +724,7 @@ def test_dead_scout_neighbour_leaves_the_verdict_to_the_halvings():
 @pytest.mark.parametrize("m", range(2, 9))
 def test_table_keeps_its_worst_accepted_change(m):
     t = build_table(m)
-    assert 0.0 <= t.worst_change <= rk._TABLE_QUAD.rel_tol
+    assert 0.0 <= t.worst_change <= rk._REL_TOL
     assert 0 <= t.worst_node < len(t.s)
     assert build_table(1).worst_change == 0.0
     assert build_table(1).worst_node is None
@@ -726,11 +756,10 @@ def test_nodes_below_1e16_come_from_the_residue_model(monkeypatch):
 def test_every_node_accepts_on_its_first_halving(monkeypatch):
     # the first trapezoid step, _TARGET_STEP * 2**-k, is already fine enough
     # that one halving confirms it at every node (levels 2-24: 8e-11 at most)
-    quad = QuadConfig(max_refinements=1)
-    monkeypatch.setattr(rk, "_TABLE_QUAD", quad)
+    monkeypatch.setattr(rk, "_MAX_REFINEMENTS", 1)
     monkeypatch.setattr(rk, "_TABLE_CACHE", {})
     for m in range(2, 11):
-        assert build_table(m).worst_change <= quad.rel_tol
+        assert build_table(m).worst_change <= rk._REL_TOL
 
 
 def test_batch_grows_only_the_rows_that_need_it():
@@ -738,7 +767,7 @@ def test_batch_grows_only_the_rows_that_need_it():
     # that row must grow before its integral comes out right
     ln_x = np.array([0.0, 0.5, 1.0])
     lo = ln_x - np.array([10.0, 1.0, 10.0])
-    val, _ = _log_conv(_log_k1, _log_k1, ln_x, lo, 40.0, QuadConfig())
+    val, _ = _log_conv(_log_k1, _log_k1, ln_x, lo, 40.0)
     for i, x in enumerate(ln_x):
         assert val[i] == pytest.approx(bessel_reference_log(math.exp(x)),
                                        abs=1e-11)
