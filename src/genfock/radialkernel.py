@@ -561,6 +561,13 @@ def build_table(m: int) -> KernelTable:
     if m == 1:
         table = KernelTable(m, -np.exp(_S))
     else:
+        # the missing levels below, bottom up, so that each finds its
+        # parent cached and no call stack grows with m
+        low = m - 1
+        while low > 1 and low not in _TABLE_CACHE:
+            low -= 1
+        for k in range(low + 1, m):
+            build_table(k)
         s = _S[_MODEL_NODES:]
         logk, achieved = _log_conv(_log_k1, build_table(m - 1), s,
                                    *_rung_window(s))
@@ -725,16 +732,16 @@ def mellin_step(parent: KernelTable, x: float) -> float:
 def radial_weight_point(m: int, x: float) -> float:
     """One K_m value by the cheapest adequate route.
 
-    m = 1 closed form; m = 2, 3 direct tensor quadrature of the centered
-    representation (1-D / 2-D, no tables involved); m >= 4 through the
-    chained tables, where the tensor route would cost too much, and outside
-    their domain [1e-30, 1e9] by one convolution rung over the level below
+    m = 1 closed form; m >= 2 through the chained tables, and outside their
+    domain [1e-30, 1e9] by one convolution rung over the level below
     (:func:`log_radial_weight_conv`), which raises ValueError past about
     x = 1.6e14.
     """
     _require_level(m)
-    if m <= 3:
-        return math.exp(log_radial_weight_centered(m, x))
+    if x <= 0:
+        raise ValueError("x must be positive")
+    if m == 1:
+        return math.exp(-x)
     if x < _X_MIN or x > _X_MAX:
         return float(np.exp(log_radial_weight_conv(m, x)))
     return float(np.exp(log_radial_weight(m, x)))

@@ -154,8 +154,8 @@ def suite_kernels(cfg: RunConfig) -> list[CheckResult]:
 
     def k1_exact():
         xs = np.geomspace(1e-6, 100.0, 25)
-        worst = max(_rel(radialkernel.radial_weight(1, x), math.exp(-x))
-                    for x in xs)
+        worst = max(_rel(v, math.exp(-x))
+                    for v, x in zip(radialkernel.radial_weight(1, xs), xs))
         return worst, "level 1 against exp(-x) on a log grid"
 
     def bessel_identity():
@@ -178,7 +178,7 @@ def suite_kernels(cfg: RunConfig) -> list[CheckResult]:
         xs = np.linspace(0.01, 50.0, 100)
         bad = 0.0
         for m in range(1, 5):
-            vals = np.array([radialkernel.radial_weight(m, x) for x in xs])
+            vals = radialkernel.radial_weight(m, xs)
             if np.any(vals <= 0):
                 bad = max(bad, 1.0)
             bad = max(bad, float(np.max(np.diff(vals) / vals[:-1], initial=0.0)))

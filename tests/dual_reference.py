@@ -1,5 +1,5 @@
 """The reference float Cauchy product and path integral, shared by the
-tests and ``scripts/bench_dual.py``.
+tests and ``scripts/bench_layers.py``'s ``dual`` layer.
 
 Each diagonal's live products (Python complex multiplication, both factors
 non-zero) are summed with the package's ``_fsum``: ``math.fsum``, with its

@@ -1,5 +1,5 @@
 """Term-by-term references for the series the package sums in blocks,
-shared by the tests and ``scripts/bench_bargmann.py``.
+shared by the tests and ``scripts/bench_layers.py``'s ``bargmann`` layer.
 
 Each is the package code as it was before the block sums, kept literally:
 ``transform_kernel`` adding one term per step over the streamed Hermite

@@ -413,6 +413,15 @@ def test_first_level_that_stalls_exits_three(capsys):
     numerical_error_line(capsys, "QuadratureConvergenceError")
 
 
+@pytest.mark.parametrize("argv", [["kernel-table", "--m", "1100", "--points",
+                                   "3"], ["moments", "--m", "1100"]])
+def test_levels_past_the_recursion_limit_stall_at_38(capsys, argv):
+    # the missing levels are built bottom up, not by one call per level on
+    # the stack, so the build reaches level 38 and stops there
+    assert main(argv) == 3
+    numerical_error_line(capsys, "QuadratureConvergenceError")
+
+
 def test_operator_disagreement_exits_three(capsys, monkeypatch):
     def disagree(word, f, m):
         raise OperatorConsistencyError("routes disagree")

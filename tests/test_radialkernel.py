@@ -8,6 +8,7 @@ chain is built once per session.
 """
 
 import math
+import time
 import warnings
 
 import numpy as np
@@ -460,10 +461,13 @@ def test_pointwise_rung_reproduces_table_nodes(m):
 
 
 def test_radial_weight_point_agrees_with_table():
-    for m, x in [(2, 0.7), (3, 1.3)]:
-        a = radial_weight_point(m, x)
-        b = math.exp(log_radial_weight(m, x))
-        assert a == pytest.approx(b, rel=5e-9)
+    # the tensor quadrature that m = 2, 3 once ran refused x = 3e-26 and
+    # 1e-14, and took about 9 s at 2e-14
+    for m, x in [(2, 0.7), (3, 1.3), (2, 3e-26), (3, 1e-14), (3, 2e-14)]:
+        want = float(np.exp(log_radial_weight(m, x)))
+        start = time.perf_counter()
+        assert radial_weight_point(m, x) == want
+        assert time.perf_counter() - start < 0.1
 
 
 @pytest.mark.parametrize("m", [4, 5, 8])
@@ -796,7 +800,7 @@ def _tensor_logsum_two_pass(exponent_of_block, t, dim):
 
 
 @pytest.mark.parametrize("route,m", [
-    (radial_weight_point, 2), (radial_weight_point, 3),
+    (log_radial_weight_centered, 2),
     (log_radial_weight_centered, 3), (log_radial_weight_product, 3),
     (log_radial_weight_product, 4)])
 def test_tensor_sum_in_one_block_is_the_two_pass_sum_bitwise(
