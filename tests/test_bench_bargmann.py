@@ -1,6 +1,6 @@
-"""``scripts/bench_bargmann.py --quick``: the Hermite-series benchmark runs
-end to end, and every series it times is its term-by-term reference's bit
-for bit."""
+"""``scripts/bench_layers.py --quick bargmann``: the Hermite-series
+benchmark runs end to end, and every series it times is its term-by-term
+reference's bit for bit."""
 
 import importlib.util
 import json
@@ -8,17 +8,17 @@ from pathlib import Path
 
 import genfock
 
-SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_bargmann.py"
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_layers.py"
 
 
 def test_quick_run_writes_bit_identical_rows(tmp_path):
-    spec = importlib.util.spec_from_file_location("bench_bargmann", SCRIPT)
+    spec = importlib.util.spec_from_file_location("bench_layers", SCRIPT)
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
-    out = tmp_path / "bench.json"
-    assert bench.main(["--quick", "--out", str(out)]) == 0
-    result = json.loads(out.read_text())
+    assert bench.main(["--quick", "bargmann", "--out", str(tmp_path)]) == 0
+    result = json.loads((tmp_path / "BENCH_bargmann.json").read_text())
     assert result["bit_identical"] is True
+    assert result["provenance"]["numpy"]
     assert result["provenance"]["genfock"] == genfock.__version__
     rows = {(r["call"], r["args"]): r for r in result["rows"]}
     assert {call for call, _ in rows} == {
@@ -34,3 +34,4 @@ def test_quick_run_writes_bit_identical_rows(tmp_path):
     # the grid rows stream: well under the 9.8 MB of one stacked table
     assert rows["eta_sup_on_grid", "nmax=200, 6001 points on [-30, 30]"][
         "peak_mb"] < 1.0
+    assert result["basis_cache"]["max_sets"] > 0

@@ -1,5 +1,6 @@
-"""``scripts/bench_dual.py --quick``: the dual-algebra layer benchmark runs
-end to end, and every output it times is the reference's repr for repr."""
+"""``scripts/bench_layers.py --quick dual``: the dual-algebra layer
+benchmark runs end to end, and every output it times is the reference's
+repr for repr."""
 
 import importlib.util
 import json
@@ -7,16 +8,15 @@ from pathlib import Path
 
 import genfock
 
-SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_dual.py"
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_layers.py"
 
 
 def test_quick_run_writes_bit_identical_rows(tmp_path):
-    spec = importlib.util.spec_from_file_location("bench_dual", SCRIPT)
+    spec = importlib.util.spec_from_file_location("bench_layers", SCRIPT)
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
-    out = tmp_path / "bench.json"
-    assert bench.main(["--quick", "--out", str(out)]) == 0
-    result = json.loads(out.read_text())
+    assert bench.main(["--quick", "dual", "--out", str(tmp_path)]) == 0
+    result = json.loads((tmp_path / "BENCH_dual.json").read_text())
     assert result["bit_identical"] is True
     assert result["provenance"]["numpy"]
     # run from src, genfock has no installed distribution: its version
@@ -32,4 +32,5 @@ def test_quick_run_writes_bit_identical_rows(tmp_path):
     assert ("cauchy_product", "(100, 100), norm-scaled m=5") in rows
     assert {call for call, _ in rows} == {
         "cauchy_product", "vage_check", "riemann_integral_product"}
+    assert all(r["bit_identical"] for r in rows.values())
     assert all(r["us"] > 0 and r["peak_mb"] > 0 for r in rows.values())

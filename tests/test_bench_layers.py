@@ -1,90 +1,24 @@
-"""``scripts/bench_layers.py --quick``: the layer benchmark runs end to end
-on every layer, every output it times is its reference's bit for bit, and
-under ``--against`` a checkout of the same code agrees with it on every
-row."""
+"""``scripts/bench_layers.py --quick --against``: one call times every
+layer, and a checkout of the same code agrees with this one on every row.
+Each layer's own quick run is tested in ``test_bench_<layer>.py``."""
 
 import importlib.util
 import json
 from pathlib import Path
 
-import pytest
-
-import genfock
-
 ROOT = Path(__file__).resolve().parents[1]
 LAYERS = ("dual", "radial", "bargmann")
 
 
-@pytest.fixture(scope="module")
-def bench():
-    # loaded once, so that the other checkout's package is imported once
+def test_against_the_same_checkout_agrees_on_every_row(tmp_path):
     spec = importlib.util.spec_from_file_location(
         "bench_layers", ROOT / "scripts" / "bench_layers.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def _quick(bench, out: Path, *flags) -> dict:
-    out.mkdir()
-    assert bench.main(["--quick", *LAYERS, "--out", str(out), *flags]) == 0
-    return {layer: json.loads((out / f"BENCH_{layer}.json").read_text())
-            for layer in LAYERS}
-
-
-def test_quick_run_writes_bit_identical_rows(bench, tmp_path):
-    results = _quick(bench, tmp_path / "quick")
-    for result in results.values():
-        assert result["bit_identical"] is True
-        assert result["provenance"]["numpy"]
-        # run from src, genfock has no installed distribution: its version
-        # comes from the package itself
-        assert result["provenance"]["genfock"] == genfock.__version__
-        assert all(r["us"] > 0 and r["peak_mb"] > 0 for r in result["rows"])
-    assert bench._version("no_such_distribution") is None
-
-    rows = {(r["call"], r["args"]): r for r in results["dual"]["rows"]}
-    assert ("cauchy_product", "(200, 200)") in rows
-    assert ("cauchy_product", "(1000, 1000)") not in rows
-    # the capped vage_check and one product of norm-scaled factors, whose
-    # zero tails are trimmed
-    assert rows[("vage_check", "n=200, p=2, q=3")]["bit_identical"]
-    assert ("cauchy_product", "(100, 100), norm-scaled m=5") in rows
-    assert {call for call, _ in rows} == {
-        "cauchy_product", "vage_check", "riemann_integral_product"}
-    assert all(r["bit_identical"] for r in rows.values())
-
-    rows = {(r["call"], r["m"]): r for r in results["radial"]["rows"]}
-    assert set(rows) == (
-        {("log_radial_weight_conv", m) for m in (2, 3, 4, 5)}
-        | {("build_table", 2), ("build_table", 3)})
-    assert all(r["bit_identical"] is None for r in rows.values())
-    assert rows["log_radial_weight_conv", 2]["max_rel_err_bessel"] < 1e-14
-    # the quick points run at depth 0 and accept on their first halving, so
-    # every parent point of a query comes from the stored values
-    for m in (2, 3, 4, 5):
-        row = rows["log_radial_weight_conv", m]
-        assert row["parent_points"] == 0 and row["stored_points"] > 0
-    assert rows["build_table", 3]["stored_points"] > 0
-
-    rows = {(r["call"], r["args"]): r for r in results["bargmann"]["rows"]}
-    assert {call for call, _ in rows} == {
-        "transform_kernel", "transform_via_quadrature", "kernel_section",
-        "unitarity_gap", "eta_sup_on_grid", "hermite_eta"}
-    kernel = [args for call, args in rows if call == "transform_kernel"]
-    assert [a.rsplit(", ", 1)[1] for a in kernel] == ["cold basis",
-                                                      "warm basis"]
-    for (call, _), row in rows.items():
-        assert row["bit_identical"] is (None if call == "unitarity_gap"
-                                        else True)
-    # the grid rows stream: well under the 9.8 MB of one stacked table
-    assert rows["eta_sup_on_grid", "nmax=200, 6001 points on [-30, 30]"][
-        "peak_mb"] < 1.0
-    assert results["bargmann"]["basis_cache"]["max_sets"] > 0
-
-
-def test_against_the_same_checkout_agrees_on_every_row(bench, tmp_path):
-    results = _quick(bench, tmp_path / "against", "--against", str(ROOT))
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    assert bench.main(["--quick", *LAYERS, "--out", str(tmp_path),
+                       "--against", str(ROOT)]) == 0
+    results = {layer: json.loads((tmp_path / f"BENCH_{layer}.json")
+                                 .read_text()) for layer in LAYERS}
     for result in results.values():
         assert result["against_identical"] is True
         assert result["provenance"]["against"]["source_sha256"] == (
