@@ -24,6 +24,16 @@ Layers, on fixed seeded inputs (seed 0):
     the levels built, counted by ``kernel_profiles.engine_counts``; the
     m = 2 conv row holds the worst relative error against
     ``bessel_reference_log``.  These rows have no bit reference.
+``operators``
+    the exact requests of the ``algebra`` workload at its sizes, on ints
+    in [-9, 9] drawn as it draws them: ``commutator_apply`` at m = 1..6 on
+    21 ints, ``number_power_normal_ordered`` at k = 1..8 on 13 ints,
+    ``verify_normal_ordering`` at k = 4, 8, ``adjoint_word_check`` at
+    m = 2, 4, 6 and ``reordering_identity_check`` at n = 1, 4, 8, each at
+    degree 12, and ``cauchy_product`` at (40, 40) and (25, 40).  The
+    references are the closed forms the workload checks,
+    ((n+1)^m - n^m) c_n and n^k c_n, True for the checks, and the double
+    loop of ``tests/dual_reference.py`` for the products.
 ``bargmann``
     ``transform_kernel`` at m = 1, 2, 3 on the 96 Gauss-Hermite nodes, with
     a cold basis (the node set's cached rows dropped before every call) and
@@ -42,7 +52,7 @@ without a reference).  Provenance reads package versions through
 ``importlib.metadata``, and genfock's from ``genfock.__version__`` where
 it is not installed.
 
-    python3 scripts/bench_layers.py dual radial bargmann   # writes all three
+    python3 scripts/bench_layers.py dual radial operators bargmann  # all four
     python3 scripts/bench_layers.py radial --against ../base
     python3 scripts/bench_layers.py dual --quick           # a smoke run
 
@@ -55,8 +65,10 @@ the rounds' best times.  A checkout without a Hermite basis cache runs its
 cold rows as its warm ones.  ``--quick`` drops the (1000, 1000) and
 129-node dual rows and keeps one norm-scaled product at (100, 100) and
 m = 5, takes 3 points per conv row and the m = 2 and 3 builds, keeps the
-m = 1 kernel rows, one quadrature row and degrees 30 and 1000, and times
-one batch per row; it prints the results unless ``--out`` is given.
+m = 1 kernel rows, one quadrature row and degrees 30 and 1000, keeps
+m = 1, 6 and k = 1, 8, every other check and the (40, 40) product of the
+operator rows, and times one batch per row; it prints the results unless
+``--out`` is given.
 ``--out DIR`` writes the files into DIR instead of the repository root.
 The exit code is 1 when any output differs from its reference or from the
 other checkout's.  The package is imported from the ``src`` directory next to
@@ -84,7 +96,8 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "scripts")]
 
 import genfock  # noqa: E402
-from dual_reference import reference_product, reference_riemann  # noqa: E402
+from dual_reference import (reference_exact_product,  # noqa: E402
+                            reference_product, reference_riemann)
 from genfock import bargmann, dualalgebra, radialkernel  # noqa: E402
 from kernel_profiles import engine_counts  # noqa: E402
 from series_reference import (kernel_section_by_loop,  # noqa: E402
@@ -104,7 +117,8 @@ def _load(checkout: Path):
     package = importlib.util.module_from_spec(spec)
     sys.modules[name] = package
     spec.loader.exec_module(package)
-    for module in ("bargmann", "coeffspace", "dualalgebra", "radialkernel"):
+    for module in ("bargmann", "coeffspace", "dualalgebra", "operators",
+                   "radialkernel", "stirling"):
         importlib.import_module(f"{name}.{module}")
     return package
 
@@ -155,19 +169,26 @@ def _line(ends, t):
     return [x + t * y for x, y in zip(*ends)]
 
 
-def _paths_once(f_ends, g_ends, steps):
-    """The two sampled paths for a package, built on its first call and
-    kept, so that a timed call runs the integral alone."""
+def _once(build):
+    """build(package), made on the package's first call and kept, so that
+    a timed call runs the call alone."""
     built = {}
 
-    def paths(pkg):
+    def get(pkg):
         if pkg not in built:
-            da = pkg.dualalgebra
-            built[pkg] = [da.sample_path(
-                lambda t, ends=ends: da.DualSequence(_line(ends, t), 2),
-                steps=steps) for ends in (f_ends, g_ends)]
+            built[pkg] = build(pkg)
         return built[pkg]
-    return paths
+    return get
+
+
+def _paths_once(f_ends, g_ends, steps):
+    """The two sampled paths for a package, built once."""
+    def paths(pkg):
+        da = pkg.dualalgebra
+        return [da.sample_path(
+            lambda t, ends=ends: da.DualSequence(_line(ends, t), 2),
+            steps=steps) for ends in (f_ends, g_ends)]
+    return _once(paths)
 
 
 def dual(rng, quick: bool) -> list:
@@ -207,6 +228,56 @@ def dual(rng, quick: bool) -> list:
         rows.append(product(_scaled(rng, n, m), _scaled(rng, n, m),
                             f"({n}, {n}), norm-scaled m={m}",
                             "complex normal coefficients times (n!)^(-m/2)"))
+    return rows
+
+
+def _ints(rng, n: int) -> list:
+    """n random ints in [-9, 9], as the ``algebra`` workload draws them."""
+    return [int(v) for v in rng.integers(-9, 10, n)]
+
+
+def operators(rng, quick: bool) -> list:
+    def coeffs(f):
+        return _once(lambda pkg: pkg.coeffspace.TaylorCoeffs(f))
+
+    rows = []
+    for m in (1, 6) if quick else range(1, 7):
+        f = _ints(rng, 21)
+        rows.append(_row(
+            "commutator_apply", f"m={m}",
+            lambda pkg, f=coeffs(f), m=m: pkg.operators.commutator_apply(
+                f(pkg), m).coeffs,
+            lambda f=f, m=m: tuple(((n + 1) ** m - n ** m) * c
+                                   for n, c in enumerate(f)),
+            input="21 random ints in [-9, 9]"))
+    for k in (1, 8) if quick else range(1, 9):
+        f = _ints(rng, 13)
+        rows.append(_row(
+            "number_power_normal_ordered", f"k={k}",
+            lambda pkg, f=coeffs(f), k=k:
+                pkg.operators.number_power_normal_ordered(k, f(pkg)).coeffs,
+            lambda f=f, k=k: tuple(n ** k * c for n, c in enumerate(f)),
+            input="13 random ints in [-9, 9]"))
+    checks = [("stirling", "verify_normal_ordering", "k", (4, 8)),
+              ("operators", "adjoint_word_check", "m", (2, 4, 6)),
+              ("operators", "reordering_identity_check", "n", (1, 4, 8))]
+    for module, call, name, values in checks:
+        for v in values[::2] if quick else values:
+            rows.append(_row(
+                call, f"{name}={v}, degree=12",
+                lambda pkg, module=module, call=call, v=v: getattr(
+                    getattr(pkg, module), call)(v, 12),
+                lambda: True))
+    for la, lb in ((40, 40),) if quick else ((40, 40), (25, 40)):
+        a, b = _ints(rng, la), _ints(rng, lb)
+        pair = _once(lambda pkg, a=a, b=b: (pkg.dualalgebra.DualSequence(a),
+                                            pkg.dualalgebra.DualSequence(b)))
+        rows.append(_row(
+            "cauchy_product", f"({la}, {lb})",
+            lambda pkg, pair=pair: pkg.dualalgebra.cauchy_product(
+                *pair(pkg)).coeffs,
+            lambda a=a, b=b: tuple(reference_exact_product(a, b)),
+            input="random ints in [-9, 9]"))
     return rows
 
 
@@ -315,6 +386,10 @@ LAYERS = {
     "radial": (radial, "single-point convolution queries and level builds "
                "of the radial tables, with the parent points the engine "
                "read", (3, 7)),
+    "operators": (operators, "the exact requests of the algebra "
+                  "workload at its sizes, next to the closed forms it checks "
+                  "them by, True for the checks and a double loop for the "
+                  "products", (3, 15)),
     "bargmann": (hermite, "the Hermite kernel, the quadrature cross-check, "
                  "the kernel section and the streamed Hermite rows, each "
                  "next to a term-by-term or stacked-table reference",

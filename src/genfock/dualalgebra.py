@@ -391,9 +391,13 @@ def _float_convolution(pairs, level=None) -> list:
 
 
 def _exact_convolution(ca: tuple, cb: tuple):
-    """The exact product of non-empty all-int/Fraction factors, else None."""
+    """The exact product of non-empty all-int/Fraction factors, else None;
+    in int64 when all are ints and max|a| max|b| min(len a, len b) < 2**62."""
     if not (all(map(_is_exact, ca)) and all(map(_is_exact, cb))):
         return None
+    if {*map(type, ca), *map(type, cb)} == {int} and 0 < min(len(ca), len(
+            cb)) * max(1, *map(abs, ca)) * max(1, *map(abs, cb)) < 1 << 62:
+        return np.convolve(*(np.array(c, np.int64) for c in (ca, cb))).tolist()
     out = [0] * (len(ca) + len(cb) - 1)
     for i, x in enumerate(ca):
         if x == 0:

@@ -499,8 +499,8 @@ def suite_dual(cfg: RunConfig) -> list[CheckResult]:
         rng = _rng(cfg, 602)
         bad = 0
         for _ in range(30):
-            a, b, c = (DualSequence(rng.integers(-5, 6, int(rng.integers(1, 8))))
-                       for _ in range(3))
+            a, b, c = (DualSequence(rng.integers(-5, 6, rng.integers(1, 8))
+                                    .tolist()) for _ in range(3))
             ab = dualalgebra.cauchy_product(a, b)
             bad += dualalgebra.cauchy_product(ab, c) != dualalgebra.cauchy_product(
                 a, dualalgebra.cauchy_product(b, c))

@@ -1,12 +1,13 @@
-"""The reference float Cauchy product and path integral, shared by the
-tests and ``scripts/bench_layers.py``'s ``dual`` layer.
+"""The reference Cauchy products and path integral, shared by the tests
+and ``scripts/bench_layers.py``'s ``dual`` and ``operators`` layers.
 
 Each diagonal's live products (Python complex multiplication, both factors
 non-zero) are summed with the package's ``_fsum``: ``math.fsum``, with its
 intermediate-overflow fallback, the exact rational sum rounded once.  A
 diagonal without a live product is the exact 0.  So each diagonal is its
 correctly rounded sum, or the infinity or NaN of float arithmetic, which
-is what the certified rounding must reproduce repr for repr.
+is what the certified rounding must reproduce repr for repr.  The exact
+product is the plain double loop that the int64 route must reproduce.
 """
 
 from fractions import Fraction
@@ -30,6 +31,18 @@ def _exact(c) -> bool:
     return isinstance(c, (int, Fraction))
 
 
+def reference_exact_product(ca, cb) -> list:
+    """The exact product by a plain double loop in Python arithmetic.  A 0
+    factor adds nothing, so a diagonal without a live product is the int
+    0 whatever the factors' types."""
+    out = [0] * (len(ca) + len(cb) - 1)
+    for i, x in enumerate(ca):
+        for j, y in enumerate(cb):
+            if x != 0 and y != 0:
+                out[i + j] += x * y
+    return out
+
+
 def reference_riemann(f_rows, g_rows, ts) -> list:
     """The trapezoidal integral of the node products of two coefficient
     paths on the grid ``ts``, in Python complex arithmetic, one
@@ -41,11 +54,7 @@ def reference_riemann(f_rows, g_rows, ts) -> list:
         if not (f and g):
             prods.append([])
         elif all(map(_exact, f)) and all(map(_exact, g)):
-            exact = [0] * (len(f) + len(g) - 1)
-            for i, x in enumerate(f):
-                for j, y in enumerate(g):
-                    exact[i + j] += x * y
-            prods.append(exact)
+            prods.append(reference_exact_product(f, g))
         else:
             prods.append(reference_product(f, g))
     width = max(map(len, prods))

@@ -21,7 +21,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from dual_reference import reference_product, reference_riemann
+from dual_reference import (reference_exact_product, reference_product,
+                            reference_riemann)
 from genfock import dualalgebra
 from genfock.coeffspace import TaylorCoeffs
 from genfock.dualalgebra import (
@@ -237,6 +238,7 @@ def test_product_takes_both_routes(monkeypatch):
 
     fsum_rows = dualalgebra._fsum_rows
     monkeypatch.setattr(dualalgebra, "_fsum_rows", spy)
+    int64 = _spy_int64(monkeypatch)
     rng = np.random.default_rng(11)
     ca = [1.0, 1.0] + rng.standard_normal(38).tolist()
     cb = [1.0, -1.0] + rng.standard_normal(38).tolist()
@@ -245,6 +247,78 @@ def test_product_takes_both_routes(monkeypatch):
     assert got[1] == 0j
     assert [(type(x), repr(x)) for x in got] == [
         (type(x), repr(x)) for x in reference_product(ca, cb)]
+    # an int (40, 40) product takes int64, one past the bound the loop
+    assert not int64
+    a = [int(v) for v in rng.integers(-5, 6, 40)]
+    assert _package_product(a, a[::-1]) == tuple(
+        reference_exact_product(a, a[::-1]))
+    assert int64 == [(40, 40)]
+    _package_product([2 ** 31] * 40, [2 ** 31] * 40)
+    assert int64 == [(40, 40)]
+
+
+def _spy_int64(monkeypatch) -> list:
+    """The factor lengths of every product that takes the int64 route."""
+    calls = []
+
+    def spy(a, b):
+        calls.append((len(a), len(b)))
+        return convolve(a, b)
+
+    convolve = np.convolve
+    monkeypatch.setattr(np, "convolve", spy)
+    return calls
+
+
+_B = 2 ** 31 - 1  # 2**30 * _B * 2 is 2**62 - 2**31: just under the bound
+
+
+@pytest.mark.parametrize("ca,cb,int64", [
+    ([2 ** 30, -2 ** 30], [_B, _B, -_B], True),
+    ([2 ** 30, 2 ** 30], [_B + 1, _B + 1, _B + 1], False),  # 2**62 exactly
+    ([2 ** 31, 2 ** 31], [2 ** 31] * 3, False),  # int64 would wrap at 2**63
+    ([2 ** 70, -3, 1], [3, 2 ** 64 + 1], False),  # past int64
+    ([10 ** 30, 5], [0, 0, 0], False),  # a 0 factor is no licence
+    ([True, False, True], [1, -2], False),
+    ([True, 3], [True, True], False),
+    ([Fraction(1, 3), Fraction(0), 2], [Fraction(3, 2), 4], False),
+    ([1, Fraction(1, 2)], [2, 3, -1], False),
+    ([Fraction(4, 2), 1], [5, 6], False),  # Fraction(2), still a Fraction
+    ([0, 0, 0], [1, 2], True),
+    ([0], [0, 0], True),
+    ([7], [3, -4], True),
+    ([-9], [5], True),
+])
+def test_int_product_takes_int64_only_under_the_bound(monkeypatch, ca, cb,
+                                                     int64):
+    calls = _spy_int64(monkeypatch)
+    want = _outcome(reference_exact_product, ca, cb)
+    assert _outcome(_package_product, ca, cb) == want
+    assert _outcome(_package_product, cb, ca) == _outcome(
+        reference_exact_product, cb, ca)
+    assert bool(calls) is int64
+
+
+def test_exact_products_are_the_loop_on_seeded_draws(monkeypatch):
+    # ints of 2 to 80 bits, Fractions and mixed factors, lengths 1 to 40:
+    # every output is the double loop's, value, type and repr
+    calls, under = _spy_int64(monkeypatch), []
+    rng = np.random.default_rng(12)
+    for bits in (2, 20, 31, 40, 62, 64, 80):
+        for kind in ("int", "fraction", "mixed"):
+            la, lb = (int(n) for n in rng.integers(1, 41, 2))
+            a, b = ([int(rng.integers(-2 ** 20, 2 ** 20)) << max(0, bits - 21)
+                     for _ in range(n)] for n in (la, lb))
+            if kind != "int":
+                a = [Fraction(x, int(rng.integers(1, 9))) for x in a]
+            if kind == "mixed":
+                a[::2] = [int(x) for x in a[::2]]
+            assert _outcome(_package_product, a, b) == _outcome(
+                reference_exact_product, a, b)
+            if kind == "int" and max(map(abs, a)) * max(map(abs, b)) * min(
+                    la, lb) < 2 ** 62:
+                under.append((la, lb))
+    assert calls == under and len(under) == 2  # the 2- and 20-bit ints
 
 
 def test_float_product_memory_is_bounded_per_block():
@@ -670,6 +744,17 @@ def test_path_integral_is_the_reference(kind):
         # the same node in floats rounds its factors first and differs
         floats = [[complex(c) for c in f] for f in f_rows]
         assert _path_outcome(reference_riemann, floats, g_rows, ts) != want
+
+
+def test_all_int_path_takes_int64_at_every_node(monkeypatch):
+    calls = _spy_int64(monkeypatch)
+    rng = np.random.default_rng(24)
+    ts = np.cumsum(rng.uniform(0.05, 0.3, 9)).tolist()
+    f_rows = [[int(v) for v in rng.integers(-9, 10, 6)] for _ in ts]
+    g_rows = [[int(v) for v in rng.integers(-9, 10, 4)] for _ in ts]
+    want = _path_outcome(reference_riemann, f_rows, g_rows, ts)
+    assert _path_outcome(_package_riemann, f_rows, g_rows, ts) == want
+    assert calls == [(6, 4)] * len(ts)
 
 
 def test_float_path_takes_one_kernel_call(monkeypatch):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from genfock import operators
 from genfock.coeffspace import (
     TaylorCoeffs,
     _weighted_sq_terms,
@@ -119,6 +120,75 @@ def test_adjointness_exact_on_integers(fs, gs, m):
 def test_adjoint_word_equals_operator():
     for m in (1, 2, 3, 4):
         assert adjoint_word_check(m, 12)
+
+
+@pytest.mark.parametrize("letter", ["A", "B", "S"])
+def test_monomial_letters_are_apply_word(letter):
+    # the checks carry each monomial as one (multiple, degree) pair; each
+    # letter's action on it is apply_word's on the monomial
+    for m in range(1, 7):
+        for j in range(26):
+            (c,), (d,) = operators._mono_word(letter, ([1], [j]), m)
+            got = apply_word(letter, TaylorCoeffs.monomial(j), m)
+            assert type(c) is int
+            if c == 0:
+                assert d == -1 and got == TaylorCoeffs.zero()
+            else:
+                assert got.coeffs == TaylorCoeffs.monomial(d, c).coeffs
+
+
+def test_adjoint_check_catches_a_wrong_stirling_weight(monkeypatch):
+    def off_by_one(k):
+        return [(n, w + (n == k)) for n, w in weights(k)]
+
+    weights = operators.normal_order_coeffs
+    monkeypatch.setattr(operators, "normal_order_coeffs", off_by_one)
+    for m in range(2, 7):
+        assert adjoint_word_check(m, 12) is False
+    assert adjoint_word_check(1, 12) is True  # m = 1 takes no weight
+    # the word route still agrees with the adjoint: the Stirling route fails
+    mono = [1] * 13, list(range(13))
+    assert operators._mono_word("BA" * 3 + "B", mono, 4) == (
+        operators._mono_word("S", mono, 4))
+
+
+_FAULTS = {  # one letter's action, perturbed
+    "B times 2d": ("B", (lambda cs, ds, m: [2 * c * d
+                                            for c, d in zip(cs, ds)], -1)),
+    "B steps by -2": ("B", (lambda cs, ds, m: [c * d
+                                               for c, d in zip(cs, ds)], -2)),
+    "A steps by 0": ("A", (lambda cs, ds, m: cs, 0)),
+    "A times 2": ("A", (lambda cs, ds, m: [2 * c for c in cs], 1)),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(_FAULTS))
+def test_monomial_checks_catch_a_wrong_letter(monkeypatch, fault):
+    letter, action = _FAULTS[fault]
+    monkeypatch.setitem(operators._MONO, letter, action)
+    for m in range(2, 7):
+        assert adjoint_word_check(m, 12) is False
+    for n in range(1, 6):
+        assert reordering_identity_check(n, 12) is False
+
+
+def test_adjoint_check_catches_a_lowering_that_keeps_the_commutator(
+        monkeypatch):
+    # z^j -> (j + 1) z^(j-1) adds the plain down-shift, which commutes
+    # with raising: [lowering, raising] = 1 still holds, and so do the
+    # reordering identities that follow from it, but the adjoint fails
+    monkeypatch.setitem(operators._MONO, "B", (
+        lambda cs, ds, m: [c * (d + 1) for c, d in zip(cs, ds)], -1))
+    assert all(adjoint_word_check(m, 12) is False for m in range(1, 7))
+    assert all(reordering_identity_check(n, 12) for n in range(1, 6))
+
+
+def test_adjoint_check_catches_a_wrong_adjoint(monkeypatch):
+    monkeypatch.setitem(operators._MONO, "S", (
+        lambda cs, ds, m: [c * d ** m + (d == 7) for c, d in zip(cs, ds)],
+        -1))
+    assert all(adjoint_word_check(m, 12) is False for m in range(1, 7))
+    assert adjoint_word_check(3, 6) is True  # degree 7 is never reached
 
 
 def test_stirling_route_equals_direct_adjoint():
@@ -344,7 +414,8 @@ def test_domain_functional_overflow_raises_nothing(monkeypatch):
 
 def test_reordering_identities():
     for n in (1, 2, 3, 5):
-        assert reordering_identity_check(n, 12)
+        assert reordering_identity_check(n, 12) is True
+    assert all(reordering_identity_check(n, 0) is True for n in range(1, 9))
 
 
 def test_lowering_adjoint_inverts_grading():
