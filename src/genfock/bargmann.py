@@ -55,23 +55,19 @@ _TINY = 1e-300
 HERMITE_SUP_BOUND = 0.9
 
 
-def _eta_rows(t, nmax: int | None = None, k: int = 0, prev=0.0, eta=None):
-    """Yield eta_k(t), eta_{k+1}(t), ... through eta_nmax (no end if None).
+def _eta_rows(t, nmax: int | None = None):
+    """Yield eta_0(t), eta_1(t), ... through eta_nmax (no end if None).
 
     Holds only the last two rows.  Stable in the orthonormal scaling, every
     value O(1); with eta_{-1} = 0, row 1 subtracts an exact 0.0:
 
         eta_{k+1} = -sqrt(2/(k+1)) * t * eta_k - sqrt(k/(k+1)) * eta_{k-1}
-
-    By default the run starts at eta_0; a run resumed from k >= 1 takes
-    eta_{k-1} and eta_k as ``prev`` and ``eta`` and continues bit for bit.
     """
     if nmax is not None and nmax < 0:
         raise ValueError("nmax must be >= 0")
     t = np.asarray(t, float)
-    if eta is None:
-        eta = _PI_QUARTER * np.exp(-0.5 * t * t)
-    for k in itertools.count(k) if nmax is None else range(k, nmax):
+    prev, eta = 0.0, _PI_QUARTER * np.exp(-0.5 * t * t)
+    for k in itertools.count() if nmax is None else range(nmax):
         yield eta
         prev, eta = eta, (-math.sqrt(2.0 / (k + 1)) * t * eta
                           - math.sqrt(k / (k + 1.0)) * prev)
@@ -95,8 +91,9 @@ _bases_lock = threading.Lock()
 def _basis(key, t: np.ndarray, rows: int) -> np.ndarray | None:
     """The cached table of node set t with at least ``rows`` rows; None
     where that many rows pass the row cap or the byte budget.  A table too
-    short is grown, to twice its rows where the caps allow, by resuming the
-    recurrence from its last two rows."""
+    short is replaced by one of twice its rows where the caps allow, filled
+    afresh from eta_0: the same recurrence, so the rows it held come out
+    the same bit for bit."""
     with _bases_lock:
         table = _bases.get(key)
         if table is not None:
@@ -109,14 +106,7 @@ def _basis(key, t: np.ndarray, rows: int) -> np.ndarray | None:
     size = min(_BASIS_ROWS, _BASIS_BUDGET // max(t.nbytes, 1) - 1,
                max(rows, 2 * have, 1))
     grown = np.empty((size,) + t.shape)
-    if have:
-        grown[:have] = table
-        run = _eta_rows(t, size - 1, have - 1,
-                        table[have - 2] if have > 1 else 0.0, table[-1])
-        next(run)  # eta_(have-1), already stored
-    else:
-        run = _eta_rows(t, size - 1)
-    for i, row in enumerate(run, have):
+    for i, row in enumerate(_eta_rows(t, size - 1)):
         grown[i] = row
     grown.flags.writeable = False
     with _bases_lock:
@@ -207,13 +197,15 @@ def eta_sup_on_grid(nmax: int, t_max: float = 30.0, pts: int = 6001
 
 @dataclass(frozen=True, eq=False)
 class HermiteEvaluation:
-    """The eta basis tabulated on a Gauss-Hermite rule.
+    """The eta basis tabulated on the Gauss-Hermite rule of order
+    max_index + 1.
 
     values[n, j] = eta_n(nodes[j]) for n <= max_index.  Since each eta_n is
     exp(-t*t/2) times a degree-n polynomial, sums of products of two rows
     against weights * exp(nodes**2) integrate exactly whenever the combined
     degree stays under twice the rule order, which is what makes the
-    discrete orthonormality check meaningful.
+    discrete orthonormality check meaningful.  Order max_index + 1 is the
+    least rule for which that holds; a larger one adds no accuracy.
     """
 
     max_index: int
@@ -222,16 +214,10 @@ class HermiteEvaluation:
     values: np.ndarray
 
     @classmethod
-    def build(cls, max_index: int, order: int | None = None
-              ) -> "HermiteEvaluation":
+    def build(cls, max_index: int) -> "HermiteEvaluation":
         if max_index < 0:
             raise ValueError("max_index must be >= 0")
-        if order is None:
-            order = max_index + 1
-        if order < max_index + 1:
-            raise ValueError("rule order must exceed max_index for the "
-                             "discrete pairing to be exact")
-        nodes, weights = _gauss_hermite(order)
+        nodes, weights = _gauss_hermite(max_index + 1)
         return cls(max_index, nodes, weights,
                    hermite_eta_all(max_index, nodes))
 

@@ -159,10 +159,12 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("stirling", help="partition-count triangle")
+    p.set_defaults(handler=_cmd_stirling)
     p.add_argument("--max-k", type=int, default=10)
     _shared_flags(p, fmt="csv")
 
     p = subs.add_parser("kernel-table", help="radial weight table")
+    p.set_defaults(handler=_cmd_kernel_table)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--xmin", type=float, default=1e-3)
     p.add_argument("--xmax", type=float, default=10.0)
@@ -170,11 +172,13 @@ def build_parser() -> argparse.ArgumentParser:
     _shared_flags(p, fmt="csv")
 
     p = subs.add_parser("moments", help="radial moments vs factorial powers")
+    p.set_defaults(handler=_cmd_moments)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--nmax", type=int, default=8)
     _shared_flags(p, fmt="csv")
 
     p = subs.add_parser("kernel-eval", help="two-point kernel value")
+    p.set_defaults(handler=_cmd_kernel_eval)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--z", type=_complex_arg, required=True)
     p.add_argument("--w", type=_complex_arg, required=True)
@@ -186,6 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     _shared_flags(p)
 
     p = subs.add_parser("inner-product", help="weighted coefficient pairing")
+    p.set_defaults(handler=_cmd_inner_product)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--f", required=True, help="element JSON ('-' for stdin)")
     p.add_argument("--g", required=True, help="element JSON ('-' for stdin)")
@@ -193,6 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("reproduce-check",
                         help="evaluation against a kernel section")
+    p.set_defaults(handler=_cmd_reproduce_check)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--w", type=_complex_arg, required=True)
     p.add_argument("--in", dest="infile", default=None,
@@ -202,6 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     _shared_flags(p, seed=True, tol=1e-12)
 
     p = subs.add_parser("op-apply", help="apply an operator word")
+    p.set_defaults(handler=_cmd_op_apply)
     p.add_argument("--word", required=True,
                    help="letters A (raise), B (lower), S/T (their adjoints); "
                         "rightmost acts first")
@@ -212,34 +219,40 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("verify-operators",
                         help="operator identity report at one level")
+    p.set_defaults(handler=_cmd_verify_operators)
     p.add_argument("--m", type=int, default=2)
     p.add_argument("--deg", type=int, default=20)
     _shared_flags(p, seed=True, tol=1e-12)
 
     p = subs.add_parser("bargmann", help="Hermite-side transform")
+    p.set_defaults(handler=_cmd_bargmann)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--direction", choices=("fwd", "inv"), required=True)
     p.add_argument("--in", dest="infile", required=True)
     _shared_flags(p)
 
     p = subs.add_parser("dual-norm", help="dual-scale norm of a sequence")
+    p.set_defaults(handler=_cmd_dual_norm)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--in", dest="infile", required=True)
     _shared_flags(p)
 
     p = subs.add_parser("vage-check",
                         help="randomized product-inequality report")
+    p.set_defaults(handler=_cmd_vage_check)
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--trials", type=int, default=1000)
     _shared_flags(p, seed=True)
 
     p = subs.add_parser("integrate", help="trapezoidal path integral")
+    p.set_defaults(handler=_cmd_integrate)
     p.add_argument("--f", required=True, help="path JSON ('-' for stdin)")
     p.add_argument("--g", required=True, help="path JSON")
     _shared_flags(p)
 
     p = subs.add_parser("verify", help="named invariant suites")
+    p.set_defaults(handler=_cmd_verify)
     p.add_argument("suite", nargs="?", default="all",
                    choices=SUITE_NAMES + ("all",))
     p.add_argument("--m", type=int, default=4,
@@ -407,23 +420,6 @@ def _cmd_verify(args) -> int:
     return 0 if report["passed"] else 1
 
 
-_HANDLERS = {
-    "stirling": _cmd_stirling,
-    "kernel-table": _cmd_kernel_table,
-    "moments": _cmd_moments,
-    "kernel-eval": _cmd_kernel_eval,
-    "inner-product": _cmd_inner_product,
-    "reproduce-check": _cmd_reproduce_check,
-    "op-apply": _cmd_op_apply,
-    "verify-operators": _cmd_verify_operators,
-    "bargmann": _cmd_bargmann,
-    "dual-norm": _cmd_dual_norm,
-    "vage-check": _cmd_vage_check,
-    "integrate": _cmd_integrate,
-    "verify": _cmd_verify,
-}
-
-
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """:func:`build_parser`, called once: building the thirteen subparsers
@@ -434,7 +430,7 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        return args.handler(args)
     except (WeightOverflowError, QuadratureConvergenceError,
             OperatorConsistencyError) as exc:
         print(f"genfock: numerical error: {type(exc).__name__}: {exc}",

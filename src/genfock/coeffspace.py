@@ -433,23 +433,26 @@ def kernel_section(m: int, w: complex, degree: int) -> TaylorCoeffs:
     return TaylorCoeffs(out.tolist())
 
 
-def _aggregate(level_coeffs: list, z: complex, w: complex, degree: int,
+# Both kernel aggregations truncate every kernel after the term u**48.
+_AGGREGATE_DEGREE = 48
+
+
+def _aggregate(level_coeffs: list, z: complex, w: complex,
                resum) -> tuple[complex, complex]:
     """(lhs, rhs) of a kernel aggregation identity at u = z * conj(w).
 
-    lhs sums ``level_coeffs[lv - 1]`` times the degree-truncated level-lv
-    kernel, each kernel summed correctly rounded; its weights are the level
-    -1 row 1/n! raised to the power lv, so no level builds a table of its
-    own.  rhs is ``resum(upow, fact)``, the coefficientwise resummation over
-    the lists of u**n and of n! (level 1; inf past double range).
+    lhs sums ``level_coeffs[lv - 1]`` times the level-lv kernel truncated
+    at degree ``_AGGREGATE_DEGREE``, each kernel summed correctly rounded;
+    its weights are the level -1 row 1/n! raised to the power lv, so no
+    level builds a table of its own.  rhs is ``resum(upow, fact)``, the
+    coefficientwise resummation over the lists of u**n and of n! (level 1;
+    inf past double range).
     """
-    if not isinstance(degree, int) or degree < 0:
-        raise ValueError(f"degree must be an integer >= 0, got {degree!r}")
     u = complex(z) * complex(w).conjugate()
     upow = [1.0 + 0.0j]
-    for _ in range(degree):
+    for _ in range(_AGGREGATE_DEGREE):
         upow.append(upow[-1] * u)
-    size = degree + 1
+    size = _AGGREGATE_DEGREE + 1
     mant, exp = _weight_table(-1, size)
     inv = np.ldexp(mant[:size], exp[:size])
     lv = np.arange(1, len(level_coeffs) + 1)[:, None]
@@ -461,28 +464,28 @@ def _aggregate(level_coeffs: list, z: complex, w: complex, degree: int,
     return lhs, resum(upow, fact)
 
 
-def aggregate_kernels_geometric(eps: float, z: complex, w: complex,
-                                degree: int = 48) -> tuple[complex, complex]:
+def aggregate_kernels_geometric(eps: float, z: complex, w: complex
+                                ) -> tuple[complex, complex]:
     """Geometric aggregation of the kernel family across levels.
 
-    lhs sums eps^m times the degree-truncated level-m kernel until the level
-    weight is below machine tolerance; rhs is the closed coefficientwise
-    resummation eps * sum of u^n / (n! - eps).  The two must agree to ~1e-10
-    relative on sane inputs.
+    lhs sums eps^m times the level-m kernel, truncated at degree 48, until
+    the level weight is below machine tolerance; rhs is the closed
+    coefficientwise resummation eps * sum of u^n / (n! - eps).  The two
+    must agree to ~1e-10 relative on sane inputs.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
     n_levels = max(40, int(math.ceil(math.log(1e-18) / math.log(eps))))
     return _aggregate(
-        [eps ** lv for lv in range(1, n_levels + 1)], z, w, degree,
+        [eps ** lv for lv in range(1, n_levels + 1)], z, w,
         lambda upow, fact: eps * _fsum_complex(
             [p / (f - eps) for p, f in zip(upow, fact)]))
 
 
-def aggregate_kernels_exponential(eps: float, z: complex, w: complex,
-                                  degree: int = 48) -> tuple[complex, complex]:
-    """Exponentially weighted aggregation: weights eps^m/m!, coefficientwise
-    resummation expm1(eps/n!)."""
+def aggregate_kernels_exponential(eps: float, z: complex, w: complex
+                                  ) -> tuple[complex, complex]:
+    """Exponentially weighted aggregation: weights eps^m/m! on the kernels
+    truncated at degree 48, coefficientwise resummation expm1(eps/n!)."""
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
     level_coeffs, lw = [], eps
@@ -490,6 +493,6 @@ def aggregate_kernels_exponential(eps: float, z: complex, w: complex,
         level_coeffs.append(lw)
         lw = lw * eps / (len(level_coeffs) + 1)
     return _aggregate(
-        level_coeffs, z, w, degree,
+        level_coeffs, z, w,
         lambda upow, fact: _fsum_complex(
             [math.expm1(eps / f) * p for p, f in zip(upow, fact)]))

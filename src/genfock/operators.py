@@ -228,7 +228,7 @@ def shift_norm_decomposition(f: TaylorCoeffs, m: int) -> dict:
     can inspect where a mismatch lives.
     """
     lhs, (adj, base, *moments) = norm_identity_report(f, m)
-    extra = math.fsum(moments)
+    extra = _fsum(moments)
     return {"lhs": lhs, "adjoint": adj, "base": base, "extra": extra,
             "rhs": adj + base + extra}
 

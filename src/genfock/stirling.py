@@ -1,64 +1,41 @@
 """Exact second-kind Stirling numbers and the operator reordering they encode.
 
 All values are Python ints (arbitrary precision); nothing here ever rounds.
+The triangle is one private list of rows, grown on demand: row ``k`` holds
+``S(k, 0) .. S(k, k)`` built from the recurrence
+``S(k, n) = n*S(k-1, n) + S(k-1, n-1)`` with ``S(0, 0) = 1``.  Rows are
+append-only and never mutated after creation, so concurrent readers are
+safe; growth serializes on one lock.
 """
 
 from __future__ import annotations
 
 import threading
 
+_ROWS = [[1]]
+_ROWS_LOCK = threading.Lock()
 
-class StirlingTable:
-    """Triangular cache of second-kind Stirling numbers, grown on demand.
 
-    Row ``k`` holds ``S(k, 0) .. S(k, k)`` built from the recurrence
-    ``S(k, n) = n*S(k-1, n) + S(k-1, n-1)`` with ``S(0, 0) = 1``.  Rows are
-    append-only and never mutated after creation, so concurrent readers are
-    safe; growth serializes on an internal lock.
-    """
-
-    def __init__(self, max_k: int = 0):
-        self._rows = [[1]]
-        self._lock = threading.Lock()
-        self.grow(max_k)
-
-    @property
-    def max_k(self) -> int:
-        return len(self._rows) - 1
-
-    def grow(self, k: int) -> None:
-        """Extend the triangle so that rows up to ``k`` exist."""
-        if k <= self.max_k:
-            return
-        with self._lock:
-            while self.max_k < k:
-                prev = self._rows[-1]
-                kk = len(self._rows)
+def _row(k: int) -> list[int]:
+    """Row ``k`` of the triangle, grown to it first: the stored list
+    itself, not a copy, so callers must not hand it on."""
+    if k >= len(_ROWS):
+        with _ROWS_LOCK:
+            while len(_ROWS) <= k:
+                prev, kk = _ROWS[-1], len(_ROWS)
                 row = [0] * (kk + 1)
                 for n in range(1, kk):
                     row[n] = n * prev[n] + prev[n - 1]
                 row[kk] = 1
-                self._rows.append(row)
-
-    def row(self, k: int) -> list[int]:
-        self.grow(k)
-        return list(self._rows[k])
-
-    def value(self, k: int, n: int) -> int:
-        if k < 0 or n < 0:
-            raise ValueError("Stirling indices must be non-negative")
-        if n > k:
-            return 0
-        self.grow(k)
-        return self._rows[k][n]
-
-
-_SHARED = StirlingTable()
+                _ROWS.append(row)
+    return _ROWS[k]
 
 
 def stirling_s2(k: int, n: int) -> int:
     """S(k, n): partitions of a k-set into n non-empty blocks (exact int)."""
-    return _SHARED.value(k, n)
+    if k < 0 or n < 0:
+        raise ValueError("Stirling indices must be non-negative")
+    return _row(k)[n] if n <= k else 0
 
 
 def normal_order_coeffs(k: int) -> list[tuple[int, int]]:
@@ -71,7 +48,7 @@ def normal_order_coeffs(k: int) -> list[tuple[int, int]]:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    return list(enumerate(_SHARED.row(k)))[1:]
+    return list(enumerate(_row(k)))[1:]
 
 
 def verify_normal_ordering(k: int, degree: int) -> bool:

@@ -16,10 +16,8 @@ import numpy as np
 
 from . import bargmann, coeffspace, dualalgebra, operators, radialkernel
 from . import stirling as stirling_mod
-from .coeffspace import TaylorCoeffs
+from .coeffspace import TaylorCoeffs, _fsum
 from .dualalgebra import DualSequence
-
-SUITE_NAMES = ("stirling", "kernels", "operators", "bargmann", "dual")
 
 
 @dataclass(frozen=True)
@@ -318,7 +316,7 @@ def _norm_identity(rng, m: int | None, degree: int, draws: int) -> float:
         lvl = int(rng.integers(1, 6)) if m is None else m
         lhs, terms = operators.norm_identity_report(_rand_coeffs(rng, degree),
                                                     lvl)
-        worst = max(worst, _rel(lhs, math.fsum(terms)))
+        worst = max(worst, _rel(lhs, _fsum(terms)))
     return worst
 
 
@@ -604,6 +602,7 @@ _SUITES = {
     "bargmann": suite_bargmann,
     "dual": suite_dual,
 }
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suite(cfg: RunConfig, suite: str) -> dict:

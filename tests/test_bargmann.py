@@ -84,11 +84,6 @@ def test_orthonormality_via_quadrature():
     assert g.shape == (41, 41)
 
 
-def test_evaluation_rejects_underresolved_rule():
-    with pytest.raises(ValueError):
-        HermiteEvaluation.build(10, order=5)
-
-
 # ---------------------------------------------------------------- transform
 
 
@@ -241,8 +236,6 @@ def test_cached_rule_rejects_what_hermgauss_rejects():
     transform_via_quadrature([1.0], 2, 0.5, order=96)  # 96 is now cached
     with pytest.raises(TypeError):
         transform_via_quadrature([1.0], 2, 0.5, order=96.0)
-    with pytest.raises(TypeError):
-        HermiteEvaluation.build(3, order=96.0)
     with pytest.raises(ValueError):
         bargmann._gauss_hermite(-1)
 
@@ -508,6 +501,22 @@ def test_basis_grows_to_the_row_cap_and_no_further(empty_bases):
     assert len(bargmann._bases[key]) == rows
     transform_via_quadrature([1.0] * 2001, 1, 0.5)
     assert len(bargmann._bases[key]) == bargmann._BASIS_ROWS
+
+
+@pytest.mark.parametrize("t", [0.7, _NODES,
+                               np.linspace(-3.0, 3.0, 6).reshape(2, 3)])
+def test_basis_grown_in_steps_is_the_table_bytewise(t, empty_bases):
+    # a request past the held rows refills the table from eta_0, to twice
+    # its rows where that covers the request
+    t = np.asarray(t, float)
+    key = (t.shape, t.tobytes())
+    sizes = []
+    for rows in (1, 2, 3, 7, 40, 41, 300, 299, bargmann._BASIS_ROWS):
+        table = bargmann._basis(key, t, rows)
+        sizes.append(len(table))
+        assert table.tobytes() == hermite_eta_all(len(table) - 1,
+                                                  t).tobytes(), rows
+    assert sizes == [1, 2, 4, 8, 40, 80, 300, 300, bargmann._BASIS_ROWS]
 
 
 def held_bytes() -> int:

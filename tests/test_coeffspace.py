@@ -484,14 +484,6 @@ def test_aggregation_rejects_eps_out_of_range():
         aggregate_kernels_exponential(1.0, 1, 1)
 
 
-@pytest.mark.parametrize("fn", [aggregate_kernels_geometric,
-                                aggregate_kernels_exponential])
-@pytest.mark.parametrize("degree", [-1, 2.5, "3"])
-def test_aggregation_rejects_bad_degree(fn, degree):
-    with pytest.raises(ValueError):
-        fn(0.5, 1, 1, degree=degree)
-
-
 # the verify kernels suite's grid and acceptance criterion 10's grid
 _AGGREGATION_GRID = (
     [(eps, z, w) for eps in (0.25, 0.5, 0.85) for z in (0.3, 0.8 + 0.2j, -1.1)

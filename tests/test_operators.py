@@ -363,6 +363,17 @@ def test_shift_norm_identity_random(m):
         assert d["rhs"] == pytest.approx(lhs, rel=1e-13)
 
 
+def test_shift_norm_decomposition_past_double_range_is_inf():
+    # every moment is in range, but their sum passes it: inf, not an
+    # OverflowError from math.fsum
+    f = TaylorCoeffs([0.0] + [math.sqrt(5e307 / math.factorial(n + 1) ** 3)
+                              for n in range(1, 12)])
+    _, (_, _, *moments) = norm_identity_report(f, 3)
+    assert all(map(math.isfinite, moments))
+    d = shift_norm_decomposition(f, 3)
+    assert d["extra"] == math.inf and d["rhs"] == math.inf
+
+
 def test_norm_identity_level1_reduces_to_two_terms():
     f = TaylorCoeffs([1, 1j, -2])
     lhs, terms = norm_identity_report(f, 1)

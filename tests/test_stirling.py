@@ -1,14 +1,16 @@
 """Partition-count triangle: exact values, identities, and normal ordering."""
 
 import math
+import sys
+import threading
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from genfock import stirling
 from genfock.coeffspace import TaylorCoeffs
 from genfock.stirling import (
-    StirlingTable,
     normal_order_coeffs,
     stirling_s2,
     verify_normal_ordering,
@@ -63,24 +65,48 @@ def test_triangle_recurrence(k, n):
     assert stirling_s2(k, n) == n * stirling_s2(k - 1, n) + stirling_s2(k - 1, n - 1)
 
 
-def test_table_grows_and_caches():
-    t = StirlingTable(4)
-    assert t.max_k == 4
-    r4 = t.row(4)
-    assert r4 == [0, 1, 7, 6, 1]
-    t.grow(10)
-    assert t.max_k == 10
-    assert t.row(4) == r4  # growing must not disturb existing rows
-    t.grow(3)  # shrinking request is a no-op
-    assert t.max_k == 10
+def test_table_grows_and_caches(monkeypatch):
+    monkeypatch.setattr(stirling, "_ROWS", [[1]])  # a fresh triangle
+    assert normal_order_coeffs(4) == [(1, 1), (2, 7), (3, 6), (4, 1)]
+    assert len(stirling._ROWS) == 5
+    r4 = stirling._ROWS[4]
+    assert stirling_s2(10, 3) == explicit_s2(10, 3)
+    assert len(stirling._ROWS) == 11
+    # growing must not disturb existing rows
+    assert stirling._ROWS[4] is r4 and r4 == [0, 1, 7, 6, 1]
+    # a smaller request is a no-op
+    assert stirling_s2(3, 2) == 3
+    assert normal_order_coeffs(2) == [(1, 1), (2, 1)]
+    assert len(stirling._ROWS) == 11
+    # callers get new lists; the rows stay out of their reach
+    pairs = normal_order_coeffs(4)
+    pairs.clear()
+    assert normal_order_coeffs(4) == [(1, 1), (2, 7), (3, 6), (4, 1)]
+
+
+def test_concurrent_growth_appends_each_row_once(monkeypatch):
+    monkeypatch.setattr(stirling, "_ROWS", [[1]])  # a fresh triangle
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=stirling_s2, args=(k, 1))
+                   for k in (40, 80, 120, 160) * 4]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert [len(row) for row in stirling._ROWS] == list(range(1, 162))
+    assert stirling._ROWS[160] == [explicit_s2(160, n) for n in range(161)]
 
 
 def test_table_value_validation():
-    t = StirlingTable(5)
     with pytest.raises(ValueError):
-        t.value(-1, 0)
+        stirling_s2(-1, 0)
     with pytest.raises(ValueError):
-        t.value(2, -1)
+        stirling_s2(2, -1)
 
 
 def test_normal_order_coeffs_are_triangle_rows():
