@@ -212,10 +212,11 @@ class TaylorCoeffs:
 
 
 def _finite_number(x) -> bool:
-    """x is a JSON number that is finite as a double (not NaN, not an
-    infinity, not an integer past double range)."""
+    """x is a JSON number that is finite as a double (not a boolean, not
+    NaN, not an infinity, not an integer past double range)."""
     try:
-        return isinstance(x, (int, float)) and math.isfinite(x)
+        return (isinstance(x, (int, float)) and not isinstance(x, bool)
+                and math.isfinite(x))
     except OverflowError:
         return False
 

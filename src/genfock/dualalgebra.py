@@ -70,9 +70,14 @@ class DualSequence:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "DualSequence":
-        # the level, if given, must be a JSON integer >= 1 (the constructor
-        # raises ValueError for anything else)
-        return cls(TaylorCoeffs.from_json_obj(obj).coeffs, obj.get("level", 1))
+        # the level, if given, must be a JSON integer >= 1: the constructor
+        # raises ValueError for anything else except true, which Python
+        # reads as the int 1
+        coeffs = TaylorCoeffs.from_json_obj(obj).coeffs
+        level = obj.get("level", 1)
+        if isinstance(level, bool):
+            raise ValueError(f"level must be an integer >= 1, got {level!r}")
+        return cls(coeffs, level)
 
 
 def dual_sq_norm_flagged(b: DualSequence, m: int) -> tuple[float, bool]:

@@ -26,7 +26,7 @@ from itertools import repeat, starmap, zip_longest
 from operator import mul, sub
 
 from .coeffspace import (TaylorCoeffs, _fsum, _is_exact, _require_level,
-                         _weighted_sq_terms, squared_norm)
+                         _weighted_sq_terms, add, scale, squared_norm)
 from .stirling import normal_order_coeffs, stirling_s2
 
 
@@ -248,47 +248,20 @@ def norm_identity_report(f: TaylorCoeffs, m: int) -> tuple[float, list[float]]:
     return lhs, terms
 
 
-# A letter sends z^j to an integer multiple of z^(j +- 1), so the checks below
-# carry all monomials as (multiples, degrees) over j; results put 0s at -1.
-_MONO = {"A": (lambda cs, ds, m: cs, 1),
-         "B": (lambda cs, ds, m: list(map(mul, cs, ds)), -1),
-         "S": (lambda cs, ds, m: [c * d ** m for c, d in zip(cs, ds)], -1)}
-
-
-def _mono_word(word: str, mono: tuple, m: int = 1) -> tuple:
-    for ch in reversed(word):  # the rightmost letter acts first
-        times, step = _MONO[ch]
-        mono = times(*mono, m), [d + step for d in mono[1]]
-    return mono[0], [d if c else -1 for c, d in zip(*mono)]
-
-
-def _mono_add(x: tuple, y: tuple, w: int = 1, shift: int = 0):
-    """x + w raising^shift y at each j; None where that is not a monomial."""
-    cs, ds = [], []
-    for a, da, b, db in zip(*x, *y):
-        b, db = w * b, db + shift
-        if a and b and da != db:
-            return None
-        cs.append(a + b)
-        ds.append(-1 if a + b == 0 else da if a else db)
-    return cs, ds
-
-
 def adjoint_word_check(m: int, degree: int) -> bool:
     """raising_adjoint == (lowering raising)^(m-1) lowering on monomials.
 
-    Exact integer comparison for all monomial degrees up to ``degree``.
+    Exact integer comparison for all monomial degrees up to ``degree``, at
+    once on their sum: every letter moves each z^j by the same step, so
+    distinct monomials never share a coefficient.  The direct action, the
+    word read letter by letter and the Stirling route must all agree.
     """
     _require_level(m)
     if degree < 1:
         raise ValueError("degree must be >= 1")
-    mono = rung = [1] * (degree + 1), list(range(degree + 1))
-    power = ([0] * (degree + 1), mono[1]) if m > 1 else mono
-    for n, w in normal_order_coeffs(m - 1) if m > 1 else ():
-        rung = _mono_word("B", rung, m)
-        power = power and _mono_add(power, rung, w, n)  # None stays None
-    return power is not None and _mono_word("S", mono, m) == _mono_word(
-        "BA" * (m - 1) + "B", mono, m) == _mono_word("B", power, m)
+    f = TaylorCoeffs([1] * (degree + 1))
+    return raising_adjoint(f, m) == apply_word(
+        "BA" * (m - 1) + "B", f, m) == raising_adjoint_via_stirling(f, m)
 
 
 def reordering_identity_check(n: int, degree: int) -> bool:
@@ -296,11 +269,13 @@ def reordering_identity_check(n: int, degree: int) -> bool:
 
     lowering^n . raising          == raising . lowering^n + n lowering^(n-1)
     lowering . raising^n          == raising^n . lowering + n raising^(n-1)
+
+    Both sides act on the sum of all monomials up to ``degree`` at once.
     """
     if n < 1 or degree < 0:
         raise ValueError("need n >= 1 and degree >= 0")
-    mono = [1] * (degree + 1), list(range(degree + 1))
-    return all(_mono_word(lhs, mono) == _mono_add(
-        _mono_word(rhs, mono), _mono_word(tail, mono), n)
+    f = TaylorCoeffs([1] * (degree + 1))
+    return all(apply_word(lhs, f) == add(
+        apply_word(rhs, f), scale(n, apply_word(tail, f)))
         for lhs, rhs, tail in (("B" * n + "A", "A" + "B" * n, "B" * (n - 1)),
                                ("B" + "A" * n, "A" * n + "B", "A" * (n - 1))))

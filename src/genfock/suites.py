@@ -321,13 +321,16 @@ def _norm_identity(rng, m: int | None, degree: int, draws: int) -> float:
 
 
 def _commutator_failures(levels, degree: int) -> int:
-    """Monomials on which the commutator misses ((n+1)**m - n**m) z**n; a
-    disagreement of its two routes raises and fails the check."""
+    """Coefficients n <= degree at which the commutator of the sum of all
+    monomials misses (n+1)**m - n**m; the commutator keeps each degree, so
+    each one is a monomial's.  A disagreement of its two routes raises and
+    fails the check."""
+    f = TaylorCoeffs([1] * (degree + 1))
     bad = 0
     for m in levels:
-        for n in range(degree + 1):
-            got = operators.commutator_apply(TaylorCoeffs.monomial(n), m)
-            bad += got != TaylorCoeffs.monomial(n, (n + 1) ** m - n ** m)
+        got = operators.commutator_apply(f, m)
+        bad += sum(got.coeff(n) != (n + 1) ** m - n ** m
+                   for n in range(degree + 1))
     return bad
 
 

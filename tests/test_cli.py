@@ -573,6 +573,22 @@ def test_non_finite_json_output_is_refused(capsys, tmp_path):
     assert "double range" in captured.err
 
 
+@pytest.mark.parametrize("argv, obj", [
+    ("inner-product --m 1 --f {x} --g {x}",
+     {"coeffs": [[True, False], [1, 0]]}),
+    ("dual-norm --m 1 --in {x}", {"coeffs": [[1, 0], [1, 0]], "level": True}),
+    ("integrate --f {x} --g {x}",
+     [{"t": 0, "coeffs": [[1, 0]]}, {"t": True, "coeffs": [[1, 0]]}]),
+])
+def test_json_booleans_are_not_numbers(capsys, tmp_path, argv, obj):
+    # bool is an int in Python, but JSON true/false is not a number
+    x = jfile(tmp_path, "x.json", obj)
+    assert main(argv.format(x=x).split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+
+
 # Arbitrary JSON for the file-reading subcommands: nesting, NaN, infinities,
 # numbers past double range, strings, and the keys the readers look for.
 _KEYS = st.sampled_from(["coeffs", "level", "hermite_coeffs", "t"])

@@ -39,6 +39,7 @@ from genfock.operators import (
     weighted_moment,
 )
 from genfock.stirling import stirling_s2
+from genfock.suites import RunConfig, run_suite
 
 
 def rand_element(rng, deg, scale=1.0):
@@ -122,21 +123,6 @@ def test_adjoint_word_equals_operator():
         assert adjoint_word_check(m, 12)
 
 
-@pytest.mark.parametrize("letter", ["A", "B", "S"])
-def test_monomial_letters_are_apply_word(letter):
-    # the checks carry each monomial as one (multiple, degree) pair; each
-    # letter's action on it is apply_word's on the monomial
-    for m in range(1, 7):
-        for j in range(26):
-            (c,), (d,) = operators._mono_word(letter, ([1], [j]), m)
-            got = apply_word(letter, TaylorCoeffs.monomial(j), m)
-            assert type(c) is int
-            if c == 0:
-                assert d == -1 and got == TaylorCoeffs.zero()
-            else:
-                assert got.coeffs == TaylorCoeffs.monomial(d, c).coeffs
-
-
 def test_adjoint_check_catches_a_wrong_stirling_weight(monkeypatch):
     def off_by_one(k):
         return [(n, w + (n == k)) for n, w in weights(k)]
@@ -147,25 +133,24 @@ def test_adjoint_check_catches_a_wrong_stirling_weight(monkeypatch):
         assert adjoint_word_check(m, 12) is False
     assert adjoint_word_check(1, 12) is True  # m = 1 takes no weight
     # the word route still agrees with the adjoint: the Stirling route fails
-    mono = [1] * 13, list(range(13))
-    assert operators._mono_word("BA" * 3 + "B", mono, 4) == (
-        operators._mono_word("S", mono, 4))
+    f = TaylorCoeffs([1] * 13)
+    assert apply_word("BA" * 3 + "B", f, 4) == raising_adjoint(f, 4)
 
 
-_FAULTS = {  # one letter's action, perturbed
-    "B times 2d": ("B", (lambda cs, ds, m: [2 * c * d
-                                            for c, d in zip(cs, ds)], -1)),
-    "B steps by -2": ("B", (lambda cs, ds, m: [c * d
-                                               for c, d in zip(cs, ds)], -2)),
-    "A steps by 0": ("A", (lambda cs, ds, m: cs, 0)),
-    "A times 2": ("A", (lambda cs, ds, m: [2 * c for c in cs], 1)),
+_FAULTS = {  # one letter's coefficient action, perturbed
+    "B times 2d": ("B", lambda cs, m: tuple(
+        2 * k * c for k, c in enumerate(cs[1:], 1))),
+    "B steps by -2": ("B", lambda cs, m: tuple(
+        k * c for k, c in enumerate(cs[2:], 2))),
+    "A steps by 0": ("A", lambda cs, m: cs),
+    "A times 2": ("A", lambda cs, m: (0,) + tuple(2 * c for c in cs)),
 }
 
 
 @pytest.mark.parametrize("fault", sorted(_FAULTS))
 def test_monomial_checks_catch_a_wrong_letter(monkeypatch, fault):
     letter, action = _FAULTS[fault]
-    monkeypatch.setitem(operators._MONO, letter, action)
+    monkeypatch.setitem(operators._LETTERS, letter, action)
     for m in range(2, 7):
         assert adjoint_word_check(m, 12) is False
     for n in range(1, 6):
@@ -174,21 +159,34 @@ def test_monomial_checks_catch_a_wrong_letter(monkeypatch, fault):
 
 def test_adjoint_check_catches_a_lowering_that_keeps_the_commutator(
         monkeypatch):
-    # z^j -> (j + 1) z^(j-1) adds the plain down-shift, which commutes
-    # with raising: [lowering, raising] = 1 still holds, and so do the
-    # reordering identities that follow from it, but the adjoint fails
-    monkeypatch.setitem(operators._MONO, "B", (
-        lambda cs, ds, m: [c * (d + 1) for c, d in zip(cs, ds)], -1))
+    # z^j -> (j + 1) z^(j-1) adds the plain down-shift to lowering.  On
+    # power series the down-shift drops the image of z^0, so it does not
+    # commute with raising: [lowering, raising] = 1 fails on z^0, and the
+    # reordering identities that follow from it fail with it
+    monkeypatch.setitem(operators._LETTERS, "B", lambda cs, m: tuple(
+        (k + 1) * c for k, c in enumerate(cs[1:], 1)))
     assert all(adjoint_word_check(m, 12) is False for m in range(1, 7))
-    assert all(reordering_identity_check(n, 12) for n in range(1, 6))
+    assert all(reordering_identity_check(n, 12) is False for n in range(1, 6))
 
 
 def test_adjoint_check_catches_a_wrong_adjoint(monkeypatch):
-    monkeypatch.setitem(operators._MONO, "S", (
-        lambda cs, ds, m: [c * d ** m + (d == 7) for c, d in zip(cs, ds)],
-        -1))
+    # the public raising_adjoint, wrong on z^7 only
+    monkeypatch.setattr(operators, "_raise_adj", lambda cs, m: tuple(
+        (k ** m + (k == 7)) * c for k, c in enumerate(cs[1:], 1)))
     assert all(adjoint_word_check(m, 12) is False for m in range(1, 7))
     assert adjoint_word_check(3, 6) is True  # degree 7 is never reached
+
+
+def test_verify_operators_catches_a_wrong_public_adjoint(monkeypatch):
+    # the checks run through raising_adjoint itself, so one wrong
+    # coefficient of it (z -> 2 z^0 at every level) fails the check and
+    # the row of ``verify operators`` that reports it
+    monkeypatch.setattr(operators, "_raise_adj", lambda cs, m: tuple(
+        (k ** m + (k == 1)) * c for k, c in enumerate(cs[1:], 1)))
+    assert all(adjoint_word_check(m, 12) is False for m in range(1, 7))
+    rows = {c["name"]: c["passed"]
+            for c in run_suite(RunConfig(seed=7), "operators")["checks"]}
+    assert rows["adjoint construction routes agree exactly"] is False
 
 
 def test_stirling_route_equals_direct_adjoint():
