@@ -6,7 +6,9 @@ Layers, on fixed seeded inputs (seed 0):
 ``dual``
     ``cauchy_product`` of complex normal coefficients at lengths (6, 6),
     (20, 20), (25, 40), (40, 40), (200, 200) and (1000, 1000);
-    ``vage_check`` at n = 200, levels p, q = 2, 3;
+    ``vage_check`` at n = 200, levels p, q = 2, 3 and 2, 6, and at n = 20,
+    p, q = 1, 2 (the ``algebra`` workload's two requests are the first
+    two);
     ``riemann_integral_product`` on two linear paths of length-6 elements
     of 17 and 129 nodes on [0, 1], the paths built once per checkout,
     outside the timed calls; and ``cauchy_product`` of norm-scaled factors
@@ -203,14 +205,15 @@ def dual(rng, quick: bool) -> list:
     rows = [product(_cn(rng, la), _cn(rng, lb), f"({la}, {lb})",
                     "complex normal coefficients")
             for la, lb in (sizes[:-1] if quick else sizes)]
-    a, b = _cn(rng, 200), _cn(rng, 200)
-    rows.append(_row(
-        "vage_check", "n=200, p=2, q=3",
-        lambda pkg: pkg.dualalgebra.vage_check(
-            pkg.dualalgebra.DualSequence(a, 2),
-            pkg.dualalgebra.DualSequence(b, 3), 2, 3),
-        lambda: _reference_vage(a, b, 2, 3),
-        input="complex normal coefficients"))
+    for n, p, q in ((200, 2, 3), (20, 1, 2), (200, 2, 6)):
+        a, b = _cn(rng, n), _cn(rng, n)
+        rows.append(_row(
+            "vage_check", f"n={n}, p={p}, q={q}",
+            lambda pkg, a=a, b=b, p=p, q=q: pkg.dualalgebra.vage_check(
+                pkg.dualalgebra.DualSequence(a, p),
+                pkg.dualalgebra.DualSequence(b, q), p, q),
+            lambda a=a, b=b, p=p, q=q: _reference_vage(a, b, p, q),
+            input="complex normal coefficients"))
     f_ends, g_ends = (_cn(rng, 6), _cn(rng, 6)), (_cn(rng, 6), _cn(rng, 6))
     for steps in (16,) if quick else (16, 128):
         ts = [i / steps for i in range(steps + 1)]

@@ -54,7 +54,7 @@ class WeightOverflowError(OverflowError):
 
 
 def _require_level(m: int) -> None:
-    if not isinstance(m, int) or m < 1:
+    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
         raise ValueError(f"level must be an integer >= 1, got {m!r}")
 
 
@@ -326,9 +326,18 @@ def _weighted_sq_terms(coeffs, w: int, k: int = 0,
     in range it is bit for bit the double-precision product, and subnormal
     coefficients or weights past double range lose nothing.  A term past
     double range raises WeightOverflowError, or is inf when not
-    ``strict``; a term below it flushes toward 0.0.
+    ``strict``; a term below it flushes toward 0.0.  An exact coefficient
+    past double range raises WeightOverflowError and names the first.
     """
-    c = np.array(coeffs, dtype=complex)
+    try:
+        c = np.array(coeffs, dtype=complex)
+    except OverflowError as exc:
+        for n, x in enumerate(coeffs):
+            try:
+                complex(x)
+            except OverflowError:
+                raise WeightOverflowError(n, w, cause="coefficient") from exc
+        raise
     idx = np.flatnonzero(c)
     if k:
         idx = idx[idx > 0]

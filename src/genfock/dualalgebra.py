@@ -71,13 +71,8 @@ class DualSequence:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "DualSequence":
         # the level, if given, must be a JSON integer >= 1: the constructor
-        # raises ValueError for anything else except true, which Python
-        # reads as the int 1
-        coeffs = TaylorCoeffs.from_json_obj(obj).coeffs
-        level = obj.get("level", 1)
-        if isinstance(level, bool):
-            raise ValueError(f"level must be an integer >= 1, got {level!r}")
-        return cls(coeffs, level)
+        # raises ValueError for anything else, true included
+        return cls(TaylorCoeffs.from_json_obj(obj).coeffs, obj.get("level", 1))
 
 
 def dual_sq_norm_flagged(b: DualSequence, m: int) -> tuple[float, bool]:
@@ -199,47 +194,6 @@ def _certified_sums(p):
     return vals, s, ok
 
 
-def _index_pairs(nr: int, nc: int, k: int) -> int:
-    """How many index pairs (i, j), i < nr and j < nc, lie on the first k
-    diagonals i + j < k (inclusion-exclusion over triangles)."""
-    return sum(sign * x * (x + 1) // 2 for x, sign in (
-        (k, 1), (k - nr, -1), (k - nc, -1), (k - nr - nc, 1)) if x > 0)
-
-
-def _visible_end(a, b, q: int, nd: int) -> int:
-    """How many leading diagonals of the products of the converted factor
-    rows ``a`` and ``b`` can register in the level-q dual norm: past them,
-    every term :func:`_weighted_sq_terms` forms with the weight (n!)**(2-q)
-    is exactly 0.0.  All ``nd`` unless q >= 3 and every part is finite.
-
-    The bound: let every part of ``a`` lie below 2**ea and every part of
-    ``b`` below 2**eb.  A product part, fl(xr*yr - xi*yi) or
-    fl(xr*yi + xi*yr), is at most 2**(ea + eb + 1); diagonal n is the
-    correctly rounded sum of at most n + 1 < 2**L of them, L the bit length
-    of n + 1, so it is at most the double (2**L - 1) * 2**(ea + eb + 1) and
-    below 2**t(n), t(n) = ea + eb + 1 + L.  Where t <= 1023 on the last
-    diagonal no product and no sum leaves double range, so every part is
-    finite; else all ``nd`` are kept, since a later diagonal could be inf
-    or NaN.  The term of a part below 2**t scales it by 2**-e with e <= t,
-    forms (re**2 + im**2) * mant <= 2 * mant from the weight's table entry
-    mant * 2**exp, and scales that by 2**(2e + exp).  Rounding is
-    monotone, so the term is 0.0 wherever ldexp(2 * mant, 2t + exp) is.
-    """
-    if q < 3:
-        return nd
-    big = np.abs(a.view(float)).max(), np.abs(b.view(float)).max()
-    if not all(map(math.isfinite, big)):
-        return nd
-    t = sum(math.frexp(x)[1] for x in big) + 1 + np.frexp(
-        np.arange(1, nd + 1))[1]
-    if t[-1] > 1023:
-        return nd
-    mant, exp = _weight_table(2 - q, nd)
-    with np.errstate(over="ignore"):
-        can = np.flatnonzero(np.ldexp(2.0 * mant[:nd], 2 * t + exp[:nd]))
-    return int(can[-1]) + 1 if can.size else 0
-
-
 def _skewed(n_pairs: int, nr: int, nc: int):
     """(short, other, view) over one zeroed buffer: ``short`` and ``other``
     (n_pairs rows of nr <= nc) take the shorter and the longer factors, and
@@ -256,10 +210,10 @@ def _skewed(n_pairs: int, nr: int, nc: int):
     return short, other, view
 
 
-def _diagonal_sums(short, other, view, swap: bool, n_rows: int) -> list:
-    """The first ``n_rows`` rows of a :func:`_skewed` layout, diagonal sums
-    pair after pair, each correctly rounded; ``swap`` tells that ``short``
-    holds the second factors.
+def _diagonal_sums(short, other, view, swap: bool) -> list:
+    """The rows of a :func:`_skewed` layout, diagonal sums pair after pair,
+    each correctly rounded; ``swap`` tells that ``short`` holds the second
+    factors.
 
     The products a_i * b_j are formed with the real operations of a complex
     multiply, in blocks of about ``_BLOCK`` cells, so memory stays bounded;
@@ -270,15 +224,14 @@ def _diagonal_sums(short, other, view, swap: bool, n_rows: int) -> list:
     itself, over the diagonal's live products (both factors non-zero:
     never a padded cell), runs where the certificate fails (near ties,
     exact cancellation, subnormal or non-finite terms, a split past range)
-    and on every diagonal when the rows hold under ``_CERTIFY_PAIRS`` index
-    pairs.  A diagonal with no live product is the exact 0.
+    and on every diagonal when the layout holds under ``_CERTIFY_PAIRS``
+    index pairs.  A diagonal with no live product is the exact 0.
     """
-    nr, nc = short.shape[1], other.shape[1]
+    (n_pairs, nr), nc = short.shape, other.shape[1]
     nd = nr + nc - 1
+    n_rows = n_pairs * nd
     width = max(1, _BLOCK // nr)
-    whole, part = divmod(n_rows, nd)
-    certify = whole * nr * nc + (part and _index_pairs(nr, nc, part)
-                                 ) >= _CERTIFY_PAIRS
+    certify = n_pairs * nr * nc >= _CERTIFY_PAIRS
     out = []
     # the certificate meets inf - inf and overflow by design; the fsum route
     # warns of overflow as numpy does, but not of the 0 * inf that padding
@@ -329,7 +282,7 @@ def _diagonal_sums(short, other, view, swap: bool, n_rows: int) -> list:
     return out
 
 
-def _float_convolution(pairs, level=None) -> list:
+def _float_convolution(pairs) -> list:
     """Cauchy products of a stack of factor pairs (ca, cb) of float
     coefficients, one list per pair, each output correctly rounded.
 
@@ -338,11 +291,7 @@ def _float_convolution(pairs, level=None) -> list:
     that can hold a live product (both factors non-zero): the zero heads
     and tails the factors share across the stack are trimmed first, and
     the diagonals before and after the trimmed window are the exact 0.
-    With ``level`` an integer q, each list also stops after the diagonals
-    that can register in the level-q dual norm (:func:`_visible_end`), and
-    a one-pair call forms none past them; the factors are converted before
-    that cap, so a conversion error comes as without it.  Errors come as
-    pair-by-pair calls would raise them.
+    Errors come as pair-by-pair calls would raise them.
     """
     if not pairs:
         return []
@@ -358,41 +307,34 @@ def _float_convolution(pairs, level=None) -> list:
             try:  # ca, then cb, pair by pair, as one-pair calls convert
                 a[j, :len(ca)], b[j, :len(cb)] = ca, cb
             except Exception:  # an earlier pair's error comes first
-                _float_convolution(pairs[:j], level)
+                _float_convolution(pairs[:j])
                 raise
-    full = stop = na + nb - 1  # the diagonals of the longest product
-    if level is not None:
-        stop = _visible_end(a, b, level, full)
-    lo, hi = 0, stop
+    full = na + nb - 1  # the diagonals of the longest product
+    lo, hi = 0, full
     # the window [lo, hi) from the first to the last live product, sought
-    # when capped or unless the first pair's factors start and end live
-    if stop < full or not (a[0, 0] and a[0, -1] and b[0, 0] and b[0, -1]):
+    # unless the first pair's factors start and end live
+    if not (a[0, 0] and a[0, -1] and b[0, 0] and b[0, -1]):
         ra, rb = a.any(axis=0).tolist(), b.any(axis=0).tolist()
-        live = True in ra and True in rb
-        if live:
+        if True not in ra or True not in rb:
+            lo = hi = 0
+        else:
             ha, hb = ra.index(True), rb.index(True)
             ea, eb = na - ra[::-1].index(True), nb - rb[::-1].index(True)
-            lo, hi = ha + hb, min(ea + eb - 1, stop)
-        if not live or hi <= lo:
-            lo = hi = 0
-        elif (ha, hb, ea, eb) != (0, 0, na, nb):  # trim the zero ends
-            a, b = a[:, ha:ea], b[:, hb:eb]
-            swap = ea - ha > eb - hb
-            short, other, view = _skewed(n_pairs, min(ea - ha, eb - hb),
-                                         max(ea - ha, eb - hb))
-            short[:], other[:] = (b, a) if swap else (a, b)
-    # one pair forms its window's rows alone; a stack forms every row
+            lo, hi = ha + hb, ea + eb - 1
+            if (ha, hb, ea, eb) != (0, 0, na, nb):  # trim the zero ends
+                a, b = a[:, ha:ea], b[:, hb:eb]
+                swap = ea - ha > eb - hb
+                short, other, view = _skewed(n_pairs, min(ea - ha, eb - hb),
+                                             max(ea - ha, eb - hb))
+                short[:], other[:] = (b, a) if swap else (a, b)
     nd = short.shape[1] + other.shape[1] - 1
-    k = hi - lo
-    out = _diagonal_sums(short, other, view, swap,
-                         k if n_pairs == 1 else n_pairs * nd) if k else []
+    out = _diagonal_sums(short, other, view, swap) if hi else []
     if (lo, hi) == (0, full):
         return [out[j * nd:j * nd + len(ca) + len(cb) - 1]
                 for j, (ca, cb) in enumerate(pairs)]
-    # the exact 0s outside the window; a capped list stops at stop
-    return [([0] * lo + out[j * nd:j * nd + k] + [0] * (n - hi))[:n]
-            for j, n in enumerate(min(len(ca) + len(cb) - 1, stop)
-                                  for ca, cb in pairs)]
+    # the exact 0s outside the window
+    return [([0] * lo + out[j * nd:j * nd + hi - lo] + [0] * (n - hi))[:n]
+            for j, n in enumerate(len(ca) + len(cb) - 1 for ca, cb in pairs)]
 
 
 def _exact_convolution(ca: tuple, cb: tuple):
@@ -426,14 +368,67 @@ def cauchy_product(a: DualSequence, b: DualSequence) -> DualSequence:
                         max(a.level, b.level))
 
 
-def _product(ca: tuple, cb: tuple, level=None) -> list:
-    """The coefficients of :func:`cauchy_product`; with ``level`` a float
-    product stops where :func:`_float_convolution` caps it."""
+def _product(ca: tuple, cb: tuple) -> list:
+    """The coefficients of :func:`cauchy_product`."""
     if not ca or not cb:
         return []
     out = _exact_convolution(ca, cb)
-    return out if out is not None else _float_convolution([(ca, cb)],
-                                                          level)[0]
+    return out if out is not None else _float_convolution([(ca, cb)])[0]
+
+
+# the first head of _product_sq_norm's early stop, in diagonals
+_HEAD = 24
+
+
+def _product_sq_norm(ca: tuple, cb: tuple, q: int) -> float:
+    """The squared level-q dual norm of the product of the factors ``ca``
+    and ``cb``, bit for bit that of :func:`_product`'s coefficients.
+
+    The exact or the float route is chosen once, on the whole factors.
+    Float factors with finite parts, q >= 3 and more than 2 * ``_HEAD``
+    diagonals stop early (Ziv's "compute a little, certify, else compute
+    more"): the first k diagonals, formed from ca[:k] and cb[:k], are the
+    full product's bit for bit, and the fsum s of their terms is returned
+    as soon as the fsum of those terms and a bound B_n on every later term
+    is s too.  Every later term lies in [0, B_n] and correctly rounded
+    summation is monotone, so s is the full sum.  Else k grows fourfold,
+    until the head is the whole product.
+
+    The bound: let every part of ``ca`` lie below 2**ea and every part of
+    ``cb`` below 2**eb.  A product part, fl(xr*yr - xi*yi) or
+    fl(xr*yi + xi*yr), is at most 2**(ea + eb + 1); diagonal n is the
+    correctly rounded sum of at most n + 1 < 2**L of them, L the bit length
+    of n + 1, so it is at most the double (2**L - 1) * 2**(ea + eb + 1) and
+    below 2**t(n), t(n) = ea + eb + 1 + L.  Where t <= 1023 on the last
+    diagonal no product and no sum leaves double range; else the whole
+    product is formed.  The term of a part below 2**t scales it by 2**-e
+    with e <= t, forms (re**2 + im**2) * mant <= 2 * mant from the weight's
+    table entry mant * 2**exp, and scales that by 2**(2e + exp).  Rounding
+    is monotone, so the term is at most B_n = ldexp(2 * mant, 2t + exp).
+    """
+    out = _exact_convolution(ca, cb) if ca and cb else []
+    nd = len(ca) + len(cb) - 1
+    if out is None and q >= 3 and nd > 2 * _HEAD:
+        x, y = np.empty(len(ca), complex), np.empty(len(cb), complex)
+        x[:], y[:] = ca, cb  # as the full product converts them
+        big = np.abs(x.view(float)).max(), np.abs(y.view(float)).max()
+        t = sum(math.frexp(v)[1] for v in big) + 1 + np.frexp(
+            np.arange(1, nd + 1))[1]
+        if all(map(math.isfinite, big)) and t[-1] <= 1023:
+            mant, exp = _weight_table(2 - q, nd)
+            with np.errstate(over="ignore"):
+                bound = np.ldexp(2.0 * mant[:nd], 2 * t + exp[:nd]).tolist()
+            k = _HEAD
+            while k < max(x.size, y.size):
+                head = _weighted_sq_terms(_float_convolution(
+                    [(x[:k], y[:k])])[0][:k], 2 - q, strict=False)
+                s = _fsum(head)
+                if _fsum(head + bound[k:]) == s:
+                    return s
+                k *= 4
+    if out is None:
+        out = _float_convolution([(ca, cb)])[0]
+    return _fsum(_weighted_sq_terms(out, 2 - q, strict=False))
 
 
 def vage_constant(d: int) -> float:
@@ -475,14 +470,14 @@ def vage_check(a: DualSequence, b: DualSequence, p: int, q: int
     docstring.)
 
     The product is formed only as far as its level-q norm can register:
-    for float factors with finite coefficients and q >= 3 it stops after
-    the last diagonal whose weighted square :func:`_visible_end` cannot
-    prove to be 0.0, so lhs is bit for bit the norm of the full product.
+    for float factors with finite coefficients and q >= 3,
+    :func:`_product_sq_norm` stops once a head of its diagonals certifies
+    the rounded sum, so lhs is bit for bit the norm of the full product.
     """
     _require_level(p)
     if not isinstance(q, int) or q < p + 1:
         raise ValueError("need q >= p + 1 >= 2")
-    lhs = dual_norm(DualSequence(_product(a.coeffs, b.coeffs, q)), q)
+    lhs = math.sqrt(_product_sq_norm(a.coeffs, b.coeffs, q))
     bound = vage_constant(q - p) * dual_norm(a, p) * dual_norm(b, q)
     return lhs, bound, lhs <= bound * (1.0 + 1e-12)
 

@@ -26,9 +26,10 @@ def test_quick_run_writes_bit_identical_rows(tmp_path):
     rows = {(r["call"], r["args"]): r for r in result["rows"]}
     assert ("cauchy_product", "(200, 200)") in rows
     assert ("cauchy_product", "(1000, 1000)") not in rows
-    # the capped vage_check and one product of norm-scaled factors, whose
-    # zero tails are trimmed
-    assert rows[("vage_check", "n=200, p=2, q=3")]["bit_identical"]
+    # the vage_check rows, early stop (q >= 3) and full product (q = 2),
+    # and one product of norm-scaled factors, whose zero tails are trimmed
+    assert {args for call, args in rows if call == "vage_check"} == {
+        "n=200, p=2, q=3", "n=20, p=1, q=2", "n=200, p=2, q=6"}
     assert ("cauchy_product", "(100, 100), norm-scaled m=5") in rows
     assert {call for call, _ in rows} == {
         "cauchy_product", "vage_check", "riemann_integral_product"}

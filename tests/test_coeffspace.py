@@ -256,6 +256,17 @@ def test_term_overflow_blames_the_term_not_the_weight(f):
         squared_norm(TaylorCoeffs.monomial(200), 1)
 
 
+def test_exact_coefficient_past_double_range_is_a_typed_overflow():
+    # inner_product already raised WeightOverflowError on this input
+    with pytest.raises(WeightOverflowError) as info:
+        squared_norm(TaylorCoeffs([10**400]), 1)
+    assert (info.value.index, info.value.m) == (0, 1)
+    assert str(info.value).startswith("coefficient exceeds double range")
+    with pytest.raises(WeightOverflowError) as info:
+        squared_norm(TaylorCoeffs([1, 0.5, -10**400]), 1)  # mixed: float
+    assert info.value.index == 2
+
+
 def test_mixed_input_takes_the_float_route():
     # any float coefficient converts every paired coefficient to complex
     f = TaylorCoeffs([Fraction(1, 3), 0.5])

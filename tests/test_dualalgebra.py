@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from dual_reference import (reference_exact_product, reference_product,
                             reference_riemann)
 from genfock import dualalgebra
-from genfock.coeffspace import TaylorCoeffs
+from genfock.coeffspace import TaylorCoeffs, WeightOverflowError
 from genfock.dualalgebra import (
     DualSequence,
     cauchy_product,
@@ -73,6 +73,8 @@ def test_json_round_trip():
 def test_level_validation():
     with pytest.raises(ValueError):
         DualSequence([1], 0)
+    with pytest.raises(ValueError):  # bool is an int, True is no level
+        DualSequence([1, 2], True)
 
 
 # ----------------------------------------------------------------- product
@@ -399,9 +401,9 @@ def test_norm_scaled_product_forms_only_its_live_window(monkeypatch):
     # its 1999, and the rest are the exact 0
     formed = []
 
-    def spy(short, other, view, swap, n_rows):
-        formed.append((short.shape, other.shape, n_rows))
-        return diagonal_sums(short, other, view, swap, n_rows)
+    def spy(short, other, view, swap):
+        formed.append((short.shape, other.shape))
+        return diagonal_sums(short, other, view, swap)
 
     diagonal_sums = dualalgebra._diagonal_sums
     monkeypatch.setattr(dualalgebra, "_diagonal_sums", spy)
@@ -412,7 +414,7 @@ def test_norm_scaled_product_forms_only_its_live_window(monkeypatch):
     live = int(np.flatnonzero(s)[-1]) + 1
     assert live == 178
     got = _package_product(a, b)
-    assert formed == [((1, live), (1, live), 2 * live - 1)]
+    assert formed == [((1, live), (1, live))]
     assert [(type(x), x) for x in got[2 * live - 1:]] == [(int, 0)] * (
         1999 - (2 * live - 1))
 
@@ -587,6 +589,15 @@ def _vage_draws():
     # (n!)**-4 alone would flush every finite term
     yield [1.0] * 150 + [1e200] * 150, [1.0] * 150 + [1e200] * 150, 2, 6
     yield [0] * 200 + [1.0], [0.0] * 5 + [2.0] * 9, 1, 3  # zero heads
+    # lengths around the early stop's first head of 24 diagonals, its
+    # fourfold growth and the 48 diagonals below which it is not tried
+    for la, lb in ((24, 25), (25, 25), (1, 49), (49, 1), (24, 24), (97, 3),
+                   (96, 97), (385, 2)):
+        for q in (3, 5):
+            yield _draw(rng, la, ()), _draw(rng, lb, ()), 2, q
+    # one large coefficient: its bound spoils the first head, not the second
+    a = _draw(rng, 200, ())
+    yield a[:50] + [1e6] + a[51:], _draw(rng, 200, ()), 2, 3
 
 
 def test_vage_check_is_the_full_product_norm_bit_for_bit():
@@ -599,8 +610,9 @@ def test_vage_check_is_the_full_product_norm_bit_for_bit():
 
 
 def test_vage_check_forms_only_the_visible_diagonals(monkeypatch):
-    # at n = 200 and q = 3 the weights 1/n! flush every term past n ~ 180
-    # to 0.0; the full product has 399 diagonals
+    # at n = 200 and q = 3 the first head, the product of the first 24
+    # coefficients of each factor, certifies the norm: 47 of the full
+    # product's 399 diagonals are formed
     formed = []
 
     def spy(p):
@@ -615,7 +627,18 @@ def test_vage_check_forms_only_the_visible_diagonals(monkeypatch):
     monkeypatch.setattr(dualalgebra, "_certified_sums", spy)
     got = vage_check(a, b, 2, 3)
     assert repr(got) == repr(want)
-    assert 170 <= sum(formed) <= 185
+    assert formed == [47]
+
+
+def test_vage_check_early_stop_is_not_fooled_by_a_tie():
+    # the first 24 diagonals sum to exactly 1 + 2**-53, a tie that fsum
+    # rounds to 1.0; the term at n = 40, about 7.8e-25, breaks it upward
+    a = [1.0, 0.0, 2 ** -26] + [0.0] * 37 + [8e11] + [0.0] * 19
+    want = float.fromhex("0x1.0000000000001p+0")
+    assert math.fsum(dualalgebra._weighted_sq_terms(a[:24], -1)) == 1.0
+    assert dualalgebra._product_sq_norm(tuple(a), (1.0,), 3) == want
+    x, y = DualSequence(a, 2), DualSequence([1.0], 3)
+    assert repr(vage_check(x, y, 2, 3)) == repr(_old_vage(x, y, 2, 3))
 
 
 def test_vage_check_validates_levels():
@@ -624,6 +647,18 @@ def test_vage_check_validates_levels():
         vage_check(a, a, 2, 2)  # needs q > p
     with pytest.raises(ValueError):
         vage_check(a, a, 0, 1)
+    with pytest.raises(ValueError):
+        vage_check(a, a, True, 2)
+
+
+def test_exact_coefficient_past_double_range_is_a_typed_overflow():
+    with pytest.raises(WeightOverflowError) as info:
+        dual_norm(DualSequence([10**400]), 3)
+    assert (info.value.index, info.value.m) == (0, -1)
+    # the exact product is the coefficient itself: lhs raises first
+    with pytest.raises(WeightOverflowError) as info:
+        vage_check(DualSequence([10**400]), DualSequence([1]), 1, 3)
+    assert (info.value.index, info.value.m) == (0, -1)
 
 
 # ------------------------------------------------------------ path integral

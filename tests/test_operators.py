@@ -70,6 +70,12 @@ def test_word_rejects_unknown_letters():
         apply_word("AXB", TaylorCoeffs.monomial(1))
 
 
+def test_boolean_level_is_rejected():
+    # bool is an int in Python, but True is not the level 1
+    with pytest.raises(ValueError):
+        raising_adjoint(TaylorCoeffs([1, 2]), True)
+
+
 def test_adjoint_letters_match_functions():
     f = TaylorCoeffs([1, 2, 3, 4])
     assert apply_word("S", f, m=3) == raising_adjoint(f, 3)
