@@ -32,10 +32,13 @@ Layers, on fixed seeded inputs (seed 0):
     21 ints, ``number_power_normal_ordered`` at k = 1..8 on 13 ints,
     ``verify_normal_ordering`` at k = 4, 8, ``adjoint_word_check`` at
     m = 2, 4, 6 and ``reordering_identity_check`` at n = 1, 4, 8, each at
-    degree 12, and ``cauchy_product`` at (40, 40) and (25, 40).  The
-    references are the closed forms the workload checks,
-    ((n+1)^m - n^m) c_n and n^k c_n, True for the checks, and the double
-    loop of ``tests/dual_reference.py`` for the products.
+    degree 12, and ``cauchy_product`` at (40, 40) and (25, 40); and the
+    float ``raising_adjoint`` of the workload's ``adjoint`` requests, on
+    norm-scaled degree-1000 draws at m = 1, 2 and 5.  The references are
+    the closed forms the workload checks, ((n+1)^m - n^m) c_n and
+    n^k c_n, True for the checks, the double loop of
+    ``tests/dual_reference.py`` for the products and the per-coefficient
+    n**m * c_n for the adjoint.
 ``bargmann``
     ``transform_kernel`` at m = 1, 2, 3 on the 96 Gauss-Hermite nodes, with
     a cold basis (the node set's cached rows dropped before every call) and
@@ -68,9 +71,9 @@ cold rows as its warm ones.  ``--quick`` drops the (1000, 1000) and
 129-node dual rows and keeps one norm-scaled product at (100, 100) and
 m = 5, takes 3 points per conv row and the m = 2 and 3 builds, keeps the
 m = 1 kernel rows, one quadrature row and degrees 30 and 1000, keeps
-m = 1, 6 and k = 1, 8, every other check and the (40, 40) product of the
-operator rows, and times one batch per row; it prints the results unless
-``--out`` is given.
+m = 1, 6 and k = 1, 8, every other check, the (40, 40) product and the
+m = 1 adjoint of the operator rows, and times one batch per row; it
+prints the results unless ``--out`` is given.
 ``--out DIR`` writes the files into DIR instead of the repository root.
 The exit code is 1 when any output differs from its reference or from the
 other checkout's.  The package is imported from the ``src`` directory next to
@@ -281,6 +284,15 @@ def operators(rng, quick: bool) -> list:
                 *pair(pkg)).coeffs,
             lambda a=a, b=b: tuple(reference_exact_product(a, b)),
             input="random ints in [-9, 9]"))
+    for m in (1,) if quick else (1, 2, 5):
+        g = _scaled(rng, 1001, m)
+        rows.append(_row(
+            "raising_adjoint", f"m={m}, degree=1000",
+            lambda pkg, g=coeffs(g), m=m: pkg.operators.raising_adjoint(
+                g(pkg), m).coeffs,
+            lambda g=g, m=m: tuple(pow(n, m) * c
+                                   for n, c in enumerate(g[1:], 1)),
+            input="complex normal coefficients times (n!)^(-m/2)"))
     return rows
 
 
@@ -390,9 +402,10 @@ LAYERS = {
                "of the radial tables, with the parent points the engine "
                "read", (3, 7)),
     "operators": (operators, "the exact requests of the algebra "
-                  "workload at its sizes, next to the closed forms it checks "
-                  "them by, True for the checks and a double loop for the "
-                  "products", (3, 15)),
+                  "workload at its sizes and its float raising_adjoint on "
+                  "norm-scaled degree-1000 draws, next to the closed forms "
+                  "it checks them by, True for the checks, a double loop "
+                  "for the products and n**m c_n for the adjoint", (3, 15)),
     "bargmann": (hermite, "the Hermite kernel, the quadrature cross-check, "
                  "the kernel section and the streamed Hermite rows, each "
                  "next to a term-by-term or stacked-table reference",

@@ -53,9 +53,12 @@ class WeightOverflowError(OverflowError):
         self.m = m
 
 
-def _require_level(m: int) -> None:
-    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
-        raise ValueError(f"level must be an integer >= 1, got {m!r}")
+def _require_level(m: int, signed: bool = False) -> None:
+    """m is a Python int other than a bool (``np.int64`` is none), and at
+    least 1 unless ``signed``."""
+    if not isinstance(m, int) or isinstance(m, bool) or m < 1 and not signed:
+        raise ValueError(f"level must be an integer{'' if signed else ' >= 1'}"
+                         f", got {m!r}")
 
 
 def log_weight(n: int, m: int) -> float:
@@ -105,6 +108,7 @@ def weight(n: int, m: int) -> float:
     For m >= 0 an unrepresentable weight raises :class:`WeightOverflowError`;
     for m < 0 it underflows gracefully onto the subnormal grid and to 0.0.
     """
+    _require_level(m, signed=True)
     mant, exp = _weight_table(m, n + 1)
     try:
         return math.ldexp(float(mant[n]), int(exp[n]))
@@ -297,6 +301,7 @@ def inner_product(f: TaylorCoeffs, g: TaylorCoeffs, m: int) -> complex:
     itself too large for a double raises WeightOverflowError.  The terms
     are summed correctly rounded; a sum past double range is infinite.
     """
+    _require_level(m, signed=True)
     size = min(len(f.coeffs), len(g.coeffs))
     fc, gc = f.coeffs[:size], g.coeffs[:size]
     if all(map(_is_exact, fc)) and all(map(_is_exact, gc)):
@@ -360,6 +365,7 @@ def squared_norm(f: TaylorCoeffs, m: int) -> float:
     :func:`_weighted_sq_terms` (exact where a weight or a coefficient alone
     leaves double range but the term does not) by :func:`_fsum`, so a sum
     of in-range terms past double range is inf."""
+    _require_level(m, signed=True)
     return _fsum(_weighted_sq_terms(f.coeffs, m))
 
 

@@ -10,7 +10,10 @@ actions:
 
 so at level 1 they reduce to the classical pair.  The module keeps all
 actions exact on int/Fraction input, which lets the combinatorial identity
-checks run in integer arithmetic with no tolerance at all.
+checks run in integer arithmetic with no tolerance at all.  Both adjoints
+read n**m from one cached row of ints per level, kept for the process and
+replaced whole when it grows; the check routes (A, B, the ladder, the
+expansions, ``number_power_direct``) never read it.
 
 Each action works on the plain coefficient tuple and wraps only its result.
 The normal-ordered routes share one lowering ladder: rung n is lowering**n f,
@@ -42,17 +45,26 @@ def _lower(cs: tuple, m: int = 1) -> tuple:
     return tuple(map(mul, range(1, len(cs)), cs[1:]))
 
 
+_POWERS: dict[int, tuple] = {}  # level m -> (1**m, 2**m, ...)
+
+
+def _powers(m: int, size: int) -> tuple:
+    """Level m's row of ints, at least ``size`` long, grown by doubling."""
+    row = _POWERS.get(m, ())
+    if len(row) < size:
+        row = _POWERS[m] = row + tuple(map(pow, range(
+            len(row) + 1, max(size, 2 * len(row)) + 1), repeat(m)))
+    return row
+
+
 def _raise_adj(cs: tuple, m: int) -> tuple:
-    return tuple(map(mul, map(pow, range(1, len(cs)), repeat(m)), cs[1:]))
+    return tuple(map(mul, _powers(m, len(cs) - 1), cs[1:]))
 
 
 def _lower_adj(cs: tuple, m: int) -> tuple:
-    out = [0] if cs else []
-    for k, c in enumerate(cs):
-        d = (k + 1) ** (m - 1)
-        out.append(c if d == 1 or c == 0
-                   else Fraction(c, d) if _is_exact(c) else c / d)
-    return tuple(out)
+    return ((0,) if cs else ()) + tuple(
+        c if d == 1 or c == 0 else Fraction(c, d) if _is_exact(c) else c / d
+        for c, d in zip(cs, _powers(m - 1, len(cs))))
 
 
 _LETTERS = {"A": _raise, "B": _lower, "S": _raise_adj, "T": _lower_adj}

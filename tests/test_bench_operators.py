@@ -1,4 +1,4 @@
-"""``scripts/bench_layers.py --quick operators``: the exact operator layer
+"""``scripts/bench_layers.py --quick operators``: the operator layer
 benchmark runs end to end, and every output it times is its reference's
 repr for repr."""
 
@@ -29,6 +29,7 @@ def test_quick_run_writes_bit_identical_rows(tmp_path):
         ("adjoint_word_check", "m=6, degree=12"),
         ("reordering_identity_check", "n=1, degree=12"),
         ("reordering_identity_check", "n=8, degree=12"),
-        ("cauchy_product", "(40, 40)")}
+        ("cauchy_product", "(40, 40)"),
+        ("raising_adjoint", "m=1, degree=1000")}
     assert all(r["bit_identical"] for r in rows.values())
     assert all(r["us"] > 0 and r["peak_mb"] >= 0 for r in rows.values())

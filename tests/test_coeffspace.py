@@ -71,6 +71,37 @@ def test_weight_negative_exponent():
     assert weight(300, -5) >= 0.0
 
 
+_FLOAT3 = TaylorCoeffs([1.0, 2.0, 3.0])
+_EXACT3 = TaylorCoeffs([1, 2, 3])
+_LEVEL_CALLS = {
+    "inner_product exact": lambda m: inner_product(_EXACT3, _EXACT3, m),
+    "inner_product float": lambda m: inner_product(_FLOAT3, _FLOAT3, m),
+    "squared_norm": lambda m: squared_norm(_FLOAT3, m),
+    "norm": lambda m: norm(_FLOAT3, m),
+    "weight": lambda m: weight(3, m),
+}
+
+
+@pytest.mark.parametrize("m", [True, False, 2.5, 2.0, np.int64(2)],
+                         ids=["True", "False", "2.5", "2.0", "int64"])
+@pytest.mark.parametrize("call", sorted(_LEVEL_CALLS))
+def test_level_of_the_wrong_kind_is_rejected(call, m):
+    # the bare AttributeError of _weight_table's big-int arithmetic, and a
+    # value from the exact route, were what these gave
+    with pytest.raises(ValueError, match="^level must be an integer, got"):
+        _LEVEL_CALLS[call](m)
+
+
+@pytest.mark.parametrize("call", sorted(_LEVEL_CALLS))
+def test_levels_below_one_are_levels(call):
+    # (n!)**0 is 1, and level -1 weighs z^n by 1/n!
+    want = {0: (14, 1.0), -1: (1 + 4 + 9 / 2, 1 / 6)}
+    for m, (sq, w) in want.items():
+        got = _LEVEL_CALLS[call](m)
+        assert got == (w if call == "weight" else
+                       pytest.approx(math.sqrt(sq)) if call == "norm" else sq)
+
+
 def _rounded_mantissa(x: Fraction) -> tuple[float, int]:
     """(mant, exp) with x ~ mant * 2**exp, mant the correctly rounded
     mantissa in [0.5, 1) (Fraction.__float__ rounds correctly)."""

@@ -195,6 +195,65 @@ def test_verify_operators_catches_a_wrong_public_adjoint(monkeypatch):
     assert rows["adjoint construction routes agree exactly"] is False
 
 
+@pytest.mark.parametrize("m", [1, 3])
+def test_verify_operators_catches_a_wrong_entry_of_the_cached_row(
+        monkeypatch, m):
+    # 5**m + 1 in place of 5**m: the check routes (the word, the ladder)
+    # do not read the row, so they disagree with the adjoint that does
+    row = list(operators._powers(m, 64))
+    row[4] += 1
+    monkeypatch.setitem(operators._POWERS, m, tuple(row))
+    assert adjoint_word_check(m, 12) is False
+    rows = {c["name"]: c["passed"]
+            for c in run_suite(RunConfig(seed=7), "operators")["checks"]}
+    assert rows["adjoint construction routes agree exactly"] is False
+
+
+def test_cached_row_grows_by_request_and_keeps_its_entries(monkeypatch):
+    monkeypatch.setattr(operators, "_POWERS", {})
+    for m in (0, 1, 4):
+        short = operators._powers(m, 5)
+        assert short == tuple(n**m for n in range(1, 6))
+        long = operators._powers(m, 3000)
+        assert long[:5] == short
+        assert long == tuple(n**m for n in range(1, len(long) + 1))
+        assert len(long) >= 3000
+        assert operators._powers(m, 10) is long
+        assert operators._POWERS[m] is long
+
+
+_SPECIAL = [0, 7, -3, Fraction(2, 3), Fraction(-5, 7), 0.0, -0.0, 5e-324,
+            -2.5e-320, 1e300, -math.inf, math.inf, math.nan, 0.0j,
+            complex(-0.0, 0.0), complex(0.0, -0.0), complex(5e-324, -1.0),
+            complex(1e300, -1e300), complex(math.inf, math.nan),
+            complex(math.nan, math.inf), complex(-math.inf, 0.0)]
+
+
+def _bits(cs) -> list:
+    # type and float.hex of every part, so -0.0, nan and inf are told apart
+    def one(c):
+        parts = ((c.real, c.imag) if isinstance(c, complex)
+                 else (c,) if isinstance(c, float) else ())
+        return type(c), tuple(map(float.hex, parts)) or c
+    return list(map(one, cs))
+
+
+@pytest.mark.parametrize("length", [0, 1, 2, 1001])
+@pytest.mark.parametrize("m", range(1, 9))
+def test_adjoints_from_the_row_are_the_per_coefficient_formulas(m, length):
+    cs = [_SPECIAL[(7 * i + m) % len(_SPECIAL)] for i in range(length)]
+    lowered = [0] if cs else []
+    for k, c in enumerate(cs):
+        d = (k + 1) ** (m - 1)
+        lowered.append(c if d == 1 or c == 0
+                       else Fraction(c, d) if isinstance(c, (int, Fraction))
+                       else c / d)
+    raised = [pow(n, m) * c for n, c in enumerate(cs[1:], 1)]
+    f = TaylorCoeffs(cs)
+    assert _bits(raising_adjoint(f, m).coeffs) == _bits(raised)
+    assert _bits(lowering_adjoint(f, m).coeffs) == _bits(lowered)
+
+
 def test_stirling_route_equals_direct_adjoint():
     f = TaylorCoeffs(list(range(1, 14)))
     for m in (1, 2, 3, 5):
