@@ -39,6 +39,17 @@ Layers, on fixed seeded inputs (seed 0):
     n^k c_n, True for the checks, the double loop of
     ``tests/dual_reference.py`` for the products and the per-coefficient
     n**m * c_n for the adjoint.
+``coeffs``
+    ``inner_product`` and ``squared_norm`` on norm-scaled draws c_n
+    (n!)^(-m/2) at m = 1, 2, 5 and degrees 40, 200 and 1000; the
+    ``algebra`` workload's ``adjoint`` pair, ``inner_product(raising f,
+    g)`` and ``inner_product(f, raising_adjoint g)``, at degree 1000 and
+    m = 1, 2, 5; and ``norm_identity_report`` at m = 1..5 on 33 complex
+    normal coefficients, as the workload draws them.  The bit reference is
+    the earlier full-conversion routes kept in
+    ``tests/coeffs_reference.py``; each row also holds ``rel_err_exact``,
+    its relative error against the value summed in exact Fractions from
+    the same doubles (the largest over the outputs of a pair or report).
 ``bargmann``
     ``transform_kernel`` at m = 1, 2, 3 on the 96 Gauss-Hermite nodes, with
     a cold basis (the node set's cached rows dropped before every call) and
@@ -57,7 +68,7 @@ without a reference).  Provenance reads package versions through
 ``importlib.metadata``, and genfock's from ``genfock.__version__`` where
 it is not installed.
 
-    python3 scripts/bench_layers.py dual radial operators bargmann  # all four
+    python3 scripts/bench_layers.py dual radial operators bargmann coeffs
     python3 scripts/bench_layers.py radial --against ../base
     python3 scripts/bench_layers.py dual --quick           # a smoke run
 
@@ -72,7 +83,9 @@ cold rows as its warm ones.  ``--quick`` drops the (1000, 1000) and
 m = 5, takes 3 points per conv row and the m = 2 and 3 builds, keeps the
 m = 1 kernel rows, one quadrature row and degrees 30 and 1000, keeps
 m = 1, 6 and k = 1, 8, every other check, the (40, 40) product and the
-m = 1 adjoint of the operator rows, and times one batch per row; it
+m = 1 adjoint of the operator rows, the (m, degree) pairs (1, 40), (2, 200)
+and (5, 1000), the m = 1 adjoint pair and the m = 1, 5 reports of the
+coefficient rows, and times one batch per row; it
 prints the results unless ``--out`` is given.
 ``--out DIR`` writes the files into DIR instead of the repository root.
 The exit code is 1 when any output differs from its reference or from the
@@ -93,6 +106,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -103,6 +117,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "scripts")]
 import genfock  # noqa: E402
 from dual_reference import (reference_exact_product,  # noqa: E402
                             reference_product, reference_riemann)
+import coeffs_reference  # noqa: E402
 from genfock import bargmann, dualalgebra, radialkernel  # noqa: E402
 from kernel_profiles import engine_counts  # noqa: E402
 from series_reference import (kernel_section_by_loop,  # noqa: E402
@@ -296,6 +311,106 @@ def operators(rng, quick: bool) -> list:
     return rows
 
 
+def _exact_parts(x) -> tuple:
+    z = complex(x)
+    return Fraction(z.real), Fraction(z.imag)
+
+
+def _exact_inner(f, g, m: int) -> tuple:
+    """(re, im) of sum f_n conj(g_n) (n!)**m over the given floats, as
+    Fractions."""
+    re = im = Fraction(0)
+    w = 1
+    for n, (x, y) in enumerate(zip(f, g)):
+        w *= max(n, 1) ** m
+        if x and y:
+            (xr, xi), (yr, yi) = _exact_parts(x), _exact_parts(y)
+            re += (xr * yr + xi * yi) * w
+            im += (xi * yr - xr * yi) * w
+    return re, im
+
+
+def _rel_err(value, exact) -> float:
+    """|value - exact| / |exact| (|value| where exact is 0), for a float or
+    complex value and an exact (re, im) pair."""
+    (vr, vi), (er, ei) = _exact_parts(value), exact
+    num = math.hypot(float(vr - er), float(vi - ei))
+    den = math.hypot(float(er), float(ei))
+    return num / den if den else num
+
+
+def coeffs(rng, quick: bool) -> list:
+    cs, op = genfock.coeffspace, genfock.operators
+    ref = coeffs_reference
+    T = cs.TaylorCoeffs
+
+    def vector(c):
+        return _once(lambda pkg: pkg.coeffspace.TaylorCoeffs(c))
+
+    scaled = "complex normal coefficients times (n!)^(-m/2)"
+    rows = []
+    grid = [(m, d) for m in (1, 2, 5) for d in (40, 200, 1000)]
+    for m, d in grid[::4] if quick else grid:
+        f, g = _scaled(rng, d + 1, m), _scaled(rng, d + 1, m)
+        F, G = vector(f), vector(g)
+        exact = _exact_inner(f, g, m)
+        rows.append(_row(
+            "inner_product", f"m={m}, degree={d}",
+            lambda pkg, F=F, G=G, m=m: pkg.coeffspace.inner_product(
+                F(pkg), G(pkg), m),
+            lambda f=f, g=g, m=m: ref.inner_product(T(f), T(g), m),
+            input=scaled, rel_err_exact=_rel_err(
+                cs.inner_product(T(f), T(g), m), exact)))
+        exact = _exact_inner(f, f, m)
+        rows.append(_row(
+            "squared_norm", f"m={m}, degree={d}",
+            lambda pkg, F=F, m=m: pkg.coeffspace.squared_norm(F(pkg), m),
+            lambda f=f, m=m: ref.squared_norm(T(f), m),
+            input=scaled, rel_err_exact=_rel_err(
+                cs.squared_norm(T(f), m), exact)))
+    for m in (1,) if quick else (1, 2, 5):
+        f, g = _scaled(rng, 1001, m), _scaled(rng, 1001, m)
+        F, G = vector(f), vector(g)
+
+        def adjoint(ops, ip, f, g, m):
+            return (ip(ops.raising(f), g, m),
+                    ip(f, ops.raising_adjoint(g, m), m))
+        # both sides equal sum f_n conj(g_(n+1)) ((n+1)!)**m
+        exact = _exact_inner((0,) + tuple(f), g, m)
+        rows.append(_row(
+            "adjoint", f"m={m}, degree=1000",
+            lambda pkg, F=F, G=G, m=m: adjoint(
+                pkg.operators, pkg.coeffspace.inner_product, F(pkg), G(pkg),
+                m),
+            lambda f=f, g=g, m=m: adjoint(op, ref.inner_product, T(f), T(g),
+                                          m),
+            input=scaled + "; inner_product(raising f, g) and "
+                           "inner_product(f, raising_adjoint g), as the "
+                           "algebra workload forms them",
+            rel_err_exact=max(_rel_err(v, exact) for v in adjoint(
+                op, cs.inner_product, T(f), T(g), m))))
+    for m in (1, 5) if quick else range(1, 6):
+        f = _cn(rng, 33)
+        F = vector(f)
+        sq = [(xr * xr + xi * xi) for xr, xi in map(_exact_parts, f)]
+        fact = [Fraction(math.factorial(n)) ** m for n in range(35)]
+        exact = [sum(s * fact[n + 1] for n, s in enumerate(sq)),
+                 sum(s * n ** m * fact[n] for n, s in enumerate(sq)),
+                 *(math.comb(m, k) * sum(s * n ** k * fact[n]
+                                         for n, s in enumerate(sq))
+                   for k in range(m))]
+        lhs, terms = op.norm_identity_report(T(f), m)
+        rows.append(_row(
+            "norm_identity_report", f"m={m}, degree=32",
+            lambda pkg, F=F, m=m: pkg.operators.norm_identity_report(
+                F(pkg), m),
+            lambda f=f, m=m: ref.norm_identity_report(T(f), m),
+            input="complex normal coefficients",
+            rel_err_exact=max(_rel_err(v, (e, 0)) for v, e in zip(
+                [lhs, *terms], exact))))
+    return rows
+
+
 def _build(m):
     """build_table(m) from an empty cache; the cache is restored after."""
     def run(pkg):
@@ -395,6 +510,10 @@ def hermite(rng, quick: bool) -> list:
 
 # name -> (rows, what, (repeats, rounds)); a quick run times one batch
 LAYERS = {
+    "coeffs": (coeffs, "the float inner product and squared norm on "
+               "norm-scaled draws, the algebra workload's adjoint pair and "
+               "the norm identity, each next to the earlier full-conversion "
+               "routes bit for bit and to exact Fractions", (3, 15)),
     "dual": (dual, "float Cauchy products of the dual algebra and the two "
              "calls built on them, next to a per-diagonal fsum reference",
              (3, 15)),

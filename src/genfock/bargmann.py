@@ -349,8 +349,9 @@ def transform_kernel(m: int, z: complex, t, tol: float = 1e-14):
         # row 0 the running sum, then the block's terms, summed in sequence
         sums = np.empty((len(coefs) + 1,) + total.shape, complex)
         sums[0] = total
-        np.multiply(np.array(coefs).reshape((-1,) + (1,) * total.ndim),
-                    rows.take(len(coefs)), out=sums[1:])
+        with np.errstate(invalid="ignore"):  # z**n past range: raised below
+            np.multiply(np.array(coefs).reshape((-1,) + (1,) * total.ndim),
+                        rows.take(len(coefs)), out=sums[1:])
         np.add.accumulate(sums, axis=0, out=sums)
         peaks = np.abs(sums[1:]).reshape(len(coefs), -1).max(axis=1)
         for i, peak in enumerate(peaks.tolist()):

@@ -84,7 +84,7 @@ def _weight_table(m: int, size: int) -> tuple[np.ndarray, np.ndarray]:
     if tab is not None and len(tab[1]) >= size:
         return tab[1], tab[2]
     big, mant, exp = tab if tab is not None else (1, np.empty(0),
-                                                  np.empty(0, np.int64))
+                                                  np.empty(0, np.int32))
     p = abs(m)
     ms, es = [], []
     for k in range(len(mant), max(size, 2 * len(mant))):
@@ -97,7 +97,10 @@ def _weight_table(m: int, size: int) -> tuple[np.ndarray, np.ndarray]:
         ms.append(fm)
         es.append(fe + s if m >= 0 else fe - s)
     mant = np.concatenate([mant, ms])
-    exp = np.concatenate([exp, np.array(es, np.int64)])
+    # int32 while |exp| <= bit_length(big) + 1 < 2**30 + 1, so adding two
+    # frexp exponents cannot wrap; numpy's ldexp is 3x faster on int32
+    exp = np.concatenate([exp, np.array(es, np.int64 if big.bit_length()
+                                        >> 30 else np.int32)])
     _TABLES[m] = (big, mant, exp)
     return mant, exp
 
@@ -264,6 +267,19 @@ def _split(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.ldexp(re, -e), np.ldexp(im, -e), e
 
 
+def _complex(cs, m: int, start: int = 0) -> np.ndarray:
+    """cs as a complex array; the first exact coefficient no double holds
+    (one that rounds to 2**1024) raises WeightOverflowError at its index,
+    counted from ``start``."""
+    try:
+        return np.asarray(cs, dtype=complex)
+    except OverflowError as exc:
+        for n, x in enumerate(cs, start):
+            if _is_exact(x) and abs(x) >= 2 ** 1024 - 2 ** 970:
+                raise WeightOverflowError(n, m, cause="coefficient") from exc
+        raise
+
+
 def _exact_inner(fc: tuple, gc: tuple, m: int) -> complex:
     """Sum of f_n g_n (n!)**m over int/Fraction input, held as one fraction
     N / D of big integers and rounded once (int true division rounds
@@ -290,27 +306,33 @@ def inner_product(f: TaylorCoeffs, g: TaylorCoeffs, m: int) -> complex:
     """Sum of f_n * conj(g_n) * (n!)**m; the shorter vector is zero-padded.
 
     When every paired coefficient is an int or a Fraction the sum is formed
-    exactly and rounded once.  Otherwise every paired coefficient is
-    converted to complex (an exact one outside double range raises
-    OverflowError) and each term is formed in numpy: both coefficients are
-    scaled by a power of two, the parts combined with the operations of a
-    complex multiply, times the weight mantissa, and the summed exponent
-    applied last.  A term in range is bit for bit
-    ``(f_n * conj(g_n)) * weight(n, m)``; one whose weight or coefficient
-    product alone leaves double range stays accurate, and one that is
-    itself too large for a double raises WeightOverflowError.  The terms
-    are summed correctly rounded; a sum past double range is infinite.
+    exactly and rounded once.  Otherwise f's paired coefficients and g's from
+    f's first to last non-zero one (no other is read) are converted to complex
+    (an exact one past double range raises WeightOverflowError) and each live
+    term is formed in numpy: both coefficients are scaled by a power of two,
+    the parts combined with the operations of a complex multiply, times the
+    weight mantissa, the summed exponent applied last.  A term in range is bit
+    for bit ``(f_n * conj(g_n)) * weight(n, m)``; one whose weight or
+    coefficient product alone leaves double range stays accurate, and one that
+    is itself too large for a double raises WeightOverflowError.  The terms are
+    summed correctly rounded; a sum past double range is infinite.
     """
     _require_level(m, signed=True)
     size = min(len(f.coeffs), len(g.coeffs))
     fc, gc = f.coeffs[:size], g.coeffs[:size]
     if all(map(_is_exact, fc)) and all(map(_is_exact, gc)):
         return _exact_inner(fc, gc, m)
-    a = np.array(fc, dtype=complex)
-    b = np.array(gc, dtype=complex)
-    idx = np.flatnonzero((a != 0) & (b != 0))
+    a = _complex(fc, m)
+    live = a != 0
+    lo, hi = 0, size  # the span from f's first to its last live coefficient
+    if not (live[0] and live[-1]):
+        lo = int(live.argmax())
+        hi = size - int(live[::-1].argmax()) if live[lo] else lo
+    b = _complex(gc[lo:hi], m, lo)
+    i = np.flatnonzero(live[lo:hi] & (b != 0))
+    idx = i + lo if lo else i
     fr, fi, fe = _split(a[idx])
-    gr, gi, ge = _split(b[idx])
+    gr, gi, ge = _split(b[i])
     mant, exp = _weight_table(m, size)
     mw, e = mant[idx], fe + ge + exp[idx]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -322,42 +344,37 @@ def inner_product(f: TaylorCoeffs, g: TaylorCoeffs, m: int) -> complex:
     return complex(_fsum(re.tolist()), _fsum(im.tolist()))
 
 
-def _weighted_sq_terms(coeffs, w: int, k: int = 0,
-                       strict: bool = True) -> list[float]:
-    """|c_n|**2 * (n!)**w * n**k for each non-zero c_n (n = 0 skipped if k > 0).
+def _weighted_sq_terms(coeffs, w: int, k=0, strict: bool = True) -> list:
+    """|c_n|**2 * (n!)**w * n**k for each non-zero c_n (n = 0 skipped if
+    k > 0); for a range of orders k, a list per order from one conversion.
 
     Each coefficient is scaled by 2**-e first (see :func:`_split`), the term
     formed as (re**2 + im**2) * mant * n**k and scaled by 2**(2e + exp), so
     in range it is bit for bit the double-precision product, and subnormal
     coefficients or weights past double range lose nothing.  A term past
-    double range raises WeightOverflowError, or is inf when not
-    ``strict``; a term below it flushes toward 0.0.  An exact coefficient
-    past double range raises WeightOverflowError and names the first.
+    double range raises WeightOverflowError (the orders in turn), or is inf
+    when not ``strict``; a term below it flushes toward 0.0.  An exact
+    coefficient past double range raises WeightOverflowError and names the
+    first.
     """
-    try:
-        c = np.array(coeffs, dtype=complex)
-    except OverflowError as exc:
-        for n, x in enumerate(coeffs):
-            try:
-                complex(x)
-            except OverflowError:
-                raise WeightOverflowError(n, w, cause="coefficient") from exc
-        raise
+    c = _complex(coeffs, w)
     idx = np.flatnonzero(c)
-    if k:
-        idx = idx[idx > 0]
     re, im, e = _split(c[idx])
     mant, exp = _weight_table(w, len(c))
+    rows = []
     with np.errstate(over="ignore", invalid="ignore"):
-        t = (re * re + im * im) * mant[idx]
-        if k:
-            t *= idx.astype(float) ** k
-        t = np.ldexp(t, 2 * e + exp[idx])
-    if strict:
-        bad = ~np.isfinite(t)
-        if bad.any():
-            raise WeightOverflowError(int(idx[bad.argmax()]), w)
-    return t.tolist()
+        base = (re * re + im * im) * mant[idx]
+        shift = 2 * e + exp[idx]
+        for kk in k if isinstance(k, range) else (k,):
+            j = int(kk != 0 and idx[:1].tolist() == [0])  # n = 0 skipped
+            t = base[j:] * idx[j:].astype(float) ** kk if kk else base
+            t = np.ldexp(t, shift[j:])
+            if strict:
+                bad = ~np.isfinite(t)
+                if bad.any():
+                    raise WeightOverflowError(int(idx[j + bad.argmax()]), w)
+            rows.append(t.tolist())
+    return rows if isinstance(k, range) else rows[0]
 
 
 def squared_norm(f: TaylorCoeffs, m: int) -> float:

@@ -233,11 +233,9 @@ def _diagonal_sums(short, other, view, swap: bool) -> list:
     width = max(1, _BLOCK // nr)
     certify = n_pairs * nr * nc >= _CERTIFY_PAIRS
     out = []
-    # the certificate meets inf - inf and overflow by design; the fsum route
-    # warns of overflow as numpy does, but not of the 0 * inf that padding
-    # and dead cells meet beside an infinite part
-    with np.errstate(all="ignore") if certify else np.errstate(
-            invalid="ignore"):
+    # inf - inf, overflow (the documented inf) and the 0 * inf that padding
+    # and dead cells meet beside an infinite part are by design: none warns
+    with np.errstate(all="ignore"):
         for r0 in range(0, n_rows, width):
             r1 = min(r0 + width, n_rows)
             j, d0 = divmod(r0, nd)
@@ -380,7 +378,7 @@ def _product(ca: tuple, cb: tuple) -> list:
 _HEAD = 24
 
 
-def _product_sq_norm(ca: tuple, cb: tuple, q: int) -> float:
+def _product_sq_norm(ca, cb, q: int) -> float:
     """The squared level-q dual norm of the product of the factors ``ca``
     and ``cb``, bit for bit that of :func:`_product`'s coefficients.
 
@@ -406,7 +404,7 @@ def _product_sq_norm(ca: tuple, cb: tuple, q: int) -> float:
     table entry mant * 2**exp, and scales that by 2**(2e + exp).  Rounding
     is monotone, so the term is at most B_n = ldexp(2 * mant, 2t + exp).
     """
-    out = _exact_convolution(ca, cb) if ca and cb else []
+    out = _exact_convolution(ca, cb) if len(ca) and len(cb) else []
     nd = len(ca) + len(cb) - 1
     if out is None and q >= 3 and nd > 2 * _HEAD:
         x, y = np.empty(len(ca), complex), np.empty(len(cb), complex)
@@ -469,16 +467,23 @@ def vage_check(a: DualSequence, b: DualSequence, p: int, q: int
     ``a`` measured at level p instead is not a theorem; see the module
     docstring.)
 
-    The product is formed only as far as its level-q norm can register:
-    for float factors with finite coefficients and q >= 3,
+    Float factors are converted once each, for all three norms.  The
+    product is formed only as far as its level-q norm can register: for
+    float factors with finite coefficients and q >= 3,
     :func:`_product_sq_norm` stops once a head of its diagonals certifies
     the rounded sum, so lhs is bit for bit the norm of the full product.
     """
     _require_level(p)
     if not isinstance(q, int) or q < p + 1:
         raise ValueError("need q >= p + 1 >= 2")
-    lhs = math.sqrt(_product_sq_norm(a.coeffs, b.coeffs, q))
-    bound = vage_constant(q - p) * dual_norm(a, p) * dual_norm(b, q)
+    ca, cb = a.coeffs, b.coeffs
+    if ca and cb and not all(map(_is_exact, ca + cb)):
+        ca, cb = np.empty(len(ca), complex), np.empty(len(cb), complex)
+        ca[:], cb[:] = a.coeffs, b.coeffs
+    lhs = math.sqrt(_product_sq_norm(ca, cb, q))
+    na, nb = (math.sqrt(_fsum(_weighted_sq_terms(c, 2 - lv, strict=False)))
+              for c, lv in ((ca, p), (cb, q)))
+    bound = vage_constant(q - p) * na * nb
     return lhs, bound, lhs <= bound * (1.0 + 1e-12)
 
 

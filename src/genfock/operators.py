@@ -213,8 +213,8 @@ def weighted_moment(f: TaylorCoeffs, m: int, k: int) -> float:
     terms of ``_weighted_sq_terms`` (weights from the exact table) by
     ``_fsum``: inf where in-range terms sum past double range."""
     _require_level(m)
-    if k < 0:
-        raise ValueError("moment order must be >= 0")
+    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
+        raise ValueError(f"moment order must be an integer >= 0, got {k!r}")
     return _fsum(_weighted_sq_terms(f.coeffs, m, k))
 
 
@@ -254,9 +254,9 @@ def norm_identity_report(f: TaylorCoeffs, m: int) -> tuple[float, list[float]]:
     """
     _require_level(m)
     lhs = squared_norm(raising(f), m)
-    terms = [squared_norm(raising_adjoint(f, m), m), squared_norm(f, m)]
-    terms.extend(math.comb(m, k) * weighted_moment(f, m, k)
-                 for k in range(1, m))
+    terms = [squared_norm(raising_adjoint(f, m), m)]
+    terms += [math.comb(m, k) * _fsum(row) for k, row in enumerate(
+        _weighted_sq_terms(f.coeffs, m, range(m)))]  # C(m, 0) = 1 is exact
     return lhs, terms
 
 

@@ -1,0 +1,130 @@
+"""The float routes of ``inner_product``, ``_weighted_sq_terms`` and
+``norm_identity_report`` as they were before the float kernels read only
+the live span of the second factor and took a vector's norm and moments
+from one conversion: each vector converted to complex whole, once per norm
+and per moment.  Kept literally, with the ``squared_norm`` and
+``weighted_moment`` they called, for the tests and
+``scripts/bench_layers.py``'s ``coeffs`` layer.  The package's routes must
+match them bit for bit, values and raised errors alike, on numeric
+coefficients that a double holds; beyond that the old inner product raised
+a bare OverflowError, and read, so could fail on, every coefficient of its
+second factor.
+"""
+
+import math
+
+import numpy as np
+
+from genfock.coeffspace import (TaylorCoeffs, WeightOverflowError,
+                                _exact_inner, _fsum, _is_exact,
+                                _require_level, _split, _weight_table)
+from genfock.operators import raising, raising_adjoint
+
+
+def inner_product(f: TaylorCoeffs, g: TaylorCoeffs, m: int) -> complex:
+    """Sum of f_n * conj(g_n) * (n!)**m; the shorter vector is zero-padded.
+
+    When every paired coefficient is an int or a Fraction the sum is formed
+    exactly and rounded once.  Otherwise every paired coefficient is
+    converted to complex (an exact one outside double range raises
+    OverflowError) and each term is formed in numpy: both coefficients are
+    scaled by a power of two, the parts combined with the operations of a
+    complex multiply, times the weight mantissa, and the summed exponent
+    applied last.  A term in range is bit for bit
+    ``(f_n * conj(g_n)) * weight(n, m)``; one whose weight or coefficient
+    product alone leaves double range stays accurate, and one that is
+    itself too large for a double raises WeightOverflowError.  The terms
+    are summed correctly rounded; a sum past double range is infinite.
+    """
+    _require_level(m, signed=True)
+    size = min(len(f.coeffs), len(g.coeffs))
+    fc, gc = f.coeffs[:size], g.coeffs[:size]
+    if all(map(_is_exact, fc)) and all(map(_is_exact, gc)):
+        return _exact_inner(fc, gc, m)
+    a = np.array(fc, dtype=complex)
+    b = np.array(gc, dtype=complex)
+    idx = np.flatnonzero((a != 0) & (b != 0))
+    fr, fi, fe = _split(a[idx])
+    gr, gi, ge = _split(b[idx])
+    mant, exp = _weight_table(m, size)
+    mw, e = mant[idx], fe + ge + exp[idx]
+    with np.errstate(over="ignore", invalid="ignore"):
+        re = np.ldexp((fr * gr + fi * gi) * mw, e)
+        im = np.ldexp((fi * gr - fr * gi) * mw, e)
+    bad = ~(np.isfinite(re) & np.isfinite(im))
+    if bad.any():
+        raise WeightOverflowError(int(idx[bad.argmax()]), m)
+    return complex(_fsum(re.tolist()), _fsum(im.tolist()))
+
+
+def _weighted_sq_terms(coeffs, w: int, k: int = 0,
+                       strict: bool = True) -> list[float]:
+    """|c_n|**2 * (n!)**w * n**k for each non-zero c_n (n = 0 skipped if k > 0).
+
+    Each coefficient is scaled by 2**-e first (see :func:`_split`), the term
+    formed as (re**2 + im**2) * mant * n**k and scaled by 2**(2e + exp), so
+    in range it is bit for bit the double-precision product, and subnormal
+    coefficients or weights past double range lose nothing.  A term past
+    double range raises WeightOverflowError, or is inf when not
+    ``strict``; a term below it flushes toward 0.0.  An exact coefficient
+    past double range raises WeightOverflowError and names the first.
+    """
+    try:
+        c = np.array(coeffs, dtype=complex)
+    except OverflowError as exc:
+        for n, x in enumerate(coeffs):
+            try:
+                complex(x)
+            except OverflowError:
+                raise WeightOverflowError(n, w, cause="coefficient") from exc
+        raise
+    idx = np.flatnonzero(c)
+    if k:
+        idx = idx[idx > 0]
+    re, im, e = _split(c[idx])
+    mant, exp = _weight_table(w, len(c))
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = (re * re + im * im) * mant[idx]
+        if k:
+            t *= idx.astype(float) ** k
+        t = np.ldexp(t, 2 * e + exp[idx])
+    if strict:
+        bad = ~np.isfinite(t)
+        if bad.any():
+            raise WeightOverflowError(int(idx[bad.argmax()]), w)
+    return t.tolist()
+
+
+def squared_norm(f: TaylorCoeffs, m: int) -> float:
+    """Sum of |f_n|^2 * (n!)**m, correctly rounded over the terms of
+    :func:`_weighted_sq_terms` (exact where a weight or a coefficient alone
+    leaves double range but the term does not) by :func:`_fsum`, so a sum
+    of in-range terms past double range is inf."""
+    _require_level(m, signed=True)
+    return _fsum(_weighted_sq_terms(f.coeffs, m))
+
+
+def weighted_moment(f: TaylorCoeffs, m: int, k: int) -> float:
+    """Sum over n of |f_n|**2 * (n!)**m * n**k, correctly rounded over the
+    terms of ``_weighted_sq_terms`` (weights from the exact table) by
+    ``_fsum``: inf where in-range terms sum past double range."""
+    _require_level(m)
+    if k < 0:
+        raise ValueError("moment order must be >= 0")
+    return _fsum(_weighted_sq_terms(f.coeffs, m, k))
+
+
+
+def norm_identity_report(f: TaylorCoeffs, m: int) -> tuple[float, list[float]]:
+    """(lhs, rhs_terms) for the shift norm identity.
+
+    rhs_terms = [||raising_adjoint f||^2, ||f||^2,
+                 C(m,1)*moment_1, ..., C(m,m-1)*moment_{m-1}];
+    the identity asserts lhs == sum(rhs_terms).
+    """
+    _require_level(m)
+    lhs = squared_norm(raising(f), m)
+    terms = [squared_norm(raising_adjoint(f, m), m), squared_norm(f, m)]
+    terms.extend(math.comb(m, k) * weighted_moment(f, m, k)
+                 for k in range(1, m))
+    return lhs, terms

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -549,3 +550,13 @@ def test_cache_holds_a_bounded_number_of_sets(empty_bases):
     assert len(bargmann._bases) == bargmann._BASIS_SETS
     assert held_bytes() <= bargmann._BASIS_BUDGET
     assert ((), np.float64(3.0).tobytes()) in bargmann._bases
+
+
+def test_kernel_past_double_range_raises_without_a_warning():
+    # z**n * eta turns NaN before the typed error is raised; numpy's
+    # invalid-value warning does not escape
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(WeightOverflowError) as info:
+            transform_kernel(1, 30j, hermgauss(96)[0])
+    assert (info.value.index, info.value.m) == (314, 1)

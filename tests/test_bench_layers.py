@@ -7,7 +7,7 @@ import json
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-LAYERS = ("dual", "radial", "operators", "bargmann")
+LAYERS = ("dual", "radial", "operators", "bargmann", "coeffs")
 
 
 def test_against_the_same_checkout_agrees_on_every_row(tmp_path):

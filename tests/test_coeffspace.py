@@ -306,9 +306,28 @@ def test_mixed_input_takes_the_float_route():
     # coefficients past the shorter vector do not take part
     assert inner_product(TaylorCoeffs([1, 2, 0.5]), TaylorCoeffs([1, 3]),
                          1) == 7
-    # an exact coefficient outside double range cannot be converted
-    with pytest.raises(OverflowError):
-        inner_product(TaylorCoeffs([10**400, 1.0]), TaylorCoeffs([1, 1.0]), 1)
+    # an exact coefficient outside double range cannot be converted: the
+    # first one read is named, in either factor
+    for f, g, n in ((TaylorCoeffs([10**400, 1.0]), TaylorCoeffs([1, 1.0]), 0),
+                    (TaylorCoeffs([1.0, 2.0]), TaylorCoeffs([1.5, 10**400]), 1)):
+        with pytest.raises(WeightOverflowError) as info:
+            inner_product(f, g, 1)
+        assert (info.value.index, info.value.m) == (n, 1)
+        assert str(info.value) == (f"coefficient exceeds double range at "
+                                   f"index n={n} (level m=1)")
+
+
+def test_second_factor_is_read_only_inside_the_first_ones_live_span():
+    # f is live at n = 2..3 only, so g's entries before and after are never
+    # converted: neither the int past double range nor the string raises
+    f = TaylorCoeffs([0.0, 0j, 1.0, -0.5, 0.0, 0])
+    g = TaylorCoeffs([10**400, "junk", 2.0, 4j, 10**400, "junk"])
+    # 1 * 2 * 2! + (-0.5) * conj(4j) * 3!
+    assert inner_product(f, g, 1) == 4 + 12j
+    # inside the span an unconvertible entry still raises, named by its index
+    g = TaylorCoeffs([1.0, 1.0, 2.0, 10**400])
+    with pytest.raises(WeightOverflowError, match=r"index n=3 \(level m=1\)"):
+        inner_product(f, g, 1)
 
 
 def test_overflow_reports_the_offending_index():

@@ -14,6 +14,7 @@ pins that counterexample so nobody "fixes" the orientation back.
 import json
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -659,6 +660,19 @@ def test_exact_coefficient_past_double_range_is_a_typed_overflow():
     with pytest.raises(WeightOverflowError) as info:
         vage_check(DualSequence([10**400]), DualSequence([1]), 1, 3)
     assert (info.value.index, info.value.m) == (0, -1)
+    # the pairing's float route names the coefficient too
+    with pytest.raises(WeightOverflowError) as info:
+        pairing(TaylorCoeffs([1.0, 2.0]), DualSequence([1.5, 10**400]))
+    assert (info.value.index, info.value.m) == (1, 1)
+
+
+def test_product_past_double_range_is_quiet():
+    # the documented inf, without numpy's overflow warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = cauchy_product(DualSequence([1e308, 1e308]),
+                             DualSequence([1e308, 1.0]))
+    assert got.coeffs == (complex(math.inf), complex(math.inf), 1e308 + 0j)
 
 
 # ------------------------------------------------------------ path integral
