@@ -407,8 +407,7 @@ def _product_sq_norm(ca, cb, q: int) -> float:
     out = _exact_convolution(ca, cb) if len(ca) and len(cb) else []
     nd = len(ca) + len(cb) - 1
     if out is None and q >= 3 and nd > 2 * _HEAD:
-        x, y = np.empty(len(ca), complex), np.empty(len(cb), complex)
-        x[:], y[:] = ca, cb  # as the full product converts them
+        x, y = np.asarray(ca, complex), np.asarray(cb, complex)
         big = np.abs(x.view(float)).max(), np.abs(y.view(float)).max()
         t = sum(math.frexp(v)[1] for v in big) + 1 + np.frexp(
             np.arange(1, nd + 1))[1]
