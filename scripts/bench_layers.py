@@ -316,7 +316,7 @@ def _exact_parts(x) -> tuple:
     return Fraction(z.real), Fraction(z.imag)
 
 
-def _exact_inner(f, g, m: int) -> tuple:
+def _fraction_inner(f, g, m: int) -> tuple:
     """(re, im) of sum f_n conj(g_n) (n!)**m over the given floats, as
     Fractions."""
     re = im = Fraction(0)
@@ -347,13 +347,17 @@ def coeffs(rng, quick: bool) -> list:
     def vector(c):
         return _once(lambda pkg: pkg.coeffspace.TaylorCoeffs(c))
 
+    def adjoint(ops, ip, f, g, m):
+        return (ip(ops.raising(f), g, m),
+                ip(f, ops.raising_adjoint(g, m), m))
+
     scaled = "complex normal coefficients times (n!)^(-m/2)"
     rows = []
     grid = [(m, d) for m in (1, 2, 5) for d in (40, 200, 1000)]
     for m, d in grid[::4] if quick else grid:
         f, g = _scaled(rng, d + 1, m), _scaled(rng, d + 1, m)
         F, G = vector(f), vector(g)
-        exact = _exact_inner(f, g, m)
+        exact = _fraction_inner(f, g, m)
         rows.append(_row(
             "inner_product", f"m={m}, degree={d}",
             lambda pkg, F=F, G=G, m=m: pkg.coeffspace.inner_product(
@@ -361,7 +365,7 @@ def coeffs(rng, quick: bool) -> list:
             lambda f=f, g=g, m=m: ref.inner_product(T(f), T(g), m),
             input=scaled, rel_err_exact=_rel_err(
                 cs.inner_product(T(f), T(g), m), exact)))
-        exact = _exact_inner(f, f, m)
+        exact = _fraction_inner(f, f, m)
         rows.append(_row(
             "squared_norm", f"m={m}, degree={d}",
             lambda pkg, F=F, m=m: pkg.coeffspace.squared_norm(F(pkg), m),
@@ -371,12 +375,8 @@ def coeffs(rng, quick: bool) -> list:
     for m in (1,) if quick else (1, 2, 5):
         f, g = _scaled(rng, 1001, m), _scaled(rng, 1001, m)
         F, G = vector(f), vector(g)
-
-        def adjoint(ops, ip, f, g, m):
-            return (ip(ops.raising(f), g, m),
-                    ip(f, ops.raising_adjoint(g, m), m))
         # both sides equal sum f_n conj(g_(n+1)) ((n+1)!)**m
-        exact = _exact_inner((0,) + tuple(f), g, m)
+        exact = _fraction_inner((0,) + tuple(f), g, m)
         rows.append(_row(
             "adjoint", f"m={m}, degree=1000",
             lambda pkg, F=F, G=G, m=m: adjoint(
@@ -392,7 +392,7 @@ def coeffs(rng, quick: bool) -> list:
     for m in (1, 5) if quick else range(1, 6):
         f = _cn(rng, 33)
         F = vector(f)
-        sq = [(xr * xr + xi * xi) for xr, xi in map(_exact_parts, f)]
+        sq = [xr * xr + xi * xi for xr, xi in map(_exact_parts, f)]
         fact = [Fraction(math.factorial(n)) ** m for n in range(35)]
         exact = [sum(s * fact[n + 1] for n, s in enumerate(sq)),
                  sum(s * n ** m * fact[n] for n, s in enumerate(sq)),
