@@ -44,12 +44,15 @@ Layers, on fixed seeded inputs (seed 0):
     (n!)^(-m/2) at m = 1, 2, 5 and degrees 40, 200 and 1000; the
     ``algebra`` workload's ``adjoint`` pair, ``inner_product(raising f,
     g)`` and ``inner_product(f, raising_adjoint g)``, at degree 1000 and
-    m = 1, 2, 5; and ``norm_identity_report`` at m = 1..5 on 33 complex
-    normal coefficients, as the workload draws them.  The bit reference is
-    the earlier full-conversion routes kept in
+    m = 1, 2, 5; ``norm_identity_report`` at m = 1..5 on 33 complex
+    normal coefficients; and the exact route of ``inner_product`` on 41
+    Fractions p/q (p in [-9, 9], q in [1, 9]) per factor at m = 1, 2, 5,
+    each as the workload draws them.  The bit reference is the earlier
+    full-conversion routes and the ``isinstance`` dispatch kept in
     ``tests/coeffs_reference.py``; each row also holds ``rel_err_exact``,
     its relative error against the value summed in exact Fractions from
-    the same doubles (the largest over the outputs of a pair or report).
+    the same doubles or Fractions (the largest over the outputs of a pair
+    or report).
 ``bargmann``
     ``transform_kernel`` at m = 1, 2, 3 on the 96 Gauss-Hermite nodes, with
     a cold basis (the node set's cached rows dropped before every call) and
@@ -84,8 +87,9 @@ m = 5, takes 3 points per conv row and the m = 2 and 3 builds, keeps the
 m = 1 kernel rows, one quadrature row and degrees 30 and 1000, keeps
 m = 1, 6 and k = 1, 8, every other check, the (40, 40) product and the
 m = 1 adjoint of the operator rows, the (m, degree) pairs (1, 40), (2, 200)
-and (5, 1000), the m = 1 adjoint pair and the m = 1, 5 reports of the
-coefficient rows, and times one batch per row; it
+and (5, 1000), the m = 1 adjoint pair, the m = 1, 5 reports and the m = 1
+Fraction inner product of the coefficient rows, and times one batch per
+row; it
 prints the results unless ``--out`` is given.
 ``--out DIR`` writes the files into DIR instead of the repository root.
 The exit code is 1 when any output differs from its reference or from the
@@ -408,6 +412,22 @@ def coeffs(rng, quick: bool) -> list:
             input="complex normal coefficients",
             rel_err_exact=max(_rel_err(v, (e, 0)) for v, e in zip(
                 [lhs, *terms], exact))))
+    for m in (1,) if quick else (1, 2, 5):
+        f, g = ([Fraction(int(p), int(q)) for p, q in zip(
+            rng.integers(-9, 10, 41), rng.integers(1, 10, 41))]
+            for _ in range(2))
+        F, G = vector(f), vector(g)
+        exact = sum(x * y * math.factorial(n) ** m
+                    for n, (x, y) in enumerate(zip(f, g)))
+        rows.append(_row(
+            "inner_product", f"m={m}, degree=40, Fractions",
+            lambda pkg, F=F, G=G, m=m: pkg.coeffspace.inner_product(
+                F(pkg), G(pkg), m),
+            lambda f=f, g=g, m=m: ref.inner_product(T(f), T(g), m),
+            input="Fractions p/q, p in [-9, 9], q in [1, 9], as the algebra "
+                  "workload draws them",
+            rel_err_exact=_rel_err(cs.inner_product(T(f), T(g), m),
+                                   (exact, 0))))
     return rows
 
 
@@ -511,9 +531,10 @@ def hermite(rng, quick: bool) -> list:
 # name -> (rows, what, (repeats, rounds)); a quick run times one batch
 LAYERS = {
     "coeffs": (coeffs, "the float inner product and squared norm on "
-               "norm-scaled draws, the algebra workload's adjoint pair and "
-               "the norm identity, each next to the earlier full-conversion "
-               "routes bit for bit and to exact Fractions", (3, 15)),
+               "norm-scaled draws, the algebra workload's adjoint pair, "
+               "the norm identity and the Fraction inner product, each next "
+               "to the earlier full-conversion routes and dispatch bit for "
+               "bit and to exact Fractions", (3, 15)),
     "dual": (dual, "float Cauchy products of the dual algebra and the two "
              "calls built on them, next to a per-diagonal fsum reference",
              (3, 15)),

@@ -122,6 +122,20 @@ def _is_exact(c) -> bool:
     return isinstance(c, (int, Fraction))
 
 
+_EXACT_TYPES = frozenset((int, Fraction))
+
+
+def _all_exact(cs) -> bool:
+    """Every element of ``cs`` is an int or a Fraction: the exact route.
+
+    The type-set scan runs in C and stops at the first other type, so float
+    input decides after a coefficient or two; only when it fails does the
+    ``isinstance`` scan run, which gives ``bool``, other int subclasses and
+    Fraction subclasses their verdict (``np.int64`` is no int).
+    """
+    return _EXACT_TYPES.issuperset(map(type, cs)) or all(map(_is_exact, cs))
+
+
 def _strip(cs: tuple) -> tuple:
     """cs without its trailing zeros."""
     end = len(cs)
@@ -132,20 +146,23 @@ def _strip(cs: tuple) -> tuple:
 
 def _fsum(xs: list) -> float:
     """``math.fsum``, except that a sum past double range is the signed
-    infinity of float arithmetic, not an OverflowError.  fsum raises once a
-    partial sum leaves range, even if the total does not; the exact sum of
+    infinity of float arithmetic, not an OverflowError, and a sum of inf and
+    -inf is NaN, as in float arithmetic, not a ValueError.  fsum raises once
+    a partial sum leaves range, even if the total does not; the exact sum of
     the finite terms, rounded once, settles which."""
     try:
         return math.fsum(xs)
     except OverflowError:
         special = [x for x in xs if not math.isfinite(x)]
         if special:  # inf or nan decides, as in fsum
-            return math.fsum(special)
+            return _fsum(special)
         exact = sum(map(Fraction, xs))
         try:
             return float(exact)
         except OverflowError:
             return math.inf if exact > 0 else -math.inf
+    except ValueError:  # -inf + inf: NaN, as in float arithmetic
+        return math.nan
 
 
 def _fsum_complex(terms) -> complex:
@@ -197,7 +214,7 @@ class TaylorCoeffs:
         return self.coeffs[n] if 0 <= n < len(self.coeffs) else 0
 
     def is_exact(self) -> bool:
-        return all(_is_exact(c) for c in self.coeffs)
+        return _all_exact(self.coeffs)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TaylorCoeffs):
@@ -322,7 +339,7 @@ def inner_product(f: TaylorCoeffs, g: TaylorCoeffs, m: int) -> complex:
     _require_level(m, signed=True)
     size = min(len(f.coeffs), len(g.coeffs))
     fc, gc = f.coeffs[:size], g.coeffs[:size]
-    if all(map(_is_exact, fc)) and all(map(_is_exact, gc)):
+    if _all_exact(fc) and _all_exact(gc):
         return _exact_inner(fc, gc, m)
     a = _complex(fc, m)
     live = a != 0

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coeffspace import (TaylorCoeffs, _fsum, _is_exact,
+from .coeffspace import (TaylorCoeffs, _all_exact, _complex, _fsum,
                          _require_level, _strip, _weight_table,
                          _weighted_sq_terms, inner_product, weight)
 
@@ -119,7 +119,7 @@ def _fsum_rows(re, im, live) -> list:
     row without a live cell is the exact 0.  The rows run through
     ``math.fsum``, and through the package's ``_fsum`` (the same value
     wherever ``math.fsum`` returns one) only once a partial sum leaves
-    double range."""
+    double range or inf meets -inf."""
     counts = live.sum(axis=1).tolist()
     re, im = re[live].tolist(), im[live].tolist()
 
@@ -135,7 +135,7 @@ def _fsum_rows(re, im, live) -> list:
         return out
     try:
         return rows(math.fsum)
-    except OverflowError:
+    except (OverflowError, ValueError):
         return rows(_fsum)
 
 
@@ -300,13 +300,9 @@ def _float_convolution(pairs) -> list:
     a, b = (other, short) if swap else (short, other)
     try:  # factors of one length convert at once
         a[:], b[:] = fa, fb
-    except Exception:
+    except Exception:  # else ca, then cb, pair by pair, as one-pair calls
         for j, (ca, cb) in enumerate(pairs):
-            try:  # ca, then cb, pair by pair, as one-pair calls convert
-                a[j, :len(ca)], b[j, :len(cb)] = ca, cb
-            except Exception:  # an earlier pair's error comes first
-                _float_convolution(pairs[:j])
-                raise
+            a[j, :len(ca)], b[j, :len(cb)] = ca, cb
     full = na + nb - 1  # the diagonals of the longest product
     lo, hi = 0, full
     # the window [lo, hi) from the first to the last live product, sought
@@ -338,7 +334,7 @@ def _float_convolution(pairs) -> list:
 def _exact_convolution(ca: tuple, cb: tuple):
     """The exact product of non-empty all-int/Fraction factors, else None;
     in int64 when all are ints and max|a| max|b| min(len a, len b) < 2**62."""
-    if not (all(map(_is_exact, ca)) and all(map(_is_exact, cb))):
+    if not (_all_exact(ca) and _all_exact(cb)):
         return None
     if {*map(type, ca), *map(type, cb)} == {int} and 0 < min(len(ca), len(
             cb)) * max(1, *map(abs, ca)) * max(1, *map(abs, cb)) < 1 << 62:
@@ -359,19 +355,36 @@ def cauchy_product(a: DualSequence, b: DualSequence) -> DualSequence:
     All-exact (int/Fraction) inputs stay exact.  Otherwise every coefficient
     is taken as a complex float and each output coefficient is the
     correctly rounded sum of its products, so the product commutes exactly:
-    a running sum would depend on the traversal order.  The float product
-    is the one-pair call of :func:`_float_convolution`.
+    a running sum would depend on the traversal order: past double range
+    that is the signed inf, and inf with -inf is NaN, as in float
+    arithmetic.  An exact coefficient that no double holds raises
+    WeightOverflowError at its index and the product's level.  The float
+    product is the one-pair call of :func:`_float_convolution`.
     """
-    return DualSequence(_product(a.coeffs, b.coeffs),
-                        max(a.level, b.level))
+    level = max(a.level, b.level)
+    return DualSequence(_product(a.coeffs, b.coeffs, level), level)
 
 
-def _product(ca: tuple, cb: tuple) -> list:
+def _product(ca: tuple, cb: tuple, level: int) -> list:
     """The coefficients of :func:`cauchy_product`."""
     if not ca or not cb:
         return []
     out = _exact_convolution(ca, cb)
-    return out if out is not None else _float_convolution([(ca, cb)])[0]
+    return out if out is not None else _float_products([(ca, cb)], level)[0]
+
+
+def _float_products(pairs, level: int) -> list:
+    """:func:`_float_convolution` of ``pairs``, products at ``level``.  An
+    exact coefficient that no double holds raises WeightOverflowError at its
+    index and ``level`` (the first pair's first, its first factor's first),
+    where the conversion raises a bare OverflowError."""
+    try:
+        return _float_convolution(pairs)
+    except OverflowError:
+        for ca, cb in pairs:
+            _complex(ca, level)
+            _complex(cb, level)
+        raise
 
 
 # the first head of _product_sq_norm's early stop, in diagonals
@@ -476,7 +489,7 @@ def vage_check(a: DualSequence, b: DualSequence, p: int, q: int
     if not isinstance(q, int) or q < p + 1:
         raise ValueError("need q >= p + 1 >= 2")
     ca, cb = a.coeffs, b.coeffs
-    if ca and cb and not all(map(_is_exact, ca + cb)):
+    if ca and cb and not (_all_exact(ca) and _all_exact(cb)):
         ca, cb = np.empty(len(ca), complex), np.empty(len(cb), complex)
         ca[:], cb[:] = a.coeffs, b.coeffs
     lhs = math.sqrt(_product_sq_norm(ca, cb, q))
@@ -491,7 +504,9 @@ def riemann_integral_product(f_path, g_path) -> DualSequence:
 
     Both paths are lists of (t_i, DualSequence) on the same strictly
     increasing grid; the grid need not be uniform.  The integrand is the
-    Cauchy product at each node, with one kernel call for all float nodes.
+    Cauchy product at each node, with one kernel call for all float nodes;
+    an exact coefficient that no double holds in a float node raises
+    WeightOverflowError at the path's level, the first node's first.
     """
     if len(f_path) != len(g_path):
         raise ValueError("paths must share one grid (length mismatch)")
@@ -508,7 +523,8 @@ def riemann_integral_product(f_path, g_path) -> DualSequence:
     pairs = [(f.coeffs, g.coeffs) for (_, f), (_, g) in zip(f_path, g_path)]
     prods = [_exact_convolution(*pair) if all(pair) else [] for pair in pairs]
     floats = [j for j, pr in enumerate(prods) if pr is None]
-    for j, pr in zip(floats, _float_convolution([pairs[j] for j in floats])):
+    for j, pr in zip(floats, _float_products([pairs[j] for j in floats],
+                                             level)):
         prods[j] = pr
     width = max(map(len, prods))
     rows = np.array([pr + [0] * (width - len(pr)) for pr in prods], complex)

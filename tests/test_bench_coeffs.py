@@ -1,7 +1,7 @@
 """``scripts/bench_layers.py --quick coeffs``: the coefficient layer
 benchmark runs end to end, every output it times is the earlier
-full-conversion routes' repr for repr, and each row states its relative
-error against exact Fractions."""
+full-conversion routes' and dispatch's repr for repr, and each row states
+its relative error against exact Fractions."""
 
 import importlib.util
 import json
@@ -30,7 +30,8 @@ def test_quick_run_writes_bit_identical_rows(tmp_path):
         ("squared_norm", "m=5, degree=1000"),
         ("adjoint", "m=1, degree=1000"),
         ("norm_identity_report", "m=1, degree=32"),
-        ("norm_identity_report", "m=5, degree=32")}
+        ("norm_identity_report", "m=5, degree=32"),
+        ("inner_product", "m=1, degree=40, Fractions")}
     assert all(r["bit_identical"] for r in rows.values())
     assert all(r["us"] > 0 and r["peak_mb"] >= 0 for r in rows.values())
     # well-conditioned draws: every value is within a few ulps of exact

@@ -1,6 +1,7 @@
 """Coefficient-space core: weights, pairings, kernel series, aggregation."""
 
 import cmath
+import enum
 import json
 import math
 import time
@@ -12,11 +13,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 from series_reference import kernel_section_by_loop
 
+import coeffs_reference
+from dual_reference import reference_exact_product, reference_product
+from genfock import coeffspace, dualalgebra
 from genfock.coeffspace import (
     TaylorCoeffs,
     WeightOverflowError,
     _fsum,
     _fsum_complex,
+    _is_exact,
     _weight_table,
     add,
     aggregate_kernels_exponential,
@@ -172,6 +177,75 @@ def test_exact_coefficients_stay_exact():
     assert f.is_exact()
     assert add(f, f).coeff(0) == Fraction(2, 3)
     assert not TaylorCoeffs([0.5]).is_exact()
+
+
+class _Two(enum.IntEnum):
+    TWO = 2
+
+
+class _Ratio(Fraction):
+    pass
+
+
+# the exact route is for int and Fraction, subclasses included; a numpy
+# integer is no int, and one float or complex anywhere sends all to floats
+_KINDS = {
+    "int": [3, -1, 0, 2, 5],
+    "Fraction": [Fraction(1, 3), Fraction(-2, 5), 0, Fraction(7, 2), 1],
+    "bool": [True, False, 2, True, -1],
+    "IntEnum": [_Two.TWO, 1, 0, -3, _Two.TWO],
+    "Fraction subclass": [_Ratio(1, 3), 2, _Ratio(-5, 7), 0, 1],
+    "np.int64": [np.int64(2), 1, 0, -3, 4],
+    "float first": [0.5, 1, 0, -3, 4],
+    "float middle": [2, 1, 0.25, -3, 4],
+    "float last": [2, 1, 0, -3, 4.0],
+    "complex first": [0.5j, 1, 0, -3, 4],
+    "complex middle": [2, 1, 1 - 2j, -3, 4],
+    "complex last": [2, 1, 0, -3, 4j],
+    "empty": [],
+}
+
+
+def _bits(x):
+    return type(x), repr(x)
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+def test_exact_route_is_the_isinstance_verdict(monkeypatch, kind):
+    # each call takes the route all(map(_is_exact, ...)) picks, with the
+    # values and types of the references that keep that dispatch
+    x = _KINDS[kind]
+    y = [1, -2, 3, 0, 7][:len(x)]
+    exact = all(map(_is_exact, x))
+    assert TaylorCoeffs(x).is_exact() is exact
+    routes = []
+
+    def exact_inner(*args):
+        routes.append("exact")
+        return inner(*args)
+
+    def float_convolution(pairs):
+        routes.append("float")
+        return convolution(pairs)
+    inner, convolution = coeffspace._exact_inner, dualalgebra._float_convolution
+    monkeypatch.setattr(coeffspace, "_exact_inner", exact_inner)
+    monkeypatch.setattr(dualalgebra, "_float_convolution", float_convolution)
+    for f, g in ((x, y), (y, x)):
+        got = inner_product(TaylorCoeffs(f), TaylorCoeffs(g), 2)
+        assert _bits(got) == _bits(coeffs_reference.inner_product(
+            TaylorCoeffs(f), TaylorCoeffs(g), 2))
+    assert routes == (["exact"] * 2 if exact else [])
+    routes.clear()
+    a, b = dualalgebra.DualSequence(x), dualalgebra.DualSequence(y)
+    product = (reference_exact_product if exact else reference_product)(x, y)
+    got = dualalgebra.cauchy_product(a, b).coeffs
+    assert list(map(_bits, got)) == list(map(_bits, product))
+    lhs = dualalgebra.dual_norm(dualalgebra.DualSequence(product), 2)
+    bound = (dualalgebra.vage_constant(1) * dualalgebra.dual_norm(a, 1)
+             * dualalgebra.dual_norm(b, 2))
+    assert repr(dualalgebra.vage_check(a, b, 1, 2)) == repr(
+        (lhs, bound, lhs <= bound * (1.0 + 1e-12)))
+    assert routes == ([] if exact or not x else ["float"] * 2)
 
 
 # ----------------------------------------------------------- inner product

@@ -167,7 +167,7 @@ def test_certified_product_is_the_reference_on_hard_input(monkeypatch, block):
            st.lists(_HARD_COEFFS, min_size=1, max_size=30))
     @example([1.0, 1.0], [1.0, 2.0 ** -53])     # 1 + 2**-53, a tie
     @example([1.0, 1.0], [1.0, -1.0])           # exact cancellation
-    @example([_BIG, -_BIG], [_BIG, _BIG])       # inf - inf: ValueError
+    @example([_BIG, -_BIG], [_BIG, _BIG])       # inf - inf: NaN
     @example([1e154, 1e154, 1e154], [1.7e154, 1.7e154, -1.7e154])
     # diagonal 2 sums to 1 + 2**-53 + 2**-105, just above a tie; its low
     # parts do not sum exactly, and rounded they make the tie itself
@@ -218,7 +218,7 @@ def test_stacked_kernel_is_the_reference_pair_by_pair(monkeypatch, block):
     @example([([1.0], [2.0, 3.0, 4.0]), ([5.0, 0], [1e154, -1e154, 1.0]),
               ([2.0 ** -53, 1.0], [1.0])])
     @example([([1.0, 1.0], [1.0, 2.0 ** -53]), ([1.0], [_BIG]),
-              ([_BIG, -_BIG], [_BIG, _BIG])])      # the third raises
+              ([_BIG, -_BIG], [_BIG, _BIG])])      # the third is NaN
     @example([([3.0, 0, 1.0], [0, 0]), ([1.0, 1.0], [1.0, -1.0])])
     # a factor that does not convert raises after the pairs before it
     @example([([_BIG, -_BIG], [_BIG, _BIG]), ([1.0, 10 ** 400], [1.0, 1.0])])
@@ -675,6 +675,42 @@ def test_product_past_double_range_is_quiet():
     assert got.coeffs == (complex(math.inf), complex(math.inf), 1e308 + 0j)
 
 
+def test_inf_and_minus_inf_on_one_diagonal_is_nan():
+    # 1e309 - 1e309 is NaN in float arithmetic; fsum alone raises ValueError
+    a, b = [1e308, 1e308], [10.0, -10.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = cauchy_product(DualSequence(a), DualSequence(b))
+        path = riemann_integral_product(
+            sample_path(lambda t: DualSequence(a), steps=2),
+            sample_path(lambda t: DualSequence(b), steps=2))
+    assert repr(got.coeffs) == "((inf+0j), (nan+0j), (-inf+0j))"
+    # the float-by-complex multiply of the trapezoid rule adds -0.0 * inf
+    assert repr(path.coeffs) == "((inf+nanj), (nan+nanj), (-inf+nanj))"
+    # past double range first, then inf and -inf among the terms
+    assert math.isnan(dualalgebra._fsum([1e308, 1e308, math.inf, -math.inf]))
+
+
+@pytest.mark.parametrize("a,b,index,level", [
+    ((10 ** 400, 1.0), (1.0,), 0, 1),
+    ((1.0,), (2.0, 3, -Fraction(10 ** 401, 3)), 2, 2),
+])
+def test_exact_coefficient_past_range_in_a_float_product_is_typed(
+        a, b, index, level):
+    with pytest.raises(WeightOverflowError) as info:
+        cauchy_product(DualSequence(a), DualSequence(b, level))
+    assert (info.value.index, info.value.m) == (index, level)
+    assert str(info.value) == (f"coefficient exceeds double range at index "
+                               f"n={index} (level m={level})")
+    # a path names the first such coefficient at the path's level
+    f = sample_path(lambda t: DualSequence([1.0, t], 2), steps=4)
+    g = sample_path(lambda t: DualSequence([t, 2.0]), steps=4)
+    f[3], g[3] = (f[3][0], DualSequence(a)), (g[3][0], DualSequence(b))
+    with pytest.raises(WeightOverflowError) as info:
+        riemann_integral_product(f, g)
+    assert (info.value.index, info.value.m) == (index, 2)
+
+
 # ------------------------------------------------------------ path integral
 
 
@@ -780,15 +816,21 @@ def _node_rows(kind):
 def test_path_integral_is_the_reference(kind):
     f_rows, g_rows, ts = _node_rows(kind)
     want = _path_outcome(reference_riemann, f_rows, g_rows, ts)
-    assert _path_outcome(_package_riemann, f_rows, g_rows, ts) == want
-    if kind.startswith("inf - inf"):  # the earlier node's error comes first
-        assert want == (ValueError, "-inf + inf in fsum")
+    got = _path_outcome(_package_riemann, f_rows, g_rows, ts)
+    if kind.endswith("no float"):
+        # the reference's bare OverflowError comes typed, at the path's
+        # level, after any NaN node
+        assert want == (OverflowError, "int too large to convert to float")
+        assert got == (WeightOverflowError, "coefficient exceeds double "
+                       "range at index n=1 (level m=3)")
+    else:
+        assert got == want
+    if kind == "inf - inf":  # NaN, as in float arithmetic
+        assert want[1] == (complex, "(nan+nanj)")
     if kind == "signed zeros":
         assert want == [(complex, "0j")]
     if kind == "non-finite":
         assert "nan" in want[0][1]
-    if kind == "no float":
-        assert want == (OverflowError, "int too large to convert to float")
     if "exact" in kind:
         # the same node in floats rounds its factors first and differs
         floats = [[complex(c) for c in f] for f in f_rows]
