@@ -664,6 +664,21 @@ def test_exact_coefficient_past_double_range_is_a_typed_overflow():
     with pytest.raises(WeightOverflowError) as info:
         pairing(TaylorCoeffs([1.0, 2.0]), DualSequence([1.5, 10**400]))
     assert (info.value.index, info.value.m) == (1, 1)
+    # so do the float products, at the product's or the path's level
+    for a, b, index, level in (((10 ** 400, 1.0), (1.0,), 0, 1),
+                               ((1.0,), (2.0, 3, -Fraction(10 ** 401, 3)),
+                                2, 2)):
+        with pytest.raises(WeightOverflowError) as info:
+            cauchy_product(DualSequence(a), DualSequence(b, level))
+        assert (info.value.index, info.value.m) == (index, level)
+        assert str(info.value) == ("coefficient exceeds double range at "
+                                   f"index n={index} (level m={level})")
+        f = sample_path(lambda t: DualSequence([1.0, t], 2), steps=4)
+        g = sample_path(lambda t: DualSequence([t, 2.0]), steps=4)
+        f[3], g[3] = (f[3][0], DualSequence(a)), (g[3][0], DualSequence(b))
+        with pytest.raises(WeightOverflowError) as info:
+            riemann_integral_product(f, g)
+        assert (info.value.index, info.value.m) == (index, 2)
 
 
 def test_product_past_double_range_is_quiet():
@@ -672,43 +687,19 @@ def test_product_past_double_range_is_quiet():
         warnings.simplefilter("error")
         got = cauchy_product(DualSequence([1e308, 1e308]),
                              DualSequence([1e308, 1.0]))
-    assert got.coeffs == (complex(math.inf), complex(math.inf), 1e308 + 0j)
-
-
-def test_inf_and_minus_inf_on_one_diagonal_is_nan():
-    # 1e309 - 1e309 is NaN in float arithmetic; fsum alone raises ValueError
-    a, b = [1e308, 1e308], [10.0, -10.0]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        got = cauchy_product(DualSequence(a), DualSequence(b))
+        # inf - inf on diagonal 1 is NaN, as in float arithmetic (fsum
+        # alone raises ValueError); the trapezoid rule's float-by-complex
+        # multiply adds -0.0 * inf to every part
+        a, b = [1e308, 1e308], [10.0, -10.0]
+        nan = cauchy_product(DualSequence(a), DualSequence(b))
         path = riemann_integral_product(
             sample_path(lambda t: DualSequence(a), steps=2),
             sample_path(lambda t: DualSequence(b), steps=2))
-    assert repr(got.coeffs) == "((inf+0j), (nan+0j), (-inf+0j))"
-    # the float-by-complex multiply of the trapezoid rule adds -0.0 * inf
+    assert got.coeffs == (complex(math.inf), complex(math.inf), 1e308 + 0j)
+    assert repr(nan.coeffs) == "((inf+0j), (nan+0j), (-inf+0j))"
     assert repr(path.coeffs) == "((inf+nanj), (nan+nanj), (-inf+nanj))"
-    # past double range first, then inf and -inf among the terms
+    # a partial sum past double range first, then inf and -inf
     assert math.isnan(dualalgebra._fsum([1e308, 1e308, math.inf, -math.inf]))
-
-
-@pytest.mark.parametrize("a,b,index,level", [
-    ((10 ** 400, 1.0), (1.0,), 0, 1),
-    ((1.0,), (2.0, 3, -Fraction(10 ** 401, 3)), 2, 2),
-])
-def test_exact_coefficient_past_range_in_a_float_product_is_typed(
-        a, b, index, level):
-    with pytest.raises(WeightOverflowError) as info:
-        cauchy_product(DualSequence(a), DualSequence(b, level))
-    assert (info.value.index, info.value.m) == (index, level)
-    assert str(info.value) == (f"coefficient exceeds double range at index "
-                               f"n={index} (level m={level})")
-    # a path names the first such coefficient at the path's level
-    f = sample_path(lambda t: DualSequence([1.0, t], 2), steps=4)
-    g = sample_path(lambda t: DualSequence([t, 2.0]), steps=4)
-    f[3], g[3] = (f[3][0], DualSequence(a)), (g[3][0], DualSequence(b))
-    with pytest.raises(WeightOverflowError) as info:
-        riemann_integral_product(f, g)
-    assert (info.value.index, info.value.m) == (index, 2)
 
 
 # ------------------------------------------------------------ path integral
