@@ -41,8 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
-from .coeffspace import (TaylorCoeffs, WeightOverflowError, _fsum,
-                         _fsum_complex, _require_level, _weight_table,
+from .coeffspace import (TaylorCoeffs, WeightOverflowError, _complex,
+                         _fsum, _fsum_complex, _require_level, _weight_table,
                          _weighted_sq_terms)
 
 _PI_QUARTER = math.pi ** -0.25
@@ -169,9 +169,8 @@ def hermite_eta(n: int, t):
 
 @functools.lru_cache(maxsize=None, typed=True)
 def _gauss_hermite(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """``hermgauss(order)``, computed once per order and shared read-only.
-    The cache is typed, so 96.0 is its own key and raises in ``hermgauss``
-    as before rather than finding the rule of 96."""
+    """``hermgauss(order)``, computed once per order and shared read-only;
+    the cache is typed, so 96.0 raises in ``hermgauss`` even once 96 is in."""
     nodes, weights = hermgauss(order)
     nodes.flags.writeable = False
     weights.flags.writeable = False
@@ -184,14 +183,13 @@ def _lifted_weights(nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return np.exp(np.log(weights) + nodes ** 2)
 
 
-def eta_sup_on_grid(nmax: int, t_max: float = 30.0, pts: int = 6001
-                    ) -> np.ndarray:
-    """max over the grid of |eta_n|, for n = 0 .. nmax.
+def eta_sup_on_grid(nmax: int) -> np.ndarray:
+    """max of |eta_n| over 6001 points spanning [-30, 30], n = 0 .. nmax.
 
-    The default window covers the classical turning points +-sqrt(2n+1) for
-    n up to about 400, beyond which the functions are exponentially small.
+    The window covers the classical turning points +-sqrt(2n+1) for n up
+    to about 400, beyond which the functions are exponentially small.
     """
-    t = np.linspace(-t_max, t_max, pts)
+    t = np.linspace(-30.0, 30.0, 6001)
     return np.array([np.abs(eta).max() for eta in _eta_rows(t, nmax)])
 
 
@@ -250,8 +248,8 @@ def _scales(m: int, size: int) -> list[float]:
 
 
 def _scaled(coeffs, m: int, divide: bool) -> list:
-    """coeffs times (or divided by) their scales; zeros stay exact zeros and
-    a non-zero coefficient whose scale is below double range raises."""
+    """coeffs times (or divided by) their scales; zeros stay exact zeros, and
+    a scale below double range or a coefficient no double holds raises."""
     scales = _scales(m, len(coeffs))
     out = []
     for n, (c, s) in enumerate(zip(coeffs, scales)):
@@ -260,7 +258,10 @@ def _scaled(coeffs, m: int, divide: bool) -> list:
         elif s == 0.0:
             raise WeightOverflowError(n, m)
         else:
-            out.append(c / s if divide else c * s)
+            try:
+                out.append(c / s if divide else c * s)
+            except OverflowError as exc:
+                raise WeightOverflowError(n, m, cause="coefficient") from exc
     return out
 
 
@@ -282,22 +283,26 @@ def unitarity_gap(hermite_coeffs, m: int) -> dict:
     their relative gap (0 for an exactly unitary map).
 
     A squared norm past double range is inf, and then so is the gap: two
-    norms out of range leave no relative gap to measure.
+    norms out of range leave no relative gap to measure.  An exact
+    coefficient that no double holds raises WeightOverflowError.
     """
-    l2 = _fsum([a * a for a in (abs(complex(c)) for c in hermite_coeffs)])
+    try:
+        l2 = _fsum([a * a for a in (abs(complex(c)) for c in hermite_coeffs)])
+    except OverflowError:
+        _complex(hermite_coeffs, m)  # names the first coefficient past range
+        raise
     img = _fsum(_weighted_sq_terms(forward(hermite_coeffs, m).coeffs, m,
                                    strict=False))
-    if math.isinf(l2) or math.isinf(img):
-        return {"l2": l2, "image": img, "gap": math.inf}
-    gap = abs(img - l2) / max(l2, 1e-300)
+    gap = (math.inf if math.isinf(l2) or math.isinf(img)
+           else abs(img - l2) / max(l2, _TINY))
     return {"l2": l2, "image": img, "gap": gap}
 
 
-def transform_kernel(m: int, z: complex, t, tol: float = 1e-14):
+def transform_kernel(m: int, z: complex, t):
     """h_m(z, t) = sum_n z**n (n!)**(-m/2) eta_n(t); t may be an array.
 
     Stops the same way the coefficient-side kernel does: after three
-    consecutive terms fall below tol times the running sum.  The term size
+    consecutive terms fall below 1e-14 times the running sum.  The term size
     is the uniform bound |z|**n (n!)**(-m/2) * sup|eta|, stepped by |z|
     times the ratio of consecutive scales (|z|**n alone can overflow); the
     running sum is the largest partial-sum magnitude over the t batch
@@ -315,8 +320,6 @@ def transform_kernel(m: int, z: complex, t, tol: float = 1e-14):
     partial sum is bit for bit the one a term-by-term loop makes.
     """
     _require_level(m)
-    if not tol > 0:
-        raise ValueError("tol must be positive")
     z = complex(z)
     zabs = max(abs(z), 1e-30)
     rows = _EtaReader(t)
@@ -343,7 +346,7 @@ def transform_kernel(m: int, z: complex, t, tol: float = 1e-14):
             coefs.append(zp * scales[k])
             bound = bound * zabs * (scales[k] / scales[k - 1])
             bounds.append(bound)
-            ahead = ahead + 1 if bound < tol * ref else 0
+            ahead = ahead + 1 if bound < 1e-14 * ref else 0
         if not coefs:
             raise WeightOverflowError(n + 1, m)
         # row 0 the running sum, then the block's terms, summed in sequence
@@ -356,7 +359,7 @@ def transform_kernel(m: int, z: complex, t, tol: float = 1e-14):
         peaks = np.abs(sums[1:]).reshape(len(coefs), -1).max(axis=1)
         for i, peak in enumerate(peaks.tolist()):
             ref = max(ref, peak)
-            below = below + 1 if bounds[i] < tol * ref else 0
+            below = below + 1 if bounds[i] < 1e-14 * ref else 0
             if below == 3:
                 break
         n += i + 1
@@ -369,19 +372,23 @@ def transform_kernel(m: int, z: complex, t, tol: float = 1e-14):
     return total if total.ndim else complex(total)
 
 
-def transform_via_quadrature(hermite_coeffs, m: int, z: complex,
-                             order: int = 96) -> complex:
+def transform_via_quadrature(hermite_coeffs, m: int, z: complex) -> complex:
     """Evaluate the transform at z as the integral of h_m(z, .) against the
-    input function, by Gauss-Hermite quadrature.
+    input function, by Gauss-Hermite quadrature of order 96.
 
     Both factors carry exp(-t*t/2), so against the exp(-t*t) Gauss weight
     the integrand is polynomial and the rule is exact once the order beats
     the truncation degrees.  Independent of the coefficient route up to
-    quadrature error; used as a cross-check.
+    quadrature error; used as a cross-check.  An exact coefficient that no
+    double holds raises WeightOverflowError.
     """
     _require_level(m)
-    nodes, weights = _gauss_hermite(order)
-    coeffs = np.array([complex(c) for c in hermite_coeffs], complex)
+    nodes, weights = _gauss_hermite(96)
+    try:
+        coeffs = np.array([complex(c) for c in hermite_coeffs], complex)
+    except OverflowError:
+        _complex(hermite_coeffs, m)  # names the first coefficient past range
+        raise
     # phi = 0 + c_0 eta_0 + c_1 eta_1 + ..., summed in sequence
     terms = np.zeros((len(coeffs) + 1, len(nodes)), complex)
     np.multiply(coeffs[:, None], _EtaReader(nodes).take(len(coeffs)),

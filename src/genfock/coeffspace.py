@@ -285,9 +285,11 @@ def _split(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _complex(cs, m: int, start: int = 0) -> np.ndarray:
     """A sequence as a complex array, by ``np.fromiter``, which skips the
-    shape discovery that makes ``np.asarray`` about 15% slower.  The first
-    exact coefficient no double holds (one that rounds to 2**1024) raises
-    WeightOverflowError at its index, counted from ``start``."""
+    shape discovery that makes ``np.asarray`` about 15% slower; an ndarray
+    as it is.  The first exact coefficient no double holds (one that rounds
+    to 2**1024) raises WeightOverflowError at its index, from ``start``."""
+    if isinstance(cs, np.ndarray):
+        return cs
     try:
         return np.fromiter(cs, complex, len(cs))
     except OverflowError as exc:
@@ -376,7 +378,7 @@ def _weighted_sq_terms(coeffs, w: int, k=0, strict: bool = True) -> list:
     coefficient past double range raises WeightOverflowError and names the
     first.
     """
-    c = coeffs if isinstance(coeffs, np.ndarray) else _complex(coeffs, w)
+    c = _complex(coeffs, w)
     idx = np.flatnonzero(c)
     re, im, e = _split(c[idx])
     mant, exp = _weight_table(w, len(c))

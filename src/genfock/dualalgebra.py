@@ -280,7 +280,7 @@ def _diagonal_sums(short, other, view, swap: bool) -> list:
     return out
 
 
-def _float_convolution(pairs) -> list:
+def _float_convolution(pairs, level: int) -> list:
     """Cauchy products of a stack of factor pairs (ca, cb) of float
     coefficients, one list per pair, each output correctly rounded.
 
@@ -289,7 +289,7 @@ def _float_convolution(pairs) -> list:
     that can hold a live product (both factors non-zero): the zero heads
     and tails the factors share across the stack are trimmed first, and
     the diagonals before and after the trimmed window are the exact 0.
-    Errors come as pair-by-pair calls would raise them.
+    Errors are those of pair-by-pair :func:`_complex` calls at ``level``.
     """
     if not pairs:
         return []
@@ -302,7 +302,8 @@ def _float_convolution(pairs) -> list:
         a[:], b[:] = fa, fb
     except Exception:  # else ca, then cb, pair by pair, as one-pair calls
         for j, (ca, cb) in enumerate(pairs):
-            a[j, :len(ca)], b[j, :len(cb)] = ca, cb
+            a[j, :len(ca)] = _complex(ca, level)
+            b[j, :len(cb)] = _complex(cb, level)
     full = na + nb - 1  # the diagonals of the longest product
     lo, hi = 0, full
     # the window [lo, hi) from the first to the last live product, sought
@@ -362,29 +363,19 @@ def cauchy_product(a: DualSequence, b: DualSequence) -> DualSequence:
     product is the one-pair call of :func:`_float_convolution`.
     """
     level = max(a.level, b.level)
-    return DualSequence(_product(a.coeffs, b.coeffs, level), level)
+    return DualSequence(_products([(a.coeffs, b.coeffs)], level)[0], level)
 
 
-def _product(ca: tuple, cb: tuple, level: int) -> list:
-    """The coefficients of :func:`cauchy_product`."""
-    if not ca or not cb:
-        return []
-    out = _exact_convolution(ca, cb)
-    return out if out is not None else _float_products([(ca, cb)], level)[0]
-
-
-def _float_products(pairs, level: int) -> list:
-    """:func:`_float_convolution` of ``pairs``, products at ``level``.  An
-    exact coefficient that no double holds raises WeightOverflowError at its
-    index and ``level`` (the first pair's first, its first factor's first),
-    where the conversion raises a bare OverflowError."""
-    try:
-        return _float_convolution(pairs)
-    except OverflowError:
-        for ca, cb in pairs:
-            _complex(ca, level)
-            _complex(cb, level)
-        raise
+def _products(pairs, level: int) -> list:
+    """The Cauchy products of ``pairs`` (ca, cb): [] for an empty factor,
+    exact for all-exact pairs, the rest in one kernel call at ``level``."""
+    prods = [_exact_convolution(ca, cb) if ca and cb else []
+             for ca, cb in pairs]
+    if None in prods:
+        floats = iter(_float_convolution(
+            [pair for pair, pr in zip(pairs, prods) if pr is None], level))
+        prods = [next(floats) if pr is None else pr for pr in prods]
+    return prods
 
 
 # the first head of _product_sq_norm's early stop, in diagonals
@@ -393,7 +384,7 @@ _HEAD = 24
 
 def _product_sq_norm(ca, cb, q: int) -> float:
     """The squared level-q dual norm of the product of the factors ``ca``
-    and ``cb``, bit for bit that of :func:`_product`'s coefficients.
+    and ``cb``, bit for bit that of :func:`_products`' coefficients.
 
     The exact or the float route is chosen once, on the whole factors.
     Float factors with finite parts, q >= 3 and more than 2 * ``_HEAD``
@@ -420,7 +411,7 @@ def _product_sq_norm(ca, cb, q: int) -> float:
     out = _exact_convolution(ca, cb) if len(ca) and len(cb) else []
     nd = len(ca) + len(cb) - 1
     if out is None and q >= 3 and nd > 2 * _HEAD:
-        x, y = np.asarray(ca, complex), np.asarray(cb, complex)
+        x, y = _complex(ca, q), _complex(cb, q)
         big = np.abs(x.view(float)).max(), np.abs(y.view(float)).max()
         t = sum(math.frexp(v)[1] for v in big) + 1 + np.frexp(
             np.arange(1, nd + 1))[1]
@@ -431,13 +422,13 @@ def _product_sq_norm(ca, cb, q: int) -> float:
             k = _HEAD
             while k < max(x.size, y.size):
                 head = _weighted_sq_terms(_float_convolution(
-                    [(x[:k], y[:k])])[0][:k], 2 - q, strict=False)
+                    [(x[:k], y[:k])], q)[0][:k], 2 - q, strict=False)
                 s = _fsum(head)
                 if _fsum(head + bound[k:]) == s:
                     return s
                 k *= 4
     if out is None:
-        out = _float_convolution([(ca, cb)])[0]
+        out = _float_convolution([(ca, cb)], q)[0]
     return _fsum(_weighted_sq_terms(out, 2 - q, strict=False))
 
 
@@ -447,7 +438,7 @@ def vage_constant(d: int) -> float:
     A(1) is sqrt(e).  The series is summed until terms vanish at machine
     precision, which happens within a few dozen terms even for d = 1.
     """
-    if not isinstance(d, int) or d < 1:
+    if not isinstance(d, int) or isinstance(d, bool) or d < 1:
         raise ValueError("the constant is defined for integer gaps d >= 1")
     return _vage_constant(d)
 
@@ -479,19 +470,20 @@ def vage_check(a: DualSequence, b: DualSequence, p: int, q: int
     ``a`` measured at level p instead is not a theorem; see the module
     docstring.)
 
-    Float factors are converted once each, for all three norms.  The
-    product is formed only as far as its level-q norm can register: for
-    float factors with finite coefficients and q >= 3,
-    :func:`_product_sq_norm` stops once a head of its diagonals certifies
-    the rounded sum, so lhs is bit for bit the norm of the full product.
+    Float factors are converted once each, for all three norms; an exact
+    coefficient that no double holds raises WeightOverflowError at its
+    index, a's at level p, then b's at level q.  The product is formed
+    only as far as its level-q norm can register: for float factors with
+    finite coefficients and q >= 3, :func:`_product_sq_norm` stops once a
+    head of its diagonals certifies the rounded sum, so lhs is bit for bit
+    the norm of the full product.
     """
     _require_level(p)
     if not isinstance(q, int) or q < p + 1:
         raise ValueError("need q >= p + 1 >= 2")
     ca, cb = a.coeffs, b.coeffs
     if ca and cb and not (_all_exact(ca) and _all_exact(cb)):
-        ca, cb = np.empty(len(ca), complex), np.empty(len(cb), complex)
-        ca[:], cb[:] = a.coeffs, b.coeffs
+        ca, cb = _complex(ca, p), _complex(cb, q)
     lhs = math.sqrt(_product_sq_norm(ca, cb, q))
     na, nb = (math.sqrt(_fsum(_weighted_sq_terms(c, 2 - lv, strict=False)))
               for c, lv in ((ca, p), (cb, q)))
@@ -520,12 +512,8 @@ def riemann_integral_product(f_path, g_path) -> DualSequence:
         raise ValueError("grid must be strictly increasing")
 
     level = max(d.level for _, d in (*f_path, *g_path))
-    pairs = [(f.coeffs, g.coeffs) for (_, f), (_, g) in zip(f_path, g_path)]
-    prods = [_exact_convolution(*pair) if all(pair) else [] for pair in pairs]
-    floats = [j for j, pr in enumerate(prods) if pr is None]
-    for j, pr in zip(floats, _float_products([pairs[j] for j in floats],
-                                             level)):
-        prods[j] = pr
+    prods = _products([(f.coeffs, g.coeffs)
+                       for (_, f), (_, g) in zip(f_path, g_path)], level)
     width = max(map(len, prods))
     rows = np.array([pr + [0] * (width - len(pr)) for pr in prods], complex)
     terms = np.zeros((len(ts), width, 2))  # row 0 is the starting 0
@@ -538,12 +526,11 @@ def riemann_integral_product(f_path, g_path) -> DualSequence:
     return DualSequence(acc.view(complex).ravel().tolist(), level)
 
 
-def sample_path(fn, t0: float = 0.0, t1: float = 1.0, steps: int = 16):
-    """[(t_i, fn(t_i))] on a uniform grid with ``steps`` intervals."""
+def sample_path(fn, steps: int = 16):
+    """[(t_i, fn(t_i))] on a uniform grid of [0, 1], ``steps`` intervals."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    return [(t0 + (t1 - t0) * i / steps, fn(t0 + (t1 - t0) * i / steps))
-            for i in range(steps + 1)]
+    return [(i / steps, fn(i / steps)) for i in range(steps + 1)]
 
 
 def dual_distance(x: DualSequence, y: DualSequence, m: int) -> float:

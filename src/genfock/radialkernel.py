@@ -753,14 +753,17 @@ def geometric_inner_product(f, g, m: int) -> complex:
     Angular integration kills all cross terms, leaving
     sum_n f_n conj(g_n) * (n-th moment of K_m); with exact moments this is
     the coefficient inner product, so the two must agree to quadrature
-    accuracy.  Infrastructure for cross-checks, not a fast path.
+    accuracy.  Infrastructure for cross-checks, not a fast path.  The first
+    exact coefficient no double holds raises WeightOverflowError.
     """
     terms = []
     for n in range(min(len(f.coeffs), len(g.coeffs))):
-        prod = f.coeffs[n] * complex(g.coeffs[n]).conjugate()
-        if prod == 0:
-            continue
-        terms.append(complex(prod) * moment(m, n))
+        try:
+            prod = f.coeffs[n] * complex(g.coeffs[n]).conjugate()
+        except OverflowError as exc:
+            raise WeightOverflowError(n, m, cause="coefficient") from exc
+        if prod != 0:
+            terms.append(complex(prod) * moment(m, n))
     return _fsum_complex(terms)
 
 

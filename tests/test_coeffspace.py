@@ -224,9 +224,9 @@ def test_exact_route_is_the_isinstance_verdict(monkeypatch, kind):
         routes.append("exact")
         return inner(*args)
 
-    def float_convolution(pairs):
+    def float_convolution(pairs, level):
         routes.append("float")
-        return convolution(pairs)
+        return convolution(pairs, level)
     inner, convolution = coeffspace._exact_inner, dualalgebra._float_convolution
     monkeypatch.setattr(coeffspace, "_exact_inner", exact_inner)
     monkeypatch.setattr(dualalgebra, "_float_convolution", float_convolution)

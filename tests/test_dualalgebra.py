@@ -24,8 +24,9 @@ from hypothesis import strategies as st
 
 from dual_reference import (reference_exact_product, reference_product,
                             reference_riemann)
-from genfock import dualalgebra
+from genfock import bargmann, dualalgebra
 from genfock.coeffspace import TaylorCoeffs, WeightOverflowError
+from genfock.radialkernel import geometric_inner_product
 from genfock.dualalgebra import (
     DualSequence,
     cauchy_product,
@@ -185,22 +186,37 @@ def test_certified_product_is_the_reference_on_hard_input(monkeypatch, block):
     check()
 
 
-def _stack_outcome(pairs):
+def _converts(x) -> bool:
+    try:
+        complex(x)
+    except OverflowError:
+        return False
+    return True
+
+
+def _stack_outcome(pairs, level):
     """Each pair's reference product as (type, repr) pairs, or the error
-    the first pair to fail raises."""
+    the first pair to fail raises.  Where the reference raises a bare
+    OverflowError, the kernel names the pair's first coefficient that no
+    double holds, ca before cb, with WeightOverflowError at ``level``."""
     rows = []
     for ca, cb in pairs:
         row = _outcome(reference_product, ca, cb)
+        if isinstance(row, tuple) and row[0] is OverflowError:
+            n = next(n for c in (ca, cb) for n, x in enumerate(c)
+                     if not _converts(x))
+            return WeightOverflowError, str(
+                WeightOverflowError(n, level, cause="coefficient"))
         if isinstance(row, tuple):
             return row
         rows.append(row)
     return rows
 
 
-def _kernel_outcome(pairs):
+def _kernel_outcome(pairs, level):
     try:
         return [[(type(x), repr(x)) for x in row]
-                for row in dualalgebra._float_convolution(pairs)]
+                for row in dualalgebra._float_convolution(pairs, level)]
     except (ValueError, OverflowError) as exc:
         return type(exc), str(exc)
 
@@ -220,11 +236,12 @@ def test_stacked_kernel_is_the_reference_pair_by_pair(monkeypatch, block):
     @example([([1.0, 1.0], [1.0, 2.0 ** -53]), ([1.0], [_BIG]),
               ([_BIG, -_BIG], [_BIG, _BIG])])      # the third is NaN
     @example([([3.0, 0, 1.0], [0, 0]), ([1.0, 1.0], [1.0, -1.0])])
-    # a factor that does not convert raises after the pairs before it
+    # a factor that does not convert raises after the pairs before it,
+    # naming the coefficient and the level passed
     @example([([_BIG, -_BIG], [_BIG, _BIG]), ([1.0, 10 ** 400], [1.0, 1.0])])
     @example([([1.0, 10 ** 400], [1.0, 1.0]), ([_BIG, -_BIG], [_BIG, _BIG])])
     def check(pairs):
-        assert _kernel_outcome(pairs) == _stack_outcome(pairs)
+        assert _kernel_outcome(pairs, 3) == _stack_outcome(pairs, 3)
 
     check()
 
@@ -390,7 +407,7 @@ def test_stack_trims_what_its_pairs_share(monkeypatch):
     pairs = [(_with_zero_ends(_draw(rng, 8, ()), 2, 1), [0, 0] + _draw(
         rng, 5, ())), (_with_zero_ends(_draw(rng, 4, ()), 3, 4), _draw(
             rng, 9, ()) + [0.0] * 3), ([0, 0, 0, 1.5], [0.0, 2.0])]
-    got = dualalgebra._float_convolution(pairs)
+    got = dualalgebra._float_convolution(pairs, 1)
     for row, (ca, cb) in zip(got, pairs):
         assert [(type(v), repr(v)) for v in row] == [
             (type(v), repr(v)) for v in reference_product(ca, cb)]
@@ -511,6 +528,8 @@ def test_constant_against_exact_sum(d):
 def test_constant_rejects_bad_gap():
     with pytest.raises(ValueError):
         vage_constant(0)
+    with pytest.raises(ValueError):  # bool is an int, True is no gap
+        vage_constant(True)
 
 
 def test_cached_constant_still_validates_every_call():
@@ -660,6 +679,14 @@ def test_exact_coefficient_past_double_range_is_a_typed_overflow():
     with pytest.raises(WeightOverflowError) as info:
         vage_check(DualSequence([10**400]), DualSequence([1]), 1, 3)
     assert (info.value.index, info.value.m) == (0, -1)
+    # mixed factors convert once each, a's at level p, then b's at level q
+    for a, b, index, level in (([10**400, 1.0], [1.0], 0, 1),
+                               ([1.0], [1.0, 10**400], 1, 3),
+                               ([1.0, 10**400], [10**400], 1, 1)):
+        with pytest.raises(WeightOverflowError) as info:
+            vage_check(DualSequence(a), DualSequence(b), 1, 3)
+        assert (info.value.index, info.value.m) == (index, level)
+        assert str(info.value).startswith("coefficient exceeds double range")
     # the pairing's float route names the coefficient too
     with pytest.raises(WeightOverflowError) as info:
         pairing(TaylorCoeffs([1.0, 2.0]), DualSequence([1.5, 10**400]))
@@ -679,6 +706,24 @@ def test_exact_coefficient_past_double_range_is_a_typed_overflow():
         with pytest.raises(WeightOverflowError) as info:
             riemann_integral_product(f, g)
         assert (info.value.index, info.value.m) == (index, 2)
+    # and so do the Hermite transform and the plane-integral inner product,
+    # at the first index where one stands
+    big, T = -Fraction(10 ** 401, 3), TaylorCoeffs
+    for fn, index in (
+            (lambda: bargmann.forward([10 ** 400, 1.0], 2), 0),
+            (lambda: bargmann.inverse(T([1.0, big, 10 ** 400]), 2), 1),
+            (lambda: bargmann.unitarity_gap([1.0, 10 ** 400], 2), 1),
+            (lambda: bargmann.transform_via_quadrature([big, 1.0], 2, 0.5),
+             0),
+            (lambda: geometric_inner_product(T([10 ** 400, 1.0]),
+                                             T([1.0, 1.0]), 2), 0),
+            (lambda: geometric_inner_product(T([1.0, 1.0]),
+                                             T([1.0, 10 ** 400]), 2), 1)):
+        with pytest.raises(WeightOverflowError) as info:
+            fn()
+        assert (info.value.index, info.value.m) == (index, 2)
+        assert str(info.value) == ("coefficient exceeds double range at "
+                                   f"index n={index} (level m=2)")
 
 
 def test_product_past_double_range_is_quiet():
@@ -843,9 +888,9 @@ def test_float_path_takes_one_kernel_call(monkeypatch):
     calls = []
     kernel = dualalgebra._float_convolution
 
-    def spy(pairs):
+    def spy(pairs, level):
         calls.append(len(pairs))
-        return kernel(pairs)
+        return kernel(pairs, level)
 
     def per_node(a, b):
         raise AssertionError("a per-node cauchy_product call")
