@@ -55,8 +55,8 @@ Layers, on fixed seeded inputs (seed 0):
     or report).
 ``bargmann``
     ``transform_kernel`` at m = 1, 2, 3 on the 96 Gauss-Hermite nodes, with
-    a cold basis (the node set's cached rows dropped before every call) and
-    a warm one; ``transform_via_quadrature`` at m = 1, 3, 5 (N = 15);
+    a cold basis (the cached table emptied before every call) and a warm
+    one; ``transform_via_quadrature`` at m = 1, 3, 5 (N = 15);
     ``kernel_section`` at m = 2 and degrees 30, 200 and 1000;
     ``unitarity_gap`` at m = 3, N = 60, which has no reference; and the
     streamed ``eta_sup_on_grid(200)`` and ``hermite_eta(200, t)`` on 6001
@@ -475,11 +475,12 @@ def radial(rng, quick: bool) -> list:
 
 
 def _cold(run):
-    """run(package) after dropping the package's cached Hermite bases."""
+    """run(package) after emptying the package's cached Hermite table (an
+    older checkout's cache of tables per node set)."""
     def call(pkg):
-        cache = getattr(pkg.bargmann, "_bases", None)
-        if cache is not None:
-            cache.clear()
+        if hasattr(pkg.bargmann, "_slot"):
+            pkg.bargmann._slot = (None, None)
+        getattr(pkg.bargmann, "_bases", {}).clear()
         return run(pkg)
     return call
 
@@ -663,8 +664,7 @@ def run(layer: str, quick: bool = False, against=None) -> dict:
         "seed": SEED,
         "quick": quick,
         **({"basis_cache": {"budget_bytes": bargmann._BASIS_BUDGET,
-                            "max_rows": bargmann._BASIS_ROWS,
-                            "max_sets": bargmann._BASIS_SETS}}
+                            "max_rows": bargmann._BASIS_ROWS}}
            if layer == "bargmann" else {}),
         "provenance": {
             "python": platform.python_version(),

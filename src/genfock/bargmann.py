@@ -6,9 +6,10 @@ The bridge is the Hermite basis with an alternating sign:
 
 psi_n the usual orthonormal Hermite functions, evaluated by one streamed
 three-term recurrence that holds two rows at a time.  hermite_eta_all
-stacks the rows into a table, and the two series below read theirs from a
-read-only table kept per node set (see :class:`_EtaReader`).  A function
-with Hermite coefficients (c_n) maps to the series with Taylor coefficients
+stacks the rows into a table, and the two series below read theirs from
+one read-only table kept for the last node set read (see
+:class:`_EtaReader`).  A function with Hermite coefficients (c_n) maps to
+the series with Taylor coefficients
 
     f_n = c_n / (n!)**(m/2),
 
@@ -31,7 +32,6 @@ conventions, which does not match this one.  The series is the ground truth.
 from __future__ import annotations
 
 import cmath
-import collections
 import functools
 import itertools
 import math
@@ -74,79 +74,54 @@ def _eta_rows(t, nmax: int | None = None):
     yield eta
 
 
-# Per node set, the rows eta_0 .. eta_(r-1) as one read-only table, keyed
-# by the set's shape and bytes (an array changed in place is a new key).
-# A table grows on demand to at most _BASIS_ROWS rows, the most
-# transform_kernel reads.  The least recently used sets leave once the
-# tables and their keys' node bytes would pass _BASIS_BUDGET bytes, or the
-# sets _BASIS_SETS; rows that cannot fit stream.
+# The slot: the rows eta_0 .. eta_(r-1) of the last array node set read as
+# one read-only table, keyed by the set's shape and bytes (an array changed
+# in place is a new key), of at most _BASIS_ROWS rows (the most
+# transform_kernel reads) and _BASIS_BUDGET bytes with its key's nodes.
 _BASIS_ROWS = 2001
 _BASIS_BUDGET = 1 << 21
-_BASIS_SETS = 16
 _BLOCK_BYTES = 1 << 18  # complex terms one block of a series forms at once
-_bases: collections.OrderedDict = collections.OrderedDict()
-_bases_lock = threading.Lock()
-
-
-def _basis(key, t: np.ndarray, rows: int) -> np.ndarray | None:
-    """The cached table of node set t with at least ``rows`` rows; None
-    where that many rows pass the row cap or the byte budget.  A table too
-    short is replaced by one of twice its rows where the caps allow, filled
-    afresh from eta_0: the same recurrence, so the rows it held come out
-    the same bit for bit."""
-    with _bases_lock:
-        table = _bases.get(key)
-        if table is not None:
-            _bases.move_to_end(key)
-            if len(table) >= rows:
-                return table
-    if rows > _BASIS_ROWS or (rows + 1) * t.nbytes > _BASIS_BUDGET:
-        return None
-    have = 0 if table is None else len(table)
-    size = min(_BASIS_ROWS, _BASIS_BUDGET // max(t.nbytes, 1) - 1,
-               max(rows, 2 * have, 1))
-    grown = np.empty((size,) + t.shape)
-    for i, row in enumerate(_eta_rows(t, size - 1)):
-        grown[i] = row
-    grown.flags.writeable = False
-    with _bases_lock:
-        _bases.pop(key, None)
-        used = sum(map(_held_bytes, _bases.items()))
-        while _bases and (len(_bases) == _BASIS_SETS or used
-                          + _held_bytes((key, grown)) > _BASIS_BUDGET):
-            used -= _held_bytes(_bases.popitem(last=False))
-        _bases[key] = grown
-    return grown
-
-
-def _held_bytes(entry) -> int:
-    """The bytes one cache entry counts against the budget: its table and
-    its key's node bytes."""
-    key, table = entry
-    return table.nbytes + len(key[1])
+_slot: tuple = (None, None)  # (key, table)
+_slot_lock = threading.Lock()
 
 
 class _EtaReader:
     """eta_0, eta_1, ... at one node set, taken in consecutive blocks.
 
-    A block is a read-only slice of the set's cached table where the rows
-    fit it; past that the rows stream from :func:`_eta_rows`, restarted at
-    eta_0.  Either way they are the rows of one recurrence, bit for bit.
+    An array set's block is a read-only slice of the slot's table.  A
+    table too short, or another set's, is replaced within the caps by one
+    of twice the rows (or as many as asked), filled afresh from eta_0.
+    Past the caps the rows stream from :func:`_eta_rows`, restarted at
+    eta_0; a single point's always do, so the points of
+    classic_kernel_values leave the 96-node rule's table in the slot.
+    Either way they are the rows of one recurrence, bit for bit.
     """
 
     def __init__(self, t):
         self.t = np.asarray(t, float)
         self.key = (self.t.shape, self.t.tobytes())
         self.taken = 0
-        self.stream = None
+        self.stream = None if self.t.ndim else _eta_rows(self.t)
 
     def take(self, count: int) -> np.ndarray:
         """The next ``count`` rows, shape (count, *t.shape)."""
+        global _slot
         lo, hi = self.taken, self.taken + count
         self.taken = hi
         if self.stream is None:
-            table = _basis(self.key, self.t, hi)
-            if table is not None:
+            with _slot_lock:
+                key, table = _slot
+            if key != self.key:
+                table = np.empty((0,) + self.t.shape)
+            if len(table) >= hi:
+                return table[lo:hi]
+            if hi <= _BASIS_ROWS and (hi + 1) * self.t.nbytes <= _BASIS_BUDGET:
+                size = min(_BASIS_ROWS, _BASIS_BUDGET // max(self.t.nbytes, 1)
+                           - 1, max(hi, 2 * len(table)))
+                table = hermite_eta_all(size - 1, self.t)
+                table.flags.writeable = False
+                with _slot_lock:
+                    _slot = self.key, table
                 return table[lo:hi]
             self.stream = _eta_rows(self.t)
             for _ in range(lo):
@@ -312,8 +287,8 @@ def transform_kernel(m: int, z: complex, t):
     lost: :class:`WeightOverflowError` names z**n and the first such n.
     Where the scale itself leaves double range first, it names the weight.
 
-    The terms are formed a block at a time, the block's rows read from the
-    node set's cached basis.  The coefficients z**n (n!)**(-m/2) are
+    The terms are formed a block at a time, the block's rows read through
+    :class:`_EtaReader`.  The coefficients z**n (n!)**(-m/2) are
     stepped one by one in Python, as far as the term at which the stopping
     rule must fire; one multiply forms the block's terms and one
     accumulate adds them to the running sum strictly in sequence, so every

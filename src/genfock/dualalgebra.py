@@ -29,9 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coeffspace import (TaylorCoeffs, _all_exact, _complex, _fsum,
-                         _require_level, _strip, _weight_table,
-                         _weighted_sq_terms, inner_product, weight)
+from .coeffspace import (TaylorCoeffs, WeightOverflowError, _all_exact,
+                         _complex, _fsum, _require_level, _strip,
+                         _weight_table, _weighted_sq_terms, inner_product,
+                         weight)
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,9 +80,10 @@ def dual_sq_norm_flagged(b: DualSequence, m: int) -> tuple[float, bool]:
     """(sum |b_n|^2 (n!)**(2-m), underflowed).  A term, or the sum, past
     double range counts as inf; the flag goes True when some nonzero
     coefficient contributed exactly 0.0 because its weighted term left
-    double range below."""
+    double range below.  An exact coefficient that no double holds raises
+    WeightOverflowError at its index and level m."""
     _require_level(m)
-    terms = _weighted_sq_terms(b.coeffs, 2 - m, strict=False)
+    terms = _weighted_sq_terms(_complex(b.coeffs, m), 2 - m, strict=False)
     return _fsum(terms), 0.0 in terms
 
 
@@ -429,7 +431,7 @@ def _product_sq_norm(ca, cb, q: int) -> float:
                 k *= 4
     if out is None:
         out = _float_convolution([(ca, cb)], q)[0]
-    return _fsum(_weighted_sq_terms(out, 2 - q, strict=False))
+    return _fsum(_weighted_sq_terms(_complex(out, q), 2 - q, strict=False))
 
 
 def vage_constant(d: int) -> float:
@@ -472,7 +474,8 @@ def vage_check(a: DualSequence, b: DualSequence, p: int, q: int
 
     Float factors are converted once each, for all three norms; an exact
     coefficient that no double holds raises WeightOverflowError at its
-    index, a's at level p, then b's at level q.  The product is formed
+    index, a's at level p, then b's at level q (all-exact factors: the
+    product's first, at level q).  The product is formed
     only as far as its level-q norm can register: for float factors with
     finite coefficients and q >= 3, :func:`_product_sq_norm` stops once a
     head of its diagonals certifies the rounded sum, so lhs is bit for bit
@@ -485,7 +488,8 @@ def vage_check(a: DualSequence, b: DualSequence, p: int, q: int
     if ca and cb and not (_all_exact(ca) and _all_exact(cb)):
         ca, cb = _complex(ca, p), _complex(cb, q)
     lhs = math.sqrt(_product_sq_norm(ca, cb, q))
-    na, nb = (math.sqrt(_fsum(_weighted_sq_terms(c, 2 - lv, strict=False)))
+    na, nb = (math.sqrt(_fsum(_weighted_sq_terms(_complex(c, lv), 2 - lv,
+                                                 strict=False)))
               for c, lv in ((ca, p), (cb, q)))
     bound = vage_constant(q - p) * na * nb
     return lhs, bound, lhs <= bound * (1.0 + 1e-12)
@@ -497,8 +501,9 @@ def riemann_integral_product(f_path, g_path) -> DualSequence:
     Both paths are lists of (t_i, DualSequence) on the same strictly
     increasing grid; the grid need not be uniform.  The integrand is the
     Cauchy product at each node, with one kernel call for all float nodes;
-    an exact coefficient that no double holds in a float node raises
-    WeightOverflowError at the path's level, the first node's first.
+    an exact coefficient that no double holds, in a float node's factor or
+    an exact node's product, raises WeightOverflowError at the path's
+    level, the first node's first.
     """
     if len(f_path) != len(g_path):
         raise ValueError("paths must share one grid (length mismatch)")
@@ -515,7 +520,9 @@ def riemann_integral_product(f_path, g_path) -> DualSequence:
     prods = _products([(f.coeffs, g.coeffs)
                        for (_, f), (_, g) in zip(f_path, g_path)], level)
     width = max(map(len, prods))
-    rows = np.array([pr + [0] * (width - len(pr)) for pr in prods], complex)
+    rows = np.zeros((len(prods), width), complex)
+    for row, pr in zip(rows, prods):
+        row[:len(pr)] = _complex(pr, level)
     terms = np.zeros((len(ts), width, 2))  # row 0 is the starting 0
     with np.errstate(all="ignore"):
         r = (rows[:-1] + rows[1:]).view(float).reshape(len(ts) - 1, width, 2)
@@ -534,11 +541,16 @@ def sample_path(fn, steps: int = 16):
 
 
 def dual_distance(x: DualSequence, y: DualSequence, m: int) -> float:
-    """Dual norm of the difference, padding the shorter vector."""
-    width = max(len(x.coeffs), len(y.coeffs))
-    diff = DualSequence((x.coeff(n) - y.coeff(n) for n in range(width)),
-                        max(x.level, y.level))
-    return dual_norm(diff, m)
+    """Dual norm of the difference, padding the shorter vector.  A
+    difference that no double holds (an exact coefficient past range less
+    a float) raises WeightOverflowError at its index and level m."""
+    diff = []
+    for n in range(max(len(x.coeffs), len(y.coeffs))):
+        try:
+            diff.append(x.coeff(n) - y.coeff(n))
+        except OverflowError as exc:
+            raise WeightOverflowError(n, m, cause="coefficient") from exc
+    return dual_norm(DualSequence(diff, max(x.level, y.level)), m)
 
 
 def refinement_order(f_fn, g_fn, exact: DualSequence) -> float:

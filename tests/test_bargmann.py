@@ -405,41 +405,36 @@ _KERNEL_T = (0.7, np.linspace(-6.0, 6.0, 33),
              np.linspace(-3.0, 3.0, 6).reshape(2, 3), _NODES)
 
 
-def _fill_with_other_sets():
-    """Cache fresh node sets until every set cached before is gone."""
-    before = set(bargmann._bases)
-    t = np.linspace(-1.0, 1.0, 1024)
-    while before & set(bargmann._bases):
-        t = t + 1e-3
-        bargmann._EtaReader(t).take(bargmann._BASIS_BUDGET // t.nbytes - 1)
+_EMPTY_SLOT = (None, None)
+
+
+def _read_another_set():
+    """Put another array node set's table in the slot."""
+    bargmann._EtaReader(np.linspace(-1.0, 1.0, 7)).take(3)
 
 
 @pytest.fixture
-def empty_bases():
-    """An empty basis cache, put back as it was after the test."""
-    saved = dict(bargmann._bases)
-    bargmann._bases.clear()
-    yield
-    bargmann._bases.clear()
-    bargmann._bases.update(saved)
+def empty_slot(monkeypatch):
+    """An empty basis slot, put back as it was after the test."""
+    monkeypatch.setattr(bargmann, "_slot", _EMPTY_SLOT)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
 def test_block_sums_match_the_term_by_term_kernel(m, monkeypatch,
-                                                  empty_bases):
+                                                  empty_slot):
     for z in _KERNEL_Z:
         for t in _KERNEL_T:
             want = outcome(kernel_term_by_term, m, z, t)
-            bargmann._bases.clear()
+            bargmann._slot = _EMPTY_SLOT
             got = {"cold": outcome(transform_kernel, m, z, t),
                    "warm": outcome(transform_kernel, m, z, t)}
-            _fill_with_other_sets()
-            got["evicted"] = outcome(transform_kernel, m, z, t)
+            _read_another_set()
+            got["replaced"] = outcome(transform_kernel, m, z, t)
             with monkeypatch.context() as patch:
                 # three rows a block: the table grows mid-call
                 patch.setattr(bargmann, "_BLOCK_BYTES", 3 * 16 * 96)
-                bargmann._bases.clear()
+                bargmann._slot = _EMPTY_SLOT
                 got["grown"] = outcome(transform_kernel, m, z, t)
             with monkeypatch.context() as patch:
                 # no set fits: every row streams
@@ -450,7 +445,7 @@ def test_block_sums_match_the_term_by_term_kernel(m, monkeypatch,
 
 
 @pytest.mark.parametrize("count", [0, 1, 15, 60, 2100])
-def test_block_phi_matches_the_term_by_term_quadrature(count, empty_bases):
+def test_block_phi_matches_the_term_by_term_quadrature(count, empty_slot):
     # past 2001 rows the table stops growing and the rows stream
     rng = np.random.default_rng(count)
     c = list(rng.standard_normal(count) + 1j * rng.standard_normal(count))
@@ -459,17 +454,17 @@ def test_block_phi_matches_the_term_by_term_quadrature(count, empty_bases):
     for m in (1, 3, 5):
         for z in (0.5, 1.5 - 1.0j, 2.0j):
             want = quadrature_term_by_term(c, m, z)
-            bargmann._bases.clear()
+            bargmann._slot = _EMPTY_SLOT
             got = [transform_via_quadrature(c, m, z),  # cold
                    transform_via_quadrature(c, m, z)]  # warm
-            _fill_with_other_sets()
-            got.append(transform_via_quadrature(c, m, z))  # evicted
+            _read_another_set()
+            got.append(transform_via_quadrature(c, m, z))  # replaced
             assert all(same_value(value, want) for value in got), (m, z)
 
 
-def test_cached_basis_is_the_table_and_read_only(empty_bases):
+def test_cached_basis_is_the_table_and_read_only(empty_slot):
     transform_kernel(1, 2.0, _NODES)
-    (key, table), = bargmann._bases.items()
+    key, table = bargmann._slot
     assert key == (_NODES.shape, _NODES.tobytes())
     assert table.tobytes() == hermite_eta_all(len(table) - 1,
                                                _NODES).tobytes()
@@ -480,76 +475,90 @@ def test_cached_basis_is_the_table_and_read_only(empty_bases):
         block[0, 0] = 1.0
 
 
-def test_basis_is_keyed_by_the_node_values(empty_bases):
+def test_basis_is_keyed_by_the_node_values(empty_slot):
     t = np.linspace(-2.0, 2.0, 9)
     first = transform_kernel(2, 1.5, t)
+    held = bargmann._slot
     t[4] = 0.25  # changed in place: a new key, not a stale table
     assert same_value(transform_kernel(2, 1.5, t),
                       kernel_term_by_term(2, 1.5, t))
     assert not same_value(first, transform_kernel(2, 1.5, t))
-    assert len(bargmann._bases) == 2
+    assert held[0] != bargmann._slot[0] == (t.shape, t.tobytes())
 
 
-def test_basis_grows_to_the_row_cap_and_no_further(empty_bases):
+def test_basis_grows_to_the_row_cap_and_no_further(empty_slot):
     # at z = 10, m = 1 the kernel reads a few hundred rows, over two
     # blocks; a quadrature of 2100 coefficients reads past the row cap, so
     # its rows stream and the table stays; 2001 coefficients fill it
     key = (_NODES.shape, _NODES.tobytes())
     transform_kernel(1, 10.0, _NODES)
-    rows = len(bargmann._bases[key])
-    assert 200 < rows < bargmann._BASIS_ROWS
+    held = bargmann._slot
+    assert held[0] == key and 200 < len(held[1]) < bargmann._BASIS_ROWS
     transform_via_quadrature([1.0] * 2100, 1, 0.5)
-    assert len(bargmann._bases[key]) == rows
+    assert bargmann._slot is held
     transform_via_quadrature([1.0] * 2001, 1, 0.5)
-    assert len(bargmann._bases[key]) == bargmann._BASIS_ROWS
+    assert bargmann._slot[0] == key
+    assert len(bargmann._slot[1]) == bargmann._BASIS_ROWS
 
 
 @pytest.mark.parametrize("t", [0.7, _NODES,
                                np.linspace(-3.0, 3.0, 6).reshape(2, 3)])
-def test_basis_grown_in_steps_is_the_table_bytewise(t, empty_bases):
+def test_basis_grown_in_steps_is_the_table_bytewise(t, empty_slot):
     # a request past the held rows refills the table from eta_0, to twice
-    # its rows where that covers the request
+    # its rows where that covers the request; a single point's rows stream
+    # and leave the slot empty
     t = np.asarray(t, float)
-    key = (t.shape, t.tobytes())
     sizes = []
     for rows in (1, 2, 3, 7, 40, 41, 300, 299, bargmann._BASIS_ROWS):
-        table = bargmann._basis(key, t, rows)
-        sizes.append(len(table))
+        block = bargmann._EtaReader(t).take(rows)
+        assert block.tobytes() == hermite_eta_all(rows - 1, t).tobytes()
+        if t.ndim == 0:
+            assert bargmann._slot == _EMPTY_SLOT
+            continue
+        key, table = bargmann._slot
+        assert key == (t.shape, t.tobytes())
         assert table.tobytes() == hermite_eta_all(len(table) - 1,
                                                   t).tobytes(), rows
-    assert sizes == [1, 2, 4, 8, 40, 80, 300, 300, bargmann._BASIS_ROWS]
+        sizes.append(len(table))
+    assert sizes == ([] if t.ndim == 0 else
+                     [1, 2, 4, 8, 40, 80, 300, 300, bargmann._BASIS_ROWS])
 
 
-def held_bytes() -> int:
-    return sum(map(bargmann._held_bytes, bargmann._bases.items()))
+def test_single_points_leave_the_rule_table_in_place(empty_slot):
+    # the tables of classic_kernel_values' points would each replace the
+    # 96-node table that transform_via_quadrature reads
+    transform_via_quadrature([1.0] * 15, 1, 0.5)
+    held = bargmann._slot
+    assert held[0] == (_NODES.shape, _NODES.tobytes())
+    for t in (0.7, -2.0, np.float64(3.5), np.asarray(1.25)):
+        classic_kernel_values(1.5 - 0.5j, t)
+        assert same_value(transform_kernel(1, 2.0, t),
+                          kernel_term_by_term(1, 2.0, t))
+    assert bargmann._slot is held  # no rebuild
 
 
-def test_cache_stays_within_its_budget(empty_bases):
-    # 1024 nodes: 8 kB a row, so at most 255 rows of the set are cached
+def slot_bytes() -> int:
+    """The bytes the slot holds: its table and its key's node bytes."""
+    key, table = bargmann._slot
+    return table.nbytes + len(key[1]) if key else 0
+
+
+def test_cache_stays_within_its_budget(empty_slot):
+    # 1024 nodes: 8 kB a row, so at most 255 rows of the set are held
     # (the key's nodes count too), and the |z| = 20 sum, which runs to
     # z**n overflow at m = 1, streams the rest
     nodes = np.linspace(-20.0, 20.0, 1024)
     for m in (1, 2):
         assert same_outcome(outcome(transform_kernel, m, 20.0, nodes),
                             outcome(kernel_term_by_term, m, 20.0, nodes))
-        assert held_bytes() <= bargmann._BASIS_BUDGET
-    # sets evict the least recently used first
-    transform_kernel(1, 2.0, _NODES)
-    for shift in (1e-3, 2e-3, 3e-3):
+        assert 0 < slot_bytes() <= bargmann._BASIS_BUDGET
+    # the last array set read holds the slot
+    for shift in (1e-3, 2e-3):
         transform_kernel(1, 2.0, _NODES)
+        assert bargmann._slot[0] == (_NODES.shape, _NODES.tobytes())
         transform_kernel(2, 20.0, nodes + shift)
-    assert (_NODES.shape, _NODES.tobytes()) in bargmann._bases
-    assert held_bytes() <= bargmann._BASIS_BUDGET
-
-
-def test_cache_holds_a_bounded_number_of_sets(empty_bases):
-    # single points hold a few hundred bytes each; the set count bounds
-    # what their keys and arrays hold besides
-    for t in np.linspace(-3.0, 3.0, 40):
-        transform_kernel(1, 1.5, float(t))
-    assert len(bargmann._bases) == bargmann._BASIS_SETS
-    assert held_bytes() <= bargmann._BASIS_BUDGET
-    assert ((), np.float64(3.0).tobytes()) in bargmann._bases
+        assert bargmann._slot[0] == (nodes.shape, (nodes + shift).tobytes())
+        assert slot_bytes() <= bargmann._BASIS_BUDGET
 
 
 def test_kernel_past_double_range_raises_without_a_warning():

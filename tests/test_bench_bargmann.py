@@ -7,6 +7,7 @@ import json
 from pathlib import Path
 
 import genfock
+from genfock import bargmann
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_layers.py"
 
@@ -34,4 +35,5 @@ def test_quick_run_writes_bit_identical_rows(tmp_path):
     # the grid rows stream: well under the 9.8 MB of one stacked table
     assert rows["eta_sup_on_grid", "nmax=200, 6001 points on [-30, 30]"][
         "peak_mb"] < 1.0
-    assert result["basis_cache"]["max_sets"] > 0
+    assert result["basis_cache"] == {"budget_bytes": bargmann._BASIS_BUDGET,
+                                     "max_rows": bargmann._BASIS_ROWS}

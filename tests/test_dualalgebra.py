@@ -672,13 +672,33 @@ def test_vage_check_validates_levels():
 
 
 def test_exact_coefficient_past_double_range_is_a_typed_overflow():
+    # every dual route names a level the caller passed, not the weight's
+    # exponent 2 - m; the difference of an exact and a float coefficient
+    # is past range at once
+    big = DualSequence([10**400])
+    for fn in (lambda: dual_norm(big, 3),
+               lambda: dual_distance(big, DualSequence([1]), 3),
+               lambda: dual_distance(big, DualSequence([1.0]), 3),
+               lambda: dual_distance(DualSequence([1.0]), big, 3)):
+        with pytest.raises(WeightOverflowError) as info:
+            fn()
+        assert (info.value.index, info.value.m) == (0, 3)
+        assert str(info.value) == ("coefficient exceeds double range at "
+                                   "index n=0 (level m=3)")
+    # the exact product is the coefficient itself: lhs raises first, at q
     with pytest.raises(WeightOverflowError) as info:
-        dual_norm(DualSequence([10**400]), 3)
-    assert (info.value.index, info.value.m) == (0, -1)
-    # the exact product is the coefficient itself: lhs raises first
-    with pytest.raises(WeightOverflowError) as info:
-        vage_check(DualSequence([10**400]), DualSequence([1]), 1, 3)
-    assert (info.value.index, info.value.m) == (0, -1)
+        vage_check(big, DualSequence([1]), 1, 3)
+    assert (info.value.index, info.value.m) == (0, 3)
+    # an exact node's product past range, at the path's level
+    e200 = 10**200
+    for f, g, index, level in (
+            ([[e200], [e200]], [[e200], [1.0]], 0, 1),
+            ([[1.0], [1, e200]], [[2.0], [1, e200]], 2, 2)):
+        with pytest.raises(WeightOverflowError) as info:
+            riemann_integral_product(
+                [(t, DualSequence(c, level)) for t, c in zip((0.0, 1.0), f)],
+                [(t, DualSequence(c)) for t, c in zip((0.0, 1.0), g)])
+        assert (info.value.index, info.value.m) == (index, level)
     # mixed factors convert once each, a's at level p, then b's at level q
     for a, b, index, level in (([10**400, 1.0], [1.0], 0, 1),
                                ([1.0], [1.0, 10**400], 1, 3),
