@@ -61,15 +61,16 @@ Layers, on fixed seeded inputs (seed 0):
     ``unitarity_gap`` at m = 3, N = 60, which has no reference; and the
     streamed ``eta_sup_on_grid(200)`` and ``hermite_eta(200, t)`` on 6001
     points of [-30, 30].  The references are the term-by-term loops of
-    ``tests/series_reference.py`` and the stacked ``hermite_eta_all``.
+    ``tests/series_reference.py`` and ``hermite_eta_all``'s table.
 
 Each row holds the best-of time of one call in microseconds (``us``), the
 tracemalloc peak of one call after a warm one (``peak_mb``), and whether
 the output is its reference's bit for bit (``bit_identical``: the same
-dtype, shape and bytes for arrays, the same ``repr`` otherwise; null
-without a reference).  Provenance reads package versions through
-``importlib.metadata``, and genfock's from ``genfock.__version__`` where
-it is not installed.
+complex128 bytes for float coefficient vectors, whether held as an array
+or as a tuple; the same dtype, shape and bytes for other arrays; the same
+``repr`` otherwise; null without a reference).  Provenance reads package
+versions through ``importlib.metadata``, and genfock's from
+``genfock.__version__`` where it is not installed.
 
     python3 scripts/bench_layers.py dual radial operators bargmann coeffs
     python3 scripts/bench_layers.py radial --against ../base
@@ -557,8 +558,29 @@ LAYERS = {
 # ---------------------------------------------------------- timing, output
 
 
+def _float_vector(x) -> bool:
+    """A 1-d complex array, or a tuple or list of numbers that is not an
+    exact vector (all int or Fraction, one of them non-zero): a float
+    route's coefficients, held either way, its exact 0s among them."""
+    if isinstance(x, np.ndarray):
+        return x.dtype == complex and x.ndim == 1
+    return isinstance(x, (tuple, list)) and all(
+        isinstance(c, (int, float, complex, Fraction))
+        and not isinstance(c, bool) for c in x) and not (
+        all(isinstance(c, (int, Fraction)) for c in x) and any(x))
+
+
 def _same(a, b) -> bool:
-    """Same dtype, shape and bytes for arrays, the same repr otherwise."""
+    """Float coefficient vectors: the same complex128 bytes, whichever
+    holder each side uses (an exact 0 is +0j).  Otherwise the same dtype,
+    shape and bytes for arrays, the same repr for the rest."""
+    if _float_vector(a) or _float_vector(b):
+        try:
+            return _float_vector(a) and _float_vector(b) and (
+                np.asarray(a, complex).tobytes()
+                == np.asarray(b, complex).tobytes())
+        except OverflowError:  # an exact coefficient no double holds
+            return False
     if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
         return (isinstance(a, np.ndarray) and isinstance(b, np.ndarray)
                 and a.dtype == b.dtype and a.shape == b.shape

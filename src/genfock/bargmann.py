@@ -42,8 +42,8 @@ import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
 from .coeffspace import (TaylorCoeffs, WeightOverflowError, _complex,
-                         _fsum, _fsum_complex, _require_level, _weight_table,
-                         _weighted_sq_terms)
+                         _fsum, _fsum_complex, _plain, _require_level,
+                         _weight_table, _weighted_sq_terms)
 
 _PI_QUARTER = math.pi ** -0.25
 _TINY = 1e-300
@@ -133,8 +133,13 @@ class _EtaReader:
 
 
 def hermite_eta_all(nmax: int, t) -> np.ndarray:
-    """eta_0 .. eta_nmax at t (scalar or array); shape (nmax+1, *t.shape)."""
-    return np.stack(tuple(_eta_rows(t, nmax)))
+    """eta_0 .. eta_nmax at t (scalar or array); shape (nmax+1, *t.shape).
+
+    The rows fill one preallocated array, a zero-size t's as well."""
+    out = np.empty((max(nmax, -1) + 1,) + np.shape(t))
+    for k, eta in enumerate(_eta_rows(t, nmax)):
+        out[k] = eta
+    return out
 
 
 def hermite_eta(n: int, t):
@@ -250,7 +255,7 @@ def inverse(f: TaylorCoeffs, m: int) -> tuple:
     """Hermite coefficients recovering f; divides by the same stored scale
     used in :func:`forward`, so a round trip is exact up to one rounding."""
     _require_level(m)
-    return tuple(_scaled(f.coeffs, m, divide=True))
+    return tuple(_scaled(_plain(f.coeffs), m, divide=True))
 
 
 def unitarity_gap(hermite_coeffs, m: int) -> dict:

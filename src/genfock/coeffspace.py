@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
@@ -136,8 +137,14 @@ def _all_exact(cs) -> bool:
     return _EXACT_TYPES.issuperset(map(type, cs)) or all(map(_is_exact, cs))
 
 
-def _strip(cs: tuple) -> tuple:
-    """cs without its trailing zeros."""
+def _plain(cs) -> tuple:
+    """A vector's coefficients, a held array's as a tuple of Python complex."""
+    return cs if type(cs) is tuple else tuple(cs.tolist())
+
+
+def _strip(cs) -> tuple:
+    """cs without its trailing zeros (a held array's as Python complex)."""
+    cs = _plain(cs)
     end = len(cs)
     while end > 0 and cs[end - 1] == 0:
         end -= 1
@@ -184,10 +191,11 @@ class TaylorCoeffs:
     Coefficients may be ints, Fractions, floats or complex; the arithmetic
     operations preserve exact types, so identity checks can run in exact
     integer mode.  Equality strips trailing zeros first; the truncation
-    degree is an artifact of construction, not data.
+    degree is an artifact of construction, not data.  A float route's
+    result may hold its complex array in place of the tuple (:func:`_held`).
     """
 
-    coeffs: tuple
+    coeffs: tuple | np.ndarray
 
     def __init__(self, coeffs=()):
         object.__setattr__(self, "coeffs", tuple(coeffs))
@@ -224,10 +232,11 @@ class TaylorCoeffs:
     __hash__ = None
 
     def __repr__(self) -> str:
-        return f"TaylorCoeffs({list(self.coeffs)!r})"
+        return f"TaylorCoeffs({list(_plain(self.coeffs))!r})"
 
     def to_json_obj(self) -> dict:
-        return {"coeffs": [[complex(c).real, complex(c).imag] for c in self.coeffs]}
+        return {"coeffs": [[complex(c).real, complex(c).imag]
+                           for c in _plain(self.coeffs)]}
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "TaylorCoeffs":
@@ -257,18 +266,53 @@ def _complex_pairs(obj, key: str) -> list[complex]:
                      'of finite numbers')
 
 
+def _held(cls, a, *args):
+    """``cls(a, *args)``, but a non-empty complex array ``a`` is held as it
+    is, read-only, in place of the tuple: the output a float route computed,
+    kept once, so the next route reads it with no conversion (neither work
+    in construction nor a cache keyed on an input)."""
+    if type(a) is not np.ndarray:
+        return cls(a, *args)
+    obj = cls((), *args)
+    if a.size:
+        a.flags.writeable = False
+        object.__setattr__(obj, "coeffs", a)
+    return obj
+
+
+def _combine(op, f: TaylorCoeffs, g: TaylorCoeffs) -> TaylorCoeffs:
+    """op coefficientwise, the shorter vector padded with 0 (x + 0 is
+    x + 0.0 in both parts, as in Python); in numpy on two held arrays."""
+    a, b = f.coeffs, g.coeffs
+    if not (isinstance(a, np.ndarray) and isinstance(b, np.ndarray)):
+        return TaylorCoeffs(op(x, y) for x, y in zip_longest(
+            _plain(a), _plain(b), fillvalue=0))
+    n = max(len(a), len(b))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _held(TaylorCoeffs, op(*(np.concatenate(
+            (x, np.zeros(n - len(x), complex))) for x in (a, b))))
+
+
 def add(f: TaylorCoeffs, g: TaylorCoeffs) -> TaylorCoeffs:
-    return TaylorCoeffs(
-        x + y for x, y in zip_longest(f.coeffs, g.coeffs, fillvalue=0))
+    return _combine(operator.add, f, g)
 
 
 def sub(f: TaylorCoeffs, g: TaylorCoeffs) -> TaylorCoeffs:
-    return TaylorCoeffs(
-        x - y for x, y in zip_longest(f.coeffs, g.coeffs, fillvalue=0))
+    return _combine(operator.sub, f, g)
 
 
 def scale(c, f: TaylorCoeffs) -> TaylorCoeffs:
-    return TaylorCoeffs(tuple(c * x for x in f.coeffs))
+    """c times each coefficient; on a held array, c * x as Python forms
+    it, (cr*xr - ci*xi) + (cr*xi + ci*xr)*1j, one pass an operation."""
+    cs = f.coeffs
+    if not (isinstance(cs, np.ndarray) and isinstance(
+            c, (int, float, complex, Fraction))):
+        return TaylorCoeffs(tuple(c * x for x in _plain(cs)))
+    k, out = complex(c), np.empty_like(cs)  # complex(10**400) raises too
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.subtract(k.real * cs.real, k.imag * cs.imag, out=out.real)
+        np.add(k.real * cs.imag, k.imag * cs.real, out=out.imag)
+    return _held(TaylorCoeffs, out)
 
 
 def _split(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -350,7 +394,7 @@ def inner_product(f: TaylorCoeffs, g: TaylorCoeffs, m: int) -> complex:
         lo = int(live.argmax())
         hi = size - int(live[::-1].argmax()) if live[lo] else lo
     b = _complex(gc[lo:hi], m, lo)
-    i = np.flatnonzero(live[lo:hi] & (b != 0))
+    i = (live[lo:hi] & (b != 0)).ravel().nonzero()[0]  # np.flatnonzero
     idx = i + lo if lo else i
     fr, fi, fe = _split(a[idx])
     gr, gi, ge = _split(b[i])
@@ -359,9 +403,12 @@ def inner_product(f: TaylorCoeffs, g: TaylorCoeffs, m: int) -> complex:
     with np.errstate(over="ignore", invalid="ignore"):
         re = np.ldexp((fr * gr + fi * gi) * mw, e)
         im = np.ldexp((fi * gr - fr * gi) * mw, e)
-    bad = ~(np.isfinite(re) & np.isfinite(im))
-    if bad.any():
-        raise WeightOverflowError(int(idx[bad.argmax()]), m)
+        # a finite sum screens every term finite; one past range rechecks
+        screen = math.isfinite(np.add.reduce(re) + np.add.reduce(im))
+    if not screen:
+        bad = ~(np.isfinite(re) & np.isfinite(im))
+        if bad.any():
+            raise WeightOverflowError(int(idx[bad.argmax()]), m)
     return complex(_fsum(re.tolist()), _fsum(im.tolist()))
 
 
@@ -379,7 +426,7 @@ def _weighted_sq_terms(coeffs, w: int, k=0, strict: bool = True) -> list:
     first.
     """
     c = _complex(coeffs, w)
-    idx = np.flatnonzero(c)
+    idx = c.ravel().nonzero()[0]  # np.flatnonzero, less its call layers
     re, im, e = _split(c[idx])
     mant, exp = _weight_table(w, len(c))
     rows = []
@@ -390,7 +437,8 @@ def _weighted_sq_terms(coeffs, w: int, k=0, strict: bool = True) -> list:
             j = int(kk != 0 and idx[:1].tolist() == [0])  # n = 0 skipped
             t = base[j:] * idx[j:].astype(float) ** kk if kk else base
             t = np.ldexp(t, shift[j:])
-            if strict:
+            # the terms are >= 0: a finite sum screens them all finite
+            if strict and not math.isfinite(np.add.reduce(t)):
                 bad = ~np.isfinite(t)
                 if bad.any():
                     raise WeightOverflowError(int(idx[j + bad.argmax()]), w)
@@ -413,10 +461,16 @@ def norm(f: TaylorCoeffs, m: int) -> float:
 
 
 def eval_point(f: TaylorCoeffs, z) -> complex:
-    """Horner evaluation of the truncated series at z (exact for exact input)."""
+    """Horner evaluation of the truncated series at z (exact for exact input).
+    A step past double range (an exact coefficient or sum meeting a float)
+    raises WeightOverflowError at its index and level 0: no weight."""
+    cs = _plain(f.coeffs)
     acc = 0
-    for c in reversed(f.coeffs):
-        acc = acc * z + c
+    for n in range(len(cs) - 1, -1, -1):
+        try:
+            acc = acc * z + cs[n]
+        except OverflowError as exc:
+            raise WeightOverflowError(n, 0, cause="Horner step") from exc
     return acc
 
 
@@ -484,7 +538,7 @@ def kernel_section(m: int, w: complex, degree: int) -> TaylorCoeffs:
     out = np.empty(degree + 1, dtype=complex)
     out.real = np.ldexp(p.real / mant, exp)
     out.imag = np.ldexp(p.imag / mant, exp)
-    return TaylorCoeffs(out.tolist())
+    return _held(TaylorCoeffs, out)
 
 
 # Both kernel aggregations truncate every kernel after the term u**48.

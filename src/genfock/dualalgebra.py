@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coeffspace import (TaylorCoeffs, WeightOverflowError, _all_exact,
-                         _complex, _fsum, _require_level, _strip,
+                         _complex, _fsum, _held, _require_level, _strip,
                          _weight_table, _weighted_sq_terms, inner_product,
                          weight)
 
@@ -43,7 +43,7 @@ class DualSequence:
     stays computable at any level, so the tag never gates an operation.
     """
 
-    coeffs: tuple
+    coeffs: tuple | np.ndarray
     level: int = 1
 
     def __init__(self, coeffs=(), level: int = 1):
@@ -67,7 +67,7 @@ class DualSequence:
     __hash__ = None
 
     def to_json_obj(self) -> dict:
-        return {**TaylorCoeffs(self.coeffs).to_json_obj(), "level": self.level}
+        return {**TaylorCoeffs.to_json_obj(self), "level": self.level}
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "DualSequence":
@@ -99,7 +99,7 @@ def pairing(f: TaylorCoeffs, b: DualSequence) -> complex:
     Satisfies |pairing(f, b)| <= norm(f, m) * dual_norm(b, m) for every m,
     by Cauchy-Schwarz after splitting n! = (n!)^{m/2} (n!)^{(2-m)/2}.
     """
-    return inner_product(f, TaylorCoeffs(b.coeffs), 1)
+    return inner_product(f, _held(TaylorCoeffs, b.coeffs), 1)
 
 
 # cells (index pairs, padding included) per block of consecutive diagonals
@@ -212,10 +212,10 @@ def _skewed(n_pairs: int, nr: int, nc: int):
     return short, other, view
 
 
-def _diagonal_sums(short, other, view, swap: bool) -> list:
+def _diagonal_sums(short, other, view, swap: bool) -> np.ndarray:
     """The rows of a :func:`_skewed` layout, diagonal sums pair after pair,
-    each correctly rounded; ``swap`` tells that ``short`` holds the second
-    factors.
+    each correctly rounded, as one complex array; ``swap`` tells that
+    ``short`` holds the second factors.
 
     The products a_i * b_j are formed with the real operations of a complex
     multiply, in blocks of about ``_BLOCK`` cells, so memory stays bounded;
@@ -227,14 +227,14 @@ def _diagonal_sums(short, other, view, swap: bool) -> list:
     never a padded cell), runs where the certificate fails (near ties,
     exact cancellation, subnormal or non-finite terms, a split past range)
     and on every diagonal when the layout holds under ``_CERTIFY_PAIRS``
-    index pairs.  A diagonal with no live product is the exact 0.
+    index pairs.  A diagonal with no live product is the exact 0, +0j.
     """
     (n_pairs, nr), nc = short.shape, other.shape[1]
     nd = nr + nc - 1
     n_rows = n_pairs * nd
     width = max(1, _BLOCK // nr)
     certify = n_pairs * nr * nc >= _CERTIFY_PAIRS
-    out = []
+    out = np.empty(n_rows, complex)
     # inf - inf, overflow (the documented inf) and the 0 * inf that padding
     # and dead cells meet beside an infinite part are by design: none warns
     with np.errstate(all="ignore"):
@@ -255,36 +255,30 @@ def _diagonal_sums(short, other, view, swap: bool) -> list:
             p[1] += xi * yr
             if not certify:
                 live = (u != 0) & (v != 0)
-                out += _fsum_rows(p[0], p[1], live)
+                out[r0:r1] = _fsum_rows(p[0], p[1], live)
                 continue
             if r1 - r0 > 4 * (i1 - i0):  # short rows sum faster column-major
                 p = p.transpose(0, 2, 1).copy().transpose(0, 2, 1)
             vals, s, ok = _certified_sums(p)
-            if ok.all():
-                out += vals.tolist()
-                continue
-            live = (u != 0) & (v != 0)
-            zero = ~p.any(axis=-1)
-            if zero.any():  # a part whose products are all zeros
-                pos = (live & ~np.signbit(p)).any(axis=-1)
-                s[zero] = np.where(pos, *_ZERO_SUMS)[zero]
-                ok |= zero
-            vals = vals.tolist()
-            # both parts zero and no live product: the exact 0
-            for k in np.flatnonzero(zero[0] & zero[1]
-                                    & ~live.any(axis=-1)).tolist():
-                vals[k] = 0
-            miss = np.flatnonzero(~(ok[0] & ok[1]))
-            for k, z in zip(miss.tolist(), _fsum_rows(
-                    p[0][miss], p[1][miss], live[miss])):
-                vals[k] = z
-            out += vals
+            if not ok.all():
+                live = (u != 0) & (v != 0)
+                zero = ~p.any(axis=-1)
+                if zero.any():  # a part whose products are all zeros; with
+                    # no live product at all, the exact 0
+                    pos = (live & ~np.signbit(p)).any(axis=-1) | ~live.any(-1)
+                    s[zero] = np.where(pos, *_ZERO_SUMS)[zero]
+                    ok |= zero
+                miss = np.flatnonzero(~(ok[0] & ok[1]))
+                vals[miss] = _fsum_rows(p[0][miss], p[1][miss], live[miss])
+            out[r0:r1] = vals
     return out
 
 
-def _float_convolution(pairs, level: int) -> list:
+def _float_convolution(pairs, level: int) -> np.ndarray:
     """Cauchy products of a stack of factor pairs (ca, cb) of float
-    coefficients, one list per pair, each output correctly rounded.
+    coefficients, one row per pair of one complex array, each output
+    correctly rounded; row j holds its product in its first
+    len(ca) + len(cb) - 1 places and 0 past them.
 
     The factors are zero-padded to common lengths and laid out by
     :func:`_skewed`, and :func:`_diagonal_sums` forms only the diagonals
@@ -293,8 +287,6 @@ def _float_convolution(pairs, level: int) -> list:
     the diagonals before and after the trimmed window are the exact 0.
     Errors are those of pair-by-pair :func:`_complex` calls at ``level``.
     """
-    if not pairs:
-        return []
     fa, fb = zip(*pairs)
     na, nb = max(map(len, fa)), max(map(len, fb))
     n_pairs, swap = len(pairs), na > nb
@@ -324,14 +316,11 @@ def _float_convolution(pairs, level: int) -> list:
                 short, other, view = _skewed(n_pairs, min(ea - ha, eb - hb),
                                              max(ea - ha, eb - hb))
                 short[:], other[:] = (b, a) if swap else (a, b)
-    nd = short.shape[1] + other.shape[1] - 1
-    out = _diagonal_sums(short, other, view, swap) if hi else []
-    if (lo, hi) == (0, full):
-        return [out[j * nd:j * nd + len(ca) + len(cb) - 1]
-                for j, (ca, cb) in enumerate(pairs)]
-    # the exact 0s outside the window
-    return [([0] * lo + out[j * nd:j * nd + hi - lo] + [0] * (n - hi))[:n]
-            for j, n in enumerate(len(ca) + len(cb) - 1 for ca, cb in pairs)]
+    out = np.zeros((n_pairs, full), complex)  # the exact 0s outside [lo, hi)
+    if hi:
+        out[:, lo:hi] = _diagonal_sums(short, other, view, swap).reshape(
+            n_pairs, hi - lo)
+    return out
 
 
 def _exact_convolution(ca: tuple, cb: tuple):
@@ -365,18 +354,21 @@ def cauchy_product(a: DualSequence, b: DualSequence) -> DualSequence:
     product is the one-pair call of :func:`_float_convolution`.
     """
     level = max(a.level, b.level)
-    return DualSequence(_products([(a.coeffs, b.coeffs)], level)[0], level)
+    return _held(DualSequence, _products([(a.coeffs, b.coeffs)], level)[0],
+                 level)
 
 
 def _products(pairs, level: int) -> list:
     """The Cauchy products of ``pairs`` (ca, cb): [] for an empty factor,
-    exact for all-exact pairs, the rest in one kernel call at ``level``."""
-    prods = [_exact_convolution(ca, cb) if ca and cb else []
+    exact for all-exact pairs, the rest in one kernel call at ``level``,
+    each a row of its complex array."""
+    prods = [_exact_convolution(ca, cb) if len(ca) and len(cb) else []
              for ca, cb in pairs]
     if None in prods:
-        floats = iter(_float_convolution(
+        rows = iter(_float_convolution(
             [pair for pair, pr in zip(pairs, prods) if pr is None], level))
-        prods = [next(floats) if pr is None else pr for pr in prods]
+        prods = [next(rows)[:len(ca) + len(cb) - 1] if pr is None else pr
+                 for (ca, cb), pr in zip(pairs, prods)]
     return prods
 
 
@@ -485,7 +477,7 @@ def vage_check(a: DualSequence, b: DualSequence, p: int, q: int
     if not isinstance(q, int) or q < p + 1:
         raise ValueError("need q >= p + 1 >= 2")
     ca, cb = a.coeffs, b.coeffs
-    if ca and cb and not (_all_exact(ca) and _all_exact(cb)):
+    if len(ca) and len(cb) and not (_all_exact(ca) and _all_exact(cb)):
         ca, cb = _complex(ca, p), _complex(cb, q)
     lhs = math.sqrt(_product_sq_norm(ca, cb, q))
     na, nb = (math.sqrt(_fsum(_weighted_sq_terms(_complex(c, lv), 2 - lv,
@@ -530,7 +522,7 @@ def riemann_integral_product(f_path, g_path) -> DualSequence:
         # h * r as Python multiplies a float into a complex: cross terms too
         terms[1:] = half_h * r + np.array([-0.0, 0.0]) * r[..., ::-1]
         acc = np.add.accumulate(terms)[-1]
-    return DualSequence(acc.view(complex).ravel().tolist(), level)
+    return _held(DualSequence, acc.view(complex).ravel().copy(), level)
 
 
 def sample_path(fn, steps: int = 16):

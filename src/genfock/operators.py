@@ -11,11 +11,13 @@ actions:
 so at level 1 they reduce to the classical pair.  The module keeps all
 actions exact on int/Fraction input, which lets the combinatorial identity
 checks run in integer arithmetic with no tolerance at all.  Both adjoints
-read n**m from one cached row of ints per level, kept for the process and
-replaced whole when it grows; the check routes (A, B, the ladder, the
-expansions, ``number_power_direct``) never read it.
+read n**m from one cached row per level, as ints and doubles, kept for the
+process and replaced whole when it grows; the check routes (A, B, the
+ladder, the expansions, ``number_power_direct``) never read it.
 
-Each action works on the plain coefficient tuple and wraps only its result.
+On a held array (``coeffspace._held``) the four actions run in numpy, as
+Python forms each product and quotient, and hold their result; otherwise
+each works on the plain coefficient tuple and wraps only its result.
 The normal-ordered routes share one lowering ladder: rung n is lowering**n f,
 one ``lowering`` of rung n-1, and raising**n is a shift by n places.  The
 Stirling-weighted terms add into one list, n increasing, with no closed form.
@@ -28,7 +30,10 @@ from fractions import Fraction
 from itertools import repeat, starmap, zip_longest
 from operator import mul, sub
 
-from .coeffspace import (TaylorCoeffs, _fsum, _is_exact, _require_level,
+import numpy as np
+
+from .coeffspace import (TaylorCoeffs, WeightOverflowError, _fsum, _held,
+                         _is_exact, _plain, _require_level,
                          _weighted_sq_terms, add, scale, squared_norm)
 from .stirling import normal_order_coeffs, stirling_s2
 
@@ -45,26 +50,42 @@ def _lower(cs: tuple, m: int = 1) -> tuple:
     return tuple(map(mul, range(1, len(cs)), cs[1:]))
 
 
-_POWERS: dict[int, tuple] = {}  # level m -> (1**m, 2**m, ...)
+_POWERS: dict[int, tuple] = {}  # level m -> ((1**m, 2**m, ...), as doubles)
 
 
-def _powers(m: int, size: int) -> tuple:
-    """Level m's row of ints, at least ``size`` long, grown by doubling."""
-    row = _POWERS.get(m, ())
-    if len(row) < size:
-        row = _POWERS[m] = row + tuple(map(pow, range(
-            len(row) + 1, max(size, 2 * len(row)) + 1), repeat(m)))
+def _powers(m: int, size: int) -> tuple[tuple, np.ndarray]:
+    """Level m's row of ints, at least ``size`` long, grown by doubling, and
+    the row as doubles (inf from the first int that rounds past range)."""
+    row = _POWERS.get(m)
+    if row is None or len(row[0]) < size:
+        ints = row[0] if row else ()
+        ints += tuple(map(pow, range(len(ints) + 1, max(
+            size, 2 * len(ints)) + 1), repeat(m)))
+        row = _POWERS[m] = ints, np.array(
+            [k if k < 2 ** 1024 - 2 ** 970 else math.inf for k in ints], float)
     return row
 
 
 def _raise_adj(cs: tuple, m: int) -> tuple:
-    return tuple(map(mul, _powers(m, len(cs) - 1), cs[1:]))
+    ints = _powers(m, len(cs) - 1)[0]
+    try:
+        return tuple(map(mul, ints, cs[1:]))
+    except OverflowError as exc:  # Python's int * float, at the first such n
+        n = next(n for n, (d, c) in enumerate(zip(ints, cs[1:]), 1)
+                 if d >= 2 ** 1024 - 2 ** 970 and not _is_exact(c))
+        raise WeightOverflowError(n, m, cause=f"factor n**{m}") from exc
 
 
 def _lower_adj(cs: tuple, m: int) -> tuple:
-    return ((0,) if cs else ()) + tuple(
-        c if d == 1 or c == 0 else Fraction(c, d) if _is_exact(c) else c / d
-        for c, d in zip(cs, _powers(m - 1, len(cs))))
+    ints = _powers(m - 1, len(cs))[0]
+    try:
+        return ((0,) if cs else ()) + tuple(
+            c if d == 1 or c == 0 else Fraction(c, d) if _is_exact(c)
+            else c / d for c, d in zip(cs, ints))
+    except OverflowError as exc:  # a float divided by an int past range
+        n = next(n for n, (d, c) in enumerate(zip(ints, cs), 1)
+                 if d >= 2 ** 1024 - 2 ** 970 and c != 0 and not _is_exact(c))
+        raise WeightOverflowError(n, m, cause=f"divisor n**{m - 1}") from exc
 
 
 _LETTERS = {"A": _raise, "B": _lower, "S": _raise_adj, "T": _lower_adj}
@@ -72,32 +93,61 @@ _LETTERS = {"A": _raise, "B": _lower, "S": _raise_adj, "T": _lower_adj}
 
 def raising(f: TaylorCoeffs) -> TaylorCoeffs:
     """Multiplication by the variable: shifts every coefficient up one slot."""
-    return TaylorCoeffs(_raise(f.coeffs))
+    cs = f.coeffs
+    if isinstance(cs, np.ndarray):
+        return _held(TaylorCoeffs, np.concatenate(([0j], cs)))
+    return TaylorCoeffs(_raise(cs))
 
 
 def lowering(f: TaylorCoeffs) -> TaylorCoeffs:
     """Differentiation: (lowering f)_n = (n+1) * f_{n+1}."""
-    return TaylorCoeffs(_lower(f.coeffs))
+    a = f.coeffs
+    if not isinstance(a, np.ndarray):
+        return TaylorCoeffs(_lower(a))
+    with np.errstate(over="ignore", invalid="ignore"):  # as raising_adjoint
+        return _held(TaylorCoeffs, a[1:] * np.arange(1.0, len(a)))
 
 
 def raising_adjoint(f: TaylorCoeffs, m: int) -> TaylorCoeffs:
     """Adjoint of ``raising`` at level m: (n+1)**m * f_{n+1}.
 
     Equals the operator word (lowering . raising)**(m-1) . lowering read as a
-    composition; see :func:`adjoint_word_check`.
+    composition; see :func:`adjoint_word_check`.  An n**m past double range
+    at a float coefficient raises WeightOverflowError naming n and m.
     """
     _require_level(m)
-    return TaylorCoeffs(_raise_adj(f.coeffs, m))
+    a = f.coeffs
+    if type(a) is tuple:
+        return TaylorCoeffs(_raise_adj(a, m))
+    row = _powers(m, len(a) - 1)[1][:len(a) - 1]
+    if math.inf not in row[-1:]:  # n**m in double range
+        # by a real row >= 1 numpy's complex product, fused or not, is
+        # Python's int * complex bit for bit: its cross terms are +-0 or NaN
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _held(TaylorCoeffs, a[1:] * row)
+    return TaylorCoeffs(_raise_adj(_plain(a), m))
 
 
 def lowering_adjoint(f: TaylorCoeffs, m: int) -> TaylorCoeffs:
     """Adjoint of ``lowering`` at level m: shifts up and divides by n**(m-1).
 
     Exact input stays exact (Fractions appear when the division demands
-    them); float/complex input is divided in the obvious way.
+    them); float/complex input is divided as Python divides it by an int,
+    and a divisor past double range raises WeightOverflowError (n and m).
     """
     _require_level(m)
-    return TaylorCoeffs(_lower_adj(f.coeffs, m))
+    a = f.coeffs
+    if isinstance(a, np.ndarray):
+        row = _powers(m - 1, len(a))[1][:len(a)]
+        keep = (a == 0) | (row == 1)  # kept as they are, not divided
+        if keep[row == math.inf].all():  # c / d as Python forms it:
+            q = np.empty_like(a)  # (cr + ci*0) / d + (ci - cr*0) / d * 1j
+            with np.errstate(invalid="ignore"):
+                np.divide(a.real + a.imag * 0.0, row, out=q.real)
+                np.divide(a.imag - a.real * 0.0, row, out=q.imag)
+            return _held(TaylorCoeffs, np.concatenate(
+                ([0j], np.where(keep, a, q))))
+    return TaylorCoeffs(_lower_adj(_plain(a), m))
 
 
 def apply_word(word: str, f: TaylorCoeffs, m: int = 1) -> TaylorCoeffs:
@@ -109,7 +159,7 @@ def apply_word(word: str, f: TaylorCoeffs, m: int = 1) -> TaylorCoeffs:
     to n times itself.  The level only matters for S and T.
     """
     _require_level(m)
-    cs = f.coeffs
+    cs = _plain(f.coeffs)
     for ch in reversed(word.upper()):
         if ch not in _LETTERS:
             raise ValueError(f"unknown operator letter {ch!r} (use A, B, S, T)")
@@ -121,7 +171,7 @@ def number_power_direct(k: int, f: TaylorCoeffs) -> TaylorCoeffs:
     """(raising . lowering)**k applied literally, k compositions."""
     if k < 0:
         raise ValueError("power must be >= 0")
-    cs = f.coeffs
+    cs = _plain(f.coeffs)
     for _ in range(k):
         cs = _raise(_lower(cs))
     return TaylorCoeffs(cs)
@@ -149,8 +199,9 @@ def number_power_normal_ordered(k: int, f: TaylorCoeffs) -> TaylorCoeffs:
         raise ValueError("power must be >= 0")
     if k == 0:
         return f
-    out = [0] * len(f.coeffs) if len(f.coeffs) > 1 else []
-    return TaylorCoeffs(_ladder_sum(f.coeffs, normal_order_coeffs(k), out))
+    cs = _plain(f.coeffs)
+    out = [0] * len(cs) if len(cs) > 1 else []
+    return TaylorCoeffs(_ladder_sum(cs, normal_order_coeffs(k), out))
 
 
 def raising_adjoint_via_stirling(f: TaylorCoeffs, m: int) -> TaylorCoeffs:
@@ -164,7 +215,7 @@ def raising_adjoint_via_stirling(f: TaylorCoeffs, m: int) -> TaylorCoeffs:
 def commutator_raising(f: TaylorCoeffs, m: int) -> TaylorCoeffs:
     """[raising_adjoint, raising] f, computed from the coefficient actions."""
     _require_level(m)
-    cs = f.coeffs
+    cs = _plain(f.coeffs)
     return TaylorCoeffs(starmap(sub, zip_longest(
         _raise_adj(_raise(cs), m), _raise(_raise_adj(cs, m)), fillvalue=0)))
 
@@ -185,7 +236,8 @@ def commutator_via_expansion(f: TaylorCoeffs, m: int) -> TaylorCoeffs:
     terms = commutator_expansion_terms(m)
     if not terms:
         return f
-    return TaylorCoeffs(_ladder_sum(f.coeffs, terms, list(f.coeffs)))
+    cs = _plain(f.coeffs)
+    return TaylorCoeffs(_ladder_sum(cs, terms, list(cs)))
 
 
 def commutator_apply(f: TaylorCoeffs, m: int) -> TaylorCoeffs:

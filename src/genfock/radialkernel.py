@@ -47,7 +47,8 @@ import threading
 
 import numpy as np
 
-from .coeffspace import WeightOverflowError, _fsum_complex, _require_level
+from .coeffspace import (WeightOverflowError, _fsum_complex, _plain,
+                         _require_level)
 
 _NEG_INF = float("-inf")
 
@@ -757,9 +758,10 @@ def geometric_inner_product(f, g, m: int) -> complex:
     exact coefficient no double holds raises WeightOverflowError.
     """
     terms = []
-    for n in range(min(len(f.coeffs), len(g.coeffs))):
+    fc, gc = _plain(f.coeffs), _plain(g.coeffs)
+    for n in range(min(len(fc), len(gc))):
         try:
-            prod = f.coeffs[n] * complex(g.coeffs[n]).conjugate()
+            prod = fc[n] * complex(gc[n]).conjugate()
         except OverflowError as exc:
             raise WeightOverflowError(n, m, cause="coefficient") from exc
         if prod != 0:

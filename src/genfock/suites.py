@@ -16,7 +16,7 @@ import numpy as np
 
 from . import bargmann, coeffspace, dualalgebra, operators, radialkernel
 from . import stirling as stirling_mod
-from .coeffspace import TaylorCoeffs, _fsum
+from .coeffspace import TaylorCoeffs, _fsum, _plain
 from .dualalgebra import DualSequence
 
 
@@ -591,8 +591,8 @@ def _integral_of_linear_paths(a0, a1, b0, b1) -> DualSequence:
     width = max(len(s.coeffs) for _, s in pieces)
     acc = [0j] * width
     for wgt, s in pieces:
-        for n in range(len(s.coeffs)):
-            acc[n] += wgt * s.coeffs[n]
+        for n, c in enumerate(_plain(s.coeffs)):
+            acc[n] += wgt * c
     return DualSequence(acc, max(s.level for _, s in pieces))
 
 

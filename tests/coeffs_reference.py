@@ -9,9 +9,21 @@ match them bit for bit, values and raised errors alike, on numeric
 coefficients that a double holds; beyond that the old inner product raised
 a bare OverflowError, and read, so could fail on, every coefficient of its
 second factor.
+
+Below them, the vector routes as they were before a float route's result
+held its complex array: ``raising``, ``lowering``, both adjoints,
+``kernel_section``, ``add``, ``sub`` and ``scale``, in Python arithmetic
+on the coefficient tuple, one result tuple each.  A held array's routes
+must match them bit for bit on the same coefficients as Python complex;
+where they raised a bare OverflowError the package raises
+WeightOverflowError.
 """
 
 import math
+import struct
+from fractions import Fraction
+from itertools import repeat, zip_longest
+from operator import mul
 
 import numpy as np
 
@@ -128,3 +140,90 @@ def norm_identity_report(f: TaylorCoeffs, m: int) -> tuple[float, list[float]]:
     terms.extend(math.comb(m, k) * weighted_moment(f, m, k)
                  for k in range(1, m))
     return lhs, terms
+
+
+def _bits_of(x):
+    if type(x) is int and x == 0 or not _is_exact(x):
+        return struct.pack("<dd", complex(x).real, complex(x).imag)
+    return type(x), repr(x)
+
+
+def coeff_bits(cs) -> list:
+    """A coefficient vector in a form that compares bit for bit, whichever
+    holder: each float or complex coefficient, held or not, as its
+    struct-packed complex128, and the int 0 (a float route's exact 0) as
+    +0j, which is how an array holds it; any other int or Fraction as its
+    type and repr."""
+    return list(map(_bits_of, cs.tolist() if isinstance(cs, np.ndarray)
+                    else cs))
+
+
+# ----------------------------------------------- the tuple vector routes
+
+_POWERS: dict[int, tuple] = {}  # level m -> (1**m, 2**m, ...)
+
+
+def _powers(m: int, size: int) -> tuple:
+    """Level m's row of ints, at least ``size`` long, grown by doubling."""
+    row = _POWERS.get(m, ())
+    if len(row) < size:
+        row = _POWERS[m] = row + tuple(map(pow, range(
+            len(row) + 1, max(size, 2 * len(row)) + 1), repeat(m)))
+    return row
+
+
+def raising(f: TaylorCoeffs) -> TaylorCoeffs:
+    cs = f.coeffs
+    return TaylorCoeffs((0,) + cs if cs else cs)
+
+
+def lowering(f: TaylorCoeffs) -> TaylorCoeffs:
+    cs = f.coeffs
+    return TaylorCoeffs(tuple(map(mul, range(1, len(cs)), cs[1:])))
+
+
+def raising_adjoint(f: TaylorCoeffs, m: int) -> TaylorCoeffs:
+    _require_level(m)
+    cs = f.coeffs
+    return TaylorCoeffs(tuple(map(mul, _powers(m, len(cs) - 1), cs[1:])))
+
+
+def lowering_adjoint(f: TaylorCoeffs, m: int) -> TaylorCoeffs:
+    _require_level(m)
+    cs = f.coeffs
+    return TaylorCoeffs(((0,) if cs else ()) + tuple(
+        c if d == 1 or c == 0 else Fraction(c, d) if _is_exact(c) else c / d
+        for c, d in zip(cs, _powers(m - 1, len(cs)))))
+
+
+def kernel_section(m: int, w: complex, degree: int) -> TaylorCoeffs:
+    _require_level(m)
+    wbar = complex(w).conjugate()
+    p = np.empty(len(range(degree + 1)), complex)
+    p.fill(wbar)
+    p[:1] = 1.0
+    if degree * math.log2(max(abs(wbar), 1e-300)) < 1000.0:
+        np.multiply.accumulate(p, out=p)
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.multiply.accumulate(p, out=p)
+    mant, exp = _weight_table(m, degree + 1)
+    mant, exp = mant[:degree + 1], -exp[:degree + 1]
+    out = np.empty(degree + 1, dtype=complex)
+    out.real = np.ldexp(p.real / mant, exp)
+    out.imag = np.ldexp(p.imag / mant, exp)
+    return TaylorCoeffs(out.tolist())
+
+
+def add(f: TaylorCoeffs, g: TaylorCoeffs) -> TaylorCoeffs:
+    return TaylorCoeffs(
+        x + y for x, y in zip_longest(f.coeffs, g.coeffs, fillvalue=0))
+
+
+def sub(f: TaylorCoeffs, g: TaylorCoeffs) -> TaylorCoeffs:
+    return TaylorCoeffs(
+        x - y for x, y in zip_longest(f.coeffs, g.coeffs, fillvalue=0))
+
+
+def scale(c, f: TaylorCoeffs) -> TaylorCoeffs:
+    return TaylorCoeffs(tuple(c * x for x in f.coeffs))

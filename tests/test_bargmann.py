@@ -501,6 +501,21 @@ def test_basis_grows_to_the_row_cap_and_no_further(empty_slot):
     assert len(bargmann._slot[1]) == bargmann._BASIS_ROWS
 
 
+@pytest.mark.parametrize("t", [0.7, np.array([]), np.empty((0, 3)),
+                               np.linspace(-5.0, 5.0, 7),
+                               np.linspace(-3.0, 3.0, 12).reshape(3, 4)])
+def test_eta_table_is_the_recurrence_rows_bytewise(t):
+    # the preallocated table holds the streamed rows, a scalar's and a
+    # zero-size t's too, with the shape and dtype of their stack
+    for nmax in (0, 1, 30):
+        want = np.stack(tuple(bargmann._eta_rows(t, nmax)))
+        got = hermite_eta_all(nmax, t)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
+    with pytest.raises(ValueError, match="nmax must be >= 0"):
+        hermite_eta_all(-1, t)
+
+
 @pytest.mark.parametrize("t", [0.7, _NODES,
                                np.linspace(-3.0, 3.0, 6).reshape(2, 3)])
 def test_basis_grown_in_steps_is_the_table_bytewise(t, empty_slot):

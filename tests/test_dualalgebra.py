@@ -22,6 +22,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from coeffs_reference import coeff_bits
 from dual_reference import (reference_exact_product, reference_product,
                             reference_riemann)
 from genfock import bargmann, dualalgebra
@@ -105,9 +106,9 @@ def test_product_commutes(a, b):
 
 
 def _outcome(product, ca, cb):
-    """The coefficients as (type, repr) pairs, or the exception raised."""
+    """The coefficients as :func:`coeff_bits`, or the exception raised."""
     try:
-        return [(type(x), repr(x)) for x in product(ca, cb)]
+        return coeff_bits(product(ca, cb))
     except (ValueError, OverflowError) as exc:
         return type(exc), str(exc)
 
@@ -140,8 +141,7 @@ def test_float_product_is_the_reference_bit_for_bit(monkeypatch, block,
     ba = cauchy_product(DualSequence(cb), DualSequence(ca)).coeffs
     want = reference_product(ca, cb)
     for got in (ab, ba):
-        assert [(type(x), repr(x)) for x in got] == [
-            (type(x), repr(x)) for x in want]
+        assert coeff_bits(got) == coeff_bits(want)
 
 
 # float parts that stress the certificate: signed zeros, subnormals,
@@ -195,7 +195,7 @@ def _converts(x) -> bool:
 
 
 def _stack_outcome(pairs, level):
-    """Each pair's reference product as (type, repr) pairs, or the error
+    """Each pair's reference product as :func:`coeff_bits`, or the error
     the first pair to fail raises.  Where the reference raises a bare
     OverflowError, the kernel names the pair's first coefficient that no
     double holds, ca before cb, with WeightOverflowError at ``level``."""
@@ -215,8 +215,8 @@ def _stack_outcome(pairs, level):
 
 def _kernel_outcome(pairs, level):
     try:
-        return [[(type(x), repr(x)) for x in row]
-                for row in dualalgebra._float_convolution(pairs, level)]
+        return [coeff_bits(row[:len(ca) + len(cb) - 1]) for (ca, cb), row
+                in zip(pairs, dualalgebra._float_convolution(pairs, level))]
     except (ValueError, OverflowError) as exc:
         return type(exc), str(exc)
 
@@ -265,8 +265,7 @@ def test_product_takes_both_routes(monkeypatch):
     got = _package_product(ca, cb)
     assert summed == [0j]
     assert got[1] == 0j
-    assert [(type(x), repr(x)) for x in got] == [
-        (type(x), repr(x)) for x in reference_product(ca, cb)]
+    assert coeff_bits(got) == coeff_bits(reference_product(ca, cb))
     # an int (40, 40) product takes int64, one past the bound the loop
     assert not int64
     a = [int(v) for v in rng.integers(-5, 6, 40)]
@@ -382,10 +381,9 @@ def test_trimmed_product_is_the_reference(monkeypatch, certify, ends):
         cb = _with_zero_ends(_draw(rng, lb, ()), hb, tb, zb)
         if la == 5:  # signed zeros inside, and a real factor
             ca[ha + 1], cb = -0.0, [complex(c).real for c in cb]
-        want = [(type(x), repr(x)) for x in reference_product(ca, cb)]
+        want = coeff_bits(reference_product(ca, cb))
         for x, y in ((ca, cb), (cb, ca)):
-            got = _package_product(x, y)
-            assert [(type(v), repr(v)) for v in got] == want
+            assert coeff_bits(_package_product(x, y)) == want
 
 
 @pytest.mark.parametrize("zero", [0, 0.0, -0.0, complex(-0.0, 0.0)])
@@ -393,10 +391,10 @@ def test_all_zero_factor_gives_exact_zeros(zero):
     rng = np.random.default_rng(3)
     for n in (1, 40):
         c = _draw(rng, n, ())
-        got = _package_product([zero] * 6, c)
-        assert [(type(v), repr(v)) for v in got] == [(int, "0")] * (n + 5)
-        assert list(got) == reference_product([zero] * 6, c)
-        assert _package_product(c, [zero] * 6) == got
+        got = coeff_bits(_package_product([zero] * 6, c))
+        assert got == coeff_bits([0] * (n + 5))
+        assert got == coeff_bits(reference_product([zero] * 6, c))
+        assert coeff_bits(_package_product(c, [zero] * 6)) == got
 
 
 def test_stack_trims_what_its_pairs_share(monkeypatch):
@@ -409,8 +407,9 @@ def test_stack_trims_what_its_pairs_share(monkeypatch):
             rng, 9, ()) + [0.0] * 3), ([0, 0, 0, 1.5], [0.0, 2.0])]
     got = dualalgebra._float_convolution(pairs, 1)
     for row, (ca, cb) in zip(got, pairs):
-        assert [(type(v), repr(v)) for v in row] == [
-            (type(v), repr(v)) for v in reference_product(ca, cb)]
+        assert coeff_bits(row[:len(ca) + len(cb) - 1]) == coeff_bits(
+            reference_product(ca, cb))
+        assert not row[len(ca) + len(cb) - 1:].any()
 
 
 def test_norm_scaled_product_forms_only_its_live_window(monkeypatch):
@@ -433,16 +432,16 @@ def test_norm_scaled_product_forms_only_its_live_window(monkeypatch):
     assert live == 178
     got = _package_product(a, b)
     assert formed == [((1, live), (1, live))]
-    assert [(type(x), x) for x in got[2 * live - 1:]] == [(int, 0)] * (
-        1999 - (2 * live - 1))
+    assert coeff_bits(got[2 * live - 1:]) == coeff_bits([0] * (
+        1999 - (2 * live - 1)))
 
 
 def test_mixed_product_takes_the_float_route():
     a = DualSequence([1, Fraction(1, 2)], 1)
     b = DualSequence([2, 0.25], 1)
     got = cauchy_product(a, b).coeffs
-    assert got == (2, 1.25, 0.125)
-    assert all(type(c) is complex for c in got)
+    assert got.dtype == complex  # the float route's array, held
+    assert tuple(got.tolist()) == (2, 1.25, 0.125)
     assert cauchy_product(a, a).coeffs == (1, 1, Fraction(1, 4))
 
 
@@ -760,9 +759,11 @@ def test_product_past_double_range_is_quiet():
         path = riemann_integral_product(
             sample_path(lambda t: DualSequence(a), steps=2),
             sample_path(lambda t: DualSequence(b), steps=2))
-    assert got.coeffs == (complex(math.inf), complex(math.inf), 1e308 + 0j)
-    assert repr(nan.coeffs) == "((inf+0j), (nan+0j), (-inf+0j))"
-    assert repr(path.coeffs) == "((inf+nanj), (nan+nanj), (-inf+nanj))"
+    assert got.coeffs.tolist() == [complex(math.inf), complex(math.inf),
+                                   1e308 + 0j]
+    assert repr(nan.coeffs.tolist()) == "[(inf+0j), (nan+0j), (-inf+0j)]"
+    assert repr(path.coeffs.tolist()) == (
+        "[(inf+nanj), (nan+nanj), (-inf+nanj)]")
     # a partial sum past double range first, then inf and -inf
     assert math.isnan(dualalgebra._fsum([1e308, 1e308, math.inf, -math.inf]))
 
@@ -827,7 +828,7 @@ def _path_outcome(integrate, f_rows, g_rows, ts):
         got = integrate(f_rows, g_rows, ts)
     except (ValueError, OverflowError) as exc:
         return type(exc), str(exc)
-    return [(type(x), repr(x)) for x in got]
+    return coeff_bits(got)
 
 
 def _package_riemann(f_rows, g_rows, ts):
@@ -882,11 +883,11 @@ def test_path_integral_is_the_reference(kind):
     else:
         assert got == want
     if kind == "inf - inf":  # NaN, as in float arithmetic
-        assert want[1] == (complex, "(nan+nanj)")
+        assert repr(reference_riemann(f_rows, g_rows, ts)[1]) == "(nan+nanj)"
     if kind == "signed zeros":
-        assert want == [(complex, "0j")]
+        assert repr(reference_riemann(f_rows, g_rows, ts)) == "[0j]"
     if kind == "non-finite":
-        assert "nan" in want[0][1]
+        assert "nan" in repr(reference_riemann(f_rows, g_rows, ts)[0])
     if "exact" in kind:
         # the same node in floats rounds its factors first and differs
         floats = [[complex(c) for c in f] for f in f_rows]

@@ -9,9 +9,11 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from genfock import operators
+from coeffs_reference import coeff_bits
+from genfock import coeffspace, operators
 from genfock.coeffspace import (
     TaylorCoeffs,
+    WeightOverflowError,
     _weighted_sq_terms,
     inner_product,
     log_weight,
@@ -200,9 +202,10 @@ def test_verify_operators_catches_a_wrong_entry_of_the_cached_row(
         monkeypatch, m):
     # 5**m + 1 in place of 5**m: the check routes (the word, the ladder)
     # do not read the row, so they disagree with the adjoint that does
-    row = list(operators._powers(m, 64))
+    ints, doubles = operators._powers(m, 64)
+    row = list(ints)
     row[4] += 1
-    monkeypatch.setitem(operators._POWERS, m, tuple(row))
+    monkeypatch.setitem(operators._POWERS, m, (tuple(row), doubles))
     assert adjoint_word_check(m, 12) is False
     rows = {c["name"]: c["passed"]
             for c in run_suite(RunConfig(seed=7), "operators")["checks"]}
@@ -211,15 +214,19 @@ def test_verify_operators_catches_a_wrong_entry_of_the_cached_row(
 
 def test_cached_row_grows_by_request_and_keeps_its_entries(monkeypatch):
     monkeypatch.setattr(operators, "_POWERS", {})
-    for m in (0, 1, 4):
-        short = operators._powers(m, 5)
+    for m in (0, 1, 4, 130):
+        short = operators._powers(m, 5)[0]
         assert short == tuple(n**m for n in range(1, 6))
-        long = operators._powers(m, 3000)
+        pair = operators._powers(m, 3000)
+        long = pair[0]
         assert long[:5] == short
         assert long == tuple(n**m for n in range(1, len(long) + 1))
         assert len(long) >= 3000
-        assert operators._powers(m, 10) is long
-        assert operators._POWERS[m] is long
+        assert operators._powers(m, 10) is pair
+        assert operators._POWERS[m] is pair
+        # the doubles: each int correctly rounded, inf past double range
+        assert pair[1].tolist() == [
+            float(k) if k < 2 ** 1024 - 2 ** 970 else math.inf for k in long]
 
 
 _SPECIAL = [0, 7, -3, Fraction(2, 3), Fraction(-5, 7), 0.0, -0.0, 5e-324,
@@ -250,8 +257,38 @@ def test_adjoints_from_the_row_are_the_per_coefficient_formulas(m, length):
                        else c / d)
     raised = [pow(n, m) * c for n, c in enumerate(cs[1:], 1)]
     f = TaylorCoeffs(cs)
-    assert _bits(raising_adjoint(f, m).coeffs) == _bits(raised)
-    assert _bits(lowering_adjoint(f, m).coeffs) == _bits(lowered)
+    for got, want in ((raising_adjoint(f, m), raised),
+                      (lowering_adjoint(f, m), lowered)):
+        if isinstance(got.coeffs, np.ndarray):  # a float route's array
+            assert coeff_bits(got.coeffs) == coeff_bits(want)
+        else:
+            assert _bits(got.coeffs) == _bits(want)
+
+
+def test_adjoint_factor_past_double_range_is_typed():
+    # 371**120 is the first n**120 past double range: Python's int * float
+    # raised a bare OverflowError there, zero coefficient or not
+    with pytest.raises(WeightOverflowError) as info:
+        raising_adjoint(TaylorCoeffs([0.0] * 400 + [1e-300]), 120)
+    assert (info.value.index, info.value.m) == (371, 120)
+    assert str(info.value).startswith("factor n**120 exceeds double range")
+    # 246**129 is the first divisor past range with a non-zero coefficient
+    with pytest.raises(WeightOverflowError) as info:
+        lowering_adjoint(TaylorCoeffs([1.0] * 400), 130)
+    assert (info.value.index, info.value.m) == (246, 130)
+    assert str(info.value).startswith("divisor n**129 exceeds double range")
+    # zeros are kept, not divided, so a zero tail there raises nothing
+    got = lowering_adjoint(TaylorCoeffs([1.0] * 3 + [0.0] * 400), 130)
+    assert got.coeffs[:4] == (0, 1.0, 1.0 / 2 ** 129, 1.0 / 3 ** 129)
+    # a held array raises the same, at the same index
+    held = coeffspace._held(TaylorCoeffs, np.array([0.0] * 400 + [1e-300],
+                                                   complex))
+    with pytest.raises(WeightOverflowError) as info:
+        raising_adjoint(held, 120)
+    assert (info.value.index, info.value.m) == (371, 120)
+    # a mixed tuple keeps its exact products and its value
+    got = raising_adjoint(TaylorCoeffs([0, 10**400, 1.0]), 1)
+    assert got.coeffs == (10**400, 2.0)
 
 
 def test_stirling_route_equals_direct_adjoint():
@@ -373,7 +410,11 @@ def _ref_commutator(f, m):
 
 
 def _same_output(got, want, cs):
-    """Equal coefficients of the same types; the same repr on exact input."""
+    """Equal coefficients of the same types (a float route's held array:
+    the same complex128 bytes); the same repr on exact input."""
+    if isinstance(got.coeffs, np.ndarray):
+        assert coeff_bits(got.coeffs) == coeff_bits(want.coeffs)
+        return
     assert [type(c) for c in got.coeffs] == [type(c) for c in want.coeffs]
     assert got.coeffs == want.coeffs
     if _exact(cs):
