@@ -144,7 +144,8 @@ def _plain(cs) -> tuple:
 
 def _strip(cs) -> tuple:
     """cs without its trailing zeros (a held array's as Python complex)."""
-    cs = _plain(cs)
+    if type(cs) is not tuple:
+        cs = _plain(cs)
     end = len(cs)
     while end > 0 and cs[end - 1] == 0:
         end -= 1

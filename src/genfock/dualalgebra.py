@@ -316,10 +316,12 @@ def _float_convolution(pairs, level: int) -> np.ndarray:
                 short, other, view = _skewed(n_pairs, min(ea - ha, eb - hb),
                                              max(ea - ha, eb - hb))
                 short[:], other[:] = (b, a) if swap else (a, b)
+    sums = _diagonal_sums(short, other, view, swap) if hi else None
+    if (lo, hi) == (0, full):
+        return sums.reshape(n_pairs, full)
     out = np.zeros((n_pairs, full), complex)  # the exact 0s outside [lo, hi)
     if hi:
-        out[:, lo:hi] = _diagonal_sums(short, other, view, swap).reshape(
-            n_pairs, hi - lo)
+        out[:, lo:hi] = sums.reshape(n_pairs, hi - lo)
     return out
 
 

@@ -94,15 +94,15 @@ _LETTERS = {"A": _raise, "B": _lower, "S": _raise_adj, "T": _lower_adj}
 def raising(f: TaylorCoeffs) -> TaylorCoeffs:
     """Multiplication by the variable: shifts every coefficient up one slot."""
     cs = f.coeffs
-    if isinstance(cs, np.ndarray):
-        return _held(TaylorCoeffs, np.concatenate(([0j], cs)))
-    return TaylorCoeffs(_raise(cs))
+    if type(cs) is tuple:
+        return TaylorCoeffs(_raise(cs))
+    return _held(TaylorCoeffs, np.concatenate(([0j], cs)))
 
 
 def lowering(f: TaylorCoeffs) -> TaylorCoeffs:
     """Differentiation: (lowering f)_n = (n+1) * f_{n+1}."""
     a = f.coeffs
-    if not isinstance(a, np.ndarray):
+    if type(a) is tuple:
         return TaylorCoeffs(_lower(a))
     with np.errstate(over="ignore", invalid="ignore"):  # as raising_adjoint
         return _held(TaylorCoeffs, a[1:] * np.arange(1.0, len(a)))
