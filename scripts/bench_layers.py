@@ -66,9 +66,10 @@ Layers, on fixed seeded inputs (seed 0):
 Each row holds the best-of time of one call in microseconds (``us``), the
 tracemalloc peak of one call after a warm one (``peak_mb``), and whether
 the output is its reference's bit for bit (``bit_identical``: the same
-complex128 bytes for float coefficient vectors, whether held as an array
-or as a tuple; the same dtype, shape and bytes for other arrays; the same
-``repr`` otherwise; null without a reference).  Provenance reads package
+complex128 bytes for a held float vector beside a tuple of floats or
+another held vector; the same dtype, shape and bytes for other arrays;
+the same ``repr`` otherwise, two tuples included; null without a
+reference).  Provenance reads package
 versions through ``importlib.metadata``, and genfock's from
 ``genfock.__version__`` where it is not installed.
 
@@ -558,29 +559,24 @@ LAYERS = {
 # ---------------------------------------------------------- timing, output
 
 
-def _float_vector(x) -> bool:
-    """A 1-d complex array, or a tuple or list of numbers that is not an
-    exact vector (all int or Fraction, one of them non-zero): a float
-    route's coefficients, held either way, its exact 0s among them."""
-    if isinstance(x, np.ndarray):
-        return x.dtype == complex and x.ndim == 1
+def _float_tuple(x) -> bool:
+    """A tuple or list of floats and complex numbers, with the int 0 that
+    float routes emit among them: what a held float vector's tuple was."""
     return isinstance(x, (tuple, list)) and all(
-        isinstance(c, (int, float, complex, Fraction))
-        and not isinstance(c, bool) for c in x) and not (
-        all(isinstance(c, (int, Fraction)) for c in x) and any(x))
+        isinstance(c, (float, complex)) or type(c) is int and c == 0
+        for c in x)
 
 
 def _same(a, b) -> bool:
-    """Float coefficient vectors: the same complex128 bytes, whichever
-    holder each side uses (an exact 0 is +0j).  Otherwise the same dtype,
-    shape and bytes for arrays, the same repr for the rest."""
-    if _float_vector(a) or _float_vector(b):
-        try:
-            return _float_vector(a) and _float_vector(b) and (
-                np.asarray(a, complex).tobytes()
+    """A held float vector (a 1-d complex array) and a float tuple or
+    another held vector: the same complex128 bytes, an exact 0 as +0j.
+    Otherwise the same dtype, shape and bytes for arrays, the same repr for
+    the rest, two tuples included."""
+    held = [isinstance(x, np.ndarray) and x.dtype == complex and x.ndim == 1
+            for x in (a, b)]
+    if any(held) and all(h or _float_tuple(x) for h, x in zip(held, (a, b))):
+        return (np.asarray(a, complex).tobytes()
                 == np.asarray(b, complex).tobytes())
-        except OverflowError:  # an exact coefficient no double holds
-            return False
     if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
         return (isinstance(a, np.ndarray) and isinstance(b, np.ndarray)
                 and a.dtype == b.dtype and a.shape == b.shape

@@ -133,9 +133,7 @@ class _EtaReader:
 
 
 def hermite_eta_all(nmax: int, t) -> np.ndarray:
-    """eta_0 .. eta_nmax at t (scalar or array); shape (nmax+1, *t.shape).
-
-    The rows fill one preallocated array, a zero-size t's as well."""
+    """eta_0 .. eta_nmax at t (scalar or array); shape (nmax+1, *t.shape)."""
     out = np.empty((max(nmax, -1) + 1,) + np.shape(t))
     for k, eta in enumerate(_eta_rows(t, nmax)):
         out[k] = eta

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
@@ -144,8 +143,7 @@ def _plain(cs) -> tuple:
 
 def _strip(cs) -> tuple:
     """cs without its trailing zeros (a held array's as Python complex)."""
-    if type(cs) is not tuple:
-        cs = _plain(cs)
+    cs = _plain(cs)
     end = len(cs)
     while end > 0 and cs[end - 1] == 0:
         end -= 1
@@ -268,52 +266,27 @@ def _complex_pairs(obj, key: str) -> list[complex]:
 
 
 def _held(cls, a, *args):
-    """``cls(a, *args)``, but a non-empty complex array ``a`` is held as it
-    is, read-only, in place of the tuple: the output a float route computed,
-    kept once, so the next route reads it with no conversion (neither work
-    in construction nor a cache keyed on an input)."""
-    if type(a) is not np.ndarray:
-        return cls(a, *args)
-    obj = cls((), *args)
-    if a.size:
+    """``cls(a, *args)``, but a non-empty complex array ``a``, a float route's
+    own output, is kept once, read-only, in place of the tuple."""
+    obj = cls(() if type(a) is np.ndarray else a, *args)
+    if type(a) is np.ndarray and a.size:
         a.flags.writeable = False
         object.__setattr__(obj, "coeffs", a)
     return obj
 
 
-def _combine(op, f: TaylorCoeffs, g: TaylorCoeffs) -> TaylorCoeffs:
-    """op coefficientwise, the shorter vector padded with 0 (x + 0 is
-    x + 0.0 in both parts, as in Python); in numpy on two held arrays."""
-    a, b = f.coeffs, g.coeffs
-    if not (isinstance(a, np.ndarray) and isinstance(b, np.ndarray)):
-        return TaylorCoeffs(op(x, y) for x, y in zip_longest(
-            _plain(a), _plain(b), fillvalue=0))
-    n = max(len(a), len(b))
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _held(TaylorCoeffs, op(*(np.concatenate(
-            (x, np.zeros(n - len(x), complex))) for x in (a, b))))
-
-
 def add(f: TaylorCoeffs, g: TaylorCoeffs) -> TaylorCoeffs:
-    return _combine(operator.add, f, g)
+    return TaylorCoeffs(x + y for x, y in zip_longest(
+        _plain(f.coeffs), _plain(g.coeffs), fillvalue=0))
 
 
 def sub(f: TaylorCoeffs, g: TaylorCoeffs) -> TaylorCoeffs:
-    return _combine(operator.sub, f, g)
+    return TaylorCoeffs(x - y for x, y in zip_longest(
+        _plain(f.coeffs), _plain(g.coeffs), fillvalue=0))
 
 
 def scale(c, f: TaylorCoeffs) -> TaylorCoeffs:
-    """c times each coefficient; on a held array, c * x as Python forms
-    it, (cr*xr - ci*xi) + (cr*xi + ci*xr)*1j, one pass an operation."""
-    cs = f.coeffs
-    if not (isinstance(cs, np.ndarray) and isinstance(
-            c, (int, float, complex, Fraction))):
-        return TaylorCoeffs(tuple(c * x for x in _plain(cs)))
-    k, out = complex(c), np.empty_like(cs)  # complex(10**400) raises too
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.subtract(k.real * cs.real, k.imag * cs.imag, out=out.real)
-        np.add(k.real * cs.imag, k.imag * cs.real, out=out.imag)
-    return _held(TaylorCoeffs, out)
+    return TaylorCoeffs(tuple(c * x for x in _plain(f.coeffs)))
 
 
 def _split(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -462,11 +435,9 @@ def norm(f: TaylorCoeffs, m: int) -> float:
 
 
 def eval_point(f: TaylorCoeffs, z) -> complex:
-    """Horner evaluation of the truncated series at z (exact for exact input).
-    A step past double range (an exact coefficient or sum meeting a float)
-    raises WeightOverflowError at its index and level 0: no weight."""
-    cs = _plain(f.coeffs)
-    acc = 0
+    """Horner evaluation of the truncated series at z (exact for exact input);
+    a step past double range raises WeightOverflowError at level 0."""
+    cs, acc = _plain(f.coeffs), 0
     for n in range(len(cs) - 1, -1, -1):
         try:
             acc = acc * z + cs[n]

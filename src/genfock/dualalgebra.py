@@ -30,9 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coeffspace import (TaylorCoeffs, WeightOverflowError, _all_exact,
-                         _complex, _fsum, _held, _require_level, _strip,
-                         _weight_table, _weighted_sq_terms, inner_product,
-                         weight)
+                         _complex, _fsum, _held, _plain, _require_level,
+                         _strip, _weight_table, _weighted_sq_terms,
+                         inner_product, weight)
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,6 +65,10 @@ class DualSequence:
                 and _strip(self.coeffs) == _strip(other.coeffs))
 
     __hash__ = None
+
+    def __repr__(self) -> str:
+        coeffs, level = _plain(self.coeffs), self.level
+        return f"DualSequence({coeffs=!r}, {level=!r})"
 
     def to_json_obj(self) -> dict:
         return {**TaylorCoeffs.to_json_obj(self), "level": self.level}
@@ -227,7 +231,7 @@ def _diagonal_sums(short, other, view, swap: bool) -> np.ndarray:
     never a padded cell), runs where the certificate fails (near ties,
     exact cancellation, subnormal or non-finite terms, a split past range)
     and on every diagonal when the layout holds under ``_CERTIFY_PAIRS``
-    index pairs.  A diagonal with no live product is the exact 0, +0j.
+    index pairs.  A diagonal with no live product is +0j (not the int 0).
     """
     (n_pairs, nr), nc = short.shape, other.shape[1]
     nd = nr + nc - 1
@@ -263,8 +267,7 @@ def _diagonal_sums(short, other, view, swap: bool) -> np.ndarray:
             if not ok.all():
                 live = (u != 0) & (v != 0)
                 zero = ~p.any(axis=-1)
-                if zero.any():  # a part whose products are all zeros; with
-                    # no live product at all, the exact 0
+                if zero.any():  # all-zero products (+0 with none live)
                     pos = (live & ~np.signbit(p)).any(axis=-1) | ~live.any(-1)
                     s[zero] = np.where(pos, *_ZERO_SUMS)[zero]
                     ok |= zero
@@ -276,15 +279,14 @@ def _diagonal_sums(short, other, view, swap: bool) -> np.ndarray:
 
 def _float_convolution(pairs, level: int) -> np.ndarray:
     """Cauchy products of a stack of factor pairs (ca, cb) of float
-    coefficients, one row per pair of one complex array, each output
-    correctly rounded; row j holds its product in its first
-    len(ca) + len(cb) - 1 places and 0 past them.
+    coefficients, one complex row per pair (0 past its len(ca) + len(cb) - 1
+    places), each output correctly rounded.
 
     The factors are zero-padded to common lengths and laid out by
     :func:`_skewed`, and :func:`_diagonal_sums` forms only the diagonals
     that can hold a live product (both factors non-zero): the zero heads
     and tails the factors share across the stack are trimmed first, and
-    the diagonals before and after the trimmed window are the exact 0.
+    the diagonals before and after the trimmed window are +0j.
     Errors are those of pair-by-pair :func:`_complex` calls at ``level``.
     """
     fa, fb = zip(*pairs)
@@ -319,7 +321,7 @@ def _float_convolution(pairs, level: int) -> np.ndarray:
     sums = _diagonal_sums(short, other, view, swap) if hi else None
     if (lo, hi) == (0, full):
         return sums.reshape(n_pairs, full)
-    out = np.zeros((n_pairs, full), complex)  # the exact 0s outside [lo, hi)
+    out = np.zeros((n_pairs, full), complex)  # +0j outside [lo, hi)
     if hi:
         out[:, lo:hi] = sums.reshape(n_pairs, hi - lo)
     return out
@@ -362,8 +364,7 @@ def cauchy_product(a: DualSequence, b: DualSequence) -> DualSequence:
 
 def _products(pairs, level: int) -> list:
     """The Cauchy products of ``pairs`` (ca, cb): [] for an empty factor,
-    exact for all-exact pairs, the rest in one kernel call at ``level``,
-    each a row of its complex array."""
+    exact for all-exact pairs, the rest rows of one kernel call at level."""
     prods = [_exact_convolution(ca, cb) if len(ca) and len(cb) else []
              for ca, cb in pairs]
     if None in prods:

@@ -11,13 +11,11 @@ actions:
 so at level 1 they reduce to the classical pair.  The module keeps all
 actions exact on int/Fraction input, which lets the combinatorial identity
 checks run in integer arithmetic with no tolerance at all.  Both adjoints
-read n**m from one cached row per level, as ints and doubles, kept for the
-process and replaced whole when it grows; the check routes (A, B, the
-ladder, the expansions, ``number_power_direct``) never read it.
+read n**m from one cached row of ints per level, kept for the process and
+replaced whole when it grows; the check routes (A, B, the ladder, the
+expansions, ``number_power_direct``) never read it.
 
-On a held array (``coeffspace._held``) the four actions run in numpy, as
-Python forms each product and quotient, and hold their result; otherwise
-each works on the plain coefficient tuple and wraps only its result.
+Each action works on the plain coefficient tuple and wraps only its result.
 The normal-ordered routes share one lowering ladder: rung n is lowering**n f,
 one ``lowering`` of rung n-1, and raising**n is a shift by n places.  The
 Stirling-weighted terms add into one list, n increasing, with no closed form.
@@ -30,9 +28,7 @@ from fractions import Fraction
 from itertools import repeat, starmap, zip_longest
 from operator import mul, sub
 
-import numpy as np
-
-from .coeffspace import (TaylorCoeffs, WeightOverflowError, _fsum, _held,
+from .coeffspace import (TaylorCoeffs, WeightOverflowError, _fsum,
                          _is_exact, _plain, _require_level,
                          _weighted_sq_terms, add, scale, squared_norm)
 from .stirling import normal_order_coeffs, stirling_s2
@@ -50,40 +46,34 @@ def _lower(cs: tuple, m: int = 1) -> tuple:
     return tuple(map(mul, range(1, len(cs)), cs[1:]))
 
 
-_POWERS: dict[int, tuple] = {}  # level m -> ((1**m, 2**m, ...), as doubles)
+_POWERS: dict[int, tuple] = {}  # level m -> (1**m, 2**m, ...)
 
 
-def _powers(m: int, size: int) -> tuple[tuple, np.ndarray]:
-    """Level m's row of ints, at least ``size`` long, grown by doubling, and
-    the row as doubles (inf from the first int that rounds past range)."""
-    row = _POWERS.get(m)
-    if row is None or len(row[0]) < size:
-        ints = row[0] if row else ()
-        ints += tuple(map(pow, range(len(ints) + 1, max(
-            size, 2 * len(ints)) + 1), repeat(m)))
-        row = _POWERS[m] = ints, np.array(
-            [k if k < 2 ** 1024 - 2 ** 970 else math.inf for k in ints], float)
+def _powers(m: int, size: int) -> tuple:
+    """Level m's row of ints, at least ``size`` long, grown by doubling."""
+    row = _POWERS.get(m, ())
+    if len(row) < size:
+        row = _POWERS[m] = row + tuple(map(pow, range(
+            len(row) + 1, max(size, 2 * len(row)) + 1), repeat(m)))
     return row
 
 
 def _raise_adj(cs: tuple, m: int) -> tuple:
-    ints = _powers(m, len(cs) - 1)[0]
     try:
-        return tuple(map(mul, ints, cs[1:]))
+        return tuple(map(mul, _powers(m, len(cs) - 1), cs[1:]))
     except OverflowError as exc:  # Python's int * float, at the first such n
-        n = next(n for n, (d, c) in enumerate(zip(ints, cs[1:]), 1)
+        n = next(n for n, (d, c) in enumerate(zip(_POWERS[m], cs[1:]), 1)
                  if d >= 2 ** 1024 - 2 ** 970 and not _is_exact(c))
         raise WeightOverflowError(n, m, cause=f"factor n**{m}") from exc
 
 
 def _lower_adj(cs: tuple, m: int) -> tuple:
-    ints = _powers(m - 1, len(cs))[0]
     try:
         return ((0,) if cs else ()) + tuple(
             c if d == 1 or c == 0 else Fraction(c, d) if _is_exact(c)
-            else c / d for c, d in zip(cs, ints))
+            else c / d for c, d in zip(cs, _powers(m - 1, len(cs))))
     except OverflowError as exc:  # a float divided by an int past range
-        n = next(n for n, (d, c) in enumerate(zip(ints, cs), 1)
+        n = next(n for n, (d, c) in enumerate(zip(_POWERS[m - 1], cs), 1)
                  if d >= 2 ** 1024 - 2 ** 970 and c != 0 and not _is_exact(c))
         raise WeightOverflowError(n, m, cause=f"divisor n**{m - 1}") from exc
 
@@ -93,19 +83,12 @@ _LETTERS = {"A": _raise, "B": _lower, "S": _raise_adj, "T": _lower_adj}
 
 def raising(f: TaylorCoeffs) -> TaylorCoeffs:
     """Multiplication by the variable: shifts every coefficient up one slot."""
-    cs = f.coeffs
-    if type(cs) is tuple:
-        return TaylorCoeffs(_raise(cs))
-    return _held(TaylorCoeffs, np.concatenate(([0j], cs)))
+    return TaylorCoeffs(_raise(_plain(f.coeffs)))
 
 
 def lowering(f: TaylorCoeffs) -> TaylorCoeffs:
     """Differentiation: (lowering f)_n = (n+1) * f_{n+1}."""
-    a = f.coeffs
-    if type(a) is tuple:
-        return TaylorCoeffs(_lower(a))
-    with np.errstate(over="ignore", invalid="ignore"):  # as raising_adjoint
-        return _held(TaylorCoeffs, a[1:] * np.arange(1.0, len(a)))
+    return TaylorCoeffs(_lower(_plain(f.coeffs)))
 
 
 def raising_adjoint(f: TaylorCoeffs, m: int) -> TaylorCoeffs:
@@ -116,38 +99,18 @@ def raising_adjoint(f: TaylorCoeffs, m: int) -> TaylorCoeffs:
     at a float coefficient raises WeightOverflowError naming n and m.
     """
     _require_level(m)
-    a = f.coeffs
-    if type(a) is tuple:
-        return TaylorCoeffs(_raise_adj(a, m))
-    row = _powers(m, len(a) - 1)[1][:len(a) - 1]
-    if math.inf not in row[-1:]:  # n**m in double range
-        # by a real row >= 1 numpy's complex product, fused or not, is
-        # Python's int * complex bit for bit: its cross terms are +-0 or NaN
-        with np.errstate(over="ignore", invalid="ignore"):
-            return _held(TaylorCoeffs, a[1:] * row)
-    return TaylorCoeffs(_raise_adj(_plain(a), m))
+    return TaylorCoeffs(_raise_adj(_plain(f.coeffs), m))
 
 
 def lowering_adjoint(f: TaylorCoeffs, m: int) -> TaylorCoeffs:
     """Adjoint of ``lowering`` at level m: shifts up and divides by n**(m-1).
 
     Exact input stays exact (Fractions appear when the division demands
-    them); float/complex input is divided as Python divides it by an int,
-    and a divisor past double range raises WeightOverflowError (n and m).
+    them); float/complex input is divided in the obvious way, and a divisor
+    past double range raises WeightOverflowError naming n and m.
     """
     _require_level(m)
-    a = f.coeffs
-    if isinstance(a, np.ndarray):
-        row = _powers(m - 1, len(a))[1][:len(a)]
-        keep = (a == 0) | (row == 1)  # kept as they are, not divided
-        if keep[row == math.inf].all():  # c / d as Python forms it:
-            q = np.empty_like(a)  # (cr + ci*0) / d + (ci - cr*0) / d * 1j
-            with np.errstate(invalid="ignore"):
-                np.divide(a.real + a.imag * 0.0, row, out=q.real)
-                np.divide(a.imag - a.real * 0.0, row, out=q.imag)
-            return _held(TaylorCoeffs, np.concatenate(
-                ([0j], np.where(keep, a, q))))
-    return TaylorCoeffs(_lower_adj(_plain(a), m))
+    return TaylorCoeffs(_lower_adj(_plain(f.coeffs), m))
 
 
 def apply_word(word: str, f: TaylorCoeffs, m: int = 1) -> TaylorCoeffs:

@@ -758,10 +758,9 @@ def geometric_inner_product(f, g, m: int) -> complex:
     exact coefficient no double holds raises WeightOverflowError.
     """
     terms = []
-    fc, gc = _plain(f.coeffs), _plain(g.coeffs)
-    for n in range(min(len(fc), len(gc))):
+    for n, (x, y) in enumerate(zip(_plain(f.coeffs), _plain(g.coeffs))):
         try:
-            prod = fc[n] * complex(gc[n]).conjugate()
+            prod = x * complex(y).conjugate()
         except OverflowError as exc:
             raise WeightOverflowError(n, m, cause="coefficient") from exc
         if prod != 0:

@@ -55,3 +55,9 @@ def test_float_vectors_compare_by_bytes_whichever_holder():
     assert bench._same((1, Fraction(1, 3)), (1, Fraction(1, 3)))
     assert not bench._same((1, 2), (1.0, 2.0))
     assert not bench._same(np.array([1.0]), np.array([1 + 0j]))
+    # two tuples keep their repr: a mixed tuple's exact int is not its float
+    assert not bench._same((2, 2.5), (2.0, 2.5))
+    assert not bench._same(held, (0, 1 + 2j, 3))
+    mixed = (10 ** 400, 2.0)  # raising_adjoint of [0, 10**400, 1.0]
+    assert bench._same(mixed, (10 ** 400, 2.0))
+    assert not bench._same(np.array([1e300 + 0j, 2.0]), mixed)

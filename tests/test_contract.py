@@ -40,7 +40,8 @@ plain = st.lists(coefficients, max_size=6)
 
 @st.composite
 def held(draw):
-    """A float route's held array: a kernel section, raised or adjoined."""
+    """A kernel section's held array, or the tuple an operator action
+    makes of one."""
     f = coeffspace.kernel_section(draw(st.integers(1, 4)), draw(points),
                                   draw(st.integers(0, 8)))
     step = draw(st.sampled_from(["none", "raise", "adjoint", "lower"]))

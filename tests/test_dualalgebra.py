@@ -391,7 +391,11 @@ def test_all_zero_factor_gives_exact_zeros(zero):
     rng = np.random.default_rng(3)
     for n in (1, 40):
         c = _draw(rng, n, ())
-        got = coeff_bits(_package_product([zero] * 6, c))
+        held = _package_product([zero] * 6, c)
+        # the held array's exact 0s are +0j, where the tuple had the int 0
+        assert held.dtype == complex and repr(held.tolist()) == repr(
+            [0j] * (n + 5))
+        got = coeff_bits(held)
         assert got == coeff_bits([0] * (n + 5))
         assert got == coeff_bits(reference_product([zero] * 6, c))
         assert coeff_bits(_package_product(c, [zero] * 6)) == got

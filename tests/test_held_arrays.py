@@ -1,12 +1,15 @@
 """Float vectors that hold their complex array, against the tuple routes
-they replace (``coeffs_reference`` and ``dual_reference``).
+(``coeffs_reference`` and ``dual_reference``).
 
-Every route that makes a vector from a held array, and both products on
-tuples, must give the tuple route's values bit for bit (struct-packed
-complex128, so signed zeros and NaN bits count) and its errors, on plain,
-norm-scaled, signed-zero, non-finite and subnormal draws.  A held array is
-read-only, and reads like the tuple of its Python complex values wherever
-a vector is read: equality, repr, JSON, coeff, norms, inner products.
+``kernel_section`` and both products hold the array they compute; the
+operator actions, ``add``, ``sub`` and ``scale`` read a held array as its
+tuple of Python complex.  Each must give the tuple route's values bit for
+bit (struct-packed complex128, so signed zeros and NaN bits count) and its
+errors, on plain, norm-scaled, signed-zero, non-finite and subnormal
+draws.  A held array is read-only, and reads like the tuple of its Python
+complex values wherever a vector is read: equality, repr, JSON, coeff,
+norms, inner products.  Where a tuple route's float result held the exact
+int 0, a held array holds +0j, which prints as ``0j``.
 """
 
 import json
@@ -97,8 +100,9 @@ def test_operators_on_a_held_array_are_the_tuple_routes(kind):
               _outcome(ref.raising_adjoint, plain, m))
         _same(_outcome(operators.lowering_adjoint, held, m),
               _outcome(ref.lowering_adjoint, plain, m))
-    # the tuple input keeps its tuple route
-    assert isinstance(operators.raising_adjoint(plain, 2).coeffs, tuple)
+    # the actions return tuples, on a held array as on a tuple
+    for v in (held, plain):
+        assert isinstance(operators.raising_adjoint(v, 2).coeffs, tuple)
 
 
 @pytest.mark.parametrize("kind", DRAWS)
@@ -167,12 +171,11 @@ def test_products_are_the_tuple_routes(kind):
 
 
 def test_a_held_array_is_read_only():
-    f = TaylorCoeffs([1.0 + 1j, 2.0, -3.5])
+    f = DualSequence([1.0 + 1j, 2.0, -3.5])
+    path = dualalgebra.sample_path(lambda t: f, steps=2)
     held = [coeffspace.kernel_section(2, 0.5, 10),
-            operators.raising_adjoint(coeffspace.kernel_section(2, 0.5, 10),
-                                      2),
-            dualalgebra.cauchy_product(DualSequence(f.coeffs),
-                                       DualSequence(f.coeffs))]
+            dualalgebra.cauchy_product(f, f),
+            dualalgebra.riemann_integral_product(path, path)]
     for v in held:
         assert isinstance(v.coeffs, np.ndarray) and v.coeffs.dtype == complex
         with pytest.raises(ValueError):
@@ -209,3 +212,21 @@ def test_a_held_array_reads_as_its_tuple(kind):
             == _value(dualalgebra.dual_norm, dual, 3))
     assert (json.dumps(held_dual.to_json_obj())
             == json.dumps(dual.to_json_obj()))
+    assert repr(held_dual) == repr(dual)
+
+
+def test_held_results_print_their_exact_zeros_as_0j():
+    # a float product's diagonal with no live product, and the padding of
+    # a trimmed product, are +0j in the held array where the tuple routes
+    # gave the int 0: equal values, a different repr
+    zero, c = DualSequence([0.0] * 3), DualSequence([1.5, 2j])
+    assert dualalgebra.cauchy_product(zero, c) == dref.cauchy_product(zero, c)
+    assert repr(dualalgebra.cauchy_product(zero, c)) == (
+        "DualSequence(coeffs=(0j, 0j, 0j, 0j), level=1)")
+    assert repr(dref.cauchy_product(zero, c)) == (
+        "DualSequence(coeffs=(0, 0, 0, 0), level=1)")
+    # the operator actions read a held array as its tuple: raising's
+    # leading coefficient stays the int 0
+    section = coeffspace.kernel_section(1, 0.5, 2)
+    assert repr(operators.raising(section)) == (
+        "TaylorCoeffs([0, (1+0j), (0.5+0j), (0.125+0j)])")
